@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .gen import GenerationError, gen_random
 from .lp import InfeasibleError, TimeBudget
-from .model import Instance, instance_from_doc
+from .model import Instance, normalize
 from .pipeline import (
     ApproxPipelineError,
     run_approx,
@@ -44,7 +44,7 @@ def _load_instance(args) -> Instance:
         doc["colors_enabled"] = True
     if getattr(args, "bandwidth", False):
         doc["bandwidth_enabled"] = True
-    return instance_from_doc(doc)
+    return normalize(doc)
 
 
 def _budget(args) -> TimeBudget | None:

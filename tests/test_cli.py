@@ -145,3 +145,39 @@ def test_solve_colored_instance(tmp_path):
     report = json.loads((out / "audit.json").read_text())
     assert report["profile"] == "color"
     assert report["ok"] is True
+
+
+def test_solve_multi_stream_document(tmp_path, capsys):
+    # The README's raw form: a source lists its streams, a sink its demands.
+    doc = {
+        "sources": [{"id": "E", "streams": ["a", "b"]}],
+        "reflectors": [
+            {"id": "r0", "cost": 5.0, "fanout": 3},
+            {"id": "r1", "cost": 5.0, "fanout": 3},
+        ],
+        "sinks": [
+            {"id": "D", "demands": [
+                {"stream": "a", "loss_threshold": 0.01},
+                {"stream": "b", "loss_threshold": 0.02},
+            ]},
+            {"id": "G", "demands": [{"stream": "a", "loss_threshold": 0.05}]},
+        ],
+        "src_edges": [
+            {"from": "E", "to": "r0", "loss": 0.01, "cost": 1.0},
+            {"from": "E", "to": "r1", "loss": 0.02, "cost": 1.5},
+        ],
+        "refl_edges": [
+            {"from": "r0", "to": "D", "loss": 0.01, "cost": 2.0},
+            {"from": "r1", "to": "D", "loss": 0.01, "cost": 2.0},
+            {"from": "r0", "to": "G", "loss": 0.03, "cost": 2.5},
+        ],
+    }
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "raw-run"
+    rc = main(["solve", str(path), "--seed", "2", "--out-dir", str(out)])
+    assert rc == 0
+    assert "audit=pass" in capsys.readouterr().out
+    sol = json.loads((out / "solution.json").read_text())
+    served = {route["sink"] for route in sol["routes"]}
+    assert served == {"D#a", "D#b", "G#a"}

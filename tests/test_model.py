@@ -181,6 +181,19 @@ def test_schema_violations_rejected():
         model.normalize(doc)
 
 
+def test_loss_one_edge_is_a_dead_link():
+    # Loss 1.0 is accepted: the link drops every packet, so its paths weigh 0.
+    inst = tiny_instance(p_refl=1.0)
+    assert inst.path_loss("s0", "r0", "d0") == 1.0
+    assert inst.path_weight("s0", "r0", "d0") == 0.0
+    assert WeightTable(inst).get("s0", "r0", "d0") == 0.0
+    doc = raw_doc()
+    doc["refl_edges"][0]["loss"] = 1.0
+    assert model.normalize(doc).refl_edges[("r0", "D#a")].loss == 1.0
+    with pytest.raises(ValidationError, match="outside"):
+        tiny_instance(p_refl=1.0 + 1e-9)
+
+
 def test_json_round_trip(tmp_path):
     inst = model.normalize(raw_doc())
     path = tmp_path / "inst.json"

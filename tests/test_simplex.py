@@ -1,9 +1,16 @@
 """Simplex core vs scipy's HiGHS on randomized LPs."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import overcast
 from overcast import simplex
 
 
@@ -136,3 +143,66 @@ def test_unbounded_detected():
         ub=[np.inf],
     )
     assert res.status == simplex.UNBOUNDED
+
+
+def test_refreshes_once_per_phase_on_slot_free_tableau():
+    # Rows: '>=' and '==' start violated (artificials), '<=' starts feasible.
+    a = np.array([
+        [1.0, 1.0, 1.0],
+        [1.0, 1.0, 0.0],
+        [0.0, 1.0, 1.0],
+    ])
+    c, b = np.array([1.0, 2.0, 1.5]), np.array([1.0, 1.5, 1.0])
+    args = (c, a, [">=", "<=", "=="], b, np.zeros(3), np.ones(3))
+    tab = simplex._Tableau(*args, max_iterations=1000)
+    n, slack_rows, art_rows = 3, 2, 2
+    assert tab.t.shape == (3, n + slack_rows + art_rows)
+    res = tab.run()
+    assert res.status == simplex.OPTIMAL
+    assert 0 < res.iterations < simplex._REFRESH_EVERY
+    assert res.refreshes == 2  # the confirming refactorization of each phase
+    assert res.objective == pytest.approx(1.5)
+    assert simplex.solve(*args).refreshes == 2
+
+
+# Pivot counts and optimal vertices recorded with the dense-update tableau;
+# the sparse update must reproduce them bit for bit.
+# (sizes, regime, colors, mode) -> (iterations, sha256 of x bytes).
+PINNED = [
+    (((8, 6, 16), "avg", None, "full"),
+     (218, "4bad09e53dffcfcefcc819a4a3aaa59996f154ce1ecfc42e0dcaa29bb34227fb")),
+    (((8, 6, 16), "avg", None, "transmission"),
+     (229, "9765024e68eb690237d10fb53034180b71cddbee718a126a0358d72ac3a8c131")),
+    (((2, 10, 20), "low", 5, "full"),
+     (348, "23d27311f1ae0b9bb8464a898b8411f9702451d6c20981312fda7f2461213f1d")),
+]
+
+_PIN_SCRIPT = """
+import hashlib, json, sys
+from overcast import gen, lp, simplex
+out = []
+for (sizes, regime, colors, mode), _ in json.loads(sys.argv[1]):
+    inst = gen.gen_random(tuple(sizes), regime, seed=0, colors=colors)
+    model = lp.build_model(inst, lp.ModeOptions(mode=mode, colors=inst.colors_enabled))
+    c, a, senses, b = model.arrays()
+    res = simplex.solve(c, a, senses, b, model.lb, model.ub)
+    out.append([res.iterations, hashlib.sha256(res.x.tobytes()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+def test_pivots_pinned():
+    # OpenBLAS's LU (np.linalg.solve) rounds differently with more than one
+    # thread, so the pins hold for one BLAS thread (the benchmark's setting);
+    # the solves run in a child process pinned to it.
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    src = str(Path(overcast.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PIN_SCRIPT, json.dumps(PINNED)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    got = [tuple(row) for row in json.loads(proc.stdout)]
+    assert got == [pin for _, pin in PINNED]
