@@ -73,18 +73,25 @@ def _ratio(cost: float, bound: float) -> float:
 
 
 def _summary_ratios(ps: PathSet) -> tuple[float, float]:
-    """(worst sink weight ratio, worst reflector fan-out ratio)."""
+    """(worst sink weight ratio, worst reflector fan-out ratio).
+
+    The fan-out ratio is the load the audit bounds over its cap: route count
+    over `fanout`, or with bandwidth caps the summed bitrate over `bandwidth`.
+    """
     inst = ps.instance
     weight_ratio = float("inf")
     for d in inst.sinks:
         if d.weight_threshold > 0:
             weight_ratio = min(weight_ratio, ps.weight_mass(d.id) / d.weight_threshold)
     fan_ratio = 0.0
-    counts: dict[str, int] = {}
-    for (_k, i, _j) in ps.x_tilde:
-        counts[i] = counts.get(i, 0) + 1
-    for i, n in counts.items():
-        fan_ratio = max(fan_ratio, n / inst.reflector_by_id[i].fanout)
+    loads: dict[str, float] = {}
+    for (k, i, _j) in ps.x_tilde:
+        load = (inst.source_by_id[k].bitrate or 0.0) if inst.bandwidth_enabled else 1.0
+        loads[i] = loads.get(i, 0.0) + load
+    for i, load in loads.items():
+        r = inst.reflector_by_id[i]
+        cap = (r.bandwidth or 0.0) if inst.bandwidth_enabled else r.fanout
+        fan_ratio = max(fan_ratio, load / cap if cap > 0 else float("inf"))
     return weight_ratio, fan_ratio
 
 

@@ -258,10 +258,6 @@ class LpModel:
             self._dense = (self.obj, a, senses, b)
         return self._dense
 
-    def row_values(self, x: np.ndarray) -> np.ndarray:
-        _, a, _, _ = self.arrays()
-        return a @ x
-
     def check_rows(self, x: np.ndarray, tol: float = ROW_TOL) -> list[str]:
         """Labels of rows the assignment violates beyond tol."""
         bad = []
@@ -306,12 +302,6 @@ class FractionalSolution:
     def x_hat(self, k: str, i: str, j: str) -> float:
         return float(self.values[self.model.x_index[(k, i, j)]])
 
-    def by_name(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(self.model.names, self.values)}
-
-    def to_json_doc(self) -> dict:
-        return {"objective": self.objective, "values": self.by_name()}
-
 
 @dataclass
 class IntegralSolution:
@@ -325,9 +315,6 @@ class IntegralSolution:
 
     def chosen_triples(self) -> list[tuple[str, str, str]]:
         return [key for key, xi in self.model.x_index.items() if self.values[xi] > 0.5]
-
-    def by_name(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(self.model.names, self.values)}
 
 
 def solve_lp(model: LpModel, lb=None, ub=None) -> FractionalSolution:
@@ -364,8 +351,10 @@ def solve_ip(
 
     Best-bound node order, branching on the most fractional variable
     (largest distance from integrality, ties to the lowest index), children
-    explored one-up first. A warm incumbent is used only after it passes a
-    feasibility check against the rows; infeasible warm starts are ignored.
+    explored one-up first. Each child LP starts from its parent's optimal
+    basis (a dual-simplex warm start). A warm incumbent is used only after
+    it passes a feasibility check against the rows; infeasible warm starts
+    are ignored.
     """
     budget = budget or TimeBudget()
     cert = model.weight_feasibility_certificate()
@@ -387,9 +376,8 @@ def solve_ip(
 
     c, a, senses, b = model.arrays()
 
-    def node_lp(lb, ub):
-        res = simplex.solve(c, a, senses, b, lb, ub)
-        return res
+    def node_lp(lb, ub, warm=None):
+        return simplex.solve(c, a, senses, b, lb, ub, warm=warm)
 
     counter = 0
     root = node_lp(model.lb, model.ub)
@@ -399,12 +387,13 @@ def solve_ip(
             certificate={"kind": "phase1", "residual": root.infeasibility},
         )
     heap: list = []
-    heapq.heappush(heap, (root.objective, counter, model.lb.copy(), model.ub.copy(), root))
+    # Entries: (bound, tie-break, lb, ub, solved LP or None, parent basis).
+    heapq.heappush(heap, (root.objective, counter, model.lb.copy(), model.ub.copy(), root, None))
     nodes = 0
     timed_out = False
 
     while heap:
-        bound, _cnt, lb, ub, solved = heapq.heappop(heap)
+        bound, _cnt, lb, ub, solved, warm_basis = heapq.heappop(heap)
         if bound >= inc_obj - 1e-9:
             continue  # pruned by incumbent
         out_of_budget = (
@@ -412,18 +401,18 @@ def solve_ip(
         ) or (budget.node_limit is not None and nodes >= budget.node_limit)
         if out_of_budget:
             # Put the node back so the reported bound stays a true lower bound.
-            heapq.heappush(heap, (bound, _cnt, lb, ub, solved))
+            heapq.heappush(heap, (bound, _cnt, lb, ub, solved, warm_basis))
             timed_out = True
             break
         if solved is None:
-            res = node_lp(lb, ub)
+            res = node_lp(lb, ub, warm_basis)
             if res.status == simplex.INFEASIBLE:
                 continue
             if res.objective >= inc_obj - 1e-9:
                 continue
             # Re-queue with the true bound so best-bound order stays honest.
             counter += 1
-            heapq.heappush(heap, (res.objective, counter, lb, ub, res))
+            heapq.heappush(heap, (res.objective, counter, lb, ub, res, None))
             continue
         res = solved
         nodes += 1
@@ -443,7 +432,7 @@ def solve_ip(
             else:
                 nub[branch_var] = 0.0
             counter += 1
-            heapq.heappush(heap, (res.objective, counter, nlb, nub, None))
+            heapq.heappush(heap, (res.objective, counter, nlb, nub, None, res.basis))
 
     best_bound = inc_obj
     if heap:

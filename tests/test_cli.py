@@ -181,3 +181,29 @@ def test_solve_multi_stream_document(tmp_path, capsys):
     sol = json.loads((out / "solution.json").read_text())
     served = {route["sink"] for route in sol["routes"]}
     assert served == {"D#a", "D#b", "G#a"}
+
+
+def test_solve_bandwidth_mode_reports_bitrate_load(tmp_path, capsys):
+    # Two routes through r0: 2 copies over fan-out 1, but 2 Mb/s over a
+    # 4 Mb/s bandwidth cap. In bandwidth mode the audit bounds the latter.
+    doc = {
+        "bandwidth_enabled": True,
+        "sources": [{"id": "s0", "bitrate": 1.0}],
+        "reflectors": [{"id": "r0", "cost": 5.0, "fanout": 1, "bandwidth": 4.0}],
+        "sinks": [
+            {"id": "d0", "stream": "s0", "loss_threshold": 0.05},
+            {"id": "d1", "stream": "s0", "loss_threshold": 0.05},
+        ],
+        "src_edges": [{"from": "s0", "to": "r0", "loss": 0.01, "cost": 1.0}],
+        "refl_edges": [
+            {"from": "r0", "to": "d0", "loss": 0.01, "cost": 1.0},
+            {"from": "r0", "to": "d1", "loss": 0.01, "cost": 1.0},
+        ],
+    }
+    path = tmp_path / "bw.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["solve", str(path), "--seed", "0", "--out-dir", str(tmp_path / "bw-run")])
+    line = capsys.readouterr().out
+    assert rc == 0
+    assert "audit=pass" in line
+    assert "fanout_ratio=0.500" in line

@@ -8,6 +8,7 @@ import pytest
 from scipy import optimize as sciopt
 
 from overcast import lp
+from overcast.gen import gen_random
 from overcast.model import normalize
 
 
@@ -200,6 +201,42 @@ def test_lp_matches_highs_on_random_instances():
         solved += 1
     assert solved >= 25
     assert infeasible >= 1
+
+
+LADDER_LPS = [
+    ((8, 6, 16), "avg", None, "full"),
+    ((8, 6, 16), "avg", None, "transmission"),
+    ((10, 10, 30), "avg", None, "full"),
+    ((10, 10, 30), "avg", None, "transmission"),
+    ((12, 12, 40), "avg", None, "full"),
+    ((12, 12, 40), "avg", None, "transmission"),
+    ((2, 10, 20), "low", 5, "full"),
+]
+
+
+@pytest.mark.parametrize(
+    "sizes, regime, colors, mode",
+    LADDER_LPS,
+    ids=["x".join(map(str, sizes)) + f"-{regime}-{mode}" for sizes, regime, _, mode in LADDER_LPS],
+)
+def test_lp_matches_highs_on_ladder_instances(sizes, regime, colors, mode):
+    inst = gen_random(sizes, regime, seed=0, colors=colors)
+    model = lp.build_model(inst, lp.ModeOptions(mode=mode, colors=inst.colors_enabled))
+    c, a, senses, b = model.arrays()
+    senses = np.asarray(senses)
+    sign = np.where(senses == ">=", -1.0, 1.0)[:, None]
+    ineq, eq = senses != "==", senses == "=="
+    ref = sciopt.linprog(
+        c,
+        A_ub=(a * sign)[ineq] if ineq.any() else None,
+        b_ub=(b * sign[:, 0])[ineq] if ineq.any() else None,
+        A_eq=a[eq] if eq.any() else None,
+        b_eq=b[eq] if eq.any() else None,
+        bounds=np.column_stack([model.lb, model.ub]),
+        method="highs",
+    )
+    assert ref.status == 0
+    assert lp.solve_lp(model).objective == pytest.approx(ref.fun, rel=1e-7)
 
 
 def test_ip_matches_milp_on_random_instances():

@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import linprog
 
 import overcast
-from overcast import simplex
+from overcast import gen, lp, simplex
 
 
 def random_lp(rng, n_max=12, m_max=10):
@@ -145,7 +145,14 @@ def test_unbounded_detected():
     assert res.status == simplex.UNBOUNDED
 
 
-def test_refreshes_once_per_phase_on_slot_free_tableau():
+def test_crossed_bounds_are_infeasible():
+    # lb > ub has no point; a branch-and-bound child can produce it.
+    res = simplex.solve([1.0], np.array([[1.0]]), ["<="], [5.0], lb=[1.0], ub=[0.5])
+    assert res.status == simplex.INFEASIBLE
+    assert res.infeasibility == pytest.approx(0.5)
+
+
+def test_refreshes_once_per_phase():
     # Rows: '>=' and '==' start violated (artificials), '<=' starts feasible.
     a = np.array([
         [1.0, 1.0, 1.0],
@@ -154,10 +161,11 @@ def test_refreshes_once_per_phase_on_slot_free_tableau():
     ])
     c, b = np.array([1.0, 2.0, 1.5]), np.array([1.0, 1.5, 1.0])
     args = (c, a, [">=", "<=", "=="], b, np.zeros(3), np.ones(3))
-    tab = simplex._Tableau(*args, max_iterations=1000)
+    state = simplex._Revised.cold(*args, max_iterations=1000)
     n, slack_rows, art_rows = 3, 2, 2
-    assert tab.t.shape == (3, n + slack_rows + art_rows)
-    res = tab.run()
+    assert state.ncols == n + slack_rows + art_rows
+    assert state.binv.shape == (3, 3)
+    res = state.run()
     assert res.status == simplex.OPTIMAL
     assert 0 < res.iterations < simplex._REFRESH_EVERY
     assert res.refreshes == 2  # the confirming refactorization of each phase
@@ -165,16 +173,16 @@ def test_refreshes_once_per_phase_on_slot_free_tableau():
     assert simplex.solve(*args).refreshes == 2
 
 
-# Pivot counts and optimal vertices recorded with the dense-update tableau;
-# the sparse update must reproduce them bit for bit.
+# Pivot counts and optimal vertices of the revised simplex at one BLAS
+# thread; any change to the pivot path or the rounding of B^-1 moves them.
 # (sizes, regime, colors, mode) -> (iterations, sha256 of x bytes).
 PINNED = [
     (((8, 6, 16), "avg", None, "full"),
-     (218, "4bad09e53dffcfcefcc819a4a3aaa59996f154ce1ecfc42e0dcaa29bb34227fb")),
+     (213, "006434747727d0935d3881096a4185d919995ca6ab52a4259032e98b4ee1cdd0")),
     (((8, 6, 16), "avg", None, "transmission"),
-     (229, "9765024e68eb690237d10fb53034180b71cddbee718a126a0358d72ac3a8c131")),
+     (214, "4a556f0a5e847302c980b6ce5b722ddd258979240b7332dc3988b67dae46ef29")),
     (((2, 10, 20), "low", 5, "full"),
-     (348, "23d27311f1ae0b9bb8464a898b8411f9702451d6c20981312fda7f2461213f1d")),
+     (335, "69f5b526552cb61ed6d2fcdc0f1cbf979ee81cb1a720d1a2ddad096444dc63d6")),
 ]
 
 _PIN_SCRIPT = """
@@ -192,9 +200,10 @@ print(json.dumps(out))
 
 
 def test_pivots_pinned():
-    # OpenBLAS's LU (np.linalg.solve) rounds differently with more than one
-    # thread, so the pins hold for one BLAS thread (the benchmark's setting);
-    # the solves run in a child process pinned to it.
+    # OpenBLAS rounds its LU (np.linalg.inv) and large matrix products
+    # differently with more than one thread, so the pins hold for one BLAS
+    # thread (the benchmark's setting); the solves run in a child process
+    # pinned to it.
     env = dict(os.environ)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -206,3 +215,66 @@ def test_pivots_pinned():
     )
     got = [tuple(row) for row in json.loads(proc.stdout)]
     assert got == [pin for _, pin in PINNED]
+
+
+def test_warm_start_matches_cold_and_highs():
+    # Children of an optimal parent: one fractional variable tightened down
+    # (ub = floor) and up (lb = ceil), solved from the parent's basis. The
+    # parent's basis under the negated objective is a start that is dual
+    # infeasible, and on a column without an upper bound falls back to cold.
+    rng = np.random.default_rng(23)
+    children = infeasible = warm = fallback = 0
+    for _ in range(400):
+        c, a, senses, b, lb, ub = random_lp(rng)
+        parent = simplex.solve(c, a, senses, b, lb, ub)
+        if parent.status != simplex.OPTIMAL or parent.basis is None:
+            continue
+        frac = (np.abs(parent.x - np.round(parent.x)) > 1e-6).nonzero()[0]
+        if frac.size == 0:
+            continue
+        j = int(rng.choice(frac))
+        down_ub, up_lb = ub.copy(), lb.copy()
+        down_ub[j] = np.floor(parent.x[j])
+        up_lb[j] = np.ceil(parent.x[j])
+        for cc, clb, cub in ((c, lb, down_ub), (c, up_lb, ub), (-c, lb, ub)):
+            res = simplex.solve(cc, a, senses, b, clb, cub, warm=parent.basis)
+            cold = simplex.solve(cc, a, senses, b, clb, cub)
+            ref = scipy_solve(cc, a, senses, b, clb, cub)
+            assert res.status == cold.status
+            if ref.status == 2:
+                assert res.status == simplex.INFEASIBLE
+                infeasible += res.warm_started  # found by the dual simplex
+            elif ref.status == 3:
+                assert res.status == simplex.UNBOUNDED
+            else:
+                assert ref.status == 0 and res.status == simplex.OPTIMAL
+                assert res.objective == pytest.approx(cold.objective, abs=1e-7, rel=1e-7)
+                assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+                assert res.basis is not None
+            children += 1
+            warm += res.warm_started
+            # Crossed bounds (lb > ub) are infeasible before any start.
+            fallback += not res.warm_started and not np.any(clb > cub)
+    assert children > 300
+    assert infeasible > 20
+    assert warm > 200
+    assert fallback > 20
+
+
+def test_branch_and_bound_warm_starts_every_child(monkeypatch):
+    calls = []
+    solve = simplex.solve
+
+    def recording(*args, warm=None, **kwargs):
+        res = solve(*args, warm=warm, **kwargs)
+        calls.append((warm, res))
+        return res
+
+    monkeypatch.setattr(simplex, "solve", recording)
+    model = lp.build_model(gen.gen_random((2, 2, 4), "avg", seed=3))
+    sol = lp.solve_ip(model)
+    assert sol.status == "optimal" and sol.nodes > 1
+    assert calls[0][0] is None
+    assert len(calls) > 2
+    assert all(warm is not None for warm, _ in calls[1:])
+    assert all(res.warm_started for _, res in calls[1:])
