@@ -2,16 +2,15 @@
 
 When reflectors carry colors (one network operator each), the accepted draw
 is rounded path-wise instead of through the assignment flow. The drawn relay
-mass, already cut into half-unit boxes, induces a fractional flow on the
-five-level box network; decomposing that flow yields one candidate path per
-(reflector, sink, box) fragment. Paths costing more than four times the
-draw's realized cost are discarded (each box keeps at least a quarter unit
-of mass because the expensive paths carry less than a quarter in total), the
-survivors are scaled by four and capped at one, and a dependent-rounding
-walk turns them into whole paths while every constraint row increases by
-strictly less than the column-sum bound t = 9. The chosen paths then cover
-every box, send at most 4 + 9 = 13 copies per (sink, color) group, and cost
-at most 13 times the draw's realized cost.
+mass is cut into half-unit boxes, and each (reflector, sink, box) fragment
+is one candidate path carrying that fragment's mass. Paths costing more
+than four times the draw's realized cost are discarded (each box keeps at
+least a quarter unit of mass because the expensive paths carry less than a
+quarter in total), the survivors are scaled by four and capped at one, and
+a dependent-rounding walk turns them into whole paths while every
+constraint row increases by strictly less than the column-sum bound t = 9.
+The chosen paths then cover every box, send at most 4 + 9 = 13 copies per
+(sink, color) group, and cost at most 13 times the draw's realized cost.
 """
 
 from __future__ import annotations
@@ -39,73 +38,6 @@ class ColorStageError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# flow path decomposition
-
-
-@dataclass(frozen=True)
-class FlowEdge:
-    tail: int
-    head: int
-    flow: float
-    tag: object = None
-
-
-def decompose_flow(
-    n_nodes: int,
-    edges: list[FlowEdge],
-    source: int,
-    target: int,
-    tol: float = 1e-9,
-) -> list[tuple[float, list[int]]]:
-    """Peel a conserved source->target flow into paths.
-
-    Returns (mass, edge index list) per path, in deterministic first-edge
-    order. Raises ValueError when the flow is not conserved, contains a
-    cycle, or leaves more than `tol` of undecomposed mass on some edge.
-    """
-    net = [0.0] * n_nodes
-    out_adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for idx, e in enumerate(edges):
-        if e.flow < -tol:
-            raise ValueError(f"edge {idx}: negative flow {e.flow!r}")
-        net[e.tail] -= e.flow
-        net[e.head] += e.flow
-        out_adj[e.tail].append(idx)
-    for v in range(n_nodes):
-        if v in (source, target):
-            continue
-        if abs(net[v]) > tol * max(1.0, len(edges)):
-            raise ValueError(f"flow not conserved at node {v}: residual {net[v]:.3e}")
-
-    remaining = [e.flow for e in edges]
-    paths: list[tuple[float, list[int]]] = []
-    while True:
-        route: list[int] = []
-        u = source
-        for _ in range(n_nodes + 1):
-            if u == target:
-                break
-            step = next((idx for idx in out_adj[u] if remaining[idx] > tol), None)
-            if step is None:
-                break
-            route.append(step)
-            u = edges[step].head
-        else:
-            raise ValueError("cycle in flow")
-        if u != target or not route:
-            break
-        mass = min(remaining[idx] for idx in route)
-        for idx in route:
-            remaining[idx] -= mass
-        paths.append((mass, route))
-
-    worst = max(remaining, default=0.0)
-    if worst > tol * max(1.0, len(edges)):
-        raise ValueError(f"undecomposed flow {worst:.3e} left on some edge")
-    return paths
-
-
-# ---------------------------------------------------------------------------
 # candidate paths
 
 
@@ -124,78 +56,31 @@ class RelayPath:
 
 
 def enumerate_paths(sol: SemiIntegralSolution, plan: BoxPlan) -> list[RelayPath]:
-    """Decompose the box-fragment flow into one candidate path per fragment."""
+    """One candidate path per box fragment, carrying that fragment's mass.
+
+    Fragments are listed in (sink, box, fragment) order, then stably sorted
+    by the reflector's position in the instance. The rounding walk's pick
+    depends on the column order, so this order is part of the output.
+    """
     model = sol.model
     inst = model.inst
-
-    feed_mass: dict[str, float] = {}
-    pair_mass: dict[tuple[str, str], float] = {}
-    frags: list[tuple[str, str, int, float]] = []  # (reflector, sink, box, mass)
+    paths: list[RelayPath] = []
     for d in inst.sinks:
         for box in plan.boxes.get(d.id, []):
             for i, mass in box.fragments:
-                feed_mass[i] = feed_mass.get(i, 0.0) + mass
-                pair_mass[(i, d.id)] = pair_mass.get((i, d.id), 0.0) + mass
-                frags.append((i, d.id, box.index, mass))
-
-    node_of: dict[object, int] = {"S": 0}
-
-    def node(key: object) -> int:
-        if key not in node_of:
-            node_of[key] = len(node_of)
-        return node_of[key]
-
-    edges: list[FlowEdge] = []
-    for r in inst.reflectors:
-        if r.id in feed_mass:
-            edges.append(FlowEdge(node("S"), node(("R", r.id)), feed_mass[r.id], None))
-    for d in inst.sinks:
-        for box in plan.boxes.get(d.id, []):
-            for i, _m in box.fragments:
-                key = (i, d.id)
-                if key in pair_mass:
-                    edges.append(
-                        FlowEdge(node(("R", i)), node(("P",) + key), pair_mass.pop(key), None)
+                paths.append(
+                    RelayPath(
+                        sink=d.id,
+                        box_index=box.index,
+                        reflector=i,
+                        stream=d.stream,
+                        mass=mass,
+                        cost=float(model.obj[model.x_index[(d.stream, i, d.id)]]),
+                        color=inst.reflector_by_id[i].color,
                     )
-    for i, j, b, mass in frags:
-        edges.append(FlowEdge(node(("P", i, j)), node(("B", j, b)), mass, (i, j, b)))
-    target = node("T")
-    for j, boxes in plan.boxes.items():
-        for box in boxes:
-            edges.append(FlowEdge(node(("B", j, box.index)), target, box.mass, None))
-
-    paths: list[RelayPath] = []
-    for mass, route in decompose_flow(len(node_of), edges, node_of["S"], target):
-        tag = next((edges[idx].tag for idx in route if edges[idx].tag is not None), None)
-        if tag is None:
-            raise ColorStageError("decomposed path missed the fragment level")
-        i, j, b = tag
-        k = inst.sink_by_id[j].stream
-        paths.append(
-            RelayPath(
-                sink=j,
-                box_index=b,
-                reflector=i,
-                stream=k,
-                mass=mass,
-                cost=float(model.obj[model.x_index[(k, i, j)]]),
-                color=inst.reflector_by_id[i].color,
-            )
-        )
-
-    if len(paths) > len(frags):
-        raise ColorStageError("decomposition produced more paths than fragments")
-    per_box: dict[tuple[str, int], float] = {}
-    for p in paths:
-        key = (p.sink, p.box_index)
-        per_box[key] = per_box.get(key, 0.0) + p.mass
-    for j, boxes in plan.boxes.items():
-        for box in boxes:
-            got = per_box.get((j, box.index), 0.0)
-            if abs(got - 0.5) > 1e-7:
-                raise ColorStageError(
-                    f"box ({j},{box.index}): decomposed mass {got:.9f} is not one half"
                 )
+    position = {r.id: pos for pos, r in enumerate(inst.reflectors)}
+    paths.sort(key=lambda p: position[p.reflector])
     return paths
 
 
@@ -238,12 +123,14 @@ def filter_and_scale(
 class RoundingSystem:
     """Equality system A v = b over path columns plus one slack per row.
 
-    Rows cover the four box-network edge capacities (right-hand side four
-    times each capacity), one row per box scaled by -9 (so the rounding
-    drift cannot erase coverage), one row per (sink, color) group capped at
-    four fractional copies, and one relay-cost row normalized by the draw's
-    realized cost. Every path column's positive entries then total at most
-    t = 9 and its negative entries at least -9.
+    Four row families carry the edge capacities of the assignment network
+    (feed, pair, assignment, demand), each with right-hand side four times
+    the capacity; the network itself is never built. Then come one row per
+    box scaled by -9 (so the rounding drift cannot erase coverage), one row
+    per (sink, color) group capped at four fractional copies, and one
+    relay-cost row normalized by the draw's realized cost. Every path
+    column's positive entries then total at most t = 9 and its negative
+    entries at least -9.
     """
 
     a: np.ndarray
@@ -521,7 +408,7 @@ def extract_colored_solution(
 
 
 def run_color_stage(sol: SemiIntegralSolution) -> ColorResult:
-    """Box the draw, decompose, filter, round, and audit the colored pick."""
+    """Box the draw, list the fragment paths, filter, round, and audit the pick."""
     plan = build_boxes(sol)
     paths = enumerate_paths(sol, plan)
     if not paths:

@@ -202,14 +202,14 @@ def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
             raise GapStageError(f"pair {key} carries {halves} half units")
         x_tilde[(sink_stream[j], i, j)] = halves / 2.0
 
-    _check_guarantees(sol, plan, x_tilde)
     mass_cost = sum(
         float(model.obj[model.x_index[key]]) * v for key, v in x_tilde.items()
     )
+    _check_guarantees(sol, plan, x_tilde, mass_cost)
     return GapResult(x_tilde=x_tilde, mass_cost=mass_cost, plan=plan, box_servers=box_servers)
 
 
-def _check_guarantees(sol, plan, x_tilde):
+def _check_guarantees(sol, plan, x_tilde, mass_cost):
     model = sol.model
     inst = model.inst
 
@@ -238,7 +238,6 @@ def _check_guarantees(sol, plan, x_tilde):
     drawn_relay_cost = sum(
         float(model.obj[xi] * sol.values[xi]) for xi in model.x_index.values()
     )
-    mass_cost = sum(float(model.obj[model.x_index[key]]) * v for key, v in x_tilde.items())
     if mass_cost > drawn_relay_cost + 1e-6:
         raise GapStageError(
             f"assignment cost {mass_cost:.6f} exceeds drawn relay cost {drawn_relay_cost:.6f}"

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,17 +147,15 @@ class LpModel:
         """Per-reflector stream budget used by the rounding/flow pipeline."""
         if not self.opts.bandwidth:
             return {r.id: r.fanout for r in self.inst.reflectors}
-        rate = self._uniform_bitrate()
-        if rate is None:
-            return None  # heterogeneous bitrates: exact solver only
-        caps = {}
-        for r in self.inst.reflectors:
+        for r in self.inst.reflectors:  # the bandwidth rows need every cap too
             if r.bandwidth is None:
                 raise UnsupportedInstanceError(
                     f"bandwidth mode needs a bandwidth cap on reflector {r.id}"
                 )
-            caps[r.id] = int(math.floor(r.bandwidth / rate))
-        return caps
+        rate = self._uniform_bitrate()
+        if rate is None:
+            return None  # heterogeneous bitrates: exact solver only
+        return {r.id: int(math.floor(r.bandwidth / rate)) for r in self.inst.reflectors}
 
     def _add_row(self, kind, label, terms, sense, rhs):
         idx = np.array([t[0] for t in terms], dtype=int)
@@ -184,10 +181,6 @@ class LpModel:
 
         if opts.bandwidth:
             for r in inst.reflectors:
-                if r.bandwidth is None:
-                    raise UnsupportedInstanceError(
-                        f"bandwidth mode needs a bandwidth cap on reflector {r.id}"
-                    )
                 terms = []
                 for key in x_by_reflector[r.id]:
                     k = key[0]
@@ -489,56 +482,3 @@ def _with_bounds(model: LpModel, lb, ub) -> LpModel:
     clone.lb = lb
     clone.ub = ub
     return clone
-
-
-# -- text export ---------------------------------------------------------------
-
-def _sanitize(name: str, seen: dict[str, int]) -> str:
-    base = re.sub(r"[^A-Za-z0-9_]", "_", name)
-    if base[0].isdigit():
-        base = "v_" + base
-    count = seen.get(base)
-    if count is None:
-        seen[base] = 0
-        return base
-    seen[base] = count + 1
-    return f"{base}_{count + 1}"
-
-
-def export_lp(model: LpModel, integral: bool = False) -> str:
-    """Model as solver-interchange LP text, for cross-checks outside the tree."""
-    seen: dict[str, int] = {}
-    names = [_sanitize(n, seen) for n in model.names]
-
-    def term(coef, var, lead):
-        sign = "-" if coef < 0 else ("" if lead else "+")
-        mag = abs(coef)
-        return f"{sign} {mag:.12g} {var}"
-
-    lines = ["Minimize", " obj:"]
-    parts = [
-        term(c, names[i], i == 0)
-        for i, c in enumerate(model.obj)
-    ]
-    for start in range(0, len(parts), 8):
-        lines.append("  " + " ".join(parts[start : start + 8]))
-    lines.append("Subject To")
-    label_seen: dict[str, int] = {}
-    for row in model.rows:
-        label = _sanitize(row.label, label_seen)
-        parts = [
-            term(c, names[i], n == 0)
-            for n, (i, c) in enumerate(zip(row.idx, row.coef))
-        ]
-        op = "<=" if row.sense == "<=" else (">=" if row.sense == ">=" else "=")
-        body = " ".join(parts) if parts else "0 " + names[0]
-        lines.append(f" {label}: {body} {op} {row.rhs:.12g}")
-    lines.append("Bounds")
-    for i, name in enumerate(names):
-        lines.append(f" {model.lb[i]:.12g} <= {name} <= {model.ub[i]:.12g}")
-    if integral:
-        lines.append("Binaries")
-        for start in range(0, len(names), 12):
-            lines.append(" " + " ".join(names[start : start + 12]))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

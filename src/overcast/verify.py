@@ -14,7 +14,7 @@ sink fed from it, so cross-sink correlation is preserved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,7 +232,3 @@ def simulate_losses(
         done += n
         chunk_no += 1
     return {j: 1.0 - delivered[j] / packets for j in delivered}
-
-
-def simulate_loss(ps: PathSet, sink: str, packets: int, seed: int, **kw) -> float:
-    return simulate_losses(ps, packets, seed, **kw)[sink]

@@ -1,23 +1,22 @@
-"""Colored path rounding: decomposition, filtering, the walk, and guarantees."""
+"""Colored path rounding: fragment paths, filtering, the walk, and guarantees."""
 
 import numpy as np
 import pytest
 
 from overcast.color import (
     ColorStageError,
-    FlowEdge,
     RelayPath,
     build_rounding_system,
-    decompose_flow,
     enumerate_paths,
     filter_and_scale,
     karp_round,
     run_color_stage,
 )
-from overcast.flow import MinCostFlow
 from overcast.gapflow import build_boxes
+from overcast.gen import gen_random
 from overcast.lp import build_model, solve_lp
 from overcast.model import instance_from_doc
+from overcast.pipeline import run_approx
 from overcast.rounding import RoundingConfig, round_with_retries
 from overcast.solution import PathSet
 from overcast.verify import audit
@@ -111,64 +110,6 @@ def test_karp_round_random_systems_meet_contract():
         assert np.array_equal(v, v2)
 
 
-def test_decompose_flow_hand_diamond():
-    edges = [
-        FlowEdge(0, 1, 2.0, "sa"),
-        FlowEdge(0, 2, 1.0, "sb"),
-        FlowEdge(1, 3, 2.0, "at"),
-        FlowEdge(2, 3, 1.0, "bt"),
-    ]
-    paths = decompose_flow(4, edges, 0, 3)
-    assert paths == [(2.0, [0, 2]), (1.0, [1, 3])]
-
-
-def test_decompose_flow_matches_flow_solver_cost():
-    rng = np.random.default_rng(77)
-    checked = 0
-    for _trial in range(12):
-        left = int(rng.integers(2, 5))
-        right = int(rng.integers(2, 5))
-        solver = MinCostFlow(2 + left + right)
-        s, t = 0, 1 + left + right
-        specs = []
-        handles = []
-        for a in range(left):
-            cap = int(rng.integers(1, 4))
-            specs.append((s, 1 + a, cap, 0.0))
-        for a in range(left):
-            for b in range(right):
-                if rng.random() < 0.7:
-                    specs.append((1 + a, 1 + left + b, int(rng.integers(1, 3)), float(rng.uniform(0, 4))))
-        for b in range(right):
-            specs.append((1 + left + b, t, int(rng.integers(1, 4)), 0.0))
-        for u, v, cap, cost in specs:
-            handles.append(solver.add_edge(u, v, cap, cost))
-        sent, cost = solver.run(s, t)
-        if sent == 0:
-            continue
-        checked += 1
-        edges = [
-            FlowEdge(u, v, float(solver.flow_on(h)), cost)
-            for (u, v, _cap, cost), h in zip(specs, handles)
-        ]
-        paths = decompose_flow(2 + left + right, edges, s, t)
-        total = sum(
-            mass * sum(edges[idx].tag for idx in route) for mass, route in paths
-        )
-        assert total == pytest.approx(cost, abs=1e-9)
-        assert sum(mass for mass, _route in paths) == pytest.approx(sent, abs=1e-9)
-    assert checked >= 8
-
-
-def test_decompose_flow_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="not conserved"):
-        decompose_flow(3, [FlowEdge(0, 1, 1.0), FlowEdge(1, 2, 0.5)], 0, 2)
-    # a circulation never reaches the target and must not vanish silently
-    loop = [FlowEdge(1, 2, 1.0), FlowEdge(2, 1, 1.0)]
-    with pytest.raises(ValueError, match="undecomposed|cycle"):
-        decompose_flow(3, loop, 0, 0)
-
-
 def fabricated_path(sink, box, reflector, mass, cost, color=None):
     return RelayPath(
         sink=sink,
@@ -233,7 +174,17 @@ def test_enumerate_paths_covers_boxes_exactly():
         for box in boxes:
             assert per_box[(j, box.index)] == pytest.approx(0.5, abs=1e-7)
     n_frags = sum(len(b.fragments) for bs in plan.boxes.values() for b in bs)
-    assert len(paths) <= n_frags
+    assert len(paths) == n_frags
+    # every path is one fragment, with that fragment's mass to the last bit
+    frag_mass = {
+        (j, box.index, i): m
+        for j, boxes in plan.boxes.items()
+        for box in boxes
+        for i, m in box.fragments
+    }
+    assert len(frag_mass) == n_frags
+    for p in paths:
+        assert p.mass == frag_mass[(p.sink, p.box_index, p.reflector)]
 
 
 def test_color_stage_end_to_end_guarantees():
@@ -281,3 +232,50 @@ def test_color_stage_skips_when_no_sink_demands_weight():
     result = run_color_stage(sol)
     assert result.x_tilde == {} and result.selected == []
     assert result.certificate.ok
+
+
+# run_approx on gen_random((2, 10, 20), "low", seed=s, colors=5) at the default
+# multiplier, recorded when the candidate paths were still peeled from a flow
+# on the box network: (stream, reflector) -> sinks. On both seeds the walk
+# picks other routes if the paths are not ordered by reflector.
+PINNED_COLOR_ROUTES = {
+    2: {
+        ("s0", "r0"): ("d16", "d2", "d4"),
+        ("s0", "r1"): ("d0", "d14", "d16", "d4"),
+        ("s0", "r4"): ("d2", "d4", "d6", "d8"),
+        ("s0", "r6"): ("d12", "d18", "d2", "d6"),
+        ("s0", "r7"): ("d2",),
+        ("s0", "r8"): ("d10", "d12", "d18"),
+        ("s0", "r9"): ("d10", "d8"),
+        ("s1", "r2"): ("d1", "d17", "d19", "d5", "d7", "d9"),
+        ("s1", "r4"): ("d1", "d11", "d17", "d9"),
+        ("s1", "r5"): ("d11", "d13", "d19", "d7"),
+        ("s1", "r6"): ("d13", "d3", "d5", "d7"),
+        ("s1", "r7"): ("d13", "d15", "d3", "d9"),
+        ("s1", "r8"): ("d11", "d19"),
+        ("s1", "r9"): ("d1", "d15"),
+    },
+    7: {
+        ("s0", "r0"): ("d0", "d10", "d12", "d16", "d6", "d8"),
+        ("s0", "r1"): ("d12", "d18", "d2", "d4"),
+        ("s0", "r3"): ("d14", "d18", "d4", "d6"),
+        ("s0", "r4"): ("d10", "d14", "d4"),
+        ("s0", "r6"): ("d10", "d2", "d8"),
+        ("s0", "r7"): ("d10", "d18"),
+        ("s1", "r1"): ("d7", "d9"),
+        ("s1", "r4"): ("d13", "d17", "d7"),
+        ("s1", "r5"): ("d11", "d19", "d3", "d5", "d9"),
+        ("s1", "r6"): ("d19", "d9"),
+        ("s1", "r7"): ("d17", "d7", "d9"),
+        ("s1", "r8"): ("d1", "d15", "d9"),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_COLOR_ROUTES))
+def test_colored_selection_pinned(seed):
+    ps = run_approx(gen_random((2, 10, 20), "low", seed=seed, colors=5))
+    expected = sorted(
+        (k, i, j) for (k, i), sinks in PINNED_COLOR_ROUTES[seed].items() for j in sinks
+    )
+    assert sorted(ps.x_tilde) == expected

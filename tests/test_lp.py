@@ -361,6 +361,19 @@ def test_heterogeneous_bitrates_disable_pipeline_capacities():
         assert res.objective == pytest.approx(ref.fun, abs=1e-6)
 
 
+@pytest.mark.parametrize("rates", [(2.0, 2.0), (1.0, 3.0)], ids=["uniform", "mixed"])
+def test_bandwidth_mode_needs_every_reflector_cap(rates):
+    rng = np.random.default_rng(5)
+    doc = random_doc(rng, n_refl=3, n_sinks=2, n_streams=2, bandwidth=True)
+    doc["sinks"][0]["stream"] = "s0"
+    doc["sinks"][1]["stream"] = "s1"
+    for rec, rate in zip(doc["sources"], rates):
+        rec["bitrate"] = rate
+    del doc["reflectors"][1]["bandwidth"]
+    with pytest.raises(lp.UnsupportedInstanceError, match="bandwidth cap on reflector r1"):
+        lp.build_model(normalize(doc))
+
+
 def test_approx_hack_keeps_integral_lp_fixings():
     model = lp.build_model(normalize(two_path_doc()))
     frac = lp.solve_lp(model)
@@ -412,13 +425,3 @@ def test_ip_deterministic():
     second = lp.solve_ip(lp.build_model(normalize(doc)))
     assert first.values.tolist() == second.values.tolist()
     assert first.nodes == second.nodes
-
-
-def test_lp_text_export():
-    model = lp.build_model(normalize(two_path_doc()))
-    text = lp.export_lp(model, integral=True)
-    assert text.startswith("Minimize")
-    for section in ("Subject To", "Bounds", "Binaries", "End"):
-        assert section in text
-    assert "[" not in text and "]" not in text
-    assert "z_r0_" in text

@@ -142,7 +142,7 @@ def test_simulation_matches_analytic_losses():
     analytic = ps.analytic_loss("d0")
     assert analytic == pytest.approx(0.19 * 0.235)
     n = 200_000
-    mc = verify.simulate_loss(ps, "d0", n, seed=42)
+    mc = verify.simulate_losses(ps, n, seed=42)["d0"]
     sigma = math.sqrt(analytic * (1 - analytic) / n)
     assert abs(mc - analytic) < 4 * sigma
 
