@@ -48,7 +48,7 @@ def _load_instance(args) -> Instance:
 
 
 def _budget(args) -> TimeBudget | None:
-    secs = getattr(args, "time_budget_secs", None)
+    secs = args.time_budget_secs
     return TimeBudget(seconds=secs) if secs else None
 
 
@@ -295,7 +295,6 @@ def _add_run_flags(sp: argparse.ArgumentParser) -> None:
                     help="force the colored pipeline on")
     sp.add_argument("--bandwidth", action="store_true",
                     help="interpret reflector caps as bandwidth")
-    sp.add_argument("--time-budget-secs", type=float, default=None)
     sp.add_argument("--out-dir", default=".")
 
 
@@ -324,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="run several algorithms on one instance")
     c.add_argument("instance")
     c.add_argument("--algs", default="approx,hack,ip")
+    c.add_argument("--time-budget-secs", type=float, default=None,
+                   help="wall-clock budget of the hack and ip solves")
     _add_run_flags(c)
     c.set_defaults(func=cmd_compare)
 

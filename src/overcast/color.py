@@ -347,11 +347,7 @@ class ColorResult:
     certificate: KarpCertificate
     draw_cost: float
     path_cost_total: float
-    copy_counts: dict[tuple[str, int], int]
     dropped_paths: int
-
-    def routes(self) -> list[tuple[str, str, str]]:
-        return sorted(self.x_tilde)
 
 
 def extract_colored_solution(
@@ -402,7 +398,6 @@ def extract_colored_solution(
         certificate=certificate,
         draw_cost=draw_cost,
         path_cost_total=path_cost_total,
-        copy_counts=copy_counts,
         dropped_paths=dropped_paths,
     )
 
@@ -426,7 +421,6 @@ def run_color_stage(sol: SemiIntegralSolution) -> ColorResult:
             certificate=empty,
             draw_cost=sol.realized_cost,
             path_cost_total=0.0,
-            copy_counts={},
             dropped_paths=0,
         )
     kept, dropped = filter_and_scale(paths, sol.realized_cost)

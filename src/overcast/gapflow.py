@@ -67,9 +67,6 @@ class GapResult:
     plan: BoxPlan
     box_servers: dict[tuple[str, int], str]
 
-    def routes(self) -> list[tuple[str, str, str]]:
-        return sorted(self.x_tilde)
-
 
 def build_boxes(sol: SemiIntegralSolution) -> BoxPlan:
     """Cut each demanding sink's drawn mass into half-unit fragment boxes."""

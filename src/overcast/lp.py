@@ -38,7 +38,14 @@ ROW_TOL = 1e-7
 
 
 class InfeasibleError(Exception):
-    """The instance admits no assignment; carries a certificate."""
+    """The instance admits no assignment; carries a certificate.
+
+    Certificate kinds: "weight-rows" (demand rows no admissible paths can
+    meet), "phase1" (the LP relaxation is infeasible: "residual" is the bound
+    violation of the row that the dual simplex cannot repair; the kind keeps
+    its old name because it is a machine-readable code) and
+    "search-exhausted" (branch and bound found no integral point).
+    """
 
     def __init__(self, message: str, certificate: dict | None = None):
         super().__init__(message)
@@ -128,8 +135,8 @@ class LpModel:
         self.ub = np.ones(self.nvars)
         self.rows: list[LpRow] = []
         self.sink_weight_row: dict[str, int] = {}
-        self.capacities = self._effective_capacities()
         self.uniform_bitrate = self._uniform_bitrate()
+        self.capacities = self._effective_capacities()
         self._build_rows()
         self._dense: tuple | None = None
 
@@ -152,7 +159,7 @@ class LpModel:
                 raise UnsupportedInstanceError(
                     f"bandwidth mode needs a bandwidth cap on reflector {r.id}"
                 )
-        rate = self._uniform_bitrate()
+        rate = self.uniform_bitrate
         if rate is None:
             return None  # heterogeneous bitrates: exact solver only
         return {r.id: int(math.floor(r.bandwidth / rate)) for r in self.inst.reflectors}
@@ -329,10 +336,6 @@ def solve_lp(model: LpModel, lb=None, ub=None) -> FractionalSolution:
     if res.status != simplex.OPTIMAL:
         raise simplex.SimplexError(f"unexpected LP status {res.status}")
     return FractionalSolution(model=model, values=res.x, objective=res.objective)
-
-
-def _is_integral(values: np.ndarray) -> bool:
-    return bool(np.all(np.abs(values - np.round(values)) <= INTEGRALITY_TOL))
 
 
 def solve_ip(

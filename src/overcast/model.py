@@ -194,11 +194,6 @@ class Instance:
 
     # -- derived quantities ------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        """Size parameter: max of reflector and sink counts."""
-        return max(len(self.reflectors), len(self.sinks))
-
     def path_loss(self, k: str, i: str, j: str) -> float:
         """End-to-end loss of the relay path stream k -> reflector i -> sink j."""
         try:
@@ -503,6 +498,3 @@ class WeightTable:
     def sink_entries(self, j: str) -> list[tuple[str, float]]:
         """(reflector, clamped weight) pairs admissible for sink j."""
         return self._by_sink[j]
-
-    def items(self):
-        return self.entries.items()

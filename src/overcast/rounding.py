@@ -59,6 +59,7 @@ class SemiIntegralSolution:
     config: RoundingConfig
     attempt: int  # absolute attempt index the draw came from
     attempts: int = 1  # draws consumed by the retry loop that produced this
+    first_violations: int = 0  # predicate failures of that loop's first draw
 
     @property
     def multiplier(self) -> float:
@@ -72,17 +73,11 @@ class SemiIntegralSolution:
         row = self.model.rows[self.model.sink_weight_row[j]]
         return float(self.values[row.idx] @ row.coef)
 
-    def sink_weights(self) -> dict[str, float]:
-        return {d.id: self.sink_weight(d.id) for d in self.model.inst.sinks}
-
     def reflector_loads(self) -> dict[str, float]:
         loads = {r.id: 0.0 for r in self.model.inst.reflectors}
         for (k, i, j), xi in self.model.x_index.items():
             loads[i] += float(self.values[xi])
         return loads
-
-    def x_mass(self, k: str, i: str, j: str) -> float:
-        return float(self.values[self.model.x_index[(k, i, j)]])
 
     def violations(self) -> list[str]:
         """Predicate failures of this draw, empty when acceptable."""
@@ -185,12 +180,17 @@ def round_with_retries(
     """
     best: SemiIntegralSolution | None = None
     best_score = -math.inf
+    first_violations = None
     for n, attempt in enumerate(
         range(start_attempt, start_attempt + config.max_retries), start=1
     ):
         sol = randomized_round(frac, config, attempt)
         sol.attempts = n
-        if not sol.violations():
+        bad = sol.violations()
+        if first_violations is None:
+            first_violations = len(bad)
+        if not bad:
+            sol.first_violations = first_violations
             return sol
         score = sol.weight_score()
         if score > best_score:

@@ -1,35 +1,35 @@
 """Bounded-variable revised simplex on an explicit basis inverse.
 
-Two-phase primal simplex in revised form. Every variable carries its own
-[lb, ub] interval (ub may be +inf), rows are '<=', '>=' or '==' with
-arbitrary right-hand sides, and nonbasic variables rest at one of their
-bounds. Phase 1 seeds slack variables where the all-at-lower-bound start is
-already row-feasible and artificial variables elsewhere, then minimizes the
-artificial mass; phase 2 minimizes the real objective with artificials
-pinned at zero.
+Every variable carries its own [lb, ub] interval (ub may be +inf), rows are
+'<=', '>=' or '==' with arbitrary right-hand sides, and nonbasic variables
+rest at one of their bounds. Each row gets one slack column, so the extended
+matrix always has n + m columns: a_i x + s_i = b_i for '<=' and '==' rows,
+a_i x - s_i = b_i for '>=' rows, with s_i >= 0, and s_i fixed at 0 on '=='
+rows.
 
-The extended matrix (structural columns, one slack per inequality row, one
-artificial per row that needs one) is held as sparse columns; the solver
-keeps the m x m basis inverse B^-1 explicitly. A pivot gathers B^-1 a_q from
-the few rows a_q touches, reads the pivot row of the tableau as one row of
-B^-1 times the matrix (a bincount over the nonzeros), and applies its rank-1
-update to B^-1 only on the rows where B^-1 a_q is nonzero and the columns
-where the pivot row of B^-1 is nonzero.
+A solve starts from the `basis` of an earlier solve of the same rows
+(`warm=`, such as a branch-and-bound parent; the bounds may differ) or, when
+there is none or it is singular, from the all-slack basis, whose inverse is
+diag(+-1). Each boxed nonbasic variable rests at the bound its reduced cost
+prefers. A column with no upper bound and a negative reduced cost cannot, so
+for the dual phase its cost is shifted until that reduced cost is zero. A
+bounded dual simplex (the largest bound violation leaves, the dual ratio test
+picks the entering column) then restores primal feasibility, or finds a row
+that no column can repair, which makes the LP infeasible. The primal simplex
+with the true costs finishes.
 
-Refactorization uses the unit columns: a basic slack or artificial is a
-+-unit vector, so B is block triangular once the rows are split into those
-a basic unit column covers and the rest. Only the k x k block of basic
-structural columns on the uncovered rows is inverted densely; the rest of
-B^-1 follows by hand, and the basic values come from the same inverse.
+The extended matrix is held as sparse columns; the solver keeps the m x m
+basis inverse B^-1 explicitly. A pivot gathers B^-1 a_q from the few rows a_q
+touches, reads the pivot row of the tableau as one row of B^-1 times the
+matrix (a bincount over the nonzeros), and applies its rank-1 update to B^-1
+only on the rows where B^-1 a_q is nonzero and the columns where the pivot
+row of B^-1 is nonzero.
 
-A solve can start from the `basis` of an earlier solve of the same rows
-(`warm=`), such as a branch-and-bound parent; the bounds may differ. The
-warm start refactorizes that basis without artificial columns, moves each
-boxed nonbasic variable to the bound its reduced cost prefers, restores
-primal feasibility with a bounded dual simplex (the largest bound violation
-leaves, the dual ratio test picks the entering column), and finishes with
-the primal simplex. A singular basis, or a column without an upper bound
-whose reduced cost has the wrong sign, starts the solve cold instead.
+Refactorization uses the slacks: a basic slack is a +-unit vector, so B is
+block triangular once the rows are split into those a basic slack covers and
+the rest. Only the k x k block of basic structural columns on the uncovered
+rows is inverted densely; the rest of B^-1 follows by hand, and the basic
+values come from the same inverse.
 
 Pricing is Dantzig (most violating reduced cost, lowest index on ties) with
 a switch to Bland's rule after a run of degenerate pivots, so the solver
@@ -58,7 +58,7 @@ _FEAS_TOL = 1e-9
 _STEP_TOL = 1e-12
 _STALL_LIMIT = 60
 _REFRESH_EVERY = 400
-_SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "==": 0.0}  # '==' rows get no slack
+_SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "==": 1.0}  # '==' slacks are fixed at 0
 
 
 class SimplexError(RuntimeError):
@@ -78,11 +78,11 @@ class LpResult:
     status: str
     x: np.ndarray | None  # structural variable values
     objective: float | None
-    infeasibility: float = 0.0  # phase-1 residual, or the bound violation left by the dual simplex
+    infeasibility: float = 0.0  # the bound violation the dual simplex cannot repair
     iterations: int = 0
     refreshes: int = 0  # basis refactorizations
-    basis: Basis | None = None  # optimal basis; None when an artificial stays basic
-    warm_started: bool = False  # ran from the caller's basis (False after a cold fallback)
+    basis: Basis | None = None  # the optimal basis
+    warm_started: bool = False  # ran from the caller's basis (False when it was singular)
 
 
 def solve(
@@ -99,7 +99,8 @@ def solve(
 
     `a` is a dense (m, n) array, `senses` a sequence of '<=', '>=', '=='.
     Returns structural values only; slacks are internal. `warm` is the
-    `basis` of an earlier optimal solve with the same `a` and `senses`.
+    `basis` of an earlier optimal solve with the same `a` and `senses`; the
+    solve starts from the slack basis when it is singular.
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -117,12 +118,7 @@ def solve(
             return LpResult(UNBOUNDED, None, None)
         return LpResult(OPTIMAL, x, float(c @ x))
 
-    state = None
-    if warm is not None:
-        state = _Revised.warm(c, a, senses, b, lb, ub, max_iterations, warm)
-    if state is None:
-        state = _Revised.cold(c, a, senses, b, lb, ub, max_iterations)
-    return state.run()
+    return _Revised(c, a, senses, b, lb, ub, max_iterations, warm).run()
 
 
 def _sense_signs(senses) -> np.ndarray:
@@ -133,95 +129,71 @@ def _sense_signs(senses) -> np.ndarray:
 
 
 class _Revised:
-    def __init__(self, c, a, sign, b, lb, ub, art_rows, art_sign, max_iterations):
+    def __init__(self, c, a, senses, b, lb, ub, max_iterations, warm: Basis | None = None):
         m, n = a.shape
         self.m, self.n_struct = m, n
         self.a, self.b = a, b
         self.max_iterations = max_iterations
-        self._c = c
-
-        slack_rows = np.flatnonzero(sign)
-        self.art_first = n + slack_rows.size
-        cols = self.art_first + art_rows.size
-        self.ncols = cols
-        # Row and sign of each unit column (slacks, then artificials).
-        self.unit_row = np.concatenate([slack_rows, art_rows])
-        self.unit_sign = np.concatenate([sign[slack_rows], art_sign])
+        self.ncols = cols = n + m
+        # Slack of row i is column n + i: a_i x + sign_i s_i = b_i.
+        self.sign = sign = _sense_signs(senses)
         # Entry triplets sorted by column; colptr delimits each column.
         col_idx, row_idx = np.nonzero(a.T)
-        self.ent_row = np.concatenate([row_idx, self.unit_row])
+        self.ent_row = np.concatenate([row_idx, np.arange(m)])
         self.ent_col = np.concatenate([col_idx, np.arange(n, cols)])
-        self.ent_val = np.concatenate([a[row_idx, col_idx], self.unit_sign])
+        self.ent_val = np.concatenate([a[row_idx, col_idx], sign])
         self.colptr = np.searchsorted(self.ent_col, np.arange(cols + 1))
 
         self.lb = np.zeros(cols)
         self.ub = np.full(cols, np.inf)
         self.lb[:n] = lb
         self.ub[:n] = ub
-        self.values = np.zeros(cols)
-        self.status = np.full(cols, _AT_LB, dtype=np.int8)
-        self.basis = np.zeros(m, dtype=np.intp)
+        self.ub[n:][np.asarray(senses) == "=="] = 0.0
+        self.cost = np.zeros(cols)
+        self.cost[:n] = c
         self.iterations = 0
         self.refreshes = 0
         self.since_refresh = 0  # pivots and bound flips since the last factorization
         self.warm_started = False
 
-    @classmethod
-    def cold(cls, c, a, senses, b, lb, ub, max_iterations):
-        """All structurals at their lower bound, a diagonal slack/artificial basis."""
-        sign = _sense_signs(senses)
-        # Each row starts on its slack when the all-at-lb start already
-        # satisfies it and on an artificial otherwise, so the initial basis
-        # is diagonal and feasible.
-        resid = b - a @ lb
-        use_slack = ((sign > 0) & (resid >= -_PIVOT_TOL)) | ((sign < 0) & (resid <= _PIVOT_TOL))
-        art_rows = np.flatnonzero(~use_slack)
-        art_sign = np.where(resid[art_rows] >= 0, 1.0, -1.0)
-        self = cls(c, a, sign, b, lb, ub, art_rows, art_sign, max_iterations)
+        if warm is not None:
+            if warm.columns.shape != (m,) or warm.status.shape != (cols,):
+                raise ValueError("warm basis does not match the rows and columns")
+            self.basis = np.asarray(warm.columns, dtype=np.intp).copy()
+            self.status = np.where(warm.status == _AT_UB, _AT_UB, _AT_LB).astype(np.int8)
+            self.status[self.basis] = _BASIC
+            try:
+                self._set_binv(self._factorize())
+                self.refreshes = 1
+                self.warm_started = True
+            except SimplexError:
+                pass  # singular: start from the slack basis
+        if not self.warm_started:
+            self.basis = np.arange(n, cols)
+            self.status = np.full(cols, _AT_LB, dtype=np.int8)
+            self.status[self.basis] = _BASIC
+            self._set_binv(np.diag(sign))
 
-        m, n = a.shape
-        slack_col = np.full(m, -1)
-        slack_col[self.unit_row[: self.art_first - n]] = np.arange(n, self.art_first)
-        self.basis = slack_col
-        self.basis[art_rows] = np.arange(self.art_first, self.ncols)
-        mag = np.abs(resid)
-        self.values[:n] = lb
-        self.values[self.basis] = np.where(use_slack & (mag <= _PIVOT_TOL), 0.0, mag)
-        self.status[self.basis] = _BASIC
-        self._set_binv(np.diag(self.unit_sign[self.basis - n]))
-        self._reprice()
-        return self
-
-    @classmethod
-    def warm(cls, c, a, senses, b, lb, ub, max_iterations, basis: Basis):
-        """Start from `basis`; None when it is singular or not dual feasible."""
-        sign = _sense_signs(senses)
-        self = cls(c, a, sign, b, lb, ub, np.empty(0, dtype=np.intp), np.empty(0),
-                   max_iterations)
-        if basis.columns.shape != (self.m,) or basis.status.shape != (self.ncols,):
-            raise ValueError("warm basis does not match the rows and columns")
-        self.basis = np.asarray(basis.columns, dtype=np.intp).copy()
-        self.status = np.where(basis.status == _AT_UB, _AT_UB, _AT_LB).astype(np.int8)
-        self.status[self.basis] = _BASIC
-        try:
-            self._set_binv(self._factorize())
-        except SimplexError:
-            return None
-        d = self._reduced_costs(self._phase2_cost())
+        d = self._reduced_costs(self.cost)
         nonbasic = self.status != _BASIC
         boxed = np.isfinite(self.ub)
-        if np.any(nonbasic & ~boxed & (d < -_DUAL_TOL)):
-            return None
         # Boxed nonbasics rest where their reduced cost is dual feasible;
-        # on a (near) zero reduced cost they keep the basis's bound.
+        # on a (near) zero reduced cost they keep their bound.
         at_ub = nonbasic & boxed & ((d < -_DUAL_TOL) | ((self.status == _AT_UB) & (d <= _DUAL_TOL)))
         self.status[nonbasic] = np.where(at_ub[nonbasic], _AT_UB, _AT_LB)
         self.values = np.where(at_ub, self.ub, self.lb)
         self._basic_values()
-        self.refreshes = 1
-        self.warm_started = True
-        self._reprice()
-        return self
+        # A column without an upper bound cannot move to make its reduced
+        # cost dual feasible, so the dual phase prices it at zero instead.
+        shifted = nonbasic & ~boxed & (d < -_DUAL_TOL)
+        self.dual_cost = self.cost.copy()
+        self.dual_cost[shifted] -= d[shifted]
+        # Pricing signs: +1 at lb, -1 at ub, 0 basic or fixed. A nonbasic
+        # variable improves the objective when price * d < 0; pivots keep
+        # the signs current.
+        self.movable = self.ub - self.lb > _PIVOT_TOL
+        self.price = np.where(self.status == _AT_UB, -1.0, 1.0)
+        self.price[(self.status == _BASIC) | ~self.movable] = 0.0
 
     # -- basic machinery ---------------------------------------------------
 
@@ -229,29 +201,18 @@ class _Revised:
         self.binv = np.ascontiguousarray(binv)
         self._flat = self.binv.reshape(-1)  # a view: the sparse update writes through it
 
-    def _reprice(self):
-        """Pricing signs from the bounds: +1 at lb, -1 at ub, 0 basic or fixed.
-
-        A nonbasic variable improves the objective when sign * d < 0, so one
-        vector replaces the per-pivot status and bound masks. Bounds change
-        only between phases; pivots keep the signs current.
-        """
-        self.movable = self.ub - self.lb > _PIVOT_TOL
-        self.price = np.where(self.status == _AT_UB, -1.0, 1.0)
-        self.price[(self.status == _BASIC) | ~self.movable] = 0.0
-
     def _factorize(self):
-        """B^-1 from the unit columns by hand and one dense k x k inverse."""
+        """B^-1 from the basic slacks by hand and one dense k x k inverse."""
         m, n = self.m, self.n_struct
         unit = self.basis >= n
         pos_u, pos_s = unit.nonzero()[0], (~unit).nonzero()[0]
-        urow = self.unit_row[self.basis[pos_u] - n]
-        usign = self.unit_sign[self.basis[pos_u] - n]
+        urow = self.basis[pos_u] - n
+        usign = self.sign[urow]
         covered = np.zeros(m, dtype=bool)
         covered[urow] = True
         rest = (~covered).nonzero()[0]
         if rest.size != pos_s.size:
-            raise SimplexError("singular basis")  # two unit columns on one row
+            raise SimplexError("singular basis")  # a slack basic twice
         binv = np.zeros((m, m))
         binv[pos_u, urow] = usign
         if pos_s.size:
@@ -296,11 +257,6 @@ class _Revised:
 
     def _reduced_costs(self, cost):
         return cost - self._row(cost[self.basis] @ self.binv)
-
-    def _phase2_cost(self):
-        cost = np.zeros(self.ncols)
-        cost[: self.n_struct] = self._c
-        return cost
 
     def _entering(self, d, bland):
         eligible = (self.price * d < -_DUAL_TOL).nonzero()[0]
@@ -368,7 +324,7 @@ class _Revised:
         self._flat[(rows * self.m)[:, None] + nz] -= np.multiply.outer(col[rows], rho[nz])
         self.binv[row] = rho
 
-    def _minimize(self, cost, phase1_cap=None):
+    def _minimize(self, cost):
         """Run primal pivots until optimal for `cost`. Returns objective value.
 
         Every finite return comes on a fresh factorization, so the caller
@@ -377,7 +333,6 @@ class _Revised:
         d = self._reduced_costs(cost)
         stall = 0
         bland = False
-        art = slice(self.art_first, self.ncols)
         while True:
             if self.iterations >= self.max_iterations:
                 raise SimplexError("iteration limit exceeded")
@@ -411,14 +366,6 @@ class _Revised:
             if self.since_refresh >= _REFRESH_EVERY:
                 self._refresh()
                 d = self._reduced_costs(cost)
-            if phase1_cap is not None:
-                # Early exit once the artificial mass is gone; verify against
-                # a fresh recompute so drift cannot fake feasibility.
-                if float(self.values[art].sum()) <= phase1_cap:
-                    self._refresh()
-                    if float(self.values[art].sum()) <= phase1_cap:
-                        return float(self.values[art].sum())
-                    d = self._reduced_costs(cost)
 
     def _leaving(self, bland):
         """Row of the basic variable with the largest bound violation, -1 if none.
@@ -501,54 +448,17 @@ class _Revised:
     # -- driver --------------------------------------------------------------
 
     def run(self) -> LpResult:
-        art = slice(self.art_first, self.ncols)
-        if self.warm_started:
-            violation = self._dual(self._phase2_cost())
-            if violation > 0:
-                return self._result(INFEASIBLE, infeasibility=violation)
-        elif self.art_first < self.ncols:
-            cost1 = np.zeros(self.ncols)
-            cost1[art] = 1.0
-            if self._minimize(cost1, phase1_cap=1e-9) == -np.inf:
-                # Only numerical trouble gets here (the artificial mass is
-                # bounded below); that exit skips the closing refresh.
-                self._refresh()
-            residual = float(self.values[art].sum())
-            if residual > 1e-7:
-                return self._result(INFEASIBLE, infeasibility=residual)
-            self._drive_out_artificials()
-            # Artificials are pinned: they can never re-enter.
-            self.ub[art] = 0.0
-            self.values[art] = np.where(self.status[art] == _BASIC, self.values[art], 0.0)
-            self._reprice()
-
-        value = self._minimize(self._phase2_cost())
-        if value == -np.inf:
+        violation = self._dual(self.dual_cost)
+        if violation > 0:
+            return self._result(INFEASIBLE, infeasibility=violation)
+        if self._minimize(self.cost) == -np.inf:
             return self._result(UNBOUNDED)
-        x = self.values[: self.n_struct].copy()
-        x = np.clip(x, self.lb[: self.n_struct], self.ub[: self.n_struct])
-        basis = None
-        if not np.any(self.status[art] == _BASIC):
-            basis = Basis(self.basis.copy(), self.status[: self.art_first].copy())
-        return self._result(OPTIMAL, x=x, objective=float(self._c @ x), basis=basis)
+        n = self.n_struct
+        x = np.clip(self.values[:n], self.lb[:n], self.ub[:n])
+        return self._result(OPTIMAL, x=x, objective=float(self.cost[:n] @ x),
+                            basis=Basis(self.basis.copy(), self.status.copy()))
 
     def _result(self, status, x=None, objective=None, infeasibility=0.0, basis=None) -> LpResult:
         return LpResult(status, x, objective, infeasibility=infeasibility,
                         iterations=self.iterations, refreshes=self.refreshes,
                         basis=basis, warm_started=self.warm_started)
-
-    def _drive_out_artificials(self):
-        for row in range(self.m):
-            if self.basis[row] < self.art_first:
-                continue
-            # Degenerate pivot onto the first usable non-artificial column.
-            alpha = self._row(self.binv[row])[: self.art_first]
-            candidates = np.nonzero(np.abs(alpha) > 1e-7)[0]
-            free = candidates[self.status[candidates] != _BASIC]
-            # A row with no candidate is linearly dependent; the artificial
-            # stays basic at zero with bounds pinned, which is harmless.
-            if free.size:
-                q = int(free[0])
-                direction = 1.0 if self.status[q] == _AT_LB else -1.0
-                self._pivot(q, direction, 0.0, row, False, self._column(q))
-                self.iterations += 1

@@ -34,12 +34,6 @@ class AuditReport:
     sink_weights: dict[str, float]
     sink_losses: dict[str, float]
 
-    def summary(self) -> str:
-        state = "ok" if self.ok else "FAIL"
-        lines = [f"audit[{self.profile}]: {state}, cost {self.cost:.6f}"]
-        lines.extend(f"  - {f}" for f in self.failures)
-        return "\n".join(lines)
-
 
 def _structural_failures(ps: PathSet, profile: str) -> list[str]:
     inst = ps.instance

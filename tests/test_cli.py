@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from overcast.cli import CSV_COLUMNS, SWEEP_COLUMNS, main
+from overcast.cli import CSV_COLUMNS, SWEEP_COLUMNS, build_parser, main
 
 
 @pytest.fixture()
@@ -50,6 +50,19 @@ def test_solve_deterministic_files(instance_file, tmp_path):
         assert main(["solve", str(instance_file), "--seed", "5", "--out-dir", str(out)]) == 0
     assert (out_a / "solution.json").read_bytes() == (out_b / "solution.json").read_bytes()
     assert (out_a / "audit.json").read_bytes() == (out_b / "audit.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_time_budget_is_a_compare_flag(instance_file, tmp_path, capsys, command):
+    # Only compare runs the budgeted hack and ip solves.
+    extra = ["--multipliers", "1"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(instance_file), *extra, "--time-budget-secs", "5",
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--time-budget-secs" in capsys.readouterr().err
+    args = build_parser().parse_args(["compare", str(instance_file), "--time-budget-secs", "5"])
+    assert args.time_budget_secs == 5.0
 
 
 def test_solve_infeasible_exits_3(instance_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and no module
+defines a private name it never reads."""
 
 import ast
 from pathlib import Path
@@ -6,9 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "overcast").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+SOURCES = sorted((ROOT / "src" / "overcast").glob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> set[str]:
@@ -31,6 +31,23 @@ def unused_imports(tree: ast.Module) -> set[str]:
     return bound - used - exported
 
 
+def unread_privates(tree: ast.Module) -> set[str]:
+    """Underscore-prefixed module-level functions, classes and constants
+    that nothing in the module reads."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return private - read
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -50,3 +67,28 @@ def test_unused_imports_flags_leftovers():
         "    n: np.ndarray\n"
     )
     assert unused_imports(ast.parse(source)) == {"re", "field", "FlowEdge"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_privates(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = unread_privates(tree)
+    assert not unread, f"{path.name}: defined but never read: {sorted(unread)}"
+
+
+def test_unread_privates_flags_leftovers():
+    source = (
+        "_PIVOT_TOL = 1e-9\n"
+        "_PHASE1_TOL = 1e-7\n"
+        "_AT_LB, _AT_UB = 0, 1\n"
+        "_CACHE: dict = {}\n"
+        "__all__ = ['solve']\n"
+        "def _unused(v):\n"
+        "    return v\n"
+        "class _Helper:\n"
+        "    pass\n"
+        "def solve(x):\n"
+        "    _local = 0\n"
+        "    return _Helper(), abs(x) > _PIVOT_TOL, _AT_LB, _local\n"
+    )
+    assert unread_privates(ast.parse(source)) == {"_PHASE1_TOL", "_AT_UB", "_CACHE", "_unused"}

@@ -214,6 +214,6 @@ def test_weight_table_covers_admissible_triples_only():
     # G#a reaches only r0 (no r1 -> G edge).
     assert [i for i, _ in table.sink_entries("G#a")] == ["r0"]
     assert ("E#a", "r1", "G#a") not in table.entries
-    for (k, i, j), w in table.items():
+    for (k, i, j), w in table.entries.items():
         sink = inst.sink_by_id[j]
         assert 0.0 <= w <= sink.weight_threshold + 1e-12

@@ -40,6 +40,26 @@ def test_run_approx_is_deterministic():
     assert json.dumps(a.to_doc(), sort_keys=True) == json.dumps(b.to_doc(), sort_keys=True)
 
 
+def test_run_approx_draws_attempt_zero_once(monkeypatch):
+    # The first draw's violation count comes out of the retry loop that drew
+    # it; attempt 0 is not drawn a second time just to count them.
+    import overcast.rounding as rounding
+
+    draw = rounding.randomized_round
+    attempts = []
+
+    def counting(frac, config, attempt):
+        attempts.append(attempt)
+        return draw(frac, config, attempt)
+
+    monkeypatch.setattr(rounding, "randomized_round", counting)
+    monkeypatch.setattr(pipeline, "randomized_round", counting, raising=False)
+    ps = run_approx(small_instance(seed=1), multiplier=1.0, seed=2)
+    assert attempts.count(0) == 1
+    assert ps.meta["attempts"] == 3  # attempt 0 was rejected
+    assert ps.meta["violations_first_draw"] == 4
+
+
 def test_default_multiplier_tracks_sink_count():
     inst = small_instance()
     assert default_multiplier(inst) == pytest.approx(64.0 * 3.0)  # 8 sinks

@@ -152,25 +152,65 @@ def test_crossed_bounds_are_infeasible():
     assert res.infeasibility == pytest.approx(0.5)
 
 
-def test_refreshes_once_per_phase():
-    # Rows: '>=' and '==' start violated (artificials), '<=' starts feasible.
+def _shifted_lp():
+    # x2 has no upper bound and a negative cost, so the dual phase prices it
+    # at zero; only the last row bounds it. The '>=' row starts violated.
+    c = np.array([1.0, 3.0, -1.0])
     a = np.array([
-        [1.0, 1.0, 1.0],
         [1.0, 1.0, 0.0],
-        [0.0, 1.0, 1.0],
+        [0.0, 0.0, 1.0],
+        [1.0, 0.0, 1.0],
     ])
-    c, b = np.array([1.0, 2.0, 1.5]), np.array([1.0, 1.5, 1.0])
-    args = (c, a, [">=", "<=", "=="], b, np.zeros(3), np.ones(3))
-    state = simplex._Revised.cold(*args, max_iterations=1000)
-    n, slack_rows, art_rows = 3, 2, 2
-    assert state.ncols == n + slack_rows + art_rows
-    assert state.binv.shape == (3, 3)
+    b = np.array([1.0, 2.0, 2.5])
+    return c, a, [">=", "<=", "<="], b, np.zeros(3), np.array([1.0, 1.0, np.inf])
+
+
+def test_refreshes_once_per_phase():
+    args = _shifted_lp()
+    state = simplex._Revised(*args, max_iterations=1000)
+    n, m = 3, 3
+    assert state.ncols == n + m  # one slack per row
+    assert np.array_equal(state.binv, np.diag([-1.0, 1.0, 1.0]))  # the slack basis
+    assert state.refreshes == 0
     res = state.run()
     assert res.status == simplex.OPTIMAL
     assert 0 < res.iterations < simplex._REFRESH_EVERY
-    assert res.refreshes == 2  # the confirming refactorization of each phase
-    assert res.objective == pytest.approx(1.5)
+    # The confirming refactorization of the dual and of the primal phase.
+    assert res.refreshes == 2
+    assert res.objective == pytest.approx(-0.5)
     assert simplex.solve(*args).refreshes == 2
+
+
+def test_unbounded_column_with_negative_cost_matches_highs():
+    args = _shifted_lp()
+    state = simplex._Revised(*args, max_iterations=1000)
+    assert state.dual_cost[2] == 0.0 and state.cost[2] == -1.0
+    res = state.run()
+    ref = scipy_solve(*args)
+    assert ref.status == 0 and res.status == simplex.OPTIMAL
+    assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+    assert res.x[2] == pytest.approx(1.5)
+
+
+def test_duplicate_equality_rows_return_a_basis():
+    # The second row repeats the first; its slack stays basic at zero.
+    c = np.array([1.0, 2.0, 1.5])
+    a = np.array([
+        [1.0, 1.0, 0.0],
+        [1.0, 1.0, 0.0],
+        [0.0, 1.0, 1.0],
+    ])
+    senses, b = ["==", "==", "<="], np.array([1.0, 1.0, 1.5])
+    lb, ub = np.zeros(3), np.ones(3)
+    res = simplex.solve(c, a, senses, b, lb, ub)
+    assert res.status == simplex.OPTIMAL
+    assert res.objective == pytest.approx(1.0)
+    assert res.basis is not None
+    child_ub = np.array([0.5, 1.0, 1.0])
+    child = simplex.solve(c, a, senses, b, lb, child_ub, warm=res.basis)
+    ref = scipy_solve(c, a, senses, b, lb, child_ub)
+    assert child.warm_started and child.status == simplex.OPTIMAL
+    assert child.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
 
 
 # Pivot counts and optimal vertices of the revised simplex at one BLAS
@@ -178,11 +218,11 @@ def test_refreshes_once_per_phase():
 # (sizes, regime, colors, mode) -> (iterations, sha256 of x bytes).
 PINNED = [
     (((8, 6, 16), "avg", None, "full"),
-     (213, "006434747727d0935d3881096a4185d919995ca6ab52a4259032e98b4ee1cdd0")),
+     (205, "f6a0bb2ac73ae6af9411484357dd7bf916d04f05640bb6c48b2f7a51a0105d99")),
     (((8, 6, 16), "avg", None, "transmission"),
-     (214, "4a556f0a5e847302c980b6ce5b722ddd258979240b7332dc3988b67dae46ef29")),
+     (79, "bde8cf9572fb32106486951c99dab0fe5d65df427123fe1bbb0a8eae7f27ed7d")),
     (((2, 10, 20), "low", 5, "full"),
-     (335, "69f5b526552cb61ed6d2fcdc0f1cbf979ee81cb1a720d1a2ddad096444dc63d6")),
+     (260, "24256ad5bfec5101c6928f4ee6f410112bf550aa78701b42afb34b0e8bea63c4")),
 ]
 
 _PIN_SCRIPT = """
@@ -221,13 +261,13 @@ def test_warm_start_matches_cold_and_highs():
     # Children of an optimal parent: one fractional variable tightened down
     # (ub = floor) and up (lb = ceil), solved from the parent's basis. The
     # parent's basis under the negated objective is a start that is dual
-    # infeasible, and on a column without an upper bound falls back to cold.
+    # infeasible, on a column without an upper bound too (its cost is shifted).
     rng = np.random.default_rng(23)
-    children = infeasible = warm = fallback = 0
+    children = infeasible = warm = 0
     for _ in range(400):
         c, a, senses, b, lb, ub = random_lp(rng)
         parent = simplex.solve(c, a, senses, b, lb, ub)
-        if parent.status != simplex.OPTIMAL or parent.basis is None:
+        if parent.status != simplex.OPTIMAL:
             continue
         frac = (np.abs(parent.x - np.round(parent.x)) > 1e-6).nonzero()[0]
         if frac.size == 0:
@@ -253,12 +293,12 @@ def test_warm_start_matches_cold_and_highs():
                 assert res.basis is not None
             children += 1
             warm += res.warm_started
-            # Crossed bounds (lb > ub) are infeasible before any start.
-            fallback += not res.warm_started and not np.any(clb > cub)
+            # Crossed bounds (lb > ub) are infeasible before any start;
+            # every other child runs from the parent's basis.
+            assert res.warm_started or np.any(clb > cub)
     assert children > 300
     assert infeasible > 20
     assert warm > 200
-    assert fallback > 20
 
 
 def test_branch_and_bound_warm_starts_every_child(monkeypatch):
