@@ -3,7 +3,6 @@
 from .gen import GenerationError, gen_random, gen_setcover
 from .lp import (
     InfeasibleError,
-    ModeOptions,
     TimeBudget,
     UnsupportedInstanceError,
     approx_hack,
@@ -42,7 +41,6 @@ __all__ = [
     "GenerationError",
     "InfeasibleError",
     "Instance",
-    "ModeOptions",
     "PathSet",
     "RoundingConfig",
     "RoundingRetriesExhausted",

@@ -28,7 +28,7 @@ from .pipeline import (
     run_hack,
 )
 from .rounding import RoundingRetriesExhausted
-from .solution import PathSet, load_pathset, save_pathset
+from .solution import PathSet, save_pathset
 from .verify import audit
 
 CSV_COLUMNS = ["alg", "M", "seed", "cost", "lp_bound", "ratio", "attempts", "wall_ms", "status"]
@@ -72,29 +72,6 @@ def _ratio(cost: float, bound: float) -> float:
     return float("inf")
 
 
-def _summary_ratios(ps: PathSet) -> tuple[float, float]:
-    """(worst sink weight ratio, worst reflector fan-out ratio).
-
-    The fan-out ratio is the load the audit bounds over its cap: route count
-    over `fanout`, or with bandwidth caps the summed bitrate over `bandwidth`.
-    """
-    inst = ps.instance
-    weight_ratio = float("inf")
-    for d in inst.sinks:
-        if d.weight_threshold > 0:
-            weight_ratio = min(weight_ratio, ps.weight_mass(d.id) / d.weight_threshold)
-    fan_ratio = 0.0
-    loads: dict[str, float] = {}
-    for (k, i, _j) in ps.x_tilde:
-        load = (inst.source_by_id[k].bitrate or 0.0) if inst.bandwidth_enabled else 1.0
-        loads[i] = loads.get(i, 0.0) + load
-    for i, load in loads.items():
-        r = inst.reflector_by_id[i]
-        cap = (r.bandwidth or 0.0) if inst.bandwidth_enabled else r.fanout
-        fan_ratio = max(fan_ratio, load / cap if cap > 0 else float("inf"))
-    return weight_ratio, fan_ratio
-
-
 def cmd_gen(args) -> int:
     sizes = tuple(int(part) for part in args.size.lower().split("x"))
     if len(sizes) != 3:
@@ -124,13 +101,12 @@ def cmd_solve(args) -> int:
     )
     wall_ms = int((time.perf_counter() - started) * 1000)
     profile = _audit_profile(inst)
-    report = audit(ps, profile, claimed_cost=ps.cost)
+    report = audit(ps, profile)
     save_pathset(ps, out / "solution.json")
     _write_json(out / "audit.json", asdict(report))
-    weight_ratio, fan_ratio = _summary_ratios(ps)
     print(
-        f"cost={ps.cost:.6f} lp_bound={ps.meta['lp_bound']:.6f}"
-        f" weight_ratio={weight_ratio:.3f} fanout_ratio={fan_ratio:.3f}"
+        f"cost={report.cost:.6f} lp_bound={ps.meta['lp_bound']:.6f}"
+        f" weight_ratio={report.weight_ratio:.3f} fanout_ratio={report.fanout_ratio:.3f}"
         f" attempts={ps.meta['attempts']} wall_ms={wall_ms}"
         f" audit={'pass' if report.ok else 'FAIL'}"
     )
@@ -141,10 +117,10 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load_instance(args)
-    ps = load_pathset(inst, args.solution)
-    report = audit(ps, args.profile, claimed_cost=ps.cost)
-    doc = asdict(report)
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    with open(args.solution, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    report = audit(PathSet.from_doc(inst, doc), args.profile, claimed_cost=doc.get("cost"))
+    print(json.dumps(asdict(report), sort_keys=True, indent=2))
     return 0 if report.ok else 2
 
 
@@ -175,14 +151,14 @@ def cmd_compare(args) -> int:
             status = "ok"
             attempts = ps.meta["attempts"]
             bound = ps.meta["lp_bound"]
-            report = audit(ps, profile, claimed_cost=ps.cost)
+            report = audit(ps, profile)
         else:
             ps = run_exact(inst, budget=budget) if alg == "ip" else run_hack(inst, budget=budget)
             status = ps.meta["status"]
             bound = ps.meta["lp_bound"]
             report = None
             if status != "infeasible_fixing" and (ps.x_tilde or status == "optimal"):
-                report = audit(ps, "exact", claimed_cost=ps.cost)
+                report = audit(ps, "exact")
         wall_ms = int((time.perf_counter() - started) * 1000)
         cost = ps.cost if ps.x_tilde or status == "optimal" else float("inf")
         if status == "infeasible_fixing":
@@ -244,9 +220,9 @@ def cmd_sweep(args) -> int:
                 ps = run_approx(
                     inst, multiplier=m, seed=seed, max_retries=args.max_retries
                 )
-                report = audit(ps, profile, claimed_cost=ps.cost)
+                report = audit(ps, profile)
                 status = "ok" if report.ok else "audit_fail"
-                cost = ps.cost
+                cost = report.cost
                 bound = ps.meta["lp_bound"]
                 attempts = ps.meta["attempts"]
                 violations = ps.meta["violations_first_draw"]

@@ -242,7 +242,6 @@ class KarpCertificate:
     """
 
     t: float
-    row_increase: np.ndarray
     max_increase: float
     coords_ok: bool
     rows_ok: bool
@@ -327,7 +326,6 @@ def karp_round(
     row_increase = a @ (v - v0)
     cert = KarpCertificate(
         t=t,
-        row_increase=row_increase,
         max_increase=float(np.max(row_increase, initial=0.0)),
         coords_ok=coords_ok,
         rows_ok=bool(np.all(row_increase < t - 1e-9)),
@@ -409,7 +407,6 @@ def run_color_stage(sol: SemiIntegralSolution) -> ColorResult:
     if not paths:
         empty = KarpCertificate(
             t=COLUMN_BOUND,
-            row_increase=np.zeros(0),
             max_increase=0.0,
             coords_ok=True,
             rows_ok=True,

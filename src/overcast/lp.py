@@ -10,10 +10,14 @@ Row families, in emission order:
 
     feed-use        y[k,i] <= z[i]
     relay-use       x[k,i,j] <= y[k,i]
-    fanout          sum_kj x[k,i,j] <= F_i * z[i]        (bandwidth form scales by bitrate)
-    feed-fanout     sum_j x[k,i,j] <= F_i * y[k,i]       (redundant for the IP, tightens the LP)
+    fanout          sum_kj l_k x[k,i,j] <= C_i * z[i]
+    feed-fanout     sum_j l_k x[k,i,j] <= C_i * y[k,i]   (redundant for the IP, tightens the LP)
     weight          sum_i w[k,i,j] * x[k,i,j] >= W_j     (exactly one row per sink)
     color           sum_{i in group} x[k,i,j] <= 1        (one row per sink/color, when enabled)
+
+Here l_k is the load of one copy of stream k and C_i reflector i's cap in
+that unit (`Instance.copy_load`, `Instance.copy_cap`): 1 and the fan-out,
+or with bandwidth caps the bitrate and the bandwidth.
 
 In full mode the objective charges reflector fixed costs on z, first-hop
 costs on y and second-hop costs on x. In transmission mode z and y are
@@ -56,21 +60,6 @@ class UnsupportedInstanceError(ValueError):
     """The requested pipeline cannot handle this instance shape."""
 
 
-@dataclass(frozen=True)
-class ModeOptions:
-    mode: str = "full"  # "full" | "transmission"
-    bandwidth: bool = False
-    colors: bool = False
-
-    @staticmethod
-    def from_instance(inst: Instance) -> "ModeOptions":
-        return ModeOptions(
-            mode=inst.mode,
-            bandwidth=inst.bandwidth_enabled,
-            colors=inst.colors_enabled,
-        )
-
-
 @dataclass
 class LpRow:
     kind: str
@@ -90,9 +79,8 @@ class TimeBudget:
 class LpModel:
     """Built formulation: variables, rows, objective and lookup tables."""
 
-    def __init__(self, inst: Instance, opts: ModeOptions):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.opts = opts
         self.weights = WeightTable(inst)
 
         self.names: list[str] = []
@@ -101,7 +89,7 @@ class LpModel:
         self.x_index: dict[tuple[str, str, str], int] = {}
         obj: list[float] = []
 
-        transmission = opts.mode == "transmission"
+        transmission = inst.mode == "transmission"
         for r in inst.reflectors:
             self.z_index[r.id] = len(self.names)
             self.names.append(f"z[{r.id}]")
@@ -143,7 +131,7 @@ class LpModel:
     # -- construction -------------------------------------------------------
 
     def _uniform_bitrate(self) -> float | None:
-        if not self.opts.bandwidth:
+        if not self.inst.bandwidth_enabled:
             return None
         rates = {s.bitrate for s in self.inst.sources}
         if len(rates) == 1 and None not in rates:
@@ -151,18 +139,24 @@ class LpModel:
         return None
 
     def _effective_capacities(self) -> dict[str, int] | None:
-        """Per-reflector stream budget used by the rounding/flow pipeline."""
-        if not self.opts.bandwidth:
-            return {r.id: r.fanout for r in self.inst.reflectors}
-        for r in self.inst.reflectors:  # the bandwidth rows need every cap too
-            if r.bandwidth is None:
+        """Per-reflector stream budget used by the rounding/flow pipeline:
+        whole copies of the one stream load every source shares."""
+        inst = self.inst
+        for r in inst.reflectors:  # the capacity rows need every cap too
+            if inst.copy_cap(r.id) is None:
                 raise UnsupportedInstanceError(
                     f"bandwidth mode needs a bandwidth cap on reflector {r.id}"
                 )
-        rate = self.uniform_bitrate
-        if rate is None:
+        load = self.uniform_bitrate if inst.bandwidth_enabled else 1.0
+        if load is None:
             return None  # heterogeneous bitrates: exact solver only
-        return {r.id: int(math.floor(r.bandwidth / rate)) for r in self.inst.reflectors}
+        return {r.id: int(math.floor(inst.copy_cap(r.id) / load)) for r in inst.reflectors}
+
+    def _copy_load(self, k: str) -> float:
+        load = self.inst.copy_load(k)
+        if load is None:
+            raise UnsupportedInstanceError(f"bandwidth mode needs a bitrate on source {k}")
+        return load
 
     def _add_row(self, kind, label, terms, sense, rhs):
         idx = np.array([t[0] for t in terms], dtype=int)
@@ -170,7 +164,7 @@ class LpModel:
         self.rows.append(LpRow(kind, label, idx, coef, sense, rhs))
 
     def _build_rows(self):
-        inst, opts = self.inst, self.opts
+        inst = self.inst
         x_by_reflector: dict[str, list[tuple[str, str, str]]] = {r.id: [] for r in inst.reflectors}
         x_by_feed: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
         for key in self.x_index:
@@ -186,35 +180,18 @@ class LpModel:
             yi = self.y_index[(k, i)]
             self._add_row("relay-use", f"relay_use[{k},{i},{j}]", [(xi, 1.0), (yi, -1.0)], "<=", 0.0)
 
-        if opts.bandwidth:
-            for r in inst.reflectors:
-                terms = []
-                for key in x_by_reflector[r.id]:
-                    k = key[0]
-                    rate = inst.source_by_id[k].bitrate
-                    if rate is None:
-                        raise UnsupportedInstanceError(
-                            f"bandwidth mode needs a bitrate on source {k}"
-                        )
-                    terms.append((self.x_index[key], rate))
-                terms.append((self.z_index[r.id], -r.bandwidth))
-                self._add_row("fanout", f"bandwidth[{r.id}]", terms, "<=", 0.0)
-            for (k, i), keys in sorted(x_by_feed.items()):
-                rate = inst.source_by_id[k].bitrate
-                cap = inst.reflector_by_id[i].bandwidth
-                terms = [(self.x_index[key], rate) for key in keys]
-                terms.append((self.y_index[(k, i)], -cap))
-                self._add_row("feed-fanout", f"bandwidth_feed[{k},{i}]", terms, "<=", 0.0)
-        else:
-            for r in inst.reflectors:
-                terms = [(self.x_index[key], 1.0) for key in x_by_reflector[r.id]]
-                terms.append((self.z_index[r.id], -float(r.fanout)))
-                self._add_row("fanout", f"fanout[{r.id}]", terms, "<=", 0.0)
-            for (k, i), keys in sorted(x_by_feed.items()):
-                cap = float(inst.reflector_by_id[i].fanout)
-                terms = [(self.x_index[key], 1.0) for key in keys]
-                terms.append((self.y_index[(k, i)], -cap))
-                self._add_row("feed-fanout", f"feed_fanout[{k},{i}]", terms, "<=", 0.0)
+        fan_label, feed_label = (
+            ("bandwidth", "bandwidth_feed") if inst.bandwidth_enabled else ("fanout", "feed_fanout")
+        )
+        for r in inst.reflectors:
+            terms = [(self.x_index[key], self._copy_load(key[0])) for key in x_by_reflector[r.id]]
+            terms.append((self.z_index[r.id], -float(inst.copy_cap(r.id))))
+            self._add_row("fanout", f"{fan_label}[{r.id}]", terms, "<=", 0.0)
+        for (k, i), keys in sorted(x_by_feed.items()):
+            load = self._copy_load(k)
+            terms = [(self.x_index[key], load) for key in keys]
+            terms.append((self.y_index[(k, i)], -float(inst.copy_cap(i))))
+            self._add_row("feed-fanout", f"{feed_label}[{k},{i}]", terms, "<=", 0.0)
 
         for d in inst.sinks:
             k = d.stream
@@ -229,7 +206,7 @@ class LpModel:
             self.sink_weight_row[d.id] = len(self.rows)
             self._add_row("weight", f"weight[{d.id}]", terms, ">=", d.weight_threshold)
 
-        if opts.colors:
+        if inst.colors_enabled:
             for d in inst.sinks:
                 k = d.stream
                 groups: dict[int, list[int]] = {}
@@ -283,8 +260,8 @@ class LpModel:
         return None
 
 
-def build_model(inst: Instance, opts: ModeOptions | None = None) -> LpModel:
-    return LpModel(inst, opts or ModeOptions.from_instance(inst))
+def build_model(inst: Instance) -> LpModel:
+    return LpModel(inst)
 
 
 @dataclass
@@ -292,15 +269,6 @@ class FractionalSolution:
     model: LpModel
     values: np.ndarray
     objective: float
-
-    def z_hat(self, i: str) -> float:
-        return float(self.values[self.model.z_index[i]])
-
-    def y_hat(self, k: str, i: str) -> float:
-        return float(self.values[self.model.y_index[(k, i)]])
-
-    def x_hat(self, k: str, i: str, j: str) -> float:
-        return float(self.values[self.model.x_index[(k, i, j)]])
 
 
 @dataclass
@@ -317,17 +285,13 @@ class IntegralSolution:
         return [key for key, xi in self.model.x_index.items() if self.values[xi] > 0.5]
 
 
-def solve_lp(model: LpModel, lb=None, ub=None) -> FractionalSolution:
+def solve_lp(model: LpModel) -> FractionalSolution:
     """Exact LP relaxation optimum; raises InfeasibleError with a certificate."""
     cert = model.weight_feasibility_certificate()
     if cert is not None:
         raise InfeasibleError("weight thresholds unattainable", certificate=cert)
     c, a, senses, b = model.arrays()
-    res = simplex.solve(
-        c, a, senses, b,
-        model.lb if lb is None else lb,
-        model.ub if ub is None else ub,
-    )
+    res = simplex.solve(c, a, senses, b, model.lb, model.ub)
     if res.status == simplex.INFEASIBLE:
         raise InfeasibleError(
             "linear relaxation infeasible",
@@ -342,8 +306,11 @@ def solve_ip(
     model: LpModel,
     budget: TimeBudget | None = None,
     warm: np.ndarray | None = None,
+    lb: np.ndarray | None = None,
+    ub: np.ndarray | None = None,
 ) -> IntegralSolution:
-    """Branch and bound over the LP relaxation.
+    """Branch and bound over the LP relaxation, within bounds lb and ub
+    (default: the model's).
 
     Best-bound node order, branching on the most fractional variable
     (largest distance from integrality, ties to the lowest index), children
@@ -357,14 +324,16 @@ def solve_ip(
     if cert is not None:
         raise InfeasibleError("weight thresholds unattainable", certificate=cert)
 
+    lb = model.lb if lb is None else lb
+    ub = model.ub if ub is None else ub
     t0 = time.perf_counter()
     incumbent = None
     inc_obj = math.inf
     if warm is not None:
         w = np.round(np.asarray(warm, dtype=float))
         if (
-            np.all(w >= model.lb - 1e-9)
-            and np.all(w <= model.ub + 1e-9)
+            np.all(w >= lb - 1e-9)
+            and np.all(w <= ub + 1e-9)
             and not model.check_rows(w)
         ):
             incumbent = w
@@ -376,7 +345,7 @@ def solve_ip(
         return simplex.solve(c, a, senses, b, lb, ub, warm=warm)
 
     counter = 0
-    root = node_lp(model.lb, model.ub)
+    root = node_lp(lb, ub)
     if root.status == simplex.INFEASIBLE:
         raise InfeasibleError(
             "integer program infeasible",
@@ -384,7 +353,7 @@ def solve_ip(
         )
     heap: list = []
     # Entries: (bound, tie-break, lb, ub, solved LP or None, parent basis).
-    heapq.heappush(heap, (root.objective, counter, model.lb.copy(), model.ub.copy(), root, None))
+    heapq.heappush(heap, (root.objective, counter, lb.copy(), ub.copy(), root, None))
     nodes = 0
     timed_out = False
 
@@ -465,9 +434,8 @@ def approx_hack(
     ub = model.ub.copy()
     lb[frac.values >= 1.0 - FIX_TOL] = 1.0
     ub[frac.values <= FIX_TOL] = 0.0
-    fixed_model = _with_bounds(model, lb, ub)
     try:
-        res = solve_ip(fixed_model, budget=budget)
+        res = solve_ip(model, budget=budget, lb=lb, ub=ub)
     except InfeasibleError:
         return IntegralSolution(
             model, np.zeros(model.nvars), math.inf, "approxhack", "infeasible_fixing",
@@ -478,10 +446,3 @@ def approx_hack(
         bound=res.bound, nodes=res.nodes,
     )
 
-
-def _with_bounds(model: LpModel, lb, ub) -> LpModel:
-    clone = LpModel.__new__(LpModel)
-    clone.__dict__.update(model.__dict__)
-    clone.lb = lb
-    clone.ub = ub
-    return clone

@@ -231,6 +231,17 @@ class Instance:
             loss *= self.path_loss(k, i, j)
         return loss
 
+    def copy_load(self, k: str) -> float | None:
+        """Load one copy of stream k puts on a reflector, in `copy_cap` units:
+        its bitrate under bandwidth caps (None if it has none), else 1."""
+        return self.source_by_id[k].bitrate if self.bandwidth_enabled else 1.0
+
+    def copy_cap(self, i: str) -> float | None:
+        """Reflector i's cap in `copy_load` units: its bandwidth under
+        bandwidth caps (None if it has none), else its fan-out."""
+        r = self.reflector_by_id[i]
+        return r.bandwidth if self.bandwidth_enabled else r.fanout
+
     def admissible_reflectors(self, j: str) -> list[str]:
         """Reflectors with both links present for sink j's stream."""
         k = self.sink_by_id[j].stream

@@ -13,7 +13,7 @@ import math
 
 from .color import ColorStageError, run_color_stage
 from .gapflow import GapStageError, run_gap_stage
-from .lp import ModeOptions, TimeBudget, approx_hack, build_model, solve_ip, solve_lp
+from .lp import TimeBudget, approx_hack, build_model, solve_ip, solve_lp
 from .model import Instance
 from .rounding import RoundingConfig, randomized_round, round_with_retries
 from .solution import PathSet, from_integral
@@ -45,35 +45,30 @@ def default_multiplier(inst: Instance) -> float:
 
 def run_approx(
     inst: Instance,
-    opts: ModeOptions | None = None,
     multiplier: float | None = None,
     seed: int = 0,
     max_retries: int = 20,
-    delta: float = 0.25,
-    pipeline_trials: int = PIPELINE_TRIALS,
 ) -> PathSet:
     """LP, accepted random draw, stage-two rounding, assembled routes.
 
     A draw that passes the acceptance predicates can still lose a stage-two
     guarantee check (the colored walk's certificate in particular), in which
     case the pipeline redraws from the next attempt index, up to
-    `pipeline_trials` times. All randomness derives from (seed, attempt), so
+    PIPELINE_TRIALS times. All randomness derives from (seed, attempt), so
     identical arguments give identical output.
     """
-    model = build_model(inst, opts)
+    model = build_model(inst)
     frac = solve_lp(model)
     m = multiplier if multiplier is not None else default_multiplier(inst)
-    config = RoundingConfig(
-        multiplier=m, delta=delta, max_retries=max_retries, seed=seed
-    )
+    config = RoundingConfig(multiplier=m, max_retries=max_retries, seed=seed)
     start = 0
     failures: list[str] = []
-    for trial in range(pipeline_trials):
+    for trial in range(PIPELINE_TRIALS):
         sol = round_with_retries(frac, config, start_attempt=start)
         if trial == 0:
             violations_first = sol.first_violations  # the draw of attempt 0
         try:
-            if model.opts.colors:
+            if inst.colors_enabled:
                 stage = run_color_stage(sol)
                 x_tilde = stage.x_tilde
                 provenance = "approx-color"
@@ -100,7 +95,7 @@ def run_approx(
         meta = {
             "multiplier": m,
             "seed": seed,
-            "delta": delta,
+            "delta": config.delta,
             "attempt": sol.attempt,
             "attempts": sol.attempts,
             "trial": trial,
@@ -113,7 +108,7 @@ def run_approx(
             instance=inst,
             x_tilde=x_tilde,
             provenance=provenance,
-            mode=model.opts.mode,
+            mode=inst.mode,
             meta=meta,
         )
     raise ApproxPipelineError("; ".join(failures))
@@ -121,20 +116,18 @@ def run_approx(
 
 def run_exact(
     inst: Instance,
-    opts: ModeOptions | None = None,
     budget: TimeBudget | None = None,
 ) -> PathSet:
     """Branch-and-bound optimum (or best incumbent under a budget)."""
-    model = build_model(inst, opts)
+    model = build_model(inst)
     return from_integral(solve_ip(model, budget=budget))
 
 
 def run_hack(
     inst: Instance,
-    opts: ModeOptions | None = None,
     budget: TimeBudget | None = None,
 ) -> PathSet:
     """Fix the LP-integral coordinates, then solve the residual exactly."""
-    model = build_model(inst, opts)
+    model = build_model(inst)
     frac = solve_lp(model)
     return from_integral(approx_hack(model, frac, budget=budget))

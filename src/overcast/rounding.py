@@ -92,7 +92,7 @@ class SemiIntegralSolution:
         for r in model.inst.reflectors:
             if loads[r.id] > 2.0 * model.capacities[r.id] + PRED_TOL:
                 bad.append(f"load[{r.id}]")
-        if model.opts.colors:
+        if model.inst.colors_enabled:
             for row in model.rows:
                 if row.kind != "color":
                     continue

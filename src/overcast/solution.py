@@ -117,7 +117,7 @@ class PathSet:
         )
 
 
-def from_integral(result, extra_meta: dict | None = None) -> PathSet:
+def from_integral(result) -> PathSet:
     """Wrap an exact/fixed solver result; unused activations are stripped.
 
     An optimal assignment never pays for an unused reflector or feed, so the
@@ -133,13 +133,11 @@ def from_integral(result, extra_meta: dict | None = None) -> PathSet:
         "lp_bound": result.bound,
         "nodes": result.nodes,
     }
-    if extra_meta:
-        meta.update(extra_meta)
     return PathSet(
         instance=model.inst,
         x_tilde=x_tilde,
         provenance=result.provenance,
-        mode=model.opts.mode,
+        mode=model.inst.mode,
         meta=meta,
     )
 

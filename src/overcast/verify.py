@@ -22,7 +22,10 @@ from .model import PathUnavailableError
 from .solution import PathSet
 
 AUDIT_TOL = 1e-6
-PROFILES = ("exact", "approx", "color")
+# Audit profiles and the fan-out bound of each: (factor, extra) in the terms
+# of `_fanout_failures`. In the color profile the capacity rows guarantee
+# < 4 * (2 * cap) + 9 routes per reflector.
+PROFILES = {"exact": (1.0, 0.0), "approx": (4.0, 0.0), "color": (8.0, 9.0)}
 
 
 @dataclass
@@ -33,6 +36,8 @@ class AuditReport:
     cost: float
     sink_weights: dict[str, float]
     sink_losses: dict[str, float]
+    weight_ratio: float  # worst kept weight over threshold across demanding sinks
+    fanout_ratio: float  # worst reflector load over its cap
 
 
 def _structural_failures(ps: PathSet, profile: str) -> list[str]:
@@ -57,46 +62,40 @@ def _structural_failures(ps: PathSet, profile: str) -> list[str]:
     return bad
 
 
-def _fanout_failures(ps: PathSet, factor: float, extra: float = 0.0) -> list[str]:
-    """Flag reflectors whose load exceeds factor * cap + extra.
+def _fanout_failures(ps: PathSet, factor: float, extra: float) -> tuple[list[str], float]:
+    """Flag reflectors whose load exceeds factor * cap + extra; also return
+    the worst load over cap.
 
-    `extra` is an additive allowance (in route counts, or in units of the
-    largest bitrate seen at the reflector when bandwidth caps apply).
+    Load and cap are in `Instance.copy_load` / `copy_cap` units: route
+    counts, or bitrates with bandwidth caps. `extra` is an additive allowance
+    in units of the largest copy load seen at the reflector.
     """
     inst = ps.instance
     bad = []
-    count: dict[str, int] = {}
-    rate_load: dict[str, float] = {}
-    rate_max: dict[str, float] = {}
+    load: dict[str, float] = {}
+    load_max: dict[str, float] = {}
     for (k, i, _j) in ps.x_tilde:
-        count[i] = count.get(i, 0) + 1
-        if inst.bandwidth_enabled:
-            rate = inst.source_by_id[k].bitrate or 0.0
-            rate_load[i] = rate_load.get(i, 0.0) + rate
-            rate_max[i] = max(rate_max.get(i, 0.0), rate)
-    for i, n in count.items():
-        r = inst.reflector_by_id[i]
-        if inst.bandwidth_enabled:
-            cap = r.bandwidth if r.bandwidth is not None else 0.0
-            limit = factor * cap + extra * rate_max[i]
-            if rate_load[i] > limit + AUDIT_TOL:
-                bad.append(
-                    f"reflector {i}: bandwidth load {rate_load[i]:.6f} over {factor:g}x cap {cap}"
-                )
-        elif n > factor * r.fanout + extra + AUDIT_TOL:
-            bad.append(f"reflector {i}: {n} routes over {factor:g}x fan-out {r.fanout}")
-    return bad
+        copy = inst.copy_load(k) or 0.0
+        load[i] = load.get(i, 0.0) + copy
+        load_max[i] = max(load_max.get(i, 0.0), copy)
+    worst = 0.0
+    for i, used in load.items():
+        cap = inst.copy_cap(i) or 0.0
+        worst = max(worst, used / cap if cap > 0 else math.inf)
+        if used > factor * cap + extra * load_max[i] + AUDIT_TOL:
+            if inst.bandwidth_enabled:
+                bad.append(f"reflector {i}: bandwidth load {used:.6f} over {factor:g}x cap {cap}")
+            else:
+                bad.append(f"reflector {i}: {used:g} routes over {factor:g}x fan-out {cap}")
+    return bad, worst
 
 
-def _weight_failures(ps: PathSet, fraction: float) -> list[str]:
+def _weight_failures(ps: PathSet, sink_weights: dict[str, float], fraction: float) -> list[str]:
     bad = []
     for d in ps.instance.sinks:
-        if d.weight_threshold <= 0:
-            continue
-        try:
-            kept = ps.weight_mass(d.id)
-        except PathUnavailableError:
-            continue  # already reported structurally
+        kept = sink_weights[d.id]
+        if d.weight_threshold <= 0 or math.isnan(kept):
+            continue  # an unavailable path is already reported structurally
         need = fraction * d.weight_threshold
         if kept < need - AUDIT_TOL:
             bad.append(
@@ -123,19 +122,30 @@ def audit(ps: PathSet, profile: str = "exact", claimed_cost: float | None = None
     inst = ps.instance
     failures = _structural_failures(ps, profile)
 
+    sink_weights = {}
+    sink_losses = {}
+    weight_ratio = math.inf
+    for d in inst.sinks:
+        try:
+            sink_weights[d.id] = ps.weight_mass(d.id)
+        except PathUnavailableError:
+            sink_weights[d.id] = math.nan
+        else:
+            if d.weight_threshold > 0:
+                weight_ratio = min(weight_ratio, sink_weights[d.id] / d.weight_threshold)
+        sink_losses[d.id] = ps.analytic_loss(d.id)
+
+    fanout_failures, fanout_ratio = _fanout_failures(ps, *PROFILES[profile])
+    failures += fanout_failures
     if profile == "exact":
-        failures += _fanout_failures(ps, 1.0)
-        failures += _weight_failures(ps, 1.0)
+        failures += _weight_failures(ps, sink_weights, 1.0)
         if inst.colors_enabled:
             for (j, color), n in _color_group_counts(ps).items():
                 if n > 1:
                     failures.append(f"sink {j}: color {color} used {n} times")
     elif profile == "approx":
-        failures += _fanout_failures(ps, 4.0)
-        failures += _weight_failures(ps, 0.25)
+        failures += _weight_failures(ps, sink_weights, 0.25)
     else:  # color
-        # Capacity rows guarantee < 4 * (2 * cap) + 9 routes per reflector.
-        failures += _fanout_failures(ps, 8.0, extra=9.0)
         for (j, color), n in _color_group_counts(ps).items():
             if n > 13:
                 failures.append(f"sink {j}: color {color} used {n} times, cap 13")
@@ -156,15 +166,6 @@ def audit(ps: PathSet, profile: str = "exact", claimed_cost: float | None = None
     ):
         failures.append(f"claimed cost {claimed_cost!r} is not the recomputed {cost!r}")
 
-    sink_weights = {}
-    sink_losses = {}
-    for d in inst.sinks:
-        try:
-            sink_weights[d.id] = ps.weight_mass(d.id)
-        except PathUnavailableError:
-            sink_weights[d.id] = float("nan")
-        sink_losses[d.id] = ps.analytic_loss(d.id)
-
     if profile == "exact":
         for d in inst.sinks:
             loss = sink_losses[d.id]
@@ -180,6 +181,8 @@ def audit(ps: PathSet, profile: str = "exact", claimed_cost: float | None = None
         cost=cost,
         sink_weights=sink_weights,
         sink_losses=sink_losses,
+        weight_ratio=weight_ratio,
+        fanout_ratio=fanout_ratio,
     )
 
 

@@ -92,6 +92,37 @@ def test_verify_roundtrip_and_tamper(instance_file, tmp_path, capsys):
     assert rc == 2
 
 
+def test_verify_checks_the_stored_cost(instance_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["solve", str(instance_file), "--out-dir", str(out)]) == 0
+    sol_path = out / "solution.json"
+    edited = json.loads(sol_path.read_text())
+    edited["cost"] += 100.0
+    edited_path = tmp_path / "edited.json"
+    edited_path.write_text(json.dumps(edited))
+    capsys.readouterr()
+
+    assert main(["verify", str(instance_file), str(sol_path), "--profile", "approx"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert main(["verify", str(instance_file), str(edited_path), "--profile", "approx"]) == 2
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert [f for f in failures if f.startswith("claimed cost")] == failures
+
+
+@pytest.mark.parametrize("units", ["count", "bandwidth"])
+def test_solve_prints_the_audit_ratios(instance_file, tmp_path, capsys, units):
+    path = instance_file
+    if units == "bandwidth":
+        path = tmp_path / "bw.json"
+        path.write_text(json.dumps(BANDWIDTH_DOC))
+    out = tmp_path / "run"
+    assert main(["solve", str(path), "--seed", "3", "--out-dir", str(out)]) == 0
+    printed = dict(field.split("=") for field in capsys.readouterr().out.split())
+    report = json.loads((out / "audit.json").read_text())
+    for key in ("weight_ratio", "fanout_ratio"):
+        assert printed[key] == f"{report[key]:.3f}"
+
+
 def test_compare_orders_costs(instance_file, tmp_path, capsys):
     out = tmp_path / "cmp"
     rc = main(["compare", str(instance_file), "--seed", "2", "--out-dir", str(out)])
@@ -196,25 +227,27 @@ def test_solve_multi_stream_document(tmp_path, capsys):
     assert served == {"D#a", "D#b", "G#a"}
 
 
+BANDWIDTH_DOC = {
+    "bandwidth_enabled": True,
+    "sources": [{"id": "s0", "bitrate": 1.0}],
+    "reflectors": [{"id": "r0", "cost": 5.0, "fanout": 1, "bandwidth": 4.0}],
+    "sinks": [
+        {"id": "d0", "stream": "s0", "loss_threshold": 0.05},
+        {"id": "d1", "stream": "s0", "loss_threshold": 0.05},
+    ],
+    "src_edges": [{"from": "s0", "to": "r0", "loss": 0.01, "cost": 1.0}],
+    "refl_edges": [
+        {"from": "r0", "to": "d0", "loss": 0.01, "cost": 1.0},
+        {"from": "r0", "to": "d1", "loss": 0.01, "cost": 1.0},
+    ],
+}
+
+
 def test_solve_bandwidth_mode_reports_bitrate_load(tmp_path, capsys):
     # Two routes through r0: 2 copies over fan-out 1, but 2 Mb/s over a
     # 4 Mb/s bandwidth cap. In bandwidth mode the audit bounds the latter.
-    doc = {
-        "bandwidth_enabled": True,
-        "sources": [{"id": "s0", "bitrate": 1.0}],
-        "reflectors": [{"id": "r0", "cost": 5.0, "fanout": 1, "bandwidth": 4.0}],
-        "sinks": [
-            {"id": "d0", "stream": "s0", "loss_threshold": 0.05},
-            {"id": "d1", "stream": "s0", "loss_threshold": 0.05},
-        ],
-        "src_edges": [{"from": "s0", "to": "r0", "loss": 0.01, "cost": 1.0}],
-        "refl_edges": [
-            {"from": "r0", "to": "d0", "loss": 0.01, "cost": 1.0},
-            {"from": "r0", "to": "d1", "loss": 0.01, "cost": 1.0},
-        ],
-    }
     path = tmp_path / "bw.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(BANDWIDTH_DOC))
     rc = main(["solve", str(path), "--seed", "0", "--out-dir", str(tmp_path / "bw-run")])
     line = capsys.readouterr().out
     assert rc == 0

@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no module
-defines a private name it never reads."""
+"""Source hygiene: no module imports a name it never uses, no module
+defines a private name it never reads, and no class has a public member
+that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "overcast").glob("*.py"))
 MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> set[str]:
@@ -46,6 +48,30 @@ def unread_privates(tree: ast.Module) -> set[str]:
     }
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     return private - read
+
+
+def unread_members(defining: list[ast.Module], reading: list[ast.Module]) -> set[str]:
+    """`Class.member` for each public method, property or dataclass field of
+    a class in `defining` whose name no module in `reading` loads as an
+    attribute."""
+    members = set()
+    for tree in defining:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            dataclass = any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list)
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    members.add((cls.name, node.name))
+                elif isinstance(node, ast.AnnAssign) and dataclass:
+                    members.add((cls.name, node.target.id))
+    read = {
+        n.attr
+        for tree in reading
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return {f"{c}.{m}" for c, m in members if not m.startswith("_") and m not in read}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -92,3 +118,35 @@ def test_unread_privates_flags_leftovers():
         "    return _Helper(), abs(x) > _PIVOT_TOL, _AT_LB, _local\n"
     )
     assert unread_privates(ast.parse(source)) == {"_PHASE1_TOL", "_AT_UB", "_CACHE", "_unused"}
+
+
+def test_no_unread_members():
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    unread = unread_members([parse(p) for p in SOURCES], [parse(p) for p in READERS])
+    assert not unread, f"public members nothing reads: {sorted(unread)}"
+
+
+def test_unread_members_flags_leftovers():
+    defining = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Cert:\n"
+        "    t: float\n"
+        "    rows: list\n"
+        "    _cache: dict\n"
+        "    @property\n"
+        "    def ok(self):\n"
+        "        return self.t > 0\n"
+        "    def z_hat(self):\n"
+        "        return self.t\n"
+        "    def __repr__(self):\n"
+        "        return 'Cert'\n"
+        "class Plain:\n"
+        "    limit: int = 3\n"
+        "    def run(self):\n"
+        "        self.rows = []\n"
+    )
+    reading = ast.parse("def use(cert, plain):\n    return cert.ok, plain.run()\n")
+    assert unread_members([defining], [defining, reading]) == {"Cert.rows", "Cert.z_hat"}

@@ -9,7 +9,7 @@ from scipy import optimize as sciopt
 
 from overcast import lp
 from overcast.gen import gen_random
-from overcast.model import normalize
+from overcast.model import instance_from_doc, normalize
 
 
 def two_path_doc(mode="full"):
@@ -221,7 +221,7 @@ LADDER_LPS = [
 )
 def test_lp_matches_highs_on_ladder_instances(sizes, regime, colors, mode):
     inst = gen_random(sizes, regime, seed=0, colors=colors)
-    model = lp.build_model(inst, lp.ModeOptions(mode=mode, colors=inst.colors_enabled))
+    model = lp.build_model(instance_from_doc({**inst.to_doc(), "mode": mode}))
     c, a, senses, b = model.arrays()
     senses = np.asarray(senses)
     sign = np.where(senses == ">=", -1.0, 1.0)[:, None]

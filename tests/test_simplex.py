@@ -228,10 +228,11 @@ PINNED = [
 _PIN_SCRIPT = """
 import hashlib, json, sys
 from overcast import gen, lp, simplex
+from overcast.model import instance_from_doc
 out = []
 for (sizes, regime, colors, mode), _ in json.loads(sys.argv[1]):
     inst = gen.gen_random(tuple(sizes), regime, seed=0, colors=colors)
-    model = lp.build_model(inst, lp.ModeOptions(mode=mode, colors=inst.colors_enabled))
+    model = lp.build_model(instance_from_doc({**inst.to_doc(), "mode": mode}))
     c, a, senses, b = model.arrays()
     res = simplex.solve(c, a, senses, b, model.lb, model.ub)
     out.append([res.iterations, hashlib.sha256(res.x.tobytes()).hexdigest()])
