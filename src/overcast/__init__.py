@@ -3,6 +3,7 @@
 from .gen import GenerationError, gen_random, gen_setcover
 from .lp import (
     InfeasibleError,
+    NoIncumbentError,
     TimeBudget,
     UnsupportedInstanceError,
     approx_hack,
@@ -41,6 +42,7 @@ __all__ = [
     "GenerationError",
     "InfeasibleError",
     "Instance",
+    "NoIncumbentError",
     "PathSet",
     "RoundingConfig",
     "RoundingRetriesExhausted",

@@ -3,8 +3,8 @@
 Subcommands: `gen` (write a synthetic instance), `solve` (the rounding
 pipeline plus audit), `compare` (rounding vs LP-fixing vs exact on one
 instance), `sweep` (multiplier-by-seed grid), and `verify` (re-audit a
-solution file). Exit codes: 0 success, 2 audit or quality failure, 3
-infeasible instance. All output files are deterministic for fixed flags;
+solution file). Exit codes: 0 success, 2 audit, quality or input failure,
+3 infeasible instance. All output files are deterministic for fixed flags;
 wall-clock milliseconds appear only on stdout and in CSV `wall_ms` columns.
 """
 
@@ -19,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .gen import GenerationError, gen_random
-from .lp import InfeasibleError, TimeBudget
+from .lp import InfeasibleError, NoIncumbentError, TimeBudget
 from .model import Instance, normalize
 from .pipeline import (
     ApproxPipelineError,
@@ -47,9 +47,10 @@ def _load_instance(args) -> Instance:
     return normalize(doc)
 
 
-def _budget(args) -> TimeBudget | None:
-    secs = args.time_budget_secs
-    return TimeBudget(seconds=secs) if secs else None
+def _positive_seconds(text: str) -> float:
+    if not float(text) > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return float(text)
 
 
 def _out_dir(args) -> Path:
@@ -131,16 +132,16 @@ def cmd_compare(args) -> int:
     unknown = set(algs) - {"approx", "hack", "ip"}
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-    budget = _budget(args)
+    budget = TimeBudget(seconds=args.time_budget_secs) if args.time_budget_secs else None
     profile = _audit_profile(inst)
 
     rows = []
     costs: dict[str, float] = {}
     audits_ok = True
-    hack_excluded = False
     for alg in algs:
         started = time.perf_counter()
         attempts = 0
+        report = None
         if alg == "approx":
             ps = run_approx(
                 inst,
@@ -153,17 +154,16 @@ def cmd_compare(args) -> int:
             bound = ps.meta["lp_bound"]
             report = audit(ps, profile)
         else:
-            ps = run_exact(inst, budget=budget) if alg == "ip" else run_hack(inst, budget=budget)
-            status = ps.meta["status"]
-            bound = ps.meta["lp_bound"]
-            report = None
-            if status != "infeasible_fixing" and (ps.x_tilde or status == "optimal"):
+            try:
+                ps = (run_exact if alg == "ip" else run_hack)(inst, budget=budget)
+            except NoIncumbentError as exc:
+                status, bound = "timeout", exc.bound
+            else:
+                status, bound = ps.meta["status"], ps.meta["lp_bound"]
                 report = audit(ps, "exact")
         wall_ms = int((time.perf_counter() - started) * 1000)
-        cost = ps.cost if ps.x_tilde or status == "optimal" else float("inf")
-        if status == "infeasible_fixing":
-            hack_excluded = True
-        elif report is not None and not report.ok:
+        cost = report.cost if report is not None else float("inf")
+        if report is not None and not report.ok:
             audits_ok = False
             status = "audit_fail"
         costs[alg] = cost
@@ -189,14 +189,13 @@ def cmd_compare(args) -> int:
     for row in rows:
         print(",".join(str(row[c]) for c in CSV_COLUMNS))
 
-    complete = [a for a in algs if costs.get(a, float("inf")) < float("inf")]
+    complete = [a for a in algs if costs[a] < float("inf")]
     order = [a for a in ("ip", "hack", "approx") if a in complete]
     for first, second in zip(order, order[1:]):
         if costs[first] > costs[second] + 1e-6:
-            note = " (fixing excluded)" if hack_excluded else ""
             print(
                 f"warning: cost({first})={costs[first]:.6f} exceeds"
-                f" cost({second})={costs[second]:.6f}{note}",
+                f" cost({second})={costs[second]:.6f}",
                 file=sys.stderr,
             )
     return 0 if audits_ok else 2
@@ -299,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="run several algorithms on one instance")
     c.add_argument("instance")
     c.add_argument("--algs", default="approx,hack,ip")
-    c.add_argument("--time-budget-secs", type=float, default=None,
+    c.add_argument("--time-budget-secs", type=_positive_seconds, default=None,
                    help="wall-clock budget of the hack and ip solves")
     _add_run_flags(c)
     c.set_defaults(func=cmd_compare)
@@ -335,7 +334,7 @@ def main(argv=None) -> int:
     except (RoundingRetriesExhausted, ApproxPipelineError, GenerationError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,6 +56,16 @@ class InfeasibleError(Exception):
         self.certificate = certificate or {}
 
 
+class NoIncumbentError(RuntimeError):
+    """The budget ran out before branch and bound found an integral point;
+    `bound` is a lower bound on the optimum, `nodes` the nodes explored."""
+
+    def __init__(self, bound: float, nodes: int):
+        super().__init__(f"budget ran out without incumbent after {nodes} nodes, bound {bound:.6f}")
+        self.bound = bound
+        self.nodes = nodes
+
+
 class UnsupportedInstanceError(ValueError):
     """The requested pipeline cannot handle this instance shape."""
 
@@ -195,14 +205,7 @@ class LpModel:
 
         for d in inst.sinks:
             k = d.stream
-            terms = []
-            for (i, w) in self.weights.sink_entries(d.id):
-                terms.append((self.x_index[(k, i, d.id)], w))
-            if not terms and d.weight_threshold > 0:
-                raise InfeasibleError(
-                    f"sink {d.id} has no usable relay path",
-                    certificate={"sink": d.id, "demanded": d.weight_threshold, "attainable": 0.0},
-                )
+            terms = [(self.x_index[(k, i, d.id)], w) for (i, w) in self.weights.sink_entries(d.id)]
             self.sink_weight_row[d.id] = len(self.rows)
             self._add_row("weight", f"weight[{d.id}]", terms, ">=", d.weight_threshold)
 
@@ -276,8 +279,7 @@ class IntegralSolution:
     model: LpModel
     values: np.ndarray
     objective: float
-    provenance: str  # "exact-ip" | "approxhack"
-    status: str  # "optimal" | "timeout" | "infeasible_fixing"
+    status: str  # "optimal" | "timeout" (an incumbent with an open gap)
     bound: float
     nodes: int
 
@@ -317,7 +319,8 @@ def solve_ip(
     explored one-up first. Each child LP starts from its parent's optimal
     basis (a dual-simplex warm start). A warm incumbent is used only after
     it passes a feasibility check against the rows; infeasible warm starts
-    are ignored.
+    are ignored. Raises NoIncumbentError when the budget runs out before
+    an incumbent is found, and InfeasibleError when there is none.
     """
     budget = budget or TimeBudget()
     cert = model.weight_feasibility_certificate()
@@ -399,24 +402,16 @@ def solve_ip(
             counter += 1
             heapq.heappush(heap, (res.objective, counter, nlb, nub, None, res.basis))
 
-    best_bound = inc_obj
-    if heap:
-        open_bounds = [entry[0] for entry in heap]
-        best_bound = min(min(open_bounds), inc_obj)
+    best_bound = min([entry[0] for entry in heap] + [inc_obj])
     if incumbent is None:
         if timed_out:
-            return IntegralSolution(
-                model, np.zeros(model.nvars), math.inf, "exact-ip", "timeout",
-                bound=best_bound, nodes=nodes,
-            )
+            raise NoIncumbentError(best_bound, nodes)
         raise InfeasibleError(
             "integer program infeasible",
             certificate={"kind": "search-exhausted"},
         )
     status = "timeout" if (timed_out and inc_obj - best_bound > 1e-6) else "optimal"
-    return IntegralSolution(
-        model, incumbent, inc_obj, "exact-ip", status, bound=best_bound, nodes=nodes
-    )
+    return IntegralSolution(model, incumbent, inc_obj, status, bound=best_bound, nodes=nodes)
 
 
 def approx_hack(
@@ -426,23 +421,18 @@ def approx_hack(
 ) -> IntegralSolution:
     """Fix every LP-integral variable, then solve the residual IP exactly.
 
-    When the fixing makes the residual infeasible the result comes back with
-    status "infeasible_fixing" so the caller can fall back to the rounding
-    pipeline.
+    When the fixing leaves no integral point, search the whole model with
+    the seconds left of the budget. Either way the result is `solve_ip`'s.
     """
+    budget = budget or TimeBudget()
+    t0 = time.perf_counter()
     lb = model.lb.copy()
     ub = model.ub.copy()
     lb[frac.values >= 1.0 - FIX_TOL] = 1.0
     ub[frac.values <= FIX_TOL] = 0.0
     try:
-        res = solve_ip(model, budget=budget, lb=lb, ub=ub)
-    except InfeasibleError:
-        return IntegralSolution(
-            model, np.zeros(model.nvars), math.inf, "approxhack", "infeasible_fixing",
-            bound=frac.objective, nodes=0,
-        )
-    return IntegralSolution(
-        model, res.values, res.objective, "approxhack", res.status,
-        bound=res.bound, nodes=res.nodes,
-    )
-
+        return solve_ip(model, budget=budget, lb=lb, ub=ub)
+    except InfeasibleError:  # the fixing left no integral point
+        if budget.seconds is not None:
+            budget = TimeBudget(budget.seconds - (time.perf_counter() - t0), budget.node_limit)
+        return solve_ip(model, budget=budget)

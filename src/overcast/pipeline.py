@@ -4,7 +4,8 @@
 draw, then either the assignment-flow stage or (with colors on) the path
 rounding stage, assembled into a PathSet with its audit-relevant metadata.
 `run_exact` and `run_hack` wrap the branch-and-bound baseline and the
-LP-fixing shortcut behind the same output type.
+LP-fixing shortcut behind the same output type; both raise
+NoIncumbentError when a budget ends before any incumbent.
 """
 
 from __future__ import annotations
@@ -118,16 +119,17 @@ def run_exact(
     inst: Instance,
     budget: TimeBudget | None = None,
 ) -> PathSet:
-    """Branch-and-bound optimum (or best incumbent under a budget)."""
+    """Branch-and-bound optimum, or the best incumbent under a budget."""
     model = build_model(inst)
-    return from_integral(solve_ip(model, budget=budget))
+    return from_integral(solve_ip(model, budget=budget), "exact-ip")
 
 
 def run_hack(
     inst: Instance,
     budget: TimeBudget | None = None,
 ) -> PathSet:
-    """Fix the LP-integral coordinates, then solve the residual exactly."""
+    """Fix the LP-integral coordinates, then solve the residual exactly, or
+    the whole model when the fixing leaves no integral point."""
     model = build_model(inst)
     frac = solve_lp(model)
-    return from_integral(approx_hack(model, frac, budget=budget))
+    return from_integral(approx_hack(model, frac, budget=budget), "approxhack")

@@ -117,8 +117,9 @@ class PathSet:
         )
 
 
-def from_integral(result) -> PathSet:
-    """Wrap an exact/fixed solver result; unused activations are stripped.
+def from_integral(result, provenance: str) -> PathSet:
+    """Wrap an exact/fixed solver's incumbent under `provenance` ("exact-ip"
+    or "approxhack"); unused activations are stripped.
 
     An optimal assignment never pays for an unused reflector or feed, so the
     minimal closure costs exactly the solver objective; for timeout
@@ -136,7 +137,7 @@ def from_integral(result) -> PathSet:
     return PathSet(
         instance=model.inst,
         x_tilde=x_tilde,
-        provenance=result.provenance,
+        provenance=provenance,
         mode=model.inst.mode,
         meta=meta,
     )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PathUnavailableError
 from .solution import PathSet
 
 AUDIT_TOL = 1e-6
@@ -33,7 +32,7 @@ class AuditReport:
     profile: str
     ok: bool
     failures: list[str]
-    cost: float
+    cost: float  # this and the measurements below are NaN or empty when a route is no path
     sink_weights: dict[str, float]
     sink_losses: dict[str, float]
     weight_ratio: float  # worst kept weight over threshold across demanding sinks
@@ -49,6 +48,14 @@ def _structural_failures(ps: PathSet, profile: str) -> list[str]:
     for (k, i, j), mass in ps.x_tilde.items():
         if mass not in allowed:
             bad.append(f"route ({k},{i},{j}): mass {mass} not in {sorted(allowed)}")
+    return bad
+
+
+def _route_failures(ps: PathSet) -> list[str]:
+    """Routes that are not a path the instance has for their sink's stream."""
+    inst = ps.instance
+    bad = []
+    for (k, i, j) in ps.x_tilde:
         sink = inst.sink_by_id.get(j)
         if sink is None:
             bad.append(f"route ({k},{i},{j}): unknown sink")
@@ -94,10 +101,7 @@ def _weight_failures(ps: PathSet, sink_weights: dict[str, float], fraction: floa
     bad = []
     for d in ps.instance.sinks:
         kept = sink_weights[d.id]
-        if d.weight_threshold <= 0 or math.isnan(kept):
-            continue  # an unavailable path is already reported structurally
-        need = fraction * d.weight_threshold
-        if kept < need - AUDIT_TOL:
+        if d.weight_threshold > 0 and kept < fraction * d.weight_threshold - AUDIT_TOL:
             bad.append(
                 f"sink {d.id}: kept weight {kept:.6f} under {fraction:g} * {d.weight_threshold:.6f}"
             )
@@ -120,19 +124,18 @@ def audit(ps: PathSet, profile: str = "exact", claimed_cost: float | None = None
     if profile not in PROFILES:
         raise ValueError(f"unknown audit profile {profile!r}")
     inst = ps.instance
-    failures = _structural_failures(ps, profile)
+    route_failures = _route_failures(ps)
+    failures = _structural_failures(ps, profile) + route_failures
+    if route_failures:
+        return AuditReport(profile, False, failures, math.nan, {}, {}, math.nan, math.nan)
 
     sink_weights = {}
     sink_losses = {}
     weight_ratio = math.inf
     for d in inst.sinks:
-        try:
-            sink_weights[d.id] = ps.weight_mass(d.id)
-        except PathUnavailableError:
-            sink_weights[d.id] = math.nan
-        else:
-            if d.weight_threshold > 0:
-                weight_ratio = min(weight_ratio, sink_weights[d.id] / d.weight_threshold)
+        sink_weights[d.id] = ps.weight_mass(d.id)
+        if d.weight_threshold > 0:
+            weight_ratio = min(weight_ratio, sink_weights[d.id] / d.weight_threshold)
         sink_losses[d.id] = ps.analytic_loss(d.id)
 
     fanout_failures, fanout_ratio = _fanout_failures(ps, *PROFILES[profile])

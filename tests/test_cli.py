@@ -4,6 +4,7 @@ import json
 import pytest
 
 from overcast.cli import CSV_COLUMNS, SWEEP_COLUMNS, build_parser, main
+from overcast.lp import NoIncumbentError
 
 
 @pytest.fixture()
@@ -65,6 +66,25 @@ def test_time_budget_is_a_compare_flag(instance_file, tmp_path, capsys, command)
     assert args.time_budget_secs == 5.0
 
 
+@pytest.mark.parametrize("secs", ["0", "-1"])
+def test_time_budget_must_be_positive(instance_file, capsys, secs):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["compare", str(instance_file), "--time-budget-secs", secs])
+    assert exc.value.code == 2
+    assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["instance", "solution"])
+def test_missing_file_exits_2(instance_file, tmp_path, capsys, missing):
+    absent = str(tmp_path / "absent.json")
+    if missing == "instance":
+        argv = ["solve", absent, "--out-dir", str(tmp_path)]
+    else:
+        argv = ["verify", str(instance_file), absent]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_infeasible_exits_3(instance_file, tmp_path, capsys):
     doc = json.loads(instance_file.read_text())
     doc["sinks"][0]["loss_threshold"] = 1e-300
@@ -109,6 +129,34 @@ def test_verify_checks_the_stored_cost(instance_file, tmp_path, capsys):
     assert [f for f in failures if f.startswith("claimed cost")] == failures
 
 
+@pytest.mark.parametrize("edit", ["reflector", "sink", "edge"])
+def test_verify_reports_a_route_that_is_no_path(instance_file, tmp_path, capsys, edit):
+    out = tmp_path / "run"
+    assert main(["solve", str(instance_file), "--out-dir", str(out)]) == 0
+    inst_doc = json.loads(instance_file.read_text())
+    sol = json.loads((out / "solution.json").read_text())
+    route = sol["routes"][0]
+    if edit == "reflector":
+        route["reflector"] = "zz"
+    elif edit == "sink":
+        route["sink"] = "nope"
+    else:
+        inst_doc["refl_edges"] = [
+            e for e in inst_doc["refl_edges"]
+            if (e["from"], e["to"]) != (route["reflector"], route["sink"])
+        ]
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst_path.write_text(json.dumps(inst_doc))
+    sol_path.write_text(json.dumps(sol))
+    capsys.readouterr()
+
+    assert main(["verify", str(inst_path), str(sol_path), "--profile", "approx"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    key = f"({route['stream']},{route['reflector']},{route['sink']})"
+    assert report["failures"] and all(key in f for f in report["failures"])
+
+
 @pytest.mark.parametrize("units", ["count", "bandwidth"])
 def test_solve_prints_the_audit_ratios(instance_file, tmp_path, capsys, units):
     path = instance_file
@@ -141,6 +189,20 @@ def test_compare_orders_costs(instance_file, tmp_path, capsys):
     if by_alg["hack"] > by_alg["approx"] + 1e-6:
         # the relaxed-guarantee output undercut the exact optimum: warn only
         assert "warning" in captured.err
+
+
+def test_compare_reports_a_search_without_incumbent(instance_file, tmp_path, monkeypatch):
+    def no_incumbent(inst, budget=None):
+        raise NoIncumbentError(1.5, 0)
+
+    monkeypatch.setattr("overcast.cli.run_exact", no_incumbent)
+    out = tmp_path / "cmp"
+    assert main(["compare", str(instance_file), "--algs", "ip", "--out-dir", str(out)]) == 0
+    with open(out / "compare.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["cost"], row["lp_bound"], row["ratio"], row["status"]) == (
+        "inf", "1.500000", "inf", "timeout"
+    )
 
 
 def test_sweep_grid(instance_file, tmp_path):

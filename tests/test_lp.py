@@ -305,6 +305,18 @@ def test_weight_deficit_certificate():
     assert cert["rows"][0]["demanded"] > cert["rows"][0]["attainable"]
 
 
+def test_unreachable_sink_certificate_is_a_weight_row():
+    doc = two_path_doc()
+    doc["sinks"].append({"id": "d1", "stream": "s0", "loss_threshold": 0.25})  # no edge
+    model = lp.build_model(normalize(doc))
+    for solve in (lp.solve_lp, lp.solve_ip):
+        with pytest.raises(lp.InfeasibleError) as err:
+            solve(model)
+        cert = err.value.certificate
+        assert cert["kind"] == "weight-rows"
+        assert cert["rows"] == [{"sink": "d1", "demanded": pytest.approx(2.0), "attainable": 0}]
+
+
 def test_capacity_infeasibility_detected_in_phase1():
     # One reflector with fan-out 1, two sinks that each need ~all of one path.
     doc = {
@@ -378,19 +390,20 @@ def test_approx_hack_keeps_integral_lp_fixings():
     model = lp.build_model(normalize(two_path_doc()))
     frac = lp.solve_lp(model)
     res = lp.approx_hack(model, frac)
-    assert res.provenance == "approxhack"
     assert res.status == "optimal"
     assert res.objective == pytest.approx(6.5, abs=1e-9)
 
 
-def test_approx_hack_reports_infeasible_fixing():
+def test_approx_hack_falls_back_on_infeasible_fixing():
     model = lp.build_model(normalize(two_path_doc()))
     # Fabricated relaxation point that zeroes every variable: fixing all
-    # upper bounds to zero cannot satisfy the weight row.
+    # upper bounds to zero cannot satisfy the weight row, so the whole
+    # model is searched instead.
     fake = lp.FractionalSolution(model, np.zeros(model.nvars), 0.0)
-    res = lp.approx_hack(model, fake)
-    assert res.status == "infeasible_fixing"
-    assert math.isinf(res.objective)
+    res = lp.approx_hack(model, fake, budget=lp.TimeBudget(seconds=30.0))
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(6.5, abs=1e-9)
+    assert not model.check_rows(res.values)
 
 
 def test_warm_start_validated_before_use():
@@ -408,10 +421,10 @@ def test_warm_start_validated_before_use():
 def test_node_limit_reports_timeout():
     doc = setcover_doc([{0, 1}, {1, 2}, {0, 2}], 3)
     model = lp.build_model(normalize(doc))
-    res = lp.solve_ip(model, budget=lp.TimeBudget(node_limit=0))
-    assert res.status == "timeout"
-    assert math.isinf(res.objective)
-    assert res.bound <= 2.0 + 1e-9
+    with pytest.raises(lp.NoIncumbentError, match="without incumbent") as err:
+        lp.solve_ip(model, budget=lp.TimeBudget(node_limit=0))
+    assert err.value.nodes == 0
+    assert err.value.bound <= 2.0 + 1e-9
 
 
 def test_ip_deterministic():

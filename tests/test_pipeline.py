@@ -7,7 +7,7 @@ import pytest
 import overcast.pipeline as pipeline
 from overcast.gen import gen_random
 from overcast.gapflow import GapStageError
-from overcast.lp import InfeasibleError, TimeBudget
+from overcast.lp import InfeasibleError, NoIncumbentError, TimeBudget
 from overcast.model import instance_from_doc
 from overcast.pipeline import (
     ApproxPipelineError,
@@ -99,8 +99,21 @@ def test_run_exact_and_hack_agree_on_order():
 
 def test_run_exact_respects_budget_shape():
     inst = small_instance(seed=7)
-    ps = run_exact(inst, budget=TimeBudget(node_limit=0))
-    assert ps.meta["status"] == "timeout"
+    with pytest.raises(NoIncumbentError) as err:
+        run_exact(inst, budget=TimeBudget(node_limit=0))
+    assert err.value.bound <= run_exact(inst).cost + 1e-9
+
+
+@pytest.mark.parametrize("seed", [19, 23, 26])
+def test_run_hack_falls_back_when_fixing_is_infeasible(seed):
+    # On these instances fixing the LP-integral coordinates leaves no
+    # integral point; the fallback searches the whole model.
+    inst = small_instance(seed=seed)
+    hack = run_hack(inst, budget=TimeBudget(seconds=30.0))
+    exact = run_exact(inst, budget=TimeBudget(seconds=30.0))
+    assert hack.meta["status"] == exact.meta["status"] == "optimal"
+    assert hack.cost == pytest.approx(exact.cost, abs=1e-9)
+    assert audit(hack, "exact", claimed_cost=hack.cost).ok
 
 
 def test_run_approx_propagates_infeasibility():

@@ -73,7 +73,8 @@ def test_exact_audit_accepts_ip_solution():
     inst = normalize(two_path_doc())
     model = lp.build_model(inst)
     res = lp.solve_ip(model)
-    ps = from_integral(res)
+    ps = from_integral(res, "exact-ip")
+    assert ps.provenance == "exact-ip"
     assert ps.cost == pytest.approx(res.objective)
     report = verify.audit(ps, "exact", claimed_cost=res.objective)
     assert report.ok, report.failures
