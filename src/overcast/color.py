@@ -269,20 +269,22 @@ def karp_round(
     v0 = np.asarray(v0, dtype=float)
     if a.ndim != 2 or a.shape[1] != v0.size:
         raise ValueError("matrix and vector shapes disagree")
-    m, n = a.shape
+    n = a.shape[1]
     lo = np.floor(v0 + 1e-12)
     hi = np.ceil(v0 - 1e-12)
     v = np.clip(v0, lo, hi)
+    a_pos = np.where(a > 0, a, 0.0)
+    a_neg = np.where(a < 0, -a, 0.0)
 
     for _ in range(2 * n + 8):
         floating = np.flatnonzero((v > lo + _SNAP) & (v < hi - _SNAP))
         if floating.size == 0:
             break
         drift = a @ (v - v0)
-        af = a[:, floating]
-        phi = np.where(af > 0, af, 0.0) @ (hi[floating] - v[floating])
-        phi += np.where(af < 0, -af, 0.0) @ (v[floating] - lo[floating])
-        tracked = [r for r in range(m) if drift[r] + phi[r] >= t - _ACTIVE_MARGIN]
+        vf = v[floating]
+        phi = a_pos[:, floating] @ (hi[floating] - vf)
+        phi += a_neg[:, floating] @ (vf - lo[floating])
+        tracked = (drift + phi >= t - _ACTIVE_MARGIN).nonzero()[0].tolist()
 
         d = None
         while d is None:
@@ -305,12 +307,11 @@ def karp_round(
         pivot = int(np.flatnonzero(mags >= mags.max() * (1.0 - 1e-9))[0])
         if d[pivot] < 0:
             d = -d
-        lam = np.inf
-        for pos, j in enumerate(floating):
-            if d[pos] > 1e-12:
-                lam = min(lam, (hi[j] - v[j]) / d[pos])
-            elif d[pos] < -1e-12:
-                lam = min(lam, (v[j] - lo[j]) / -d[pos])
+        up, down = d > 1e-12, d < -1e-12
+        lam = min(
+            np.min((hi[floating][up] - vf[up]) / d[up], initial=np.inf),
+            np.min((vf[down] - lo[floating][down]) / -d[down], initial=np.inf),
+        )
         if not np.isfinite(lam) or lam <= 0:
             raise ColorStageError("rounding walk stalled on a flat direction")
         v[floating] += lam * d

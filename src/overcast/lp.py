@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .model import Instance, WeightTable
 INTEGRALITY_TOL = 1e-6
 FIX_TOL = 1e-7
 ROW_TOL = 1e-7
+GAP_TOL = 1e-6  # an incumbent this close to a lower bound is optimal
 
 
 class InfeasibleError(Exception):
@@ -136,7 +137,15 @@ class LpModel:
         self.uniform_bitrate = self._uniform_bitrate()
         self.capacities = self._effective_capacities()
         self._build_rows()
-        self._dense: tuple | None = None
+        # The solver's view of the rows, built once: every solve shares it.
+        self.senses = [row.sense for row in self.rows]
+        self.rhs = np.array([row.rhs for row in self.rows])
+        self.layout = simplex.Layout(
+            (len(self.rows), self.nvars),
+            np.repeat(np.arange(len(self.rows)), [row.idx.size for row in self.rows]),
+            np.concatenate([row.idx for row in self.rows]),
+            np.concatenate([row.coef for row in self.rows]),
+        )
 
     # -- construction -------------------------------------------------------
 
@@ -225,18 +234,11 @@ class LpModel:
     # -- array access ---------------------------------------------------------
 
     def arrays(self):
-        """Dense (c, A, senses, b) suitable for the simplex core; cached."""
-        if self._dense is None:
-            m = len(self.rows)
-            a = np.zeros((m, self.nvars))
-            b = np.empty(m)
-            senses = []
-            for r_idx, row in enumerate(self.rows):
-                a[r_idx, row.idx] = row.coef
-                b[r_idx] = row.rhs
-                senses.append(row.sense)
-            self._dense = (self.obj, a, senses, b)
-        return self._dense
+        """Dense (c, A, senses, b), for reference solvers; the solves use `layout`."""
+        lay = self.layout
+        a = np.zeros((lay.m, lay.n))
+        a[lay.rows, lay.cols] = lay.vals
+        return self.obj, a, self.senses, self.rhs
 
     def check_rows(self, x: np.ndarray, tol: float = ROW_TOL) -> list[str]:
         """Labels of rows the assignment violates beyond tol."""
@@ -279,7 +281,9 @@ class IntegralSolution:
     model: LpModel
     values: np.ndarray
     objective: float
-    status: str  # "optimal" | "timeout" (an incumbent with an open gap)
+    # "optimal", "timeout" (a budget ended with the gap open) or, from
+    # approx_hack, "ok" (optimal only within the LP fixing, gap open)
+    status: str
     bound: float
     nodes: int
 
@@ -292,8 +296,7 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     cert = model.weight_feasibility_certificate()
     if cert is not None:
         raise InfeasibleError("weight thresholds unattainable", certificate=cert)
-    c, a, senses, b = model.arrays()
-    res = simplex.solve(c, a, senses, b, model.lb, model.ub)
+    res = simplex.solve(model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
     if res.status == simplex.INFEASIBLE:
         raise InfeasibleError(
             "linear relaxation infeasible",
@@ -342,10 +345,8 @@ def solve_ip(
             incumbent = w
             inc_obj = float(model.obj @ w)
 
-    c, a, senses, b = model.arrays()
-
     def node_lp(lb, ub, warm=None):
-        return simplex.solve(c, a, senses, b, lb, ub, warm=warm)
+        return simplex.solve(model.obj, model.layout, model.senses, model.rhs, lb, ub, warm=warm)
 
     counter = 0
     root = node_lp(lb, ub)
@@ -410,7 +411,7 @@ def solve_ip(
             "integer program infeasible",
             certificate={"kind": "search-exhausted"},
         )
-    status = "timeout" if (timed_out and inc_obj - best_bound > 1e-6) else "optimal"
+    status = "timeout" if (timed_out and inc_obj - best_bound > GAP_TOL) else "optimal"
     return IntegralSolution(model, incumbent, inc_obj, status, bound=best_bound, nodes=nodes)
 
 
@@ -421,8 +422,12 @@ def approx_hack(
 ) -> IntegralSolution:
     """Fix every LP-integral variable, then solve the residual IP exactly.
 
-    When the fixing leaves no integral point, search the whole model with
-    the seconds left of the budget. Either way the result is `solve_ip`'s.
+    The residual's bound holds only under the fixing, so the result carries
+    the LP bound `frac.objective` instead, and is "optimal" only when it
+    meets that bound; otherwise it is "timeout" when the budget ended the
+    residual search and "ok" when it did not. When the fixing leaves no
+    integral point, search the whole model with the seconds left of the
+    budget and return `solve_ip`'s result as it is.
     """
     budget = budget or TimeBudget()
     t0 = time.perf_counter()
@@ -431,8 +436,13 @@ def approx_hack(
     lb[frac.values >= 1.0 - FIX_TOL] = 1.0
     ub[frac.values <= FIX_TOL] = 0.0
     try:
-        return solve_ip(model, budget=budget, lb=lb, ub=ub)
+        res = solve_ip(model, budget=budget, lb=lb, ub=ub)
     except InfeasibleError:  # the fixing left no integral point
         if budget.seconds is not None:
             budget = TimeBudget(budget.seconds - (time.perf_counter() - t0), budget.node_limit)
         return solve_ip(model, budget=budget)
+    if res.objective - frac.objective <= GAP_TOL:
+        status = "optimal"
+    else:
+        status = "timeout" if res.status == "timeout" else "ok"
+    return replace(res, status=status, bound=frac.objective)

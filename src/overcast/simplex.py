@@ -18,18 +18,22 @@ picks the entering column) then restores primal feasibility, or finds a row
 that no column can repair, which makes the LP infeasible. The primal simplex
 with the true costs finishes.
 
-The extended matrix is held as sparse columns; the solver keeps the m x m
-basis inverse B^-1 explicitly. A pivot gathers B^-1 a_q from the few rows a_q
-touches, reads the pivot row of the tableau as one row of B^-1 times the
-matrix (a bincount over the nonzeros), and applies its rank-1 update to B^-1
-only on the rows where B^-1 a_q is nonzero and the columns where the pivot
-row of B^-1 is nonzero.
+The constraint matrix is held as sparse columns (a `Layout`, which a model
+builds once and every solve of its rows shares); slack columns stay
+implicit. The solver keeps the m x m basis inverse explicitly, stored
+transposed and C-contiguous: row r of B^-1 is column r of `binvt`, and the
+column of B^-1 for row i is the contiguous row i. A pivot gathers B^-1 a_q
+from the rows of `binvt` that a_q touches, reads the pivot row of the
+tableau as one row of B^-1 times the matrix (a bincount over the nonzeros),
+and applies its rank-1 update only to the rows of `binvt` where the pivot
+row of B^-1 is nonzero; the pivot row is far sparser than B^-1 a_q.
 
 Refactorization uses the slacks: a basic slack is a +-unit vector, so B is
 block triangular once the rows are split into those a basic slack covers and
 the rest. Only the k x k block of basic structural columns on the uncovered
-rows is inverted densely; the rest of B^-1 follows by hand, and the basic
-values come from the same inverse.
+rows, gathered from their sparse columns, is inverted densely; the rest of
+B^-1 follows by hand, written transposed, and the basic values come from
+the same inverse.
 
 Pricing is Dantzig (most violating reduced cost, lowest index on ties) with
 a switch to Bland's rule after a run of degenerate pivots, so the solver
@@ -73,6 +77,29 @@ class Basis:
     status: np.ndarray  # _AT_LB / _AT_UB / _BASIC per structural and slack column
 
 
+class Layout:
+    """The constraint matrix A (m x n) as sparse columns.
+
+    Entries run by column, then by row (the order of `np.nonzero(a.T)`),
+    zero coefficients dropped; `colptr` delimits each column. A model builds
+    its layout once, and every solve of its rows shares it.
+    """
+
+    def __init__(self, shape, rows, cols, vals):
+        vals = np.asarray(vals, dtype=float)
+        keep = vals != 0
+        rows, cols, vals = np.asarray(rows)[keep], np.asarray(cols)[keep], vals[keep]
+        order = np.lexsort((rows, cols))
+        self.m, self.n = shape
+        self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
+        self.colptr = np.searchsorted(self.cols, np.arange(self.n + 1))
+
+    @classmethod
+    def from_dense(cls, a):
+        cols, rows = np.nonzero(a.T)
+        return cls(a.shape, rows, cols, a[rows, cols])
+
+
 @dataclass
 class LpResult:
     status: str
@@ -97,22 +124,21 @@ def solve(
 ) -> LpResult:
     """Minimize c.x subject to a x (senses) b and lb <= x <= ub.
 
-    `a` is a dense (m, n) array, `senses` a sequence of '<=', '>=', '=='.
-    Returns structural values only; slacks are internal. `warm` is the
-    `basis` of an earlier optimal solve with the same `a` and `senses`; the
-    solve starts from the slack basis when it is singular.
+    `a` is a `Layout`, or a dense (m, n) array that is laid out on entry;
+    `senses` a sequence of '<=', '>=', '=='. Returns structural values only;
+    slacks are internal. `warm` is the `basis` of an earlier optimal solve
+    with the same `a` and `senses`; the solve starts from the slack basis
+    when it is singular.
     """
     c = np.asarray(c, dtype=float)
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    m, n = a.shape if a.ndim == 2 else (0, c.size)
     if not np.all(np.isfinite(lb)):
         raise SimplexError("structural lower bounds must be finite")
     if np.any(lb > ub):
         return LpResult(INFEASIBLE, None, None, infeasibility=float(np.max(lb - ub)))
-    if m == 0:
+    if b.size == 0:
         x = np.where(c > 0, lb, np.where(c < 0, ub, lb))
         if not np.all(np.isfinite(x)):
             return LpResult(UNBOUNDED, None, None)
@@ -130,19 +156,17 @@ def _sense_signs(senses) -> np.ndarray:
 
 class _Revised:
     def __init__(self, c, a, senses, b, lb, ub, max_iterations, warm: Basis | None = None):
-        m, n = a.shape
+        if not isinstance(a, Layout):
+            a = Layout.from_dense(np.asarray(a, dtype=float))
+        self.layout = a
+        m, n = a.m, a.n
         self.m, self.n_struct = m, n
-        self.a, self.b = a, b
+        self.b = b
         self.max_iterations = max_iterations
         self.ncols = cols = n + m
-        # Slack of row i is column n + i: a_i x + sign_i s_i = b_i.
+        # Slack of row i is column n + i, the unit column sign_i e_i:
+        # a_i x + sign_i s_i = b_i.
         self.sign = sign = _sense_signs(senses)
-        # Entry triplets sorted by column; colptr delimits each column.
-        col_idx, row_idx = np.nonzero(a.T)
-        self.ent_row = np.concatenate([row_idx, np.arange(m)])
-        self.ent_col = np.concatenate([col_idx, np.arange(n, cols)])
-        self.ent_val = np.concatenate([a[row_idx, col_idx], sign])
-        self.colptr = np.searchsorted(self.ent_col, np.arange(cols + 1))
 
         self.lb = np.zeros(cols)
         self.ub = np.full(cols, np.inf)
@@ -163,7 +187,7 @@ class _Revised:
             self.status = np.where(warm.status == _AT_UB, _AT_UB, _AT_LB).astype(np.int8)
             self.status[self.basis] = _BASIC
             try:
-                self._set_binv(self._factorize())
+                self.binvt = self._factorize()
                 self.refreshes = 1
                 self.warm_started = True
             except SimplexError:
@@ -172,7 +196,7 @@ class _Revised:
             self.basis = np.arange(n, cols)
             self.status = np.full(cols, _AT_LB, dtype=np.int8)
             self.status[self.basis] = _BASIC
-            self._set_binv(np.diag(sign))
+            self.binvt = np.diag(sign)
 
         d = self._reduced_costs(self.cost)
         nonbasic = self.status != _BASIC
@@ -197,13 +221,9 @@ class _Revised:
 
     # -- basic machinery ---------------------------------------------------
 
-    def _set_binv(self, binv):
-        self.binv = np.ascontiguousarray(binv)
-        self._flat = self.binv.reshape(-1)  # a view: the sparse update writes through it
-
     def _factorize(self):
-        """B^-1 from the basic slacks by hand and one dense k x k inverse."""
-        m, n = self.m, self.n_struct
+        """B^-1, transposed, from the basic slacks by hand and one dense k x k inverse."""
+        m, n, lay = self.m, self.n_struct, self.layout
         unit = self.basis >= n
         pos_u, pos_s = unit.nonzero()[0], (~unit).nonzero()[0]
         urow = self.basis[pos_u] - n
@@ -213,50 +233,61 @@ class _Revised:
         rest = (~covered).nonzero()[0]
         if rest.size != pos_s.size:
             raise SimplexError("singular basis")  # a slack basic twice
-        binv = np.zeros((m, m))
-        binv[pos_u, urow] = usign
+        binvt = np.zeros((m, m))
+        binvt[urow, pos_u] = usign
         if pos_s.size:
-            scols = self.basis[pos_s]
+            # a[:, S].T for the basic structural columns S, from their entries.
+            at = np.full(n, -1)
+            at[self.basis[pos_s]] = np.arange(pos_s.size)
+            col = at[lay.cols]
+            mine = col >= 0
+            a_st = np.zeros((pos_s.size, m))
+            a_st[col[mine], lay.rows[mine]] = lay.vals[mine]
             try:
-                inv = np.linalg.inv(self.a[rest[:, None], scols])
+                inv_t = np.linalg.inv(a_st[:, rest])
             except np.linalg.LinAlgError as exc:
                 raise SimplexError("singular basis") from exc
-            if not np.all(np.isfinite(inv)):
+            if not np.all(np.isfinite(inv_t)):
                 raise SimplexError("singular basis")
-            binv[pos_s[:, None], rest] = inv
+            binvt[rest[:, None], pos_s] = inv_t
             # Covered rows: -sign * a[row, S] @ inv, only where a[row, S] != 0.
-            coupling = self.a[urow[:, None], scols]
-            hit = coupling.any(axis=1).nonzero()[0]
+            coupling_t = a_st[:, urow]
+            hit = coupling_t.any(axis=0).nonzero()[0]
             if hit.size:
-                binv[pos_u[hit, None], rest] = -(usign[hit, None] * coupling[hit]) @ inv
-        return binv
+                binvt[rest[:, None], pos_u[hit]] = -(inv_t @ (coupling_t[:, hit] * usign[hit]))
+        return binvt
 
     def _basic_values(self):
+        lay, n = self.layout, self.n_struct
         nonbasic = self.values.copy()
         nonbasic[self.basis] = 0.0
-        used = np.bincount(self.ent_row, weights=self.ent_val * nonbasic[self.ent_col],
-                           minlength=self.m)
-        self.values[self.basis] = self.binv @ (self.b - used)
+        used = np.bincount(lay.rows, weights=lay.vals * nonbasic[lay.cols], minlength=self.m)
+        used = used + self.sign * nonbasic[n:]
+        self.values[self.basis] = (self.b - used) @ self.binvt
 
     def _refresh(self):
         """Refactorize the basis: recompute B^-1 and the basic values."""
-        self._set_binv(self._factorize())
+        self.binvt = self._factorize()
         self._basic_values()
         self.refreshes += 1
         self.since_refresh = 0
 
     def _row(self, v):
-        """v @ ext over the sparse entries: one tableau row when v is a row of B^-1."""
-        return np.bincount(self.ent_col, weights=v[self.ent_row] * self.ent_val,
-                           minlength=self.ncols)
+        """v @ [A | slacks] over the sparse entries: one tableau row when v is a row of B^-1."""
+        lay = self.layout
+        struct = np.bincount(lay.cols, weights=v[lay.rows] * lay.vals, minlength=self.n_struct)
+        return np.concatenate([struct, v * self.sign])
 
     def _column(self, q):
-        """B^-1 a_q, gathered from the rows a_q touches."""
-        lo, hi = self.colptr[q], self.colptr[q + 1]
-        return self.binv[:, self.ent_row[lo:hi]] @ self.ent_val[lo:hi]
+        """B^-1 a_q, from the rows of binvt that a_q touches."""
+        n, lay = self.n_struct, self.layout
+        if q >= n:
+            return self.binvt[q - n] * self.sign[q - n]
+        lo, hi = lay.colptr[q], lay.colptr[q + 1]
+        return lay.vals[lo:hi] @ self.binvt[lay.rows[lo:hi]]
 
     def _reduced_costs(self, cost):
-        return cost - self._row(cost[self.basis] @ self.binv)
+        return cost - self._row(self.binvt @ cost[self.basis])
 
     def _entering(self, d, bland):
         eligible = (self.price * d < -_DUAL_TOL).nonzero()[0]
@@ -314,15 +345,13 @@ class _Revised:
         pivot = col[row]
         if abs(pivot) < _PIVOT_TOL:
             raise SimplexError("pivot element vanished")
-        rho = self.binv[row] / pivot
-        col = col.copy()
-        col[row] = 0.0
-        # Rank-1 update on the nonzero rows x nonzero columns only, through
-        # flat indices; the rest of B^-1 is untouched.
-        rows = col.nonzero()[0]
+        rho = self.binvt[:, row] / pivot
+        # Rank-1 update on the columns of B^-1 where its pivot row is
+        # nonzero, each a contiguous row of binvt; the pivot row of B^-1
+        # (column `row` of binvt) is then replaced by rho as a whole.
         nz = rho.nonzero()[0]
-        self._flat[(rows * self.m)[:, None] + nz] -= np.multiply.outer(col[rows], rho[nz])
-        self.binv[row] = rho
+        self.binvt[nz] -= np.multiply.outer(rho[nz], col)
+        self.binvt[:, row] = rho
 
     def _minimize(self, cost):
         """Run primal pivots until optimal for `cost`. Returns objective value.
@@ -352,7 +381,7 @@ class _Revised:
             if not math.isfinite(step):
                 return -np.inf
             if row >= 0:
-                alpha = self._row(self.binv[row])  # the tableau row before the pivot
+                alpha = self._row(self.binvt[:, row])  # the tableau row before the pivot
                 d = d - d[q] / alpha[q] * alpha
             self._pivot(q, direction, step, row, to_ub, col)
             self.iterations += 1
@@ -415,7 +444,7 @@ class _Revised:
             row, below, violation = self._leaving(bland)
             q = -1
             if row >= 0:
-                alpha = self._row(self.binv[row])
+                alpha = self._row(self.binvt[:, row])
                 q = self._dual_entering(alpha, d, below, bland)
             if q < 0:
                 # Feasible, or a row no column can repair: either verdict

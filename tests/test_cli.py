@@ -205,6 +205,21 @@ def test_compare_reports_a_search_without_incumbent(instance_file, tmp_path, mon
     )
 
 
+def test_compare_hack_row_reports_the_instance_lp_bound(tmp_path):
+    # Fixing the LP-integral variables leaves a residual whose optimum is
+    # not the instance's: the row carries the instance's LP bound and makes
+    # no claim of optimality.
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--size", "4x5x10", "--regime", "avg", "--seed", "0", "-o", str(path)]) == 0
+    out = tmp_path / "cmp"
+    assert main(["compare", str(path), "--algs", "hack", "--out-dir", str(out)]) == 0
+    with open(out / "compare.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["cost"], row["lp_bound"], row["ratio"], row["status"]) == (
+        "221.227321", "184.659936", "1.198026", "ok"
+    )
+
+
 def test_sweep_grid(instance_file, tmp_path):
     out = tmp_path / "sw"
     rc = main([

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import optimize as sciopt
 
-from overcast import lp
+from overcast import lp, simplex
 from overcast.gen import gen_random
 from overcast.model import instance_from_doc, normalize
 
@@ -438,3 +438,30 @@ def test_ip_deterministic():
     second = lp.solve_ip(lp.build_model(normalize(doc)))
     assert first.values.tolist() == second.values.tolist()
     assert first.nodes == second.nodes
+
+
+def test_solves_share_the_model_layout(monkeypatch):
+    # One sparse layout per model: the relaxation and every node LP of
+    # branch and bound get the same object, and no solve builds the dense A.
+    model = lp.build_model(gen_random((2, 2, 4), "avg", seed=3))
+    dense = model.arrays()[1]
+    same = simplex.Layout.from_dense(dense)
+    for name in ("rows", "cols", "vals", "colptr"):
+        assert np.array_equal(getattr(model.layout, name), getattr(same, name))
+
+    def no_dense(self):
+        raise AssertionError("the solve path built the dense A")
+
+    layouts = []
+    solve = simplex.solve
+
+    def recording(c, a, *args, **kwargs):
+        layouts.append(a)
+        return solve(c, a, *args, **kwargs)
+
+    monkeypatch.setattr(lp.LpModel, "arrays", no_dense)
+    monkeypatch.setattr(simplex, "solve", recording)
+    lp.solve_lp(model)
+    sol = lp.solve_ip(model)
+    assert sol.nodes > 1 and len(layouts) > 3
+    assert all(a is model.layout for a in layouts)

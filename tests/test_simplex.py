@@ -170,7 +170,7 @@ def test_refreshes_once_per_phase():
     state = simplex._Revised(*args, max_iterations=1000)
     n, m = 3, 3
     assert state.ncols == n + m  # one slack per row
-    assert np.array_equal(state.binv, np.diag([-1.0, 1.0, 1.0]))  # the slack basis
+    assert np.array_equal(state.binvt, np.diag([-1.0, 1.0, 1.0]))  # the slack basis
     assert state.refreshes == 0
     res = state.run()
     assert res.status == simplex.OPTIMAL
@@ -179,6 +179,19 @@ def test_refreshes_once_per_phase():
     assert res.refreshes == 2
     assert res.objective == pytest.approx(-0.5)
     assert simplex.solve(*args).refreshes == 2
+
+
+def test_updated_inverse_matches_a_fresh_factorization():
+    # A few hundred rank-1 updates of the transposed inverse, with no
+    # refactorization in between, agree with factorizing the same basis.
+    model = lp.build_model(gen.gen_random((10, 10, 30), "avg", seed=0))
+    state = simplex._Revised(model.obj, model.layout, model.senses, model.rhs,
+                             model.lb, model.ub, max_iterations=300)
+    with pytest.raises(simplex.SimplexError, match="iteration limit"):
+        state.run()
+    assert state.iterations == 300 and state.since_refresh >= 200
+    assert state.binvt.flags.c_contiguous
+    assert np.max(np.abs(state.binvt - state._factorize())) <= 1e-9
 
 
 def test_unbounded_column_with_negative_cost_matches_highs():
@@ -218,11 +231,11 @@ def test_duplicate_equality_rows_return_a_basis():
 # (sizes, regime, colors, mode) -> (iterations, sha256 of x bytes).
 PINNED = [
     (((8, 6, 16), "avg", None, "full"),
-     (205, "f6a0bb2ac73ae6af9411484357dd7bf916d04f05640bb6c48b2f7a51a0105d99")),
+     (205, "b4c29f3b3fccde7039071945c93173ec594d53464ee758a89eec77df387b856e")),
     (((8, 6, 16), "avg", None, "transmission"),
-     (79, "bde8cf9572fb32106486951c99dab0fe5d65df427123fe1bbb0a8eae7f27ed7d")),
+     (79, "da5090c8eeb417df85e982ef87e6fb153f290be4a332b5b4a29d0833a2f32f7a")),
     (((2, 10, 20), "low", 5, "full"),
-     (260, "24256ad5bfec5101c6928f4ee6f410112bf550aa78701b42afb34b0e8bea63c4")),
+     (260, "a2488452e06ada54a690e751f246bbd8a4655c17f00fd209417121286b1f7ed5")),
 ]
 
 _PIN_SCRIPT = """
