@@ -22,6 +22,15 @@ or with bandwidth caps the bitrate and the bandwidth.
 In full mode the objective charges reflector fixed costs on z, first-hop
 costs on y and second-hop costs on x. In transmission mode z and y are
 free and each x pays its full source-to-sink bandwidth cost.
+
+Branch and bound searches a stronger model than the relaxation: one more
+row per sink that needs two or more routes,
+
+    cardinality     sum_i x[k,i,j] >= L_j                 (search only, `search_rows`)
+
+where L_j is the fewest of sink j's largest clamped weights that reach
+W_j. It branches on the most fractional z, then y, then x. The model's
+rows, `solve_lp` and every bound derived from it never see these rows.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ INTEGRALITY_TOL = 1e-6
 FIX_TOL = 1e-7
 ROW_TOL = 1e-7
 GAP_TOL = 1e-6  # an incumbent this close to a lower bound is optimal
+CARD_TOL = 1e-6  # search_rows: a weight sum within CARD_TOL * max(1, W_j) of W_j reaches it
 
 
 class InfeasibleError(Exception):
@@ -307,23 +317,59 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     return FractionalSolution(model=model, values=res.x, objective=res.objective)
 
 
+def search_rows(model: LpModel) -> tuple[simplex.Layout, list[str], np.ndarray]:
+    """The rows branch and bound searches: the model's rows plus one
+    cardinality row per sink that needs two or more routes.
+
+    Sink j's weights are clamped at W_j, so a 0/1 point that meets its
+    weight row picks at least L_j routes, L_j being the fewest of the sink's
+    largest weights whose sum reaches W_j. The row `sum_i x[k,i,j] >= L_j`
+    is therefore valid under any 0/1 fixing, and it cuts off relaxation
+    points such as x = W_j / w_max on a single path. A sum counts as
+    reaching W_j within CARD_TOL, far looser than the solver's row
+    tolerance, so L_j never exceeds the routes of a point the weight row
+    accepts. Rows with L_j = 1 are implied and left out. The model's own
+    `layout`, and with it `solve_lp`, never sees these rows.
+    """
+    lay = model.layout
+    rows, cols, vals = [lay.rows], [lay.cols], [lay.vals]
+    rhs = list(model.rhs)
+    for d in model.inst.sinks:
+        row = model.rows[model.sink_weight_row[d.id]]
+        reach = np.cumsum(np.sort(row.coef)[::-1]) >= row.rhs - CARD_TOL * max(1.0, row.rhs)
+        need = 1 + int(np.count_nonzero(~reach))  # prefix sums only grow
+        if need < 2:
+            continue
+        rows.append(np.full(row.idx.size, len(rhs)))
+        cols.append(row.idx)
+        vals.append(np.ones(row.idx.size))
+        rhs.append(float(need))
+    layout = simplex.Layout(
+        (len(rhs), model.nvars), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    )
+    senses = model.senses + [">="] * (len(rhs) - lay.m)
+    return layout, senses, np.array(rhs)
+
+
 def solve_ip(
     model: LpModel,
     budget: TimeBudget | None = None,
-    warm: np.ndarray | None = None,
     lb: np.ndarray | None = None,
     ub: np.ndarray | None = None,
 ) -> IntegralSolution:
     """Branch and bound over the LP relaxation, within bounds lb and ub
     (default: the model's).
 
-    Best-bound node order, branching on the most fractional variable
-    (largest distance from integrality, ties to the lowest index), children
-    explored one-up first. Each child LP starts from its parent's optimal
-    basis (a dual-simplex warm start). A warm incumbent is used only after
-    it passes a feasibility check against the rows; infeasible warm starts
-    are ignored. Raises NoIncumbentError when the budget runs out before
-    an incumbent is found, and InfeasibleError when there is none.
+    Every node LP solves the `search_rows`: the model's rows plus the
+    cardinality rows on the weight rows, built once per call and shared.
+    Best-bound node order. A node branches on its most fractional z; only
+    when every z is integral on the most fractional y, then on the most
+    fractional x (largest distance from integrality, ties to the lowest
+    index), so the reflector and feed decisions settle first. Children are
+    explored one-up first, and each child LP starts from its parent's
+    optimal basis (a dual-simplex warm start). Raises NoIncumbentError when
+    the budget runs out before an incumbent is found, and InfeasibleError
+    when there is none.
     """
     budget = budget or TimeBudget()
     cert = model.weight_feasibility_certificate()
@@ -335,18 +381,12 @@ def solve_ip(
     t0 = time.perf_counter()
     incumbent = None
     inc_obj = math.inf
-    if warm is not None:
-        w = np.round(np.asarray(warm, dtype=float))
-        if (
-            np.all(w >= lb - 1e-9)
-            and np.all(w <= ub + 1e-9)
-            and not model.check_rows(w)
-        ):
-            incumbent = w
-            inc_obj = float(model.obj @ w)
+    layout, senses, rhs = search_rows(model)
+    nz, ny = len(model.z_index), len(model.y_index)
+    classes = ((0, nz), (nz, nz + ny), (nz + ny, model.nvars))  # z, then y, then x
 
     def node_lp(lb, ub, warm=None):
-        return simplex.solve(model.obj, model.layout, model.senses, model.rhs, lb, ub, warm=warm)
+        return simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=warm)
 
     counter = 0
     root = node_lp(lb, ub)
@@ -393,7 +433,10 @@ def solve_ip(
                 incumbent = rounded
                 inc_obj = float(model.obj @ rounded)
             continue
-        branch_var = int(np.argmax(frac))
+        for start, end in classes:
+            if frac[start:end].max(initial=0.0) > INTEGRALITY_TOL:
+                branch_var = start + int(np.argmax(frac[start:end]))
+                break
         for fix in (1.0, 0.0):
             nlb, nub = lb.copy(), ub.copy()
             if fix == 1.0:

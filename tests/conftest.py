@@ -1,4 +1,12 @@
+import json
+import os
+import subprocess
 import sys
+from pathlib import Path
+
+import pytest
+
+import overcast
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -9,3 +17,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def one_blas_thread():
+    """Run `script` in a child Python pinned to one BLAS thread, with the
+    JSON of `arg` as its argv[1]; return the JSON it prints.
+
+    OpenBLAS rounds its LU (np.linalg.inv) and large matrix products
+    differently with more than one thread, so pinned pivot counts and node
+    counts hold for one thread (the benchmark's setting).
+    """
+
+    def run(script, arg):
+        env = dict(os.environ)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        src = str(Path(overcast.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(arg)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    return run

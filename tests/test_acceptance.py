@@ -421,9 +421,6 @@ def test_c11_cost_ordering():
         approx = run_approx(inst, seed=seed)
         hack = run_hack(inst, budget=budget)
         exact = run_exact(inst, budget=budget)
-        if hack.meta["status"] == "infeasible_fixing":
-            excluded.append(f"{sizes}/{seed}: fixing infeasible, excluded")
-            continue
         if "timeout" in (hack.meta["status"], exact.meta["status"]):
             excluded.append(f"{sizes}/{seed}: budget hit, excluded")
             continue
