@@ -11,17 +11,20 @@ a dependent-rounding walk turns them into whole paths while every
 constraint row increases by strictly less than the column-sum bound t = 9.
 The chosen paths then cover every box, send at most 4 + 9 = 13 copies per
 (sink, color) group, and cost at most 13 times the draw's realized cost.
+
+The rounding rows are one sparse `simplex.Layout`, each row's slack a unit
+entry of its own column; the walk makes only its few tracked rows dense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gapflow import BoxPlan, build_boxes
-from .lp import UnsupportedInstanceError
 from .rounding import SemiIntegralSolution
+from .simplex import Layout
 
 COLUMN_BOUND = 9.0
 COST_FILTER_FACTOR = 4.0
@@ -131,47 +134,43 @@ class RoundingSystem:
     relay-cost row normalized by the draw's realized cost. Every path
     column's positive entries then total at most t = 9 and its negative
     entries at least -9.
+
+    A is one sparse `Layout` of m rows and n_paths + m columns: the path
+    columns, then column n_paths + r holding row r's slack as a unit entry.
     """
 
-    a: np.ndarray
+    a: Layout
     b: np.ndarray
     v0: np.ndarray
-    row_labels: list[str] = field(default_factory=list)
-    n_paths: int = 0
+    row_labels: list[str]
+    n_paths: int
     t: float = COLUMN_BOUND
 
     def validate(self) -> None:
-        rows, cols = self.a.shape
-        if rows != len(self.b) or cols != len(self.v0) or rows != len(self.row_labels):
+        a = self.a
+        if a.m != len(self.b) or a.n != len(self.v0) or a.m != len(self.row_labels):
             raise ColorStageError("rounding system shapes disagree")
-        if cols != self.n_paths + rows:
+        if a.n != self.n_paths + a.m:
             raise ColorStageError("expected exactly one slack column per row")
-        pos = np.where(self.a > 0, self.a, 0.0).sum(axis=0)
-        neg = np.where(self.a < 0, self.a, 0.0).sum(axis=0)
+        pos = np.bincount(a.cols, weights=np.maximum(a.vals, 0.0), minlength=a.n)
+        neg = np.bincount(a.cols, weights=np.minimum(a.vals, 0.0), minlength=a.n)
         if np.any(pos > self.t + 1e-9) or np.any(neg < -self.t - 1e-9):
             raise ColorStageError("a column breaks the +/- t column-sum bound")
-        slack_block = self.a[:, self.n_paths:]
-        if not np.array_equal(slack_block, np.eye(rows)):
-            raise ColorStageError("slack columns must form an identity block")
         if np.any(self.v0[self.n_paths:] < -_TOL):
             raise ColorStageError("negative slack: fractional system infeasible")
-        if np.max(np.abs(self.a @ self.v0 - self.b), initial=0.0) > 1e-7:
+        if np.max(np.abs(_row_sums(a, self.v0) - self.b), initial=0.0) > 1e-7:
             raise ColorStageError("fractional point does not satisfy the equalities")
 
 
+def _row_sums(a: Layout, x: np.ndarray) -> np.ndarray:
+    """A x, summed over the nonzeros."""
+    return np.bincount(a.rows, weights=a.vals * x[a.cols], minlength=a.m)
+
+
 def build_rounding_system(sol: SemiIntegralSolution, kept: list[RelayPath]) -> RoundingSystem:
-    model = sol.model
-    if model.capacities is None:
-        raise UnsupportedInstanceError(
-            "colored rounding needs uniform per-reflector stream budgets"
-        )
+    model = sol.model  # a draw exists only for models with stream budgets
     draw_cost = sol.realized_cost
-
-    rows: list[tuple[str, dict[int, float], float]] = []
-
-    def add_row(label: str, coefs: dict[int, float], rhs: float) -> None:
-        rows.append((label, coefs, rhs))
-
+    rows: list[tuple[str, dict[int, float], float]] = []  # (label, coefs, rhs)
     feed_cols: dict[str, dict[int, float]] = {}
     pair_cols: dict[tuple[str, str], dict[int, float]] = {}
     box_cols: dict[tuple[str, int], dict[int, float]] = {}
@@ -186,45 +185,37 @@ def build_rounding_system(sol: SemiIntegralSolution, kept: list[RelayPath]) -> R
     for r in model.inst.reflectors:
         if r.id in feed_cols:
             cap = 2.0 * model.capacities[r.id]
-            add_row(f"edge[feed:{r.id}]", feed_cols[r.id], MASS_SCALE * cap)
+            rows.append((f"edge[feed:{r.id}]", feed_cols[r.id], MASS_SCALE * cap))
     for (i, j), coefs in sorted(pair_cols.items()):
-        add_row(f"edge[pair:{i},{j}]", coefs, MASS_SCALE * 1.0)
+        rows.append((f"edge[pair:{i},{j}]", coefs, MASS_SCALE * 1.0))
     for col, p in enumerate(kept):
-        add_row(
-            f"edge[assign:{p.reflector},{p.sink},{p.box_index}]",
-            {col: 1.0},
-            MASS_SCALE * 0.5,
-        )
+        label = f"edge[assign:{p.reflector},{p.sink},{p.box_index}]"
+        rows.append((label, {col: 1.0}, MASS_SCALE * 0.5))
     for (j, b), coefs in sorted(box_cols.items()):
-        add_row(f"edge[demand:{j},{b}]", coefs, MASS_SCALE * 0.5)
+        rows.append((f"edge[demand:{j},{b}]", coefs, MASS_SCALE * 0.5))
     for (j, b), coefs in sorted(box_cols.items()):
-        add_row(f"box[{j},{b}]", {c: -9.0 for c in coefs}, -9.0)
+        rows.append((f"box[{j},{b}]", {c: -9.0 for c in coefs}, -9.0))
     for (j, color), coefs in sorted(color_cols.items()):
-        add_row(f"color[{j},{color}]", coefs, MASS_SCALE)
+        rows.append((f"color[{j},{color}]", coefs, MASS_SCALE))
+    cost_coefs = {}  # empty when the draw costs nothing
     if draw_cost > _TOL:
         cost_coefs = {col: p.cost / draw_cost for col, p in enumerate(kept)}
-    else:
-        cost_coefs = {col: 0.0 for col in range(len(kept))}
-    add_row("cost", cost_coefs, MASS_SCALE)
+    rows.append(("cost", cost_coefs, MASS_SCALE))
 
-    n_paths = len(kept)
-    m = len(rows)
-    a = np.zeros((m, n_paths + m))
-    b = np.zeros(m)
-    labels = []
-    scaled = np.array([p.scaled for p in kept])
-    for ri, (label, coefs, rhs) in enumerate(rows):
-        labels.append(label)
-        for col, coef in coefs.items():
-            a[ri, col] = coef
-        a[ri, n_paths + ri] = 1.0
-        b[ri] = rhs
-    slack = b - a[:, :n_paths] @ scaled
+    labels, row_coefs, rhs = zip(*rows)
+    m, n_paths = len(rows), len(kept)
+    entries = [(ri, col, c) for ri, coefs in enumerate(row_coefs) for col, c in coefs.items()]
+    entries += [(ri, n_paths + ri, 1.0) for ri in range(m)]  # the slacks
+    a = Layout((m, n_paths + m), *zip(*entries))
+    b = np.array(rhs)
+    v0 = np.zeros(n_paths + m)
+    v0[:n_paths] = [p.scaled for p in kept]
+    slack = b - _row_sums(a, v0)  # the slack coordinates are still zero
     if np.any(slack < -1e-7):
         bad = labels[int(np.argmin(slack))]
         raise ColorStageError(f"fractional infeasibility on row {bad}")
-    v0 = np.concatenate([scaled, np.maximum(slack, 0.0)])
-    system = RoundingSystem(a=a, b=b, v0=v0, row_labels=labels, n_paths=n_paths)
+    v0[n_paths:] = np.maximum(slack, 0.0)
+    system = RoundingSystem(a=a, b=b, v0=v0, row_labels=list(labels), n_paths=n_paths)
     system.validate()
     return system
 
@@ -252,9 +243,9 @@ class KarpCertificate:
 
 
 def karp_round(
-    a: np.ndarray, v0: np.ndarray, t: float = COLUMN_BOUND
+    a: Layout, v0: np.ndarray, t: float = COLUMN_BOUND
 ) -> tuple[np.ndarray, KarpCertificate]:
-    """Round v0 coordinatewise to floor or ceiling, each row growing < t.
+    """Round v0 coordinatewise to floor or ceiling, each row of `a` growing < t.
 
     Walks along null directions of the tracked rows (restricted to the
     still-fractional coordinates) until a coordinate hits a bound. A row is
@@ -264,49 +255,60 @@ def karp_round(
     When the tracked rows pin down every fractional coordinate, the row with
     the least future-increase potential is released and the outcome is left
     to the final certificate check.
+
+    Drift and future increase are sums over the nonzeros of `a`; only the
+    tracked rows are made dense, over the floating columns, for the SVD.
     """
-    a = np.asarray(a, dtype=float)
     v0 = np.asarray(v0, dtype=float)
-    if a.ndim != 2 or a.shape[1] != v0.size:
+    if v0.size != a.n:
         raise ValueError("matrix and vector shapes disagree")
-    n = a.shape[1]
+    n = a.n
     lo = np.floor(v0 + 1e-12)
     hi = np.ceil(v0 - 1e-12)
     v = np.clip(v0, lo, hi)
-    a_pos = np.where(a > 0, a, 0.0)
-    a_neg = np.where(a < 0, -a, 0.0)
 
     for _ in range(2 * n + 8):
         floating = np.flatnonzero((v > lo + _SNAP) & (v < hi - _SNAP))
         if floating.size == 0:
             break
-        drift = a @ (v - v0)
-        vf = v[floating]
-        phi = a_pos[:, floating] @ (hi[floating] - vf)
-        phi += a_neg[:, floating] @ (vf - lo[floating])
+        drift = _row_sums(a, v - v0)
+        col_pos = np.full(n, -1)
+        col_pos[floating] = np.arange(floating.size)
+        # a row's largest future increase: each floating coordinate moves
+        # to whichever of its bounds raises the row
+        rise = a.vals * np.where(col_pos >= 0, hi - v, 0.0)[a.cols]
+        fall = a.vals * np.where(col_pos >= 0, lo - v, 0.0)[a.cols]
+        phi = np.bincount(a.rows, weights=np.maximum(rise, fall), minlength=a.m)
         tracked = (drift + phi >= t - _ACTIVE_MARGIN).nonzero()[0].tolist()
+        # the tracked rows, dense over the floating columns
+        row_pos = np.full(a.m, -1)
+        row_pos[tracked] = np.arange(len(tracked))
+        hit = (row_pos[a.rows] >= 0) & (col_pos[a.cols] >= 0)
+        sub = np.zeros((len(tracked), floating.size))
+        sub[row_pos[a.rows[hit]], col_pos[a.cols[hit]]] = a.vals[hit]
 
-        d = None
-        while d is None:
+        while True:
             if not tracked:
                 d = np.zeros(floating.size)
                 d[0] = 1.0
                 break
-            sub = a[np.asarray(tracked)][:, floating]
             _u, sv, vt = np.linalg.svd(sub)
             cut = max(1e-12, max(sub.shape) * (sv[0] if sv.size else 0.0) * 1e-12)
             rank = int(np.sum(sv > cut))
             if rank < floating.size:
                 d = vt[rank]
-            else:
-                # every direction is pinned; release the least dangerous row
-                tracked.remove(min(tracked, key=lambda r: (phi[r], r)))
+                break
+            # every direction is pinned; release the least dangerous row
+            drop = tracked.index(min(tracked, key=lambda r: (phi[r], r)))
+            del tracked[drop]
+            sub = np.delete(sub, drop, axis=0)
 
         # orient deterministically: the first near-maximal component points up
         mags = np.abs(d)
         pivot = int(np.flatnonzero(mags >= mags.max() * (1.0 - 1e-9))[0])
         if d[pivot] < 0:
             d = -d
+        vf = v[floating]
         up, down = d > 1e-12, d < -1e-12
         lam = min(
             np.min((hi[floating][up] - vf[up]) / d[up], initial=np.inf),
@@ -324,7 +326,7 @@ def karp_round(
         raise ColorStageError("rounding walk did not terminate")
 
     coords_ok = bool(np.all((v == lo) | (v == hi)))
-    row_increase = a @ (v - v0)
+    row_increase = _row_sums(a, v - v0)
     cert = KarpCertificate(
         t=t,
         max_increase=float(np.max(row_increase, initial=0.0)),
@@ -383,7 +385,7 @@ def extract_colored_solution(
             )
 
     draw_cost = sol.realized_cost
-    path_cost_total = sum(p.cost for p in selected)
+    path_cost_total = sum((p.cost for p in selected), 0.0)
     if path_cost_total > COPY_CAP * draw_cost + 1e-6:
         raise ColorStageError(
             f"selected path cost {path_cost_total:.6f} over 13x draw cost {draw_cost:.6f}"
@@ -404,24 +406,7 @@ def extract_colored_solution(
 def run_color_stage(sol: SemiIntegralSolution) -> ColorResult:
     """Box the draw, list the fragment paths, filter, round, and audit the pick."""
     plan = build_boxes(sol)
-    paths = enumerate_paths(sol, plan)
-    if not paths:
-        empty = KarpCertificate(
-            t=COLUMN_BOUND,
-            max_increase=0.0,
-            coords_ok=True,
-            rows_ok=True,
-        )
-        return ColorResult(
-            x_tilde={},
-            selected=[],
-            plan=plan,
-            certificate=empty,
-            draw_cost=sol.realized_cost,
-            path_cost_total=0.0,
-            dropped_paths=0,
-        )
-    kept, dropped = filter_and_scale(paths, sol.realized_cost)
+    kept, dropped = filter_and_scale(enumerate_paths(sol, plan), sol.realized_cost)
     system = build_rounding_system(sol, kept)
     v_int, certificate = karp_round(system.a, system.v0, system.t)
     return extract_colored_solution(sol, kept, v_int, plan, certificate, len(dropped))

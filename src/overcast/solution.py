@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .model import Instance
+from .model import Instance, ValidationError
 
 _DOC_KIND = "overlay-routes-v1"
+_ROUTE_KEYS = ("stream", "reflector", "sink", "mass")
 
 
 @dataclass
@@ -100,13 +101,21 @@ class PathSet:
 
     @staticmethod
     def from_doc(inst: Instance, doc: dict) -> "PathSet":
-        if doc.get("kind") != _DOC_KIND:
-            raise ValueError(f"not a routes document: kind={doc.get('kind')!r}")
+        """Read a routes document; a malformed one raises ValidationError."""
+        kind = doc.get("kind") if isinstance(doc, dict) else type(doc).__name__
+        if kind != _DOC_KIND:
+            raise ValidationError(f"not a routes document: kind={kind!r}")
+        if "provenance" not in doc or not isinstance(doc.get("routes"), list):
+            raise ValidationError("a routes document needs 'provenance' and a 'routes' list")
         x_tilde = {}
-        for rec in doc["routes"]:
+        for n, rec in enumerate(doc["routes"]):
+            if not isinstance(rec, dict) or any(k not in rec for k in _ROUTE_KEYS):
+                raise ValidationError(f"route {n} lacks one of {', '.join(_ROUTE_KEYS)}")
+            if type(rec["mass"]) not in (int, float):  # a JSON number, not a bool
+                raise ValidationError(f"route {n}: mass {rec['mass']!r} is not a number")
             key = (rec["stream"], rec["reflector"], rec["sink"])
             if key in x_tilde:
-                raise ValueError(f"duplicate route {key}")
+                raise ValidationError(f"duplicate route {key}")
             x_tilde[key] = float(rec["mass"])
         return PathSet(
             instance=inst,

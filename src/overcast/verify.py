@@ -202,6 +202,8 @@ def simulate_losses(
     """
     if packets <= 0:
         raise ValueError("packets must be positive")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
     inst = ps.instance
     feeds = ps.feeds
     routes = ps.routes

@@ -20,19 +20,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def one_blas_thread():
-    """Run `script` in a child Python pinned to one BLAS thread, with the
-    JSON of `arg` as its argv[1]; return the JSON it prints.
+def blas_threads():
+    """Run `script` in a child Python pinned to `threads` BLAS threads, with
+    the JSON of `arg` as its argv[1]; return the JSON it prints.
 
     OpenBLAS rounds its LU (np.linalg.inv) and large matrix products
     differently with more than one thread, so pinned pivot counts and node
     counts hold for one thread (the benchmark's setting).
     """
 
-    def run(script, arg):
+    def run(script, arg, threads):
         env = dict(os.environ)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
+            env[var] = str(threads)
         src = str(Path(overcast.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
@@ -42,3 +42,9 @@ def one_blas_thread():
         return json.loads(proc.stdout)
 
     return run
+
+
+@pytest.fixture
+def one_blas_thread(blas_threads):
+    """`blas_threads` at one thread."""
+    return lambda script, arg: blas_threads(script, arg, 1)

@@ -16,8 +16,9 @@ from overcast.gapflow import build_boxes
 from overcast.gen import gen_random
 from overcast.lp import build_model, solve_lp
 from overcast.model import instance_from_doc
-from overcast.pipeline import run_approx
+from overcast.pipeline import default_multiplier, run_approx
 from overcast.rounding import RoundingConfig, round_with_retries
+from overcast.simplex import Layout
 from overcast.solution import PathSet
 from overcast.verify import audit
 
@@ -67,7 +68,7 @@ def recompute_increases(a, v0, v):
 def test_karp_round_pair_example():
     a = np.array([[1.0, 1.0]])
     v0 = np.array([0.5, 0.5])
-    v, cert = karp_round(a, v0, t=1.0)
+    v, cert = karp_round(Layout.from_dense(a), v0, t=1.0)
     assert cert.ok
     assert v.tolist() == [1.0, 0.0]
     # enumerate all four roundings against the contract
@@ -83,7 +84,7 @@ def test_karp_round_pair_example():
 def test_karp_round_integral_input_unchanged():
     a = np.array([[2.0, -1.0, 0.5], [0.0, 1.0, 1.0]])
     v0 = np.array([1.0, 0.0, 3.0])
-    v, cert = karp_round(a, v0, t=4.0)
+    v, cert = karp_round(Layout.from_dense(a), v0, t=4.0)
     assert np.array_equal(v, v0)
     assert cert.ok and cert.max_increase == 0.0
 
@@ -100,14 +101,45 @@ def test_karp_round_random_systems_meet_contract():
         scale = t / np.maximum(t, np.maximum(pos, neg))
         a = a * scale
         v0 = rng.uniform(0.0, 1.0, size=n)
-        v, cert = karp_round(a, v0, t=t)
+        v, cert = karp_round(Layout.from_dense(a), v0, t=t)
         assert cert.ok, f"trial {trial}: certificate rejected"
         assert np.all((v == np.floor(v0)) | (v == np.ceil(v0)))
         inc = recompute_increases(a, v0, v)
         assert np.all(inc < t - 1e-9)
         # the walk is deterministic
-        v2, _ = karp_round(a, v0, t=t)
+        v2, _ = karp_round(Layout.from_dense(a), v0, t=t)
         assert np.array_equal(v, v2)
+
+
+_WALK_SCRIPT = """
+import json, sys
+import numpy as np
+from overcast.color import karp_round
+from overcast.simplex import Layout
+saved = np.load(json.loads(sys.argv[1]))
+a = Layout(tuple(saved["shape"]), saved["rows"], saved["cols"], saved["vals"])
+v, cert = karp_round(a, saved["v0"], float(saved["t"]))
+print(json.dumps({"v": v.tobytes().hex(), "max_increase": repr(cert.max_increase)}))
+"""
+
+
+def test_walk_agrees_across_blas_threads(blas_threads, tmp_path):
+    # The LP still rounds differently at 1 and 2 threads, so the system is
+    # built once here and only the walk runs in the children.
+    inst = gen_random((2, 20, 40), "low", seed=0, colors=10)
+    frac = solve_lp(build_model(inst))
+    sol = round_with_retries(frac, RoundingConfig(multiplier=default_multiplier(inst)))
+    kept, _dropped = filter_and_scale(enumerate_paths(sol, build_boxes(sol)), sol.realized_cost)
+    system = build_rounding_system(sol, kept)  # 485 x 611
+    a = system.a
+    path = tmp_path / "system.npz"
+    np.savez(
+        path, shape=(a.m, a.n), rows=a.rows, cols=a.cols, vals=a.vals, v0=system.v0, t=system.t
+    )
+
+    one, two = (blas_threads(_WALK_SCRIPT, str(path), threads) for threads in (1, 2))
+    assert one == two
+    assert float(one["max_increase"]) < system.t
 
 
 def fabricated_path(sink, box, reflector, mass, cost, color=None):
@@ -158,8 +190,18 @@ def test_rounding_system_validation_catches_tampering():
     system = build_rounding_system(sol, kept)
     system.validate()
 
-    system.a[:, 0] = system.a[:, 0] + 20.0
+    col0 = slice(system.a.colptr[0], system.a.colptr[1])
+    system.a.vals[col0] += 20.0
     with pytest.raises(ColorStageError, match="column-sum"):
+        system.validate()
+    system.a.vals[col0] -= 20.0
+
+    slack = system.v0[-1]
+    system.v0[-1] = -1.0
+    with pytest.raises(ColorStageError, match="negative slack"):
+        system.validate()
+    system.v0[-1] = slack + 0.5
+    with pytest.raises(ColorStageError, match="equalities"):
         system.validate()
 
 
@@ -234,12 +276,14 @@ def test_color_stage_skips_when_no_sink_demands_weight():
     assert result.certificate.ok
 
 
-# run_approx on gen_random((2, 10, 20), "low", seed=s, colors=5) at the default
-# multiplier, recorded when the candidate paths were still peeled from a flow
-# on the box network: (stream, reflector) -> sinks. On both seeds the walk
-# picks other routes if the paths are not ordered by reflector.
+# run_approx on gen_random(sizes, "low", seed=seed, colors=colors) at the
+# default multiplier: (stream, reflector) -> sinks. The 2x10x20 cases were
+# recorded when the candidate paths were still peeled from a flow on the box
+# network; on both seeds the walk picks other routes if the paths are not
+# ordered by reflector. The 2x14x28 case was recorded on the dense rounding
+# system, before it became one sparse layout.
 PINNED_COLOR_ROUTES = {
-    2: {
+    ((2, 10, 20), 5, 2): {
         ("s0", "r0"): ("d16", "d2", "d4"),
         ("s0", "r1"): ("d0", "d14", "d16", "d4"),
         ("s0", "r4"): ("d2", "d4", "d6", "d8"),
@@ -255,7 +299,7 @@ PINNED_COLOR_ROUTES = {
         ("s1", "r8"): ("d11", "d19"),
         ("s1", "r9"): ("d1", "d15"),
     },
-    7: {
+    ((2, 10, 20), 5, 7): {
         ("s0", "r0"): ("d0", "d10", "d12", "d16", "d6", "d8"),
         ("s0", "r1"): ("d12", "d18", "d2", "d4"),
         ("s0", "r3"): ("d14", "d18", "d4", "d6"),
@@ -269,13 +313,36 @@ PINNED_COLOR_ROUTES = {
         ("s1", "r7"): ("d17", "d7", "d9"),
         ("s1", "r8"): ("d1", "d15", "d9"),
     },
+    ((2, 14, 28), 7, 1): {
+        ("s0", "r5"): ("d16", "d20", "d24", "d4"),
+        ("s0", "r6"): ("d2", "d20", "d24"),
+        ("s0", "r7"): ("d20", "d22", "d26"),
+        ("s0", "r8"): ("d10", "d26"),
+        ("s0", "r9"): ("d0", "d2", "d22", "d4", "d6"),
+        ("s0", "r10"): ("d0", "d16", "d22", "d6", "d8"),
+        ("s0", "r12"): ("d0", "d10", "d14", "d24", "d8"),
+        ("s0", "r13"): ("d12", "d14", "d18", "d26"),
+        ("s1", "r1"): ("d11", "d7", "d9"),
+        ("s1", "r3"): ("d1", "d5", "d7"),
+        ("s1", "r5"): ("d7", "d9"),
+        ("s1", "r6"): ("d11", "d15"),
+        ("s1", "r7"): ("d13", "d15", "d19", "d23"),
+        ("s1", "r8"): ("d21", "d9"),
+        ("s1", "r9"): ("d21",),
+        ("s1", "r10"): ("d21", "d25", "d27"),
+        ("s1", "r11"): ("d17", "d3"),
+        ("s1", "r12"): ("d11", "d23", "d25", "d27"),
+    },
 }
 
 
-@pytest.mark.parametrize("seed", sorted(PINNED_COLOR_ROUTES))
-def test_colored_selection_pinned(seed):
-    ps = run_approx(gen_random((2, 10, 20), "low", seed=seed, colors=5))
+@pytest.mark.parametrize(
+    "case", list(PINNED_COLOR_ROUTES), ids=["2", "7", "2x14x28-7-s1"]
+)
+def test_colored_selection_pinned(case):
+    sizes, colors, seed = case
+    ps = run_approx(gen_random(sizes, "low", seed=seed, colors=colors))
     expected = sorted(
-        (k, i, j) for (k, i), sinks in PINNED_COLOR_ROUTES[seed].items() for j in sinks
+        (k, i, j) for (k, i), sinks in PINNED_COLOR_ROUTES[case].items() for j in sinks
     )
     assert sorted(ps.x_tilde) == expected

@@ -1,12 +1,13 @@
 """PathSet accounting, audit profiles, and the packet simulation."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from overcast import gapflow, lp, rounding, verify
-from overcast.model import normalize
+from overcast.model import ValidationError, normalize
 from overcast.solution import PathSet, from_integral
 
 
@@ -67,6 +68,32 @@ def test_json_round_trip(tmp_path):
     assert back.provenance == ps.provenance
     assert back.meta == ps.meta
     assert back.cost == ps.cost
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: [doc],
+        lambda doc: _without(doc, "provenance"),
+        lambda doc: _without(doc, "routes"),
+        lambda doc: {**doc, "routes": {"stream": "s0"}},
+        lambda doc: {**doc, "routes": [_without(doc["routes"][0], "sink")]},
+        lambda doc: {**doc, "routes": [{**doc["routes"][0], "mass": "1"}]},
+        lambda doc: {**doc, "routes": [doc["routes"][0]] * 2},
+    ],
+    ids=["not-object", "no-provenance", "no-routes", "routes-not-list", "route-key",
+         "mass-not-number", "duplicate"],
+)
+def test_from_doc_rejects_malformed_documents(edit):
+    inst = normalize(two_path_doc())
+    doc = json.loads(both_routes(inst).to_json())
+    PathSet.from_doc(inst, doc)
+    with pytest.raises(ValidationError):
+        PathSet.from_doc(inst, edit(doc))
 
 
 def test_exact_audit_accepts_ip_solution():
@@ -182,6 +209,8 @@ def test_simulation_deterministic_and_validates():
     assert a == b
     with pytest.raises(ValueError):
         verify.simulate_losses(ps, 0, seed=1)
+    with pytest.raises(ValueError, match="chunk_size"):
+        verify.simulate_losses(ps, 100, seed=1, chunk_size=0)
     with pytest.raises(ValueError):
         verify.audit(ps, "bogus")
 
