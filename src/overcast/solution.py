@@ -19,6 +19,10 @@ _DOC_KIND = "overlay-routes-v1"
 _ROUTE_KEYS = ("stream", "reflector", "sink", "mass")
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a JSON number, not a bool
+
+
 @dataclass
 class PathSet:
     instance: Instance
@@ -107,13 +111,18 @@ class PathSet:
             raise ValidationError(f"not a routes document: kind={kind!r}")
         if "provenance" not in doc or not isinstance(doc.get("routes"), list):
             raise ValidationError("a routes document needs 'provenance' and a 'routes' list")
+        if "cost" in doc and not _is_number(doc["cost"]):
+            raise ValidationError(f"cost {doc['cost']!r} is not a number")
         x_tilde = {}
         for n, rec in enumerate(doc["routes"]):
             if not isinstance(rec, dict) or any(k not in rec for k in _ROUTE_KEYS):
                 raise ValidationError(f"route {n} lacks one of {', '.join(_ROUTE_KEYS)}")
-            if type(rec["mass"]) not in (int, float):  # a JSON number, not a bool
+            if not _is_number(rec["mass"]):
                 raise ValidationError(f"route {n}: mass {rec['mass']!r} is not a number")
             key = (rec["stream"], rec["reflector"], rec["sink"])
+            for name, value in zip(_ROUTE_KEYS, key):
+                if not isinstance(value, str):
+                    raise ValidationError(f"route {n}: {name} {value!r} is not a string")
             if key in x_tilde:
                 raise ValidationError(f"duplicate route {key}")
             x_tilde[key] = float(rec["mass"])

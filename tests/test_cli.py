@@ -129,22 +129,26 @@ def test_verify_checks_the_stored_cost(instance_file, tmp_path, capsys):
     assert [f for f in failures if f.startswith("claimed cost")] == failures
 
 
-@pytest.mark.parametrize("drop", ["provenance", "reflector"])
+@pytest.mark.parametrize("drop", ["provenance", "reflector", "cost", "sink-list"])
 def test_verify_rejects_a_malformed_solution_file(instance_file, tmp_path, capsys, drop):
     out = tmp_path / "run"
     assert main(["solve", str(instance_file), "--out-dir", str(out)]) == 0
     sol = json.loads((out / "solution.json").read_text())
     if drop == "provenance":
         del sol["provenance"]
-    else:
+    elif drop == "reflector":
         del sol["routes"][0]["reflector"]
+    elif drop == "cost":
+        sol["cost"] = str(sol["cost"])
+    else:
+        sol["routes"][0]["sink"] = [sol["routes"][0]["sink"]]
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(json.dumps(sol))
     capsys.readouterr()
 
     assert main(["verify", str(instance_file), str(sol_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and drop in err
+    assert err.startswith("error: ") and drop.removesuffix("-list") in err
 
 
 @pytest.mark.parametrize("edit", ["reflector", "sink", "edge"])

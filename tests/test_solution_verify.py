@@ -84,9 +84,11 @@ def _without(doc, key):
         lambda doc: {**doc, "routes": [_without(doc["routes"][0], "sink")]},
         lambda doc: {**doc, "routes": [{**doc["routes"][0], "mass": "1"}]},
         lambda doc: {**doc, "routes": [doc["routes"][0]] * 2},
+        lambda doc: {**doc, "cost": "13.5"},
+        lambda doc: {**doc, "routes": [{**doc["routes"][0], "sink": ["d0"]}]},
     ],
     ids=["not-object", "no-provenance", "no-routes", "routes-not-list", "route-key",
-         "mass-not-number", "duplicate"],
+         "mass-not-number", "duplicate", "cost", "sink-list"],
 )
 def test_from_doc_rejects_malformed_documents(edit):
     inst = normalize(two_path_doc())
@@ -209,8 +211,9 @@ def test_simulation_deterministic_and_validates():
     assert a == b
     with pytest.raises(ValueError):
         verify.simulate_losses(ps, 0, seed=1)
-    with pytest.raises(ValueError, match="chunk_size"):
-        verify.simulate_losses(ps, 100, seed=1, chunk_size=0)
+    stray = PathSet(instance=inst, x_tilde={("s0", "r9", "d0"): 1.0}, provenance="exact-ip")
+    with pytest.raises(ValueError, match=r"route \(s0,r9,d0\): no first-hop edge"):
+        verify.simulate_losses(stray, 100, seed=1)
     with pytest.raises(ValueError):
         verify.audit(ps, "bogus")
 
@@ -224,3 +227,37 @@ def test_sink_without_routes_loses_everything():
     losses = verify.simulate_losses(ps, 1000, seed=0)
     assert losses["d1"] == 1.0
     assert ps.analytic_loss("d1") == 1.0
+
+
+def test_simulation_edge_loss_rates():
+    doc = two_path_doc()
+    doc["sinks"].append({"id": "d1", "stream": "s0", "loss_threshold": 1.0})
+    doc["src_edges"][0]["loss"] = 1.0
+    doc["src_edges"][1]["loss"] = 0.0
+    doc["refl_edges"][1]["loss"] = 0.0
+    doc["refl_edges"].append({"from": "r1", "to": "d1", "loss": 1.0, "cost": 1.0})
+    inst = normalize(doc)
+    ps = PathSet(
+        instance=inst,
+        x_tilde={("s0", "r0", "d0"): 1.0, ("s0", "r1", "d1"): 1.0},
+        provenance="exact-ip",
+    )
+    # r0's feed and r1's leg to d1 drop everything; r1's feed and leg to d0 nothing.
+    assert verify.simulate_losses(ps, 5000, seed=3) == {"d0": 1.0, "d1": 1.0}
+    ps.x_tilde[("s0", "r1", "d0")] = 1.0
+    assert verify.simulate_losses(ps, 5000, seed=3) == {"d0": 0.0, "d1": 1.0}
+
+
+def test_simulation_ignores_route_order_and_round_trip():
+    doc = two_path_doc()
+    doc["sinks"].append({"id": "d1", "stream": "s0", "loss_threshold": 1.0})
+    doc["refl_edges"].append({"from": "r0", "to": "d1", "loss": 0.2, "cost": 1.0})
+    inst = normalize(doc)
+    ps = both_routes(inst)
+    ps.x_tilde[("s0", "r0", "d1")] = 1.0
+    reverse = PathSet(
+        instance=inst, x_tilde=dict(reversed(ps.x_tilde.items())), provenance="exact-ip"
+    )
+    expected = verify.simulate_losses(ps, 20_000, seed=5)
+    assert verify.simulate_losses(PathSet.from_doc(inst, ps.to_doc()), 20_000, seed=5) == expected
+    assert verify.simulate_losses(reverse, 20_000, seed=5) == expected
