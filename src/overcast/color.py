@@ -1,7 +1,7 @@
 """Color-aware rounding stage: pick whole relay paths under copy caps.
 
 When reflectors carry colors (one network operator each), the accepted draw
-is rounded path-wise instead of through the assignment flow. The drawn relay
+is rounded path-wise instead of through the box-assignment LP. The drawn relay
 mass is cut into half-unit boxes, and each (reflector, sink, box) fragment
 is one candidate path carrying that fragment's mass. Paths costing more
 than four times the draw's realized cost are discarded (each box keeps at

@@ -3,28 +3,38 @@
 The accepted draw leaves fractional relay mass per (stream, reflector, sink).
 Per sink, that mass is cut into boxes of exactly one half, filling boxes in
 non-increasing weight order and splitting entries at box boundaries; a
-trailing strictly-partial box is discarded. Each kept box then demands one
-half unit of flow in a small assignment network
+trailing strictly-partial box is discarded. Each kept box then goes to one
+of its own fragments' reflectors, by an assignment LP on the simplex:
 
-    source -> reflector -> (reflector, sink) pair -> box -> target
+    minimize   sum cost(k, i, j) * a[box, i]  over the fragments (box, i)
+    subject to sum over i of a[box, i]        == 1          per box
+               sum over j's boxes of a[box, i] <= 2         per pair (i, j)
+               sum over all boxes of a[box, i] <= 4 * cap_i  per reflector i
+               0 <= a <= 1
 
-whose capacities are doubled into integers, so the optimal flow is integral
-in half units and the per-pair result lands in {0, 1/2, 1}. Because boxes are
+Each column's reflector and pair rows lie on one chain of a laminar family
+(pair inside reflector) and its third row is in the box partition, so the
+matrix is totally unimodular and the optimal vertex the simplex returns is
+integral (Shmoys & Tardos, Math. Prog. 62, 1993). A pair's relay mass is
+half the boxes it serves, so it lands in {0, 1/2, 1}. Because boxes are
 weight-sorted, serving every box from one of its own fragments' pairs keeps
 at least (1/2 - delta) of each sink's demanded weight, the pair cap keeps
-every reflector under four times its stream budget, and the flow optimum
-keeps the relay-mass cost under the drawn relay cost.
+every reflector under four times its stream budget, and the LP optimum keeps
+the relay-mass cost under the drawn relay cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .flow import MinCostFlow
+import numpy as np
+
+from . import simplex
 from .rounding import SemiIntegralSolution
 
 _MASS_TOL = 1e-9
 _ZERO_TOL = 1e-12
+_INT_TOL = 1e-9
 
 
 class GapStageError(RuntimeError):
@@ -114,7 +124,7 @@ def build_boxes(sol: SemiIntegralSolution) -> BoxPlan:
 
 
 def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
-    """Solve the assignment flow and read the half-integral relay masses back."""
+    """Solve the box assignment LP and read the half-integral relay masses back."""
     model = sol.model
     inst = model.inst
     plan = build_boxes(sol)
@@ -122,83 +132,49 @@ def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
         return GapResult({}, 0.0, plan, {})
 
     sink_stream = {d.id: d.stream for d in inst.sinks}
-    pair_order: list[tuple[str, str]] = []  # (reflector, sink), sink-major
-    pair_boxes: dict[tuple[str, str], list[int]] = {}
-    box_nodes: list[tuple[str, int]] = []
-    for d in inst.sinks:
-        if d.id not in plan.boxes:
-            continue
-        for box in plan.boxes[d.id]:
-            box_nodes.append((d.id, box.index))
+    boxes: list[tuple[str, int]] = []
+    pair_at: dict[tuple[str, str], int] = {}  # (reflector, sink), sink-major
+    columns: list[tuple[int, str, str]] = []  # (box position, reflector, sink)
+    for j, sink_boxes in plan.boxes.items():
+        for box in sink_boxes:
             for i in box.reflectors:
-                key = (i, d.id)
-                if key not in pair_boxes:
-                    pair_boxes[key] = []
-                    pair_order.append(key)
-                pair_boxes[key].append(len(box_nodes) - 1)
+                pair_at.setdefault((i, j), len(pair_at))
+                columns.append((len(boxes), i, j))
+            boxes.append((j, box.index))
+    used = {i for _b, i, _j in columns}
+    reflectors = [r.id for r in inst.reflectors if r.id in used]
+    refl_at = {i: r for r, i in enumerate(reflectors)}
+    col_pair = np.array([pair_at[(i, j)] for _b, i, j in columns])
 
-    used_reflectors = [r.id for r in inst.reflectors if any(p[0] == r.id for p in pair_order)]
+    # Rows: reflectors, then pairs, then boxes; each column meets one of each.
+    first_pair, first_box = len(reflectors), len(reflectors) + len(pair_at)
+    rows = np.column_stack([
+        [refl_at[i] for _b, i, _j in columns],
+        first_pair + col_pair,
+        [first_box + b for b, _i, _j in columns],
+    ]).ravel()
+    layout = simplex.Layout(
+        (first_box + len(boxes), len(columns)),
+        rows, np.repeat(np.arange(len(columns)), 3), np.ones(rows.size),
+    )
+    senses = ["<="] * first_box + ["=="] * len(boxes)
+    rhs = [4 * model.capacities[i] for i in reflectors] + [2] * len(pair_at) + [1] * len(boxes)
+    cost = [float(model.obj[model.x_index[(sink_stream[j], i, j)]]) for _b, i, j in columns]
+    res = simplex.solve(
+        cost, layout, senses, rhs, np.zeros(len(columns)), np.ones(len(columns))
+    )
+    if res.status != simplex.OPTIMAL:
+        raise GapStageError(f"assignment LP is {res.status}")
+    picked = np.rint(res.x)
+    off = float(np.max(np.abs(res.x - picked)))
+    if off > _INT_TOL:
+        raise GapStageError(f"assignment LP vertex is {off:.3g} from integral")
 
-    node = 0
-    source = node
-    node += 1
-    refl_node = {}
-    for i in used_reflectors:
-        refl_node[i] = node
-        node += 1
-    pair_node = {}
-    for key in pair_order:
-        pair_node[key] = node
-        node += 1
-    box_node_ids = []
-    for _ in box_nodes:
-        box_node_ids.append(node)
-        node += 1
-    target = node
-    node += 1
-
-    net = MinCostFlow(node)
-    for i in used_reflectors:
-        net.add_edge(source, refl_node[i], 4 * model.capacities[i], 0.0)
-    pair_handles = {}
-    for key in pair_order:
-        i, j = key
-        pair_handles[key] = net.add_edge(refl_node[i], pair_node[key], 2, 0.0)
-    assign_handles = []  # (pair key, box position, handle)
-    for key in pair_order:
-        i, j = key
-        coef = float(model.obj[model.x_index[(sink_stream[j], i, j)]])
-        for b in pair_boxes[key]:
-            handle = net.add_edge(pair_node[key], box_node_ids[b], 1, coef)
-            assign_handles.append((key, b, handle))
-    for b, _ in enumerate(box_nodes):
-        net.add_edge(box_node_ids[b], target, 1, 0.0)
-
-    wanted = len(box_nodes)
-    flow, _half_cost = net.run(source, target)
-    if flow != wanted:
-        raise GapStageError(f"assignment flow saturated {flow} of {wanted} boxes")
-
-    box_servers: dict[tuple[str, int], str] = {}
-    for key, b, handle in assign_handles:
-        if net.flow_on(handle) == 1:
-            jb = box_nodes[b]
-            if jb in box_servers:
-                raise GapStageError(f"box {jb} served twice")
-            box_servers[jb] = key[0]
-    if len(box_servers) != wanted:
-        raise GapStageError("a box ended up without a server")
-
-    x_tilde: dict[tuple[str, str, str], float] = {}
-    for key in pair_order:
-        i, j = key
-        halves = net.flow_on(pair_handles[key])
-        if halves == 0:
-            continue
-        if halves not in (1, 2):
-            raise GapStageError(f"pair {key} carries {halves} half units")
-        x_tilde[(sink_stream[j], i, j)] = halves / 2.0
-
+    box_servers = {boxes[b]: i for (b, i, _j), v in zip(columns, picked) if v == 1}
+    halves = np.bincount(col_pair, weights=picked, minlength=len(pair_at))
+    x_tilde = {
+        (sink_stream[j], i, j): h / 2.0 for (i, j), h in zip(pair_at, halves) if h > 0
+    }
     mass_cost = sum(
         float(model.obj[model.x_index[key]]) * v for key, v in x_tilde.items()
     )

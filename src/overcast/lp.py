@@ -168,7 +168,7 @@ class LpModel:
         return None
 
     def _effective_capacities(self) -> dict[str, int] | None:
-        """Per-reflector stream budget used by the rounding/flow pipeline:
+        """Per-reflector stream budget used by the rounding pipeline:
         whole copies of the one stream load every source shares."""
         inst = self.inst
         for r in inst.reflectors:  # the capacity rows need every cap too

@@ -89,6 +89,20 @@ def _require_keys(record: dict, required: set[str], optional: set[str], where: s
         raise ValidationError(f"{where}: missing key(s) {sorted(missing)}")
 
 
+_JSON_TYPES = {"number": (int, float), "integer": (int,), "boolean": (bool,), "string": (str,)}
+
+
+def _field(rec: dict, key: str, kind: str, where: str, default=None):
+    """rec[key] (`default` when absent), which must be a JSON `kind`; a bool
+    is neither a number nor an integer."""
+    if key not in rec:
+        return default
+    value = rec[key]
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ValidationError(f"{where}: {key} must be a {kind}, got {value!r}")
+    return value
+
+
 def _check_loss(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValidationError(f"{where}: loss must be a number")
@@ -105,6 +119,17 @@ def _check_cost(value, where: str) -> float:
     if value < 0.0 or not math.isfinite(value):
         raise ValidationError(f"{where}: cost {value} must be finite and >= 0")
     return value
+
+
+def _checked_edges(edges, where: str) -> dict[tuple[str, str], EdgeSpec]:
+    """The edges with their loss and cost checked and made floats."""
+    return {
+        (a, b): EdgeSpec(
+            loss=_check_loss(edge.loss, f"{where} ({a}, {b})"),
+            cost=_check_cost(edge.cost, f"{where} ({a}, {b})"),
+        )
+        for (a, b), edge in edges.items()
+    }
 
 
 class Instance:
@@ -129,8 +154,8 @@ class Instance:
         self.sources = tuple(sources)
         self.reflectors = tuple(reflectors)
         self.sinks = tuple(sinks)
-        self.src_edges = dict(src_edges)
-        self.refl_edges = dict(refl_edges)
+        self.src_edges = _checked_edges(src_edges, "src edge")
+        self.refl_edges = _checked_edges(refl_edges, "refl edge")
         self.mode = mode
         self.colors_enabled = bool(colors_enabled)
         self.bandwidth_enabled = bool(bandwidth_enabled)
@@ -164,7 +189,7 @@ class Instance:
         for r in self.reflectors:
             if r.cost < 0 or not math.isfinite(r.cost):
                 raise ValidationError(f"reflector {r.id}: cost must be finite and >= 0")
-            if not isinstance(r.fanout, int) or r.fanout < 1:
+            if type(r.fanout) is not int or r.fanout < 1:
                 raise ValidationError(f"reflector {r.id}: fanout must be an integer >= 1")
             if r.bandwidth is not None and not (r.bandwidth > 0 and math.isfinite(r.bandwidth)):
                 raise ValidationError(f"reflector {r.id}: bandwidth must be finite and > 0")
@@ -184,13 +209,9 @@ class Instance:
         for (a, b), edge in self.src_edges.items():
             if a not in self.source_by_id or b not in self.reflector_by_id:
                 raise ValidationError(f"src edge ({a}, {b}) does not join a source to a reflector")
-            _check_loss(edge.loss, f"src edge ({a}, {b})")
-            _check_cost(edge.cost, f"src edge ({a}, {b})")
         for (a, b), edge in self.refl_edges.items():
             if a not in self.reflector_by_id or b not in self.sink_by_id:
                 raise ValidationError(f"refl edge ({a}, {b}) does not join a reflector to a sink")
-            _check_loss(edge.loss, f"refl edge ({a}, {b})")
-            _check_cost(edge.cost, f"refl edge ({a}, {b})")
 
     # -- derived quantities ------------------------------------------------
 
@@ -296,12 +317,20 @@ _TOP_KEYS_REQ = {"sources", "reflectors", "sinks", "src_edges", "refl_edges"}
 _TOP_KEYS_OPT = {"mode", "colors_enabled", "bandwidth_enabled"}
 
 
+def _require_node_lists(doc: dict) -> None:
+    for key in ("sources", "reflectors", "sinks"):
+        if not isinstance(doc[key], list):
+            raise ValidationError(f"{key}: expected a list")
+
+
 def _parse_edge_records(records, where: str) -> list[dict]:
     if not isinstance(records, list):
         raise ValidationError(f"{where}: expected a list")
     out = []
     for idx, rec in enumerate(records):
         _require_keys(rec, {"from", "to", "loss", "cost"}, set(), f"{where}[{idx}]")
+        _field(rec, "from", "string", f"{where}[{idx}]")
+        _field(rec, "to", "string", f"{where}[{idx}]")
         out.append(rec)
     return out
 
@@ -316,6 +345,7 @@ def normalize_doc(doc: dict) -> dict:
     per demanded stream).
     """
     _require_keys(doc, _TOP_KEYS_REQ, _TOP_KEYS_OPT, "instance")
+    _require_node_lists(doc)
 
     # Streams: map raw stream name -> normalized source id.
     stream_of: dict[str, str] = {}
@@ -323,11 +353,13 @@ def normalize_doc(doc: dict) -> dict:
     streams_by_source: dict[str, list[str]] = {}
     for idx, rec in enumerate(doc["sources"]):
         _require_keys(rec, {"id"}, {"streams", "bitrate"}, f"sources[{idx}]")
-        sid = rec["id"]
+        sid = _field(rec, "id", "string", f"sources[{idx}]")
         if "streams" in rec:
             streams = rec["streams"]
-            if not isinstance(streams, list) or not streams:
-                raise ValidationError(f"sources[{idx}]: streams must be a non-empty list")
+            if not isinstance(streams, list) or not streams or not all(
+                type(stream) is str for stream in streams
+            ):
+                raise ValidationError(f"sources[{idx}]: streams must be a non-empty list of strings")
             for stream in streams:
                 replica = f"{sid}#{stream}"
                 if stream in stream_of:
@@ -352,13 +384,16 @@ def normalize_doc(doc: dict) -> dict:
     out_sinks = []
     sink_replicas: dict[str, list[tuple[str, str]]] = {}  # raw sink id -> (replica, stream)
     for idx, rec in enumerate(doc["sinks"]):
-        if "demands" in rec:
+        if isinstance(rec, dict) and "demands" in rec:
             _require_keys(rec, {"id", "demands"}, set(), f"sinks[{idx}]")
+            _field(rec, "id", "string", f"sinks[{idx}]")
             demands = rec["demands"]
             if not isinstance(demands, list) or not demands:
                 raise ValidationError(f"sinks[{idx}]: demands must be a non-empty list")
             for d_idx, dem in enumerate(demands):
-                _require_keys(dem, {"stream", "loss_threshold"}, set(), f"sinks[{idx}].demands[{d_idx}]")
+                where = f"sinks[{idx}].demands[{d_idx}]"
+                _require_keys(dem, {"stream", "loss_threshold"}, set(), where)
+                _field(dem, "stream", "string", where)
                 if dem["stream"] not in stream_of:
                     raise ValidationError(f"sinks[{idx}]: unknown stream {dem['stream']!r}")
                 replica = f"{rec['id']}#{dem['stream']}"
@@ -372,7 +407,8 @@ def normalize_doc(doc: dict) -> dict:
                 sink_replicas.setdefault(rec["id"], []).append((replica, stream_of[dem["stream"]]))
         else:
             _require_keys(rec, {"id", "stream", "loss_threshold"}, set(), f"sinks[{idx}]")
-            if rec["stream"] not in stream_of:
+            _field(rec, "id", "string", f"sinks[{idx}]")
+            if _field(rec, "stream", "string", f"sinks[{idx}]") not in stream_of:
                 raise ValidationError(f"sinks[{idx}]: unknown stream {rec['stream']!r}")
             resolved = stream_of[rec["stream"]]
             out_sinks.append(
@@ -420,29 +456,46 @@ def normalize_doc(doc: dict) -> dict:
 
 
 def instance_from_doc(doc: dict) -> Instance:
-    """Build an Instance from a document already in normalized form."""
+    """Build an Instance from a document already in normalized form.
+
+    Every field must have its JSON type: ids are strings, fanout and color
+    integers, the flags booleans, and the rest numbers.
+    """
     _require_keys(doc, _TOP_KEYS_REQ, _TOP_KEYS_OPT, "instance")
+    _require_node_lists(doc)
     sources = []
     for idx, rec in enumerate(doc["sources"]):
-        _require_keys(rec, {"id"}, {"bitrate"}, f"sources[{idx}]")
-        sources.append(SourceSpec(id=rec["id"], bitrate=rec.get("bitrate")))
+        where = f"sources[{idx}]"
+        _require_keys(rec, {"id"}, {"bitrate"}, where)
+        sources.append(
+            SourceSpec(
+                id=_field(rec, "id", "string", where),
+                bitrate=_field(rec, "bitrate", "number", where),
+            )
+        )
     reflectors = []
     for idx, rec in enumerate(doc["reflectors"]):
-        _require_keys(rec, {"id", "cost", "fanout"}, {"bandwidth", "color"}, f"reflectors[{idx}]")
+        where = f"reflectors[{idx}]"
+        _require_keys(rec, {"id", "cost", "fanout"}, {"bandwidth", "color"}, where)
         reflectors.append(
             ReflectorSpec(
-                id=rec["id"],
-                cost=float(rec["cost"]),
-                fanout=rec["fanout"],
-                bandwidth=rec.get("bandwidth"),
-                color=rec.get("color"),
+                id=_field(rec, "id", "string", where),
+                cost=float(_field(rec, "cost", "number", where)),
+                fanout=_field(rec, "fanout", "integer", where),
+                bandwidth=_field(rec, "bandwidth", "number", where),
+                color=_field(rec, "color", "integer", where),
             )
         )
     sinks = []
     for idx, rec in enumerate(doc["sinks"]):
-        _require_keys(rec, {"id", "stream", "loss_threshold"}, set(), f"sinks[{idx}]")
+        where = f"sinks[{idx}]"
+        _require_keys(rec, {"id", "stream", "loss_threshold"}, set(), where)
         sinks.append(
-            SinkSpec(id=rec["id"], stream=rec["stream"], loss_threshold=float(rec["loss_threshold"]))
+            SinkSpec(
+                id=_field(rec, "id", "string", where),
+                stream=_field(rec, "stream", "string", where),
+                loss_threshold=float(_field(rec, "loss_threshold", "number", where)),
+            )
         )
 
     def edge_map(records, where):
@@ -451,7 +504,7 @@ def instance_from_doc(doc: dict) -> Instance:
             key = (rec["from"], rec["to"])
             if key in out:
                 raise ValidationError(f"{where}: duplicate edge {key}")
-            out[key] = EdgeSpec(loss=_check_loss(rec["loss"], where), cost=_check_cost(rec["cost"], where))
+            out[key] = EdgeSpec(loss=rec["loss"], cost=rec["cost"])  # Instance checks both
         return out
 
     return Instance(
@@ -460,9 +513,9 @@ def instance_from_doc(doc: dict) -> Instance:
         sinks=sinks,
         src_edges=edge_map(doc["src_edges"], "src_edges"),
         refl_edges=edge_map(doc["refl_edges"], "refl_edges"),
-        mode=doc.get("mode", "full"),
-        colors_enabled=doc.get("colors_enabled", False),
-        bandwidth_enabled=doc.get("bandwidth_enabled", False),
+        mode=_field(doc, "mode", "string", "instance", "full"),
+        colors_enabled=_field(doc, "colors_enabled", "boolean", "instance", False),
+        bandwidth_enabled=_field(doc, "bandwidth_enabled", "boolean", "instance", False),
     )
 
 

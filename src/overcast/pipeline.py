@@ -1,7 +1,7 @@
 """End-to-end solver entry points.
 
 `run_approx` is the rounding pipeline: LP relaxation, retried randomized
-draw, then either the assignment-flow stage or (with colors on) the path
+draw, then either the box-assignment stage or (with colors on) the path
 rounding stage, assembled into a PathSet with its audit-relevant metadata.
 `run_exact` and `run_hack` wrap the branch-and-bound baseline and the
 LP-fixing shortcut behind the same output type; both raise

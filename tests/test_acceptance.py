@@ -318,8 +318,8 @@ def test_c07_half_integrality(batch16):
     _report(
         7,
         ok,
-        f"assignment-flow outputs over the suite: {checked} masses all exactly in "
-        f"{{1/2, 1}} (doubled flow integral), {exceptions} exceptions",
+        f"box-assignment outputs over the suite: {checked} masses all exactly in "
+        f"{{1/2, 1}} (assignment LP vertex integral), {exceptions} exceptions",
     )
     assert ok
 

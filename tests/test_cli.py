@@ -95,6 +95,39 @@ def test_solve_infeasible_exits_3(instance_file, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def _mixed_colors(doc):
+    doc["colors_enabled"] = True
+    for n, rec in enumerate(doc["reflectors"]):
+        rec["color"] = n if n % 2 else f"g{n}"
+
+
+# Each edit once crashed with a traceback or was silently read as another value.
+MISTYPED = {
+    "bitrate": lambda doc: doc["sources"][0].update(bitrate="5"),
+    "bandwidth": lambda doc: doc["reflectors"][0].update(bandwidth="40"),
+    "mixed-colors": _mixed_colors,
+    "colors-flag": lambda doc: doc.update(colors_enabled="no"),
+    "bool-fanout": lambda doc: doc["reflectors"][0].update(fanout=True),
+    "string-cost": lambda doc: doc["reflectors"][0].update(cost="7"),
+    "string-threshold": lambda doc: doc["sinks"][0].update(loss_threshold="0.01"),
+    "list-id": lambda doc: doc["sources"][0].update(id=["s0"]),
+    "object-stream": lambda doc: doc["sinks"][0].update(stream={"id": "s0"}),
+    "sinks-not-a-list": lambda doc: doc.update(sinks=5),
+    "sink-not-an-object": lambda doc: doc["sinks"].__setitem__(0, 7),
+}
+
+
+@pytest.mark.parametrize("edit", MISTYPED)
+def test_solve_rejects_a_mistyped_instance_field(instance_file, tmp_path, capsys, edit):
+    doc = json.loads(instance_file.read_text())
+    MISTYPED[edit](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", str(bad), "--out-dir", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x" / "solution.json").exists()
+
+
 def test_verify_roundtrip_and_tamper(instance_file, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["solve", str(instance_file), "--out-dir", str(out)]) == 0

@@ -1,12 +1,14 @@
-"""Stage-two box building and assignment flow."""
+"""Stage-two box building and the box assignment LP."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from overcast import gapflow, lp, rounding
+from overcast import gapflow, gen, lp, pipeline, rounding, simplex
 from overcast.model import normalize
 
 
@@ -113,7 +115,7 @@ def test_split_fragment_lets_cheap_pair_serve_both_boxes():
     sol = draw_from(model, {("s0", "r0", "d0"): 0.6, ("s0", "r1", "d0"): 0.4})
     res = gapflow.run_gap_stage(sol)
     # Box 1 holds fragments of both pairs; r0's relay edge is cheaper, so the
-    # flow doubles up on r0 and never opens r1.
+    # LP doubles up on r0 and never opens r1.
     assert res.x_tilde == {("s0", "r0", "d0"): 1.0}
     assert res.box_servers == {("d0", 0): "r0", ("d0", 1): "r0"}
     boxes = res.plan.boxes["d0"]
@@ -210,3 +212,93 @@ def test_gap_stage_deterministic():
     b = gapflow.run_gap_stage(sol)
     assert a.x_tilde == b.x_tilde
     assert a.box_servers == b.box_servers
+
+
+def ladder_draw(size):
+    """The accepted draw `run_approx` makes on the seed-0 avg instance of `size`."""
+    inst = gen.gen_random(size, "avg", seed=0)
+    frac = lp.solve_lp(lp.build_model(inst))
+    cfg = rounding.RoundingConfig(multiplier=pipeline.default_multiplier(inst), seed=0)
+    return rounding.round_with_retries(frac, cfg)
+
+
+def milp_best_assignment(model, plan):
+    """Cheapest feasible box->reflector assignment, by HiGHS's MILP."""
+    sink_stream = {d.id: d.stream for d in model.inst.sinks}
+    boxes = [box for d in model.inst.sinks if d.id in plan.boxes for box in plan.boxes[d.id]]
+    cols = [(n, i, box.sink) for n, box in enumerate(boxes) for i in box.reflectors]
+    pairs = sorted({(i, j) for _n, i, j in cols})
+    refls = sorted({i for _n, i, _j in cols})
+    per_box = np.array([[n == b for b, _i, _j in cols] for n in range(len(boxes))], float)
+    per_pair = np.array([[(i, j) == pair for _b, i, j in cols] for pair in pairs], float)
+    per_refl = np.array([[i == r for _b, i, _j in cols] for r in refls], float)
+    cost = [float(model.obj[model.x_index[(sink_stream[j], i, j)]]) / 2.0 for _b, i, j in cols]
+    res = milp(
+        cost,
+        constraints=[
+            LinearConstraint(per_box, 1, 1),
+            LinearConstraint(per_pair, 0, 2),
+            LinearConstraint(per_refl, 0, [4 * model.capacities[r] for r in refls]),
+        ],
+        integrality=np.ones(len(cols)),
+        bounds=Bounds(0, 1),
+    )
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize(
+    "size", [(8, 6, 16), (10, 10, 30), (12, 12, 40)], ids=lambda size: "x".join(map(str, size))
+)
+def test_ladder_assignment_matches_the_milp_optimum(size):
+    # Brute force reaches only a handful of boxes; these draws have 38-94.
+    sol = ladder_draw(size)
+    res = gapflow.run_gap_stage(sol)
+    assert res.plan.total_boxes >= 38
+    assert res.mass_cost == pytest.approx(milp_best_assignment(sol.model, res.plan), abs=1e-9)
+
+
+GAP_STAGE_SCRIPT = """
+import json, sys
+import numpy as np
+from overcast import gapflow, gen, lp, rounding
+arg = json.loads(sys.argv[1])
+model = lp.build_model(gen.gen_random((12, 12, 40), "avg", seed=0))
+config = rounding.RoundingConfig(multiplier=1.0, delta=arg["delta"])
+sol = rounding.SemiIntegralSolution(model, np.load(arg["values"]), config, attempt=0)
+res = gapflow.run_gap_stage(sol)
+print(json.dumps({
+    "x_tilde": [[*key, v] for key, v in res.x_tilde.items()],
+    "box_servers": sorted([*key, i] for key, i in res.box_servers.items()),
+}))
+"""
+
+
+def test_gap_stage_agrees_across_blas_threads(blas_threads, tmp_path):
+    # The LP relaxation still rounds differently at 1 and 2 threads, so the
+    # draw is made once here and only stage two runs in the children.
+    sol = ladder_draw((12, 12, 40))
+    path = tmp_path / "values.npy"
+    np.save(path, sol.values)
+    arg = {"values": str(path), "delta": sol.config.delta}
+    one, two = (blas_threads(GAP_STAGE_SCRIPT, arg, threads) for threads in (1, 2))
+    assert one == two
+    assert len(one["box_servers"]) == gapflow.build_boxes(sol).total_boxes
+
+
+@pytest.mark.parametrize("outcome", ["fractional", "infeasible"])
+def test_a_non_integral_or_failed_assignment_lp_raises(monkeypatch, outcome):
+    model = lp.build_model(normalize(two_path_doc()))
+    sol = draw_from(model, {("s0", "r0", "d0"): 0.6, ("s0", "r1", "d0"): 0.4})
+    solve = simplex.solve
+
+    def broken(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        if outcome == "fractional":
+            # Rounds back to the optimum, so only the integrality check sees it.
+            return dataclasses.replace(res, x=0.5 * res.x + 0.25)
+        return simplex.LpResult(simplex.INFEASIBLE, None, None)
+
+    monkeypatch.setattr(gapflow.simplex, "solve", broken)
+    with pytest.raises(gapflow.GapStageError):
+        gapflow.run_gap_stage(sol)

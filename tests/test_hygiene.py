@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, no module
-defines a private name it never reads, and no class has a public member
-that nothing reads."""
+defines a private name it never reads, no class has a public member that
+nothing reads, and no package module is left that no other one imports."""
 
 import ast
 from pathlib import Path
@@ -72,6 +72,21 @@ def unread_members(defining: list[ast.Module], reading: list[ast.Module]) -> set
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }
     return {f"{c}.{m}" for c, m in members if not m.startswith("_") and m not in read}
+
+
+def orphan_modules(package: dict[str, ast.Module], entry: set[str]) -> set[str]:
+    """Modules of `package` (name -> tree) that no other module of it
+    imports relatively, apart from the `entry` modules."""
+    imported = set()
+    for name, tree in package.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:  # from .gapflow import run_gap_stage
+                    targets = {node.module.split(".")[0]}
+                else:  # from . import simplex
+                    targets = {a.name for a in node.names}
+                imported |= targets - {name}
+    return set(package) - imported - entry
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -150,3 +165,28 @@ def test_unread_members_flags_leftovers():
     )
     reading = ast.parse("def use(cert, plain):\n    return cert.ok, plain.run()\n")
     assert unread_members([defining], [defining, reading]) == {"Cert.rows", "Cert.z_hat"}
+
+
+def test_no_orphan_modules():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    package = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SOURCES}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    scripts = {target.split(":")[0].split(".")[-1] for target in project["scripts"].values()}
+    orphans = orphan_modules(package, {"__init__"} | scripts)
+    assert not orphans, f"modules no other module imports: {sorted(orphans)}"
+
+
+def test_orphan_modules_flags_leftovers():
+    package = {
+        name: ast.parse(source)
+        for name, source in {
+            "__init__": "from .pipeline import run\n",
+            "cli": "from .pipeline import run\n",
+            "pipeline": "from . import simplex\nfrom .gapflow import run_gap_stage\n",
+            "gapflow": "import heapq\nfrom .simplex import solve\n",
+            "simplex": "",
+            "flow": "from .flow import MinCostFlow\nfrom .simplex import solve\n",
+            "tracing": "from overcast import pipeline\n",
+        }.items()
+    }
+    assert orphan_modules(package, {"__init__", "cli"}) == {"flow", "tracing"}
