@@ -103,8 +103,13 @@ def _field(rec: dict, key: str, kind: str, where: str, default=None):
     return value
 
 
+def _is_number(value) -> bool:
+    """An int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_loss(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ValidationError(f"{where}: loss must be a number")
     value = float(value)
     if not (0.0 <= value <= 1.0) or math.isnan(value):
@@ -113,7 +118,7 @@ def _check_loss(value, where: str) -> float:
 
 
 def _check_cost(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ValidationError(f"{where}: cost must be a number")
     value = float(value)
     if value < 0.0 or not math.isfinite(value):
@@ -186,22 +191,27 @@ class Instance:
         if len(all_ids) != len(self.sources) + len(self.reflectors) + len(self.sinks):
             raise ValidationError("node ids must be unique across sources, reflectors and sinks")
 
+        def optional_positive(value):
+            return value is None or (_is_number(value) and value > 0 and math.isfinite(value))
+
         for r in self.reflectors:
-            if r.cost < 0 or not math.isfinite(r.cost):
+            if not (_is_number(r.cost) and r.cost >= 0 and math.isfinite(r.cost)):
                 raise ValidationError(f"reflector {r.id}: cost must be finite and >= 0")
             if type(r.fanout) is not int or r.fanout < 1:
                 raise ValidationError(f"reflector {r.id}: fanout must be an integer >= 1")
-            if r.bandwidth is not None and not (r.bandwidth > 0 and math.isfinite(r.bandwidth)):
+            if not optional_positive(r.bandwidth):
                 raise ValidationError(f"reflector {r.id}: bandwidth must be finite and > 0")
+            if r.color is not None and type(r.color) is not int:
+                raise ValidationError(f"reflector {r.id}: color must be an integer")
         for s in self.sources:
-            if s.bitrate is not None and not (s.bitrate > 0 and math.isfinite(s.bitrate)):
+            if not optional_positive(s.bitrate):
                 raise ValidationError(f"source {s.id}: bitrate must be finite and > 0")
         for d in self.sinks:
             if d.stream not in self.source_by_id:
                 raise ValidationError(f"sink {d.id}: unknown stream {d.stream!r}")
-            if not (0.0 < d.loss_threshold <= 1.0):
+            if not (_is_number(d.loss_threshold) and 0.0 < d.loss_threshold <= 1.0):
                 raise ValidationError(
-                    f"sink {d.id}: loss_threshold {d.loss_threshold} outside (0, 1]"
+                    f"sink {d.id}: loss_threshold {d.loss_threshold!r} outside (0, 1]"
                 )
         if len(self.sources) > len(self.sinks):
             raise ValidationError("more sources than sinks after normalization")

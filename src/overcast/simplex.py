@@ -1,22 +1,25 @@
-"""Bounded-variable revised simplex on an explicit basis inverse.
+"""Bounded dual simplex on an explicit basis inverse.
 
-Every variable carries its own [lb, ub] interval (ub may be +inf), rows are
-'<=', '>=' or '==' with arbitrary right-hand sides, and nonbasic variables
-rest at one of their bounds. Each row gets one slack column, so the extended
-matrix always has n + m columns: a_i x + s_i = b_i for '<=' and '==' rows,
+Every structural variable carries a finite [lb, ub] interval, rows are '<=',
+'>=' or '==' with arbitrary right-hand sides, and nonbasic variables rest at
+one of their bounds. Each row gets one slack column, so the extended matrix
+always has n + m columns: a_i x + s_i = b_i for '<=' and '==' rows,
 a_i x - s_i = b_i for '>=' rows, with s_i >= 0, and s_i fixed at 0 on '=='
-rows.
+rows. The slacks of inequality rows are the only unbounded columns.
 
-A solve starts from the `basis` of an earlier solve of the same rows
-(`warm=`, such as a branch-and-bound parent; the bounds may differ) or, when
-there is none or it is singular, from the all-slack basis, whose inverse is
+A solve starts from a dual-feasible basis. That is the `basis` of an earlier
+solve of the same rows (`warm=`, such as a branch-and-bound parent; the
+bounds and costs may differ), or the all-slack basis, whose inverse is
 diag(+-1). Each boxed nonbasic variable rests at the bound its reduced cost
-prefers. A column with no upper bound and a negative reduced cost cannot, so
-for the dual phase its cost is shifted until that reduced cost is zero. A
-bounded dual simplex (the largest bound violation leaves, the dual ratio test
-picks the entering column) then restores primal feasibility, or finds a row
-that no column can repair, which makes the LP infeasible. The primal simplex
-with the true costs finishes.
+prefers, so only the nonbasic slack of an inequality row can be dual
+infeasible; at the slack basis none is nonbasic. A warm basis that is
+singular, or that leaves such a slack with a negative reduced cost, is
+dropped for the slack basis. The bounded dual simplex then restores primal
+feasibility: the largest bound violation leaves, and the dual ratio test
+picks the entering column so that every reduced cost stays dual feasible.
+It ends at the optimum, or at a row that no column can repair, which makes
+the LP infeasible. There is no cost shift and no primal phase; an end that
+is not dual feasible is a SimplexError.
 
 The constraint matrix is held as sparse columns (a `Layout`, which a model
 builds once and every solve of its rows shares); slack columns stay
@@ -35,24 +38,23 @@ rows, gathered from their sparse columns, is inverted densely; the rest of
 B^-1 follows by hand, written transposed, and the basic values come from
 the same inverse.
 
-Pricing is Dantzig (most violating reduced cost, lowest index on ties) with
-a switch to Bland's rule after a run of degenerate pivots, so the solver
-cannot cycle and identical inputs pivot identically; the dual simplex
-switches the same way. Reduced costs are updated incrementally and
-recomputed from a fresh factorization at a fixed cadence to bound drift;
-optimality and infeasibility are only declared on a fresh factorization.
+Pricing takes the largest bound violation (lowest row on ties) and, in the
+ratio test, the largest |alpha| among the tied ratios, with a switch to
+Bland's rule (lowest basic index leaves, lowest column enters) after a run
+of degenerate pivots, so the solver cannot cycle and identical inputs pivot
+identically. Reduced costs are updated incrementally and recomputed from a
+fresh factorization at a fixed cadence to bound drift; optimality and
+infeasibility are only declared on a fresh factorization.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _AT_LB, _AT_UB, _BASIC = 0, 1, 2
 
@@ -62,11 +64,13 @@ _FEAS_TOL = 1e-9
 _STEP_TOL = 1e-12
 _STALL_LIMIT = 60
 _REFRESH_EVERY = 400
+_MAX_ITERATIONS = 200_000
 _SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "==": 1.0}  # '==' slacks are fixed at 0
 
 
 class SimplexError(RuntimeError):
-    """Internal solver failure (iteration cap or numerical breakdown)."""
+    """Internal solver failure (iteration cap, numerical breakdown, or a
+    dual infeasible end)."""
 
 
 @dataclass(frozen=True)
@@ -109,42 +113,32 @@ class LpResult:
     iterations: int = 0
     refreshes: int = 0  # basis refactorizations
     basis: Basis | None = None  # the optimal basis
-    warm_started: bool = False  # ran from the caller's basis (False when it was singular)
+    # ran from the caller's basis (False when it was singular or dual infeasible)
+    warm_started: bool = False
 
 
-def solve(
-    c,
-    a,
-    senses,
-    b,
-    lb,
-    ub,
-    max_iterations: int = 200_000,
-    warm: Basis | None = None,
-) -> LpResult:
+def solve(c, a: Layout, senses, b, lb, ub, warm: Basis | None = None) -> LpResult:
     """Minimize c.x subject to a x (senses) b and lb <= x <= ub.
 
-    `a` is a `Layout`, or a dense (m, n) array that is laid out on entry;
-    `senses` a sequence of '<=', '>=', '=='. Returns structural values only;
-    slacks are internal. `warm` is the `basis` of an earlier optimal solve
-    with the same `a` and `senses`; the solve starts from the slack basis
-    when it is singular.
+    `senses` is a sequence of '<=', '>=', '=='; every lb and ub must be
+    finite. Returns structural values only; slacks are internal. `warm` is
+    the `basis` of an earlier optimal solve with the same `a` and `senses`;
+    the solve starts from the slack basis when that basis is singular or
+    dual infeasible.
     """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    if not np.all(np.isfinite(lb)):
-        raise SimplexError("structural lower bounds must be finite")
+    if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))):
+        raise ValueError("structural bounds must be finite")
     if np.any(lb > ub):
         return LpResult(INFEASIBLE, None, None, infeasibility=float(np.max(lb - ub)))
     if b.size == 0:
-        x = np.where(c > 0, lb, np.where(c < 0, ub, lb))
-        if not np.all(np.isfinite(x)):
-            return LpResult(UNBOUNDED, None, None)
+        x = np.where(c < 0, ub, lb)
         return LpResult(OPTIMAL, x, float(c @ x))
 
-    return _Revised(c, a, senses, b, lb, ub, max_iterations, warm).run()
+    return _Revised(c, a, senses, b, lb, ub, warm).run()
 
 
 def _sense_signs(senses) -> np.ndarray:
@@ -155,14 +149,11 @@ def _sense_signs(senses) -> np.ndarray:
 
 
 class _Revised:
-    def __init__(self, c, a, senses, b, lb, ub, max_iterations, warm: Basis | None = None):
-        if not isinstance(a, Layout):
-            a = Layout.from_dense(np.asarray(a, dtype=float))
+    def __init__(self, c, a: Layout, senses, b, lb, ub, warm: Basis | None = None):
         self.layout = a
         m, n = a.m, a.n
         self.m, self.n_struct = m, n
         self.b = b
-        self.max_iterations = max_iterations
         self.ncols = cols = n + m
         # Slack of row i is column n + i, the unit column sign_i e_i:
         # a_i x + sign_i s_i = b_i.
@@ -177,47 +168,50 @@ class _Revised:
         self.cost[:n] = c
         self.iterations = 0
         self.refreshes = 0
-        self.since_refresh = 0  # pivots and bound flips since the last factorization
-        self.warm_started = False
+        self.since_refresh = 0  # pivots since the last factorization
 
-        if warm is not None:
-            if warm.columns.shape != (m,) or warm.status.shape != (cols,):
-                raise ValueError("warm basis does not match the rows and columns")
-            self.basis = np.asarray(warm.columns, dtype=np.intp).copy()
-            self.status = np.where(warm.status == _AT_UB, _AT_UB, _AT_LB).astype(np.int8)
-            self.status[self.basis] = _BASIC
-            try:
-                self.binvt = self._factorize()
-                self.refreshes = 1
-                self.warm_started = True
-            except SimplexError:
-                pass  # singular: start from the slack basis
-        if not self.warm_started:
+        d = None if warm is None else self._warm_start(warm)
+        self.warm_started = d is not None
+        if d is None:
             self.basis = np.arange(n, cols)
             self.status = np.full(cols, _AT_LB, dtype=np.int8)
             self.status[self.basis] = _BASIC
             self.binvt = np.diag(sign)
+            d = self._reduced_costs()
 
-        d = self._reduced_costs(self.cost)
         nonbasic = self.status != _BASIC
-        boxed = np.isfinite(self.ub)
         # Boxed nonbasics rest where their reduced cost is dual feasible;
         # on a (near) zero reduced cost they keep their bound.
-        at_ub = nonbasic & boxed & ((d < -_DUAL_TOL) | ((self.status == _AT_UB) & (d <= _DUAL_TOL)))
+        at_ub = nonbasic & np.isfinite(self.ub) & (
+            (d < -_DUAL_TOL) | ((self.status == _AT_UB) & (d <= _DUAL_TOL)))
         self.status[nonbasic] = np.where(at_ub[nonbasic], _AT_UB, _AT_LB)
         self.values = np.where(at_ub, self.ub, self.lb)
         self._basic_values()
-        # A column without an upper bound cannot move to make its reduced
-        # cost dual feasible, so the dual phase prices it at zero instead.
-        shifted = nonbasic & ~boxed & (d < -_DUAL_TOL)
-        self.dual_cost = self.cost.copy()
-        self.dual_cost[shifted] -= d[shifted]
         # Pricing signs: +1 at lb, -1 at ub, 0 basic or fixed. A nonbasic
-        # variable improves the objective when price * d < 0; pivots keep
-        # the signs current.
+        # variable is dual feasible when price * d >= 0; pivots keep the
+        # signs current.
         self.movable = self.ub - self.lb > _PIVOT_TOL
         self.price = np.where(self.status == _AT_UB, -1.0, 1.0)
         self.price[(self.status == _BASIC) | ~self.movable] = 0.0
+
+    def _warm_start(self, warm: Basis):
+        """Factorize `warm` and return its reduced costs; None when it is
+        singular or leaves an inequality row's slack nonbasic with a negative
+        reduced cost (it has no upper bound to rest at instead)."""
+        if warm.columns.shape != (self.m,) or warm.status.shape != (self.ncols,):
+            raise ValueError("warm basis does not match the rows and columns")
+        self.basis = np.asarray(warm.columns, dtype=np.intp).copy()
+        self.status = np.where(warm.status == _AT_UB, _AT_UB, _AT_LB).astype(np.int8)
+        self.status[self.basis] = _BASIC
+        try:
+            self.binvt = self._factorize()
+        except SimplexError:
+            return None
+        self.refreshes = 1
+        d = self._reduced_costs()
+        if np.any((self.status != _BASIC) & np.isinf(self.ub) & (d < -_DUAL_TOL)):
+            return None
+        return d
 
     # -- basic machinery ---------------------------------------------------
 
@@ -286,39 +280,8 @@ class _Revised:
         lo, hi = lay.colptr[q], lay.colptr[q + 1]
         return lay.vals[lo:hi] @ self.binvt[lay.rows[lo:hi]]
 
-    def _reduced_costs(self, cost):
-        return cost - self._row(self.binvt @ cost[self.basis])
-
-    def _entering(self, d, bland):
-        eligible = (self.price * d < -_DUAL_TOL).nonzero()[0]
-        if eligible.size == 0:
-            return -1
-        if bland:
-            return int(eligible[0])
-        return int(eligible[np.abs(d[eligible]).argmax()])
-
-    def _ratio_test(self, q, col):
-        """Return (step, leaving_row, leaving_to_ub). leaving_row -1 = bound flip.
-
-        `col` is B^-1 a_q times the direction q moves in.
-        """
-        basic_vals = self.values[self.basis]
-
-        steps = np.full(self.m, np.inf)
-        # Basics moving down stop at their lower bound, those moving up at
-        # their upper bound; rows the column barely touches never block.
-        np.divide(basic_vals - self.lb[self.basis], col, out=steps, where=col > _PIVOT_TOL)
-        np.divide(self.ub[self.basis] - basic_vals, -col, out=steps, where=col < -_PIVOT_TOL)
-        steps[steps < 0] = 0.0
-
-        limit = self.ub[q] - self.lb[q]
-        best = steps.min()
-        if best >= limit:
-            return limit, -1, False
-        ties = (steps <= best + _STEP_TOL).nonzero()[0]
-        # Deterministic (and Bland-compatible) tie-break: lowest basic index.
-        row = int(ties[self.basis[ties].argmin()])
-        return float(best), row, bool(col[row] < 0)
+    def _reduced_costs(self):
+        return self.cost - self._row(self.binvt @ self.cost[self.basis])
 
     def _rest(self, j, at_ub):
         """Make j nonbasic at its upper (at_ub) or lower bound."""
@@ -327,14 +290,10 @@ class _Revised:
         self.price[j] = (-1.0 if at_ub else 1.0) if self.movable[j] else 0.0
 
     def _pivot(self, q, direction, step, row, leaves_to_ub, col):
-        """Move q by step along col = B^-1 a_q; row -1 is a bound flip."""
+        """Move q by step along col = B^-1 a_q into the basis at `row`."""
         self.since_refresh += 1
         if step > 0:
             self.values[self.basis] -= direction * step * col
-        if row < 0:
-            # Bound flip: q moves to its other bound, basis unchanged.
-            self._rest(q, direction > 0)
-            return
         leaving = self.basis[row]
         self.values[q] = (self.lb[q] if self.status[q] == _AT_LB else self.ub[q]) + direction * step
         self._rest(leaving, leaves_to_ub)
@@ -352,49 +311,6 @@ class _Revised:
         nz = rho.nonzero()[0]
         self.binvt[nz] -= np.multiply.outer(rho[nz], col)
         self.binvt[:, row] = rho
-
-    def _minimize(self, cost):
-        """Run primal pivots until optimal for `cost`. Returns objective value.
-
-        Every finite return comes on a fresh factorization, so the caller
-        sees an exact B^-1 and basic values.
-        """
-        d = self._reduced_costs(cost)
-        stall = 0
-        bland = False
-        while True:
-            if self.iterations >= self.max_iterations:
-                raise SimplexError("iteration limit exceeded")
-            q = self._entering(d, bland)
-            if q < 0:
-                if self.since_refresh == 0:
-                    return float(cost @ self.values)
-                # Confirm with freshly computed reduced costs before declaring.
-                self._refresh()
-                d = self._reduced_costs(cost)
-                q = self._entering(d, bland=False)
-                if q < 0:
-                    return float(cost @ self.values)
-            direction = 1.0 if self.status[q] == _AT_LB else -1.0
-            col = self._column(q)
-            step, row, to_ub = self._ratio_test(q, col * direction)
-            if not math.isfinite(step):
-                return -np.inf
-            if row >= 0:
-                alpha = self._row(self.binvt[:, row])  # the tableau row before the pivot
-                d = d - d[q] / alpha[q] * alpha
-            self._pivot(q, direction, step, row, to_ub, col)
-            self.iterations += 1
-            if step <= _STEP_TOL:
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-            if self.since_refresh >= _REFRESH_EVERY:
-                self._refresh()
-                d = self._reduced_costs(cost)
 
     def _leaving(self, bland):
         """Row of the basic variable with the largest bound violation, -1 if none.
@@ -429,17 +345,18 @@ class _Revised:
             return int(ties[0])
         return int(ties[np.abs(alpha[ties]).argmax()])
 
-    def _dual(self, cost):
+    def _dual(self):
         """Bounded dual simplex to a primal feasible basis.
 
-        Returns 0.0 when feasible, else the violation of a row no column can
-        repair (the LP is infeasible).
+        Returns (violation, d) on a fresh factorization: violation is 0.0
+        when the basis is feasible, else the violation of a row no column
+        can repair (the LP is infeasible); d are the reduced costs.
         """
-        d = self._reduced_costs(cost)
+        d = self._reduced_costs()
         stall = 0
         bland = False
         while True:
-            if self.iterations >= self.max_iterations:
+            if self.iterations >= _MAX_ITERATIONS:
                 raise SimplexError("iteration limit exceeded")
             row, below, violation = self._leaving(bland)
             q = -1
@@ -450,9 +367,9 @@ class _Revised:
                 # Feasible, or a row no column can repair: either verdict
                 # stands only on a fresh factorization.
                 if self.since_refresh == 0:
-                    return violation
+                    return violation, d
                 self._refresh()
-                d = self._reduced_costs(cost)
+                d = self._reduced_costs()
                 continue
             col = self._column(q)
             leaving = self.basis[row]
@@ -472,16 +389,18 @@ class _Revised:
                 bland = False
             if self.since_refresh >= _REFRESH_EVERY:
                 self._refresh()
-                d = self._reduced_costs(cost)
+                d = self._reduced_costs()
 
     # -- driver --------------------------------------------------------------
 
     def run(self) -> LpResult:
-        violation = self._dual(self.dual_cost)
+        violation, d = self._dual()
         if violation > 0:
             return self._result(INFEASIBLE, infeasibility=violation)
-        if self._minimize(self.cost) == -np.inf:
-            return self._result(UNBOUNDED)
+        # The start is dual feasible and the dual ratio test keeps it so; a
+        # violation here is numerical breakdown, which no primal phase hides.
+        if np.any(self.price * d < -_DUAL_TOL):
+            raise SimplexError("feasible basis is not dual feasible")
         n = self.n_struct
         x = np.clip(self.values[:n], self.lb[:n], self.ub[:n])
         return self._result(OPTIMAL, x=x, objective=float(self.cost[:n] @ x),

@@ -181,6 +181,29 @@ def test_schema_violations_rejected():
         model.normalize(doc)
 
 
+@pytest.mark.parametrize(
+    "field, specs",
+    [
+        ("loss_threshold", {"sinks": [SinkSpec("d0", stream="s0", loss_threshold="0.1")]}),
+        ("bitrate", {"sources": [SourceSpec("s0", bitrate="1.0")]}),
+        ("cost", {"reflectors": [ReflectorSpec("r0", cost="10", fanout=2)]}),
+        ("bandwidth", {"reflectors": [ReflectorSpec("r0", cost=10.0, fanout=2, bandwidth="5")]}),
+        ("color", {"reflectors": [ReflectorSpec("r0", cost=10.0, fanout=2, color="a")]}),
+    ],
+)
+def test_spec_fields_of_the_wrong_type_rejected(field, specs):
+    # Built from specs, not a document: the instance checks each field's type.
+    base = {
+        "sources": [SourceSpec("s0")],
+        "reflectors": [ReflectorSpec("r0", cost=10.0, fanout=2)],
+        "sinks": [SinkSpec("d0", stream="s0", loss_threshold=0.01)],
+        "src_edges": {("s0", "r0"): EdgeSpec(loss=0.1, cost=1.0)},
+        "refl_edges": {("r0", "d0"): EdgeSpec(loss=0.1, cost=2.0)},
+    }
+    with pytest.raises(ValidationError, match=field):
+        Instance(**{**base, **specs})
+
+
 def test_loss_one_edge_is_a_dead_link():
     # Loss 1.0 is accepted: the link drops every packet, so its paths weigh 0.
     inst = tiny_instance(p_refl=1.0)

@@ -20,11 +20,16 @@ def random_lp(rng, n_max=12, m_max=10):
     else:
         b = rng.normal(size=m) * 2.0
     lb = np.zeros(n)
-    ub = np.where(rng.random(n) < 0.8, rng.uniform(0.5, 3.0, size=n), np.inf)
+    ub = np.where(rng.random(n) < 0.8, rng.uniform(0.5, 3.0, size=n), 10.0)
     # A few fixed variables exercise the degenerate-bound path.
     fixed = rng.random(n) < 0.1
     ub[fixed] = lb[fixed]
     return c, a, senses, b, lb, ub
+
+
+def solve_dense(c, a, *args, **kwargs):
+    """`simplex.solve` on a dense constraint matrix."""
+    return simplex.solve(c, simplex.Layout.from_dense(np.asarray(a, dtype=float)), *args, **kwargs)
 
 
 def scipy_solve(c, a, senses, b, lb, ub):
@@ -57,15 +62,13 @@ def test_matches_highs_on_random_lps():
     infeasible = 0
     for _ in range(300):
         c, a, senses, b, lb, ub = random_lp(rng)
-        ours = simplex.solve(c, a, senses, b, lb, ub)
+        ours = solve_dense(c, a, senses, b, lb, ub)
         ref = scipy_solve(c, a, senses, b, lb, ub)
         if ref.status == 2:
             assert ours.status == simplex.INFEASIBLE, (c, a, senses, b, lb, ub)
             infeasible += 1
-        elif ref.status == 3:
-            assert ours.status == simplex.UNBOUNDED
-        elif ref.status == 0:
-            assert ours.status == simplex.OPTIMAL, (ours.status, c, a, senses, b, lb, ub)
+        else:
+            assert ref.status == 0 and ours.status == simplex.OPTIMAL, (ours.status, c, a, senses, b, lb, ub)
             assert ours.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
             solved += 1
     # The generator must actually exercise both outcomes.
@@ -77,7 +80,7 @@ def test_solution_satisfies_rows():
     rng = np.random.default_rng(11)
     for _ in range(120):
         c, a, senses, b, lb, ub = random_lp(rng)
-        ours = simplex.solve(c, a, senses, b, lb, ub)
+        ours = solve_dense(c, a, senses, b, lb, ub)
         if ours.status != simplex.OPTIMAL:
             continue
         x = ours.x
@@ -96,8 +99,8 @@ def test_solution_satisfies_rows():
 def test_deterministic_pivoting():
     rng = np.random.default_rng(3)
     c, a, senses, b, lb, ub = random_lp(rng, n_max=9, m_max=8)
-    first = simplex.solve(c, a, senses, b, lb, ub)
-    second = simplex.solve(c, a, senses, b, lb, ub)
+    first = solve_dense(c, a, senses, b, lb, ub)
+    second = solve_dense(c, a, senses, b, lb, ub)
     assert first.status == second.status
     assert np.array_equal(first.x, second.x)
     assert first.iterations == second.iterations
@@ -114,7 +117,7 @@ def test_degenerate_lp_terminates():
             [1.0, 1.0, 0.0],
         ]
     )
-    res = simplex.solve(
+    res = solve_dense(
         c=[-1.0, -1.0, -1.0],
         a=a,
         senses=["<="] * 5,
@@ -126,76 +129,71 @@ def test_degenerate_lp_terminates():
     assert res.objective == pytest.approx(0.0, abs=1e-9)
 
 
-def test_unbounded_detected():
-    res = simplex.solve(
-        c=[-1.0],
-        a=np.array([[0.0]]),
-        senses=["<="],
-        b=[1.0],
-        lb=[0.0],
-        ub=[np.inf],
-    )
-    assert res.status == simplex.UNBOUNDED
+def test_infinite_bound_is_rejected():
+    # Every structural column is boxed, so the solver has no unbounded status.
+    with pytest.raises(ValueError, match="finite"):
+        solve_dense([-1.0], np.array([[0.0]]), ["<="], [1.0], lb=[0.0], ub=[np.inf])
+
+
+def test_a_dual_infeasible_end_raises():
+    # No primal phase repairs a basis that is not dual feasible: with its
+    # cost flipped after the start, x rests at its upper bound with a
+    # positive reduced cost, and the feasible basis is not declared optimal.
+    state = simplex._Revised(np.array([-1.0]), simplex.Layout.from_dense(np.array([[1.0]])),
+                             ["<="], np.array([5.0]), np.zeros(1), np.ones(1))
+    state.cost[0] = 1.0
+    with pytest.raises(simplex.SimplexError, match="not dual feasible"):
+        state.run()
 
 
 def test_crossed_bounds_are_infeasible():
     # lb > ub has no point; a branch-and-bound child can produce it.
-    res = simplex.solve([1.0], np.array([[1.0]]), ["<="], [5.0], lb=[1.0], ub=[0.5])
+    res = solve_dense([1.0], np.array([[1.0]]), ["<="], [5.0], lb=[1.0], ub=[0.5])
     assert res.status == simplex.INFEASIBLE
     assert res.infeasibility == pytest.approx(0.5)
 
 
-def _shifted_lp():
-    # x2 has no upper bound and a negative cost, so the dual phase prices it
-    # at zero; only the last row bounds it. The '>=' row starts violated.
+def _boxed_lp():
+    # x2 has a negative cost and starts at its upper bound, which the last
+    # row cuts; the '>=' row starts violated.
     c = np.array([1.0, 3.0, -1.0])
-    a = np.array([
+    a = simplex.Layout.from_dense(np.array([
         [1.0, 1.0, 0.0],
         [0.0, 0.0, 1.0],
         [1.0, 0.0, 1.0],
-    ])
+    ]))
     b = np.array([1.0, 2.0, 2.5])
-    return c, a, [">=", "<=", "<="], b, np.zeros(3), np.array([1.0, 1.0, np.inf])
+    return c, a, [">=", "<=", "<="], b, np.zeros(3), np.array([1.0, 1.0, 2.0])
 
 
 def test_refreshes_once_per_phase():
-    args = _shifted_lp()
-    state = simplex._Revised(*args, max_iterations=1000)
+    args = _boxed_lp()
+    state = simplex._Revised(*args)
     n, m = 3, 3
     assert state.ncols == n + m  # one slack per row
     assert np.array_equal(state.binvt, np.diag([-1.0, 1.0, 1.0]))  # the slack basis
     assert state.refreshes == 0
     res = state.run()
     assert res.status == simplex.OPTIMAL
-    assert 0 < res.iterations < simplex._REFRESH_EVERY
-    # The confirming refactorization of the dual and of the primal phase.
-    assert res.refreshes == 2
+    assert res.iterations == 2
+    # The dual simplex is the only phase: one confirming refactorization.
+    assert res.refreshes == 1
     assert res.objective == pytest.approx(-0.5)
-    assert simplex.solve(*args).refreshes == 2
+    assert simplex.solve(*args).refreshes == 1
 
 
-def test_updated_inverse_matches_a_fresh_factorization():
+def test_updated_inverse_matches_a_fresh_factorization(monkeypatch):
     # A few hundred rank-1 updates of the transposed inverse, with no
     # refactorization in between, agree with factorizing the same basis.
+    monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 300)
     model = lp.build_model(gen.gen_random((10, 10, 30), "avg", seed=0))
     state = simplex._Revised(model.obj, model.layout, model.senses, model.rhs,
-                             model.lb, model.ub, max_iterations=300)
+                             model.lb, model.ub)
     with pytest.raises(simplex.SimplexError, match="iteration limit"):
         state.run()
     assert state.iterations == 300 and state.since_refresh >= 200
     assert state.binvt.flags.c_contiguous
     assert np.max(np.abs(state.binvt - state._factorize())) <= 1e-9
-
-
-def test_unbounded_column_with_negative_cost_matches_highs():
-    args = _shifted_lp()
-    state = simplex._Revised(*args, max_iterations=1000)
-    assert state.dual_cost[2] == 0.0 and state.cost[2] == -1.0
-    res = state.run()
-    ref = scipy_solve(*args)
-    assert ref.status == 0 and res.status == simplex.OPTIMAL
-    assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
-    assert res.x[2] == pytest.approx(1.5)
 
 
 def test_duplicate_equality_rows_return_a_basis():
@@ -208,12 +206,12 @@ def test_duplicate_equality_rows_return_a_basis():
     ])
     senses, b = ["==", "==", "<="], np.array([1.0, 1.0, 1.5])
     lb, ub = np.zeros(3), np.ones(3)
-    res = simplex.solve(c, a, senses, b, lb, ub)
+    res = solve_dense(c, a, senses, b, lb, ub)
     assert res.status == simplex.OPTIMAL
     assert res.objective == pytest.approx(1.0)
     assert res.basis is not None
     child_ub = np.array([0.5, 1.0, 1.0])
-    child = simplex.solve(c, a, senses, b, lb, child_ub, warm=res.basis)
+    child = solve_dense(c, a, senses, b, lb, child_ub, warm=res.basis)
     ref = scipy_solve(c, a, senses, b, lb, child_ub)
     assert child.warm_started and child.status == simplex.OPTIMAL
     assert child.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
@@ -239,8 +237,7 @@ out = []
 for (sizes, regime, colors, mode), _ in json.loads(sys.argv[1]):
     inst = gen.gen_random(tuple(sizes), regime, seed=0, colors=colors)
     model = lp.build_model(instance_from_doc({**inst.to_doc(), "mode": mode}))
-    c, a, senses, b = model.arrays()
-    res = simplex.solve(c, a, senses, b, model.lb, model.ub)
+    res = simplex.solve(model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
     out.append([res.iterations, hashlib.sha256(res.x.tobytes()).hexdigest()])
 print(json.dumps(out))
 """
@@ -253,14 +250,14 @@ def test_pivots_pinned(one_blas_thread):
 
 def test_warm_start_matches_cold_and_highs():
     # Children of an optimal parent: one fractional variable tightened down
-    # (ub = floor) and up (lb = ceil), solved from the parent's basis. The
-    # parent's basis under the negated objective is a start that is dual
-    # infeasible, on a column without an upper bound too (its cost is shifted).
+    # (ub = floor) and up (lb = ceil), solved from the parent's basis. Under
+    # the negated objective the parent's basis may leave a nonbasic slack
+    # dual infeasible; that child starts from the slack basis instead.
     rng = np.random.default_rng(23)
-    children = infeasible = warm = 0
+    children = infeasible = warm = cold = 0
     for _ in range(400):
         c, a, senses, b, lb, ub = random_lp(rng)
-        parent = simplex.solve(c, a, senses, b, lb, ub)
+        parent = solve_dense(c, a, senses, b, lb, ub)
         if parent.status != simplex.OPTIMAL:
             continue
         frac = (np.abs(parent.x - np.round(parent.x)) > 1e-6).nonzero()[0]
@@ -271,28 +268,31 @@ def test_warm_start_matches_cold_and_highs():
         down_ub[j] = np.floor(parent.x[j])
         up_lb[j] = np.ceil(parent.x[j])
         for cc, clb, cub in ((c, lb, down_ub), (c, up_lb, ub), (-c, lb, ub)):
-            res = simplex.solve(cc, a, senses, b, clb, cub, warm=parent.basis)
-            cold = simplex.solve(cc, a, senses, b, clb, cub)
+            res = solve_dense(cc, a, senses, b, clb, cub, warm=parent.basis)
+            fresh = solve_dense(cc, a, senses, b, clb, cub)
             ref = scipy_solve(cc, a, senses, b, clb, cub)
-            assert res.status == cold.status
+            assert res.status == fresh.status
             if ref.status == 2:
                 assert res.status == simplex.INFEASIBLE
                 infeasible += res.warm_started  # found by the dual simplex
-            elif ref.status == 3:
-                assert res.status == simplex.UNBOUNDED
             else:
                 assert ref.status == 0 and res.status == simplex.OPTIMAL
-                assert res.objective == pytest.approx(cold.objective, abs=1e-7, rel=1e-7)
+                assert res.objective == pytest.approx(fresh.objective, abs=1e-7, rel=1e-7)
                 assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
                 assert res.basis is not None
             children += 1
             warm += res.warm_started
-            # Crossed bounds (lb > ub) are infeasible before any start;
-            # every other child runs from the parent's basis.
-            assert res.warm_started or np.any(clb > cub)
+            # Crossed bounds (lb > ub) are infeasible before any start; a
+            # bound change keeps the parent's basis dual feasible, so only
+            # the negated objective may start cold.
+            if cc is c:
+                assert res.warm_started or np.any(clb > cub)
+            else:
+                cold += not res.warm_started
     assert children > 300
     assert infeasible > 20
     assert warm > 200
+    assert cold > 0
 
 
 def test_branch_and_bound_warm_starts_every_child(monkeypatch):
