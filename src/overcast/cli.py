@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .gen import GenerationError, gen_random
 from .lp import InfeasibleError, NoIncumbentError, TimeBudget
-from .model import Instance, normalize
+from .model import Instance, instance_from_doc, normalize_doc
 from .pipeline import (
     ApproxPipelineError,
     run_approx,
@@ -37,14 +37,14 @@ SWEEP_COLUMNS = CSV_COLUMNS + ["violations_first_draw", "identical_across_seeds"
 
 def _load_instance(args) -> Instance:
     with open(args.instance, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = normalize_doc(json.load(fh))
     if getattr(args, "mode", None):
         doc["mode"] = args.mode
     if getattr(args, "colors", False):
         doc["colors_enabled"] = True
     if getattr(args, "bandwidth", False):
         doc["bandwidth_enabled"] = True
-    return normalize(doc)
+    return instance_from_doc(doc)
 
 
 def _positive_seconds(text: str) -> float:

@@ -14,6 +14,9 @@ per edge server; `normalize` replicates nodes (and their edges) so that
 every source originates exactly one stream, named after the source itself,
 and every sink demands exactly one stream. Replicas are named
 ``origId#streamId``. Normalization is idempotent.
+
+One table, `_SCHEMA`, states every field of instance and solution documents,
+and `_check_record` is the one function that checks them.
 """
 
 from __future__ import annotations
@@ -77,64 +80,107 @@ class SinkSpec:
         return -math.log2(self.loss_threshold)
 
 
-def _require_keys(record: dict, required: set[str], optional: set[str], where: str) -> None:
-    if not isinstance(record, dict):
-        raise ValidationError(f"{where}: expected an object, got {type(record).__name__}")
-    keys = set(record)
-    unknown = keys - required - optional
-    if unknown:
-        raise ValidationError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = required - keys
-    if missing:
-        raise ValidationError(f"{where}: missing key(s) {sorted(missing)}")
+# -- schema -------------------------------------------------------------------
+
+# Every field of every record that instance and solution documents hold: its
+# JSON kind, "?" when it may be absent, and for a number the interval it must
+# lie "in". `_check_record` is the one place these are checked.
+_SCHEMA = {
+    "instance": {
+        "sources": "list", "reflectors": "list", "sinks": "list",
+        "src_edges": "list", "refl_edges": "list",
+        "mode": "string?", "colors_enabled": "boolean?", "bandwidth_enabled": "boolean?",
+    },
+    "flags": {"mode": "string", "colors_enabled": "boolean", "bandwidth_enabled": "boolean"},
+    "source": {"id": "string", "bitrate": "number? in (0, inf)"},
+    "reflector": {
+        "id": "string", "cost": "number in [0, inf)", "fanout": "integer in [1, inf)",
+        "bandwidth": "number? in (0, inf)", "color": "integer?",
+    },
+    "sink": {"id": "string", "stream": "string", "loss_threshold": "number in (0, 1]"},
+    "edge": {
+        "from": "string", "to": "string", "loss": "number in [0, 1]", "cost": "number in [0, inf)",
+    },
+    # raw forms, which normalize_doc replicates into sources and sinks
+    "raw source": {
+        "id": "string", "streams": "non-empty list of strings?", "bitrate": "number? in (0, inf)",
+    },
+    "multi sink": {"id": "string", "demands": "non-empty list"},
+    "demand": {"stream": "string", "loss_threshold": "number in (0, 1]"},
+    # solution documents; meta is open, as it also holds stage details not read back
+    "solution": {
+        "kind": "string", "provenance": "string", "mode": "string?", "cost": "number?",
+        "routes": "list", "meta": "object?",
+    },
+    "route": {"stream": "string", "reflector": "string", "sink": "string", "mass": "number"},
+    "meta": {"draw_cost": "number?", "path_cost_total": "number?"},
+}
+_OPEN_RECORDS = {"meta"}
+
+# A bool is neither a number nor an integer.
+_JSON_KINDS = {
+    "string": lambda v: type(v) is str,
+    "number": lambda v: type(v) in (int, float),
+    "integer": lambda v: type(v) is int,
+    "boolean": lambda v: type(v) is bool,
+    "list": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+    "non-empty list": lambda v: isinstance(v, list) and len(v) > 0,
+    "non-empty list of strings": lambda v: (
+        isinstance(v, list) and len(v) > 0 and all(type(s) is str for s in v)
+    ),
+}
 
 
-_JSON_TYPES = {"number": (int, float), "integer": (int,), "boolean": (bool,), "string": (str,)}
+def _interval(text: str):
+    """Membership test for an interval such as "(0, 1]"; NaN is in none."""
+    lo, hi = (float(end) for end in text[1:-1].split(","))
+    open_lo, open_hi = text[0] == "(", text[-1] == ")"
+    return lambda v: (lo < v if open_lo else lo <= v) and (v < hi if open_hi else v <= hi)
 
 
-def _field(rec: dict, key: str, kind: str, where: str, default=None):
-    """rec[key] (`default` when absent), which must be a JSON `kind`; a bool
-    is neither a number nor an integer."""
-    if key not in rec:
-        return default
-    value = rec[key]
-    if type(value) not in _JSON_TYPES[kind]:
-        raise ValidationError(f"{where}: {key} must be a {kind}, got {value!r}")
-    return value
+def _compile(kind: str, fields: dict[str, str]) -> tuple[dict, frozenset, frozenset | None]:
+    """Each field's (JSON kind, kind test, interval text, interval test), the
+    required fields, and all fields unless the record is open, of one kind."""
+    compiled, required = {}, set()
+    for key, spec in fields.items():
+        json_kind, _, interval = spec.partition(" in ")
+        if not json_kind.endswith("?"):
+            required.add(key)
+        json_kind = json_kind.rstrip("?")
+        in_interval = _interval(interval) if interval else None
+        compiled[key] = (json_kind, _JSON_KINDS[json_kind], interval, in_interval)
+    closed = None if kind in _OPEN_RECORDS else frozenset(fields)
+    return compiled, frozenset(required), closed
 
 
-def _is_number(value) -> bool:
-    """An int or a float, and not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_FIELDS = {kind: _compile(kind, fields) for kind, fields in _SCHEMA.items()}
 
 
-def _check_loss(value, where: str) -> float:
-    if not _is_number(value):
-        raise ValidationError(f"{where}: loss must be a number")
-    value = float(value)
-    if not (0.0 <= value <= 1.0) or math.isnan(value):
-        raise ValidationError(f"{where}: loss {value} outside [0, 1]")
-    return value
-
-
-def _check_cost(value, where: str) -> float:
-    if not _is_number(value):
-        raise ValidationError(f"{where}: cost must be a number")
-    value = float(value)
-    if value < 0.0 or not math.isfinite(value):
-        raise ValidationError(f"{where}: cost {value} must be finite and >= 0")
-    return value
-
-
-def _checked_edges(edges, where: str) -> dict[tuple[str, str], EdgeSpec]:
-    """The edges with their loss and cost checked and made floats."""
-    return {
-        (a, b): EdgeSpec(
-            loss=_check_loss(edge.loss, f"{where} ({a}, {b})"),
-            cost=_check_cost(edge.cost, f"{where} ({a}, {b})"),
-        )
-        for (a, b), edge in edges.items()
-    }
+def _check_record(rec, kind: str, where: str) -> dict:
+    """A copy of `rec` once it is a `kind` record of `_SCHEMA`, with its
+    numbers as floats; anything else raises ValidationError naming `where`."""
+    if not isinstance(rec, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(rec).__name__}")
+    fields, required, closed = _FIELDS[kind]
+    if closed is not None and not closed.issuperset(rec):
+        raise ValidationError(f"{where}: unknown key(s) {sorted(set(rec) - closed)}")
+    if not required.issubset(rec):
+        raise ValidationError(f"{where}: missing key(s) {sorted(required - set(rec))}")
+    out = dict(rec)
+    for key, value in rec.items():
+        field = fields.get(key)
+        if field is None:  # a key an open record does not describe
+            continue
+        json_kind, is_kind, interval, in_interval = field
+        if not is_kind(value):
+            article = "an" if json_kind[0] in "aeiou" else "a"
+            raise ValidationError(f"{where}: {key} must be {article} {json_kind}, got {value!r}")
+        if in_interval is not None and not in_interval(value):
+            raise ValidationError(f"{where}: {key} {value!r} outside {interval}")
+        if json_kind == "number":
+            out[key] = float(value)
+    return out
 
 
 class Instance:
@@ -156,14 +202,32 @@ class Instance:
         colors_enabled: bool = False,
         bandwidth_enabled: bool = False,
     ):
-        self.sources = tuple(sources)
-        self.reflectors = tuple(reflectors)
-        self.sinks = tuple(sinks)
-        self.src_edges = _checked_edges(src_edges, "src edge")
-        self.refl_edges = _checked_edges(refl_edges, "refl edge")
+        def checked(cls, specs, kind, key):
+            # A None field is an absent one.
+            return tuple(
+                cls(**_check_record(
+                    {f: v for f, v in vars(spec).items() if v is not None}, kind, f"{key}[{n}]"
+                ))
+                for n, spec in enumerate(specs)
+            )
+
+        def edge_map(specs, key):
+            records = [
+                _check_record({"from": a, "to": b, **vars(e)}, "edge", f"{key}[{n}]")
+                for n, ((a, b), e) in enumerate(specs.items())
+            ]
+            return {(r["from"], r["to"]): EdgeSpec(r["loss"], r["cost"]) for r in records}
+
+        self.sources = checked(SourceSpec, sources, "source", "sources")
+        self.reflectors = checked(ReflectorSpec, reflectors, "reflector", "reflectors")
+        self.sinks = checked(SinkSpec, sinks, "sink", "sinks")
+        self.src_edges = edge_map(src_edges, "src_edges")
+        self.refl_edges = edge_map(refl_edges, "refl_edges")
+        flags = {"mode": mode, "colors_enabled": colors_enabled, "bandwidth_enabled": bandwidth_enabled}
+        _check_record(flags, "flags", "instance")
         self.mode = mode
-        self.colors_enabled = bool(colors_enabled)
-        self.bandwidth_enabled = bool(bandwidth_enabled)
+        self.colors_enabled = colors_enabled
+        self.bandwidth_enabled = bandwidth_enabled
 
         self.source_by_id = {s.id: s for s in self.sources}
         self.reflector_by_id = {r.id: r for r in self.reflectors}
@@ -173,6 +237,7 @@ class Instance:
     # -- validation -------------------------------------------------------
 
     def _validate(self) -> None:
+        """The checks that span records; `__init__` checked each field."""
         if self.mode not in ("full", "transmission"):
             raise ValidationError(f"mode must be 'full' or 'transmission', got {self.mode!r}")
         if not self.reflectors or not self.sinks or not self.sources:
@@ -190,36 +255,16 @@ class Instance:
         )
         if len(all_ids) != len(self.sources) + len(self.reflectors) + len(self.sinks):
             raise ValidationError("node ids must be unique across sources, reflectors and sinks")
-
-        def optional_positive(value):
-            return value is None or (_is_number(value) and value > 0 and math.isfinite(value))
-
-        for r in self.reflectors:
-            if not (_is_number(r.cost) and r.cost >= 0 and math.isfinite(r.cost)):
-                raise ValidationError(f"reflector {r.id}: cost must be finite and >= 0")
-            if type(r.fanout) is not int or r.fanout < 1:
-                raise ValidationError(f"reflector {r.id}: fanout must be an integer >= 1")
-            if not optional_positive(r.bandwidth):
-                raise ValidationError(f"reflector {r.id}: bandwidth must be finite and > 0")
-            if r.color is not None and type(r.color) is not int:
-                raise ValidationError(f"reflector {r.id}: color must be an integer")
-        for s in self.sources:
-            if not optional_positive(s.bitrate):
-                raise ValidationError(f"source {s.id}: bitrate must be finite and > 0")
         for d in self.sinks:
             if d.stream not in self.source_by_id:
                 raise ValidationError(f"sink {d.id}: unknown stream {d.stream!r}")
-            if not (_is_number(d.loss_threshold) and 0.0 < d.loss_threshold <= 1.0):
-                raise ValidationError(
-                    f"sink {d.id}: loss_threshold {d.loss_threshold!r} outside (0, 1]"
-                )
         if len(self.sources) > len(self.sinks):
             raise ValidationError("more sources than sinks after normalization")
 
-        for (a, b), edge in self.src_edges.items():
+        for a, b in self.src_edges:
             if a not in self.source_by_id or b not in self.reflector_by_id:
                 raise ValidationError(f"src edge ({a}, {b}) does not join a source to a reflector")
-        for (a, b), edge in self.refl_edges.items():
+        for a, b in self.refl_edges:
             if a not in self.reflector_by_id or b not in self.sink_by_id:
                 raise ValidationError(f"refl edge ({a}, {b}) does not join a reflector to a sink")
 
@@ -323,28 +368,6 @@ class Instance:
 
 # -- raw document handling ---------------------------------------------------
 
-_TOP_KEYS_REQ = {"sources", "reflectors", "sinks", "src_edges", "refl_edges"}
-_TOP_KEYS_OPT = {"mode", "colors_enabled", "bandwidth_enabled"}
-
-
-def _require_node_lists(doc: dict) -> None:
-    for key in ("sources", "reflectors", "sinks"):
-        if not isinstance(doc[key], list):
-            raise ValidationError(f"{key}: expected a list")
-
-
-def _parse_edge_records(records, where: str) -> list[dict]:
-    if not isinstance(records, list):
-        raise ValidationError(f"{where}: expected a list")
-    out = []
-    for idx, rec in enumerate(records):
-        _require_keys(rec, {"from", "to", "loss", "cost"}, set(), f"{where}[{idx}]")
-        _field(rec, "from", "string", f"{where}[{idx}]")
-        _field(rec, "to", "string", f"{where}[{idx}]")
-        out.append(rec)
-    return out
-
-
 def normalize_doc(doc: dict) -> dict:
     """Replicate multi-stream sources and multi-demand sinks into unit form.
 
@@ -352,105 +375,74 @@ def normalize_doc(doc: dict) -> dict:
     no-op. Replicas are named ``origId#streamId``. Source replicas whose
     stream no sink demands are dropped along with their edges (they can
     never carry traffic, and the normalized form keeps at most one source
-    per demanded stream).
+    per demanded stream). Each record it replicates is checked here, so an
+    error names its place in `doc`.
     """
-    _require_keys(doc, _TOP_KEYS_REQ, _TOP_KEYS_OPT, "instance")
-    _require_node_lists(doc)
+    _check_record(doc, "instance", "instance")
 
     # Streams: map raw stream name -> normalized source id.
     stream_of: dict[str, str] = {}
     out_sources = []
     streams_by_source: dict[str, list[str]] = {}
     for idx, rec in enumerate(doc["sources"]):
-        _require_keys(rec, {"id"}, {"streams", "bitrate"}, f"sources[{idx}]")
-        sid = _field(rec, "id", "string", f"sources[{idx}]")
-        if "streams" in rec:
-            streams = rec["streams"]
-            if not isinstance(streams, list) or not streams or not all(
-                type(stream) is str for stream in streams
-            ):
-                raise ValidationError(f"sources[{idx}]: streams must be a non-empty list of strings")
-            for stream in streams:
-                replica = f"{sid}#{stream}"
-                if stream in stream_of:
-                    raise ValidationError(f"duplicate stream id {stream!r}")
-                stream_of[stream] = replica
-                base = {"id": replica}
-                if "bitrate" in rec:
-                    base["bitrate"] = rec["bitrate"]
-                out_sources.append(base)
-                streams_by_source.setdefault(sid, []).append(replica)
-        else:
-            # Already unit form: the source originates the stream named by its id.
-            if sid in stream_of:
-                raise ValidationError(f"duplicate stream id {sid!r}")
-            stream_of[sid] = sid
-            base = {"id": sid}
-            if "bitrate" in rec:
-                base["bitrate"] = rec["bitrate"]
-            out_sources.append(base)
-            streams_by_source.setdefault(sid, []).append(sid)
+        rec = _check_record(rec, "raw source", f"sources[{idx}]")
+        sid = rec["id"]
+        streams = rec.pop("streams", None)
+        # Without streams the source is in unit form: its stream is named by its id.
+        replicas = [(s, f"{sid}#{s}") for s in streams] if streams else [(sid, sid)]
+        for stream, replica in replicas:
+            if stream in stream_of:
+                raise ValidationError(f"duplicate stream id {stream!r}")
+            stream_of[stream] = replica
+            out_sources.append({**rec, "id": replica})
+            streams_by_source.setdefault(sid, []).append(replica)
 
     out_sinks = []
-    sink_replicas: dict[str, list[tuple[str, str]]] = {}  # raw sink id -> (replica, stream)
+    sink_replicas: dict[str, list[str]] = {}  # raw sink id -> its replicas
     for idx, rec in enumerate(doc["sinks"]):
+        where = f"sinks[{idx}]"
         if isinstance(rec, dict) and "demands" in rec:
-            _require_keys(rec, {"id", "demands"}, set(), f"sinks[{idx}]")
-            _field(rec, "id", "string", f"sinks[{idx}]")
-            demands = rec["demands"]
-            if not isinstance(demands, list) or not demands:
-                raise ValidationError(f"sinks[{idx}]: demands must be a non-empty list")
-            for d_idx, dem in enumerate(demands):
-                where = f"sinks[{idx}].demands[{d_idx}]"
-                _require_keys(dem, {"stream", "loss_threshold"}, set(), where)
-                _field(dem, "stream", "string", where)
-                if dem["stream"] not in stream_of:
-                    raise ValidationError(f"sinks[{idx}]: unknown stream {dem['stream']!r}")
-                replica = f"{rec['id']}#{dem['stream']}"
-                out_sinks.append(
-                    {
-                        "id": replica,
-                        "stream": stream_of[dem["stream"]],
-                        "loss_threshold": dem["loss_threshold"],
-                    }
-                )
-                sink_replicas.setdefault(rec["id"], []).append((replica, stream_of[dem["stream"]]))
+            sid = _check_record(rec, "multi sink", where)["id"]
+            demands = [
+                _check_record(dem, "demand", f"{where}.demands[{d_idx}]")
+                for d_idx, dem in enumerate(rec["demands"])
+            ]
+            replicas = [f"{sid}#{dem['stream']}" for dem in demands]
         else:
-            _require_keys(rec, {"id", "stream", "loss_threshold"}, set(), f"sinks[{idx}]")
-            _field(rec, "id", "string", f"sinks[{idx}]")
-            if _field(rec, "stream", "string", f"sinks[{idx}]") not in stream_of:
-                raise ValidationError(f"sinks[{idx}]: unknown stream {rec['stream']!r}")
-            resolved = stream_of[rec["stream"]]
+            demands = [_check_record(rec, "sink", where)]
+            sid = demands[0]["id"]
+            replicas = [sid]
+        demanded = set()
+        for replica, dem in zip(replicas, demands):
+            stream = dem["stream"]
+            if stream not in stream_of:
+                raise ValidationError(f"{where}: unknown stream {stream!r}")
+            if stream in demanded:
+                raise ValidationError(f"{where}: stream {stream!r} demanded twice")
+            demanded.add(stream)
             out_sinks.append(
-                {"id": rec["id"], "stream": resolved, "loss_threshold": rec["loss_threshold"]}
+                {"id": replica, "stream": stream_of[stream], "loss_threshold": dem["loss_threshold"]}
             )
-            sink_replicas.setdefault(rec["id"], []).append((rec["id"], resolved))
+            sink_replicas.setdefault(sid, []).append(replica)
 
-    demanded = {rec["stream"] for rec in out_sinks}
-    out_sources = [rec for rec in out_sources if rec["id"] in demanded]
-    kept_sources = {rec["id"] for rec in out_sources}
+    kept_sources = {rec["stream"] for rec in out_sinks}
+    out_sources = [rec for rec in out_sources if rec["id"] in kept_sources]
 
     out_src_edges = []
-    for rec in _parse_edge_records(doc["src_edges"], "src_edges"):
+    for idx, rec in enumerate(doc["src_edges"]):
+        rec = _check_record(rec, "edge", f"src_edges[{idx}]")
         replicas = streams_by_source.get(rec["from"])
         if replicas is None:
-            raise ValidationError(f"src edge from unknown source {rec['from']!r}")
-        for replica in replicas:
-            if replica not in kept_sources:
-                continue
-            out_src_edges.append(
-                {"from": replica, "to": rec["to"], "loss": rec["loss"], "cost": rec["cost"]}
-            )
+            raise ValidationError(f"src_edges[{idx}]: unknown source {rec['from']!r}")
+        out_src_edges += [{**rec, "from": replica} for replica in replicas if replica in kept_sources]
 
     out_refl_edges = []
-    for rec in _parse_edge_records(doc["refl_edges"], "refl_edges"):
+    for idx, rec in enumerate(doc["refl_edges"]):
+        rec = _check_record(rec, "edge", f"refl_edges[{idx}]")
         replicas = sink_replicas.get(rec["to"])
         if replicas is None:
-            raise ValidationError(f"refl edge to unknown sink {rec['to']!r}")
-        for replica, _stream in replicas:
-            out_refl_edges.append(
-                {"from": rec["from"], "to": replica, "loss": rec["loss"], "cost": rec["cost"]}
-            )
+            raise ValidationError(f"refl_edges[{idx}]: unknown sink {rec['to']!r}")
+        out_refl_edges += [{**rec, "to": replica} for replica in replicas]
 
     out = {
         "sources": out_sources,
@@ -459,73 +451,36 @@ def normalize_doc(doc: dict) -> dict:
         "src_edges": out_src_edges,
         "refl_edges": out_refl_edges,
     }
-    for key in _TOP_KEYS_OPT:
-        if key in doc:
-            out[key] = doc[key]
+    out.update((key, doc[key]) for key in _SCHEMA["flags"] if key in doc)
     return out
 
 
 def instance_from_doc(doc: dict) -> Instance:
     """Build an Instance from a document already in normalized form.
 
-    Every field must have its JSON type: ids are strings, fanout and color
-    integers, the flags booleans, and the rest numbers.
+    Every field must have its JSON kind and range as `_SCHEMA` gives them.
     """
-    _require_keys(doc, _TOP_KEYS_REQ, _TOP_KEYS_OPT, "instance")
-    _require_node_lists(doc)
-    sources = []
-    for idx, rec in enumerate(doc["sources"]):
-        where = f"sources[{idx}]"
-        _require_keys(rec, {"id"}, {"bitrate"}, where)
-        sources.append(
-            SourceSpec(
-                id=_field(rec, "id", "string", where),
-                bitrate=_field(rec, "bitrate", "number", where),
-            )
-        )
-    reflectors = []
-    for idx, rec in enumerate(doc["reflectors"]):
-        where = f"reflectors[{idx}]"
-        _require_keys(rec, {"id", "cost", "fanout"}, {"bandwidth", "color"}, where)
-        reflectors.append(
-            ReflectorSpec(
-                id=_field(rec, "id", "string", where),
-                cost=float(_field(rec, "cost", "number", where)),
-                fanout=_field(rec, "fanout", "integer", where),
-                bandwidth=_field(rec, "bandwidth", "number", where),
-                color=_field(rec, "color", "integer", where),
-            )
-        )
-    sinks = []
-    for idx, rec in enumerate(doc["sinks"]):
-        where = f"sinks[{idx}]"
-        _require_keys(rec, {"id", "stream", "loss_threshold"}, set(), where)
-        sinks.append(
-            SinkSpec(
-                id=_field(rec, "id", "string", where),
-                stream=_field(rec, "stream", "string", where),
-                loss_threshold=float(_field(rec, "loss_threshold", "number", where)),
-            )
-        )
+    _check_record(doc, "instance", "instance")
 
-    def edge_map(records, where):
+    def records(key, kind):
+        return [_check_record(rec, kind, f"{key}[{n}]") for n, rec in enumerate(doc[key])]
+
+    def edge_map(key):
         out = {}
-        for rec in _parse_edge_records(records, where):
-            key = (rec["from"], rec["to"])
-            if key in out:
-                raise ValidationError(f"{where}: duplicate edge {key}")
-            out[key] = EdgeSpec(loss=rec["loss"], cost=rec["cost"])  # Instance checks both
+        for rec in records(key, "edge"):
+            pair = (rec["from"], rec["to"])
+            if pair in out:
+                raise ValidationError(f"{key}: duplicate edge {pair}")
+            out[pair] = EdgeSpec(rec["loss"], rec["cost"])
         return out
 
     return Instance(
-        sources=sources,
-        reflectors=reflectors,
-        sinks=sinks,
-        src_edges=edge_map(doc["src_edges"], "src_edges"),
-        refl_edges=edge_map(doc["refl_edges"], "refl_edges"),
-        mode=_field(doc, "mode", "string", "instance", "full"),
-        colors_enabled=_field(doc, "colors_enabled", "boolean", "instance", False),
-        bandwidth_enabled=_field(doc, "bandwidth_enabled", "boolean", "instance", False),
+        sources=[SourceSpec(**rec) for rec in records("sources", "source")],
+        reflectors=[ReflectorSpec(**rec) for rec in records("reflectors", "reflector")],
+        sinks=[SinkSpec(**rec) for rec in records("sinks", "sink")],
+        src_edges=edge_map("src_edges"),
+        refl_edges=edge_map("refl_edges"),
+        **{key: doc[key] for key in _SCHEMA["flags"] if key in doc},
     )
 
 

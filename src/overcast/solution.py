@@ -13,14 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .model import Instance, ValidationError
+from .model import Instance, ValidationError, _check_record
 
 _DOC_KIND = "overlay-routes-v1"
-_ROUTE_KEYS = ("stream", "reflector", "sink", "mass")
-
-
-def _is_number(value) -> bool:
-    return type(value) in (int, float)  # a JSON number, not a bool
 
 
 @dataclass
@@ -109,29 +104,22 @@ class PathSet:
         kind = doc.get("kind") if isinstance(doc, dict) else type(doc).__name__
         if kind != _DOC_KIND:
             raise ValidationError(f"not a routes document: kind={kind!r}")
-        if "provenance" not in doc or not isinstance(doc.get("routes"), list):
-            raise ValidationError("a routes document needs 'provenance' and a 'routes' list")
-        if "cost" in doc and not _is_number(doc["cost"]):
-            raise ValidationError(f"cost {doc['cost']!r} is not a number")
+        doc = _check_record(doc, "solution", "solution")
+        meta = doc.get("meta", {})
+        _check_record(meta, "meta", "meta")
         x_tilde = {}
         for n, rec in enumerate(doc["routes"]):
-            if not isinstance(rec, dict) or any(k not in rec for k in _ROUTE_KEYS):
-                raise ValidationError(f"route {n} lacks one of {', '.join(_ROUTE_KEYS)}")
-            if not _is_number(rec["mass"]):
-                raise ValidationError(f"route {n}: mass {rec['mass']!r} is not a number")
+            rec = _check_record(rec, "route", f"routes[{n}]")
             key = (rec["stream"], rec["reflector"], rec["sink"])
-            for name, value in zip(_ROUTE_KEYS, key):
-                if not isinstance(value, str):
-                    raise ValidationError(f"route {n}: {name} {value!r} is not a string")
             if key in x_tilde:
                 raise ValidationError(f"duplicate route {key}")
-            x_tilde[key] = float(rec["mass"])
+            x_tilde[key] = rec["mass"]
         return PathSet(
             instance=inst,
             x_tilde=x_tilde,
             provenance=doc["provenance"],
             mode=doc.get("mode", "full"),
-            meta=doc.get("meta", {}),
+            meta=meta,
         )
 
 

@@ -162,26 +162,46 @@ def test_verify_checks_the_stored_cost(instance_file, tmp_path, capsys):
     assert [f for f in failures if f.startswith("claimed cost")] == failures
 
 
-@pytest.mark.parametrize("drop", ["provenance", "reflector", "cost", "sink-list"])
+# Each edit names the field the error line must name (less any "-list").
+MALFORMED_SOLUTION = {
+    "provenance": lambda sol: sol.pop("provenance"),
+    "reflector": lambda sol: sol["routes"][0].pop("reflector"),
+    "cost": lambda sol: sol.update(cost=str(sol["cost"])),
+    "sink-list": lambda sol: sol["routes"][0].update(sink=[sol["routes"][0]["sink"]]),
+    # Each of these once crashed the color audit or was read without a check.
+    "meta": lambda sol: sol.update(meta=5),
+    "draw_cost": lambda sol: sol["meta"].update(draw_cost="12"),
+    "path_cost_total": lambda sol: sol["meta"].update(path_cost_total=[1.0]),
+    "provenance-list": lambda sol: sol.update(provenance=[sol["provenance"]]),
+    "mode": lambda sol: sol.update(mode=None),
+}
+
+
+@pytest.mark.parametrize("drop", MALFORMED_SOLUTION)
 def test_verify_rejects_a_malformed_solution_file(instance_file, tmp_path, capsys, drop):
     out = tmp_path / "run"
     assert main(["solve", str(instance_file), "--out-dir", str(out)]) == 0
     sol = json.loads((out / "solution.json").read_text())
-    if drop == "provenance":
-        del sol["provenance"]
-    elif drop == "reflector":
-        del sol["routes"][0]["reflector"]
-    elif drop == "cost":
-        sol["cost"] = str(sol["cost"])
-    else:
-        sol["routes"][0]["sink"] = [sol["routes"][0]["sink"]]
+    MALFORMED_SOLUTION[drop](sol)
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(json.dumps(sol))
     capsys.readouterr()
 
-    assert main(["verify", str(instance_file), str(sol_path)]) == 2
+    assert main(["verify", str(instance_file), str(sol_path), "--profile", "color"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and drop.removesuffix("-list") in err
+
+
+@pytest.mark.parametrize(
+    "flag", [[], ["--colors"], ["--mode", "full"], ["--bandwidth"]],
+    ids=["no-flag", "colors", "mode", "bandwidth"],
+)
+def test_solve_rejects_a_non_object_instance_file(tmp_path, capsys, flag):
+    # A run flag is written into the document; once that crashed on a list.
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["solve", str(path), *flag, "--out-dir", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: instance: expected an object, got list\n"
 
 
 @pytest.mark.parametrize("edit", ["reflector", "sink", "edge"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -189,6 +190,9 @@ def test_schema_violations_rejected():
         ("cost", {"reflectors": [ReflectorSpec("r0", cost="10", fanout=2)]}),
         ("bandwidth", {"reflectors": [ReflectorSpec("r0", cost=10.0, fanout=2, bandwidth="5")]}),
         ("color", {"reflectors": [ReflectorSpec("r0", cost=10.0, fanout=2, color="a")]}),
+        ("id", {"sources": [SourceSpec(5)]}),
+        ("colors_enabled", {"colors_enabled": "no"}),
+        ("bandwidth_enabled", {"bandwidth_enabled": "no"}),
     ],
 )
 def test_spec_fields_of_the_wrong_type_rejected(field, specs):
@@ -202,6 +206,50 @@ def test_spec_fields_of_the_wrong_type_rejected(field, specs):
     }
     with pytest.raises(ValidationError, match=field):
         Instance(**{**base, **specs})
+
+
+def test_spec_and_document_instances_serialize_alike():
+    # Both paths check each field the same way and keep every number a float.
+    from_specs = Instance(
+        sources=[SourceSpec("s0", bitrate=2)],
+        reflectors=[ReflectorSpec("r0", cost=10, fanout=2, bandwidth=4, color=0)],
+        sinks=[SinkSpec("d0", stream="s0", loss_threshold=1)],
+        src_edges={("s0", "r0"): EdgeSpec(loss=0, cost=1)},
+        refl_edges={("r0", "d0"): EdgeSpec(loss=1, cost=2)},
+    )
+    doc = {
+        "sources": [{"id": "s0", "bitrate": 2.0}],
+        "reflectors": [{"id": "r0", "cost": 10.0, "fanout": 2, "bandwidth": 4.0, "color": 0}],
+        "sinks": [{"id": "d0", "stream": "s0", "loss_threshold": 1.0}],
+        "src_edges": [{"from": "s0", "to": "r0", "loss": 0.0, "cost": 1.0}],
+        "refl_edges": [{"from": "r0", "to": "d0", "loss": 1.0, "cost": 2.0}],
+    }
+    assert from_specs.to_json() == model.instance_from_doc(doc).to_json()
+    assert from_specs.to_json() == model.normalize(doc).to_json()
+
+
+@pytest.mark.parametrize(
+    "where, edit",
+    [
+        ("sinks[0].demands[1]", lambda doc: doc["sinks"][0]["demands"][1].update(loss_threshold="0.02")),
+        ("src_edges[1]", lambda doc: doc["src_edges"][1].update(loss="0.02")),
+        ("sources[0]", lambda doc: doc["sources"][0].update(bitrate=-1.0)),
+        ("refl_edges[2]", lambda doc: doc["refl_edges"][2].update(cost=math.inf)),
+    ],
+    ids=["demand-threshold", "src-edge-loss", "source-bitrate", "refl-edge-cost"],
+)
+def test_errors_in_replicated_fields_name_the_raw_location(where, edit):
+    doc = raw_doc()
+    edit(doc)
+    with pytest.raises(ValidationError, match=re.escape(where + ": ")):
+        model.normalize(doc)
+
+
+def test_a_sink_demanding_a_stream_twice_is_rejected():
+    doc = raw_doc()
+    doc["sinks"][1]["demands"].append({"stream": "a", "loss_threshold": 0.1})
+    with pytest.raises(ValidationError, match=re.escape("sinks[1]: stream 'a' demanded twice")):
+        model.normalize(doc)
 
 
 def test_loss_one_edge_is_a_dead_link():
