@@ -23,6 +23,7 @@ from .lp import InfeasibleError, NoIncumbentError, TimeBudget
 from .model import Instance, instance_from_doc, normalize_doc
 from .pipeline import (
     ApproxPipelineError,
+    audit_profile,
     run_approx,
     run_exact,
     run_hack,
@@ -63,10 +64,6 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _audit_profile(inst: Instance) -> str:
-    return "color" if inst.colors_enabled else "approx"
-
-
 def _ratio(cost: float, bound: float) -> float:
     if bound and bound > 0 and cost < float("inf"):
         return cost / bound
@@ -101,7 +98,7 @@ def cmd_solve(args) -> int:
         max_retries=args.max_retries,
     )
     wall_ms = int((time.perf_counter() - started) * 1000)
-    profile = _audit_profile(inst)
+    profile = audit_profile(inst)
     report = audit(ps, profile)
     save_pathset(ps, out / "solution.json")
     _write_json(out / "audit.json", asdict(report))
@@ -133,7 +130,7 @@ def cmd_compare(args) -> int:
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")
     budget = TimeBudget(seconds=args.time_budget_secs) if args.time_budget_secs else None
-    profile = _audit_profile(inst)
+    profile = audit_profile(inst)
 
     rows = []
     costs: dict[str, float] = {}
@@ -206,7 +203,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     multipliers = [float(v) for v in args.multipliers.split(",") if v]
     seeds = [int(v) for v in args.seeds.split(",") if v]
-    profile = _audit_profile(inst)
+    profile = audit_profile(inst)
 
     rows = []
     any_ok = False

@@ -10,7 +10,8 @@ quarter in total), the survivors are scaled by four and capped at one, and
 a dependent-rounding walk turns them into whole paths while every
 constraint row increases by strictly less than the column-sum bound t = 9.
 The chosen paths then cover every box, send at most 4 + 9 = 13 copies per
-(sink, color) group, and cost at most 13 times the draw's realized cost.
+(sink, color) group, and cost at most 13 times the draw's realized cost; the
+stage checks the first, and the color audit (`verify.audit`) the other two.
 
 The rounding rows are one sparse `simplex.Layout`, each row's slack a unit
 entry of its own column; the walk makes only its few tracked rows dense.
@@ -29,7 +30,6 @@ from .simplex import Layout
 COLUMN_BOUND = 9.0
 COST_FILTER_FACTOR = 4.0
 MASS_SCALE = 4.0
-COPY_CAP = 13  # 4 fractional + 9 rounding drift
 
 _TOL = 1e-9
 _SNAP = 1e-9
@@ -122,9 +122,17 @@ def filter_and_scale(
 # the rounding system
 
 
-@dataclass
-class RoundingSystem:
-    """Equality system A v = b over path columns plus one slack per row.
+def _row_sums(a: Layout, x: np.ndarray) -> np.ndarray:
+    """A x, summed over the nonzeros."""
+    return np.bincount(a.rows, weights=a.vals * x[a.cols], minlength=a.m)
+
+
+def build_rounding_system(
+    sol: SemiIntegralSolution, kept: list[RelayPath]
+) -> tuple[Layout, np.ndarray]:
+    """The equality system A v = b over path columns plus one slack per row:
+    returns A and the fractional point v0 that meets it, each slack clamped
+    at zero where the row is over by at most 1e-7.
 
     Four row families carry the edge capacities of the assignment network
     (feed, pair, assignment, demand), each with right-hand side four times
@@ -138,36 +146,6 @@ class RoundingSystem:
     A is one sparse `Layout` of m rows and n_paths + m columns: the path
     columns, then column n_paths + r holding row r's slack as a unit entry.
     """
-
-    a: Layout
-    b: np.ndarray
-    v0: np.ndarray
-    row_labels: list[str]
-    n_paths: int
-    t: float = COLUMN_BOUND
-
-    def validate(self) -> None:
-        a = self.a
-        if a.m != len(self.b) or a.n != len(self.v0) or a.m != len(self.row_labels):
-            raise ColorStageError("rounding system shapes disagree")
-        if a.n != self.n_paths + a.m:
-            raise ColorStageError("expected exactly one slack column per row")
-        pos = np.bincount(a.cols, weights=np.maximum(a.vals, 0.0), minlength=a.n)
-        neg = np.bincount(a.cols, weights=np.minimum(a.vals, 0.0), minlength=a.n)
-        if np.any(pos > self.t + 1e-9) or np.any(neg < -self.t - 1e-9):
-            raise ColorStageError("a column breaks the +/- t column-sum bound")
-        if np.any(self.v0[self.n_paths:] < -_TOL):
-            raise ColorStageError("negative slack: fractional system infeasible")
-        if np.max(np.abs(_row_sums(a, self.v0) - self.b), initial=0.0) > 1e-7:
-            raise ColorStageError("fractional point does not satisfy the equalities")
-
-
-def _row_sums(a: Layout, x: np.ndarray) -> np.ndarray:
-    """A x, summed over the nonzeros."""
-    return np.bincount(a.rows, weights=a.vals * x[a.cols], minlength=a.m)
-
-
-def build_rounding_system(sol: SemiIntegralSolution, kept: list[RelayPath]) -> RoundingSystem:
     model = sol.model  # a draw exists only for models with stream budgets
     draw_cost = sol.realized_cost
     rows: list[tuple[str, dict[int, float], float]] = []  # (label, coefs, rhs)
@@ -207,17 +185,14 @@ def build_rounding_system(sol: SemiIntegralSolution, kept: list[RelayPath]) -> R
     entries = [(ri, col, c) for ri, coefs in enumerate(row_coefs) for col, c in coefs.items()]
     entries += [(ri, n_paths + ri, 1.0) for ri in range(m)]  # the slacks
     a = Layout((m, n_paths + m), *zip(*entries))
-    b = np.array(rhs)
     v0 = np.zeros(n_paths + m)
     v0[:n_paths] = [p.scaled for p in kept]
-    slack = b - _row_sums(a, v0)  # the slack coordinates are still zero
+    slack = np.array(rhs) - _row_sums(a, v0)  # the slack coordinates are still zero
     if np.any(slack < -1e-7):
         bad = labels[int(np.argmin(slack))]
         raise ColorStageError(f"fractional infeasibility on row {bad}")
     v0[n_paths:] = np.maximum(slack, 0.0)
-    system = RoundingSystem(a=a, b=b, v0=v0, row_labels=list(labels), n_paths=n_paths)
-    system.validate()
-    return system
+    return a, v0
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +233,17 @@ def karp_round(
 
     Drift and future increase are sums over the nonzeros of `a`; only the
     tracked rows are made dense, over the floating columns, for the SVD.
+    The bound needs each column's positive entries to total at most t and
+    its negative entries at least -t; a column that breaks this raises
+    ColorStageError.
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.size != a.n:
         raise ValueError("matrix and vector shapes disagree")
+    pos = np.bincount(a.cols, weights=np.maximum(a.vals, 0.0), minlength=a.n)
+    neg = np.bincount(a.cols, weights=np.minimum(a.vals, 0.0), minlength=a.n)
+    if np.any(pos > t + 1e-9) or np.any(neg < -t - 1e-9):
+        raise ColorStageError("a column breaks the +/- t column-sum bound")
     n = a.n
     lo = np.floor(v0 + 1e-12)
     hi = np.ceil(v0 - 1e-12)
@@ -351,62 +333,33 @@ class ColorResult:
     dropped_paths: int
 
 
-def extract_colored_solution(
-    sol: SemiIntegralSolution,
-    kept: list[RelayPath],
-    v_int: np.ndarray,
-    plan: BoxPlan,
-    certificate: KarpCertificate,
-    dropped_paths: int,
-) -> ColorResult:
-    """Read the chosen paths back and enforce the factor-13 guarantees."""
+def run_color_stage(sol: SemiIntegralSolution) -> ColorResult:
+    """Box the draw, list the fragment paths, filter, round, and read back the
+    pick once its certificate holds and it covers every box.
+
+    The copy and cost bounds are the color audit's to check.
+    """
+    plan = build_boxes(sol)
+    kept, dropped = filter_and_scale(enumerate_paths(sol, plan), sol.realized_cost)
+    a, v0 = build_rounding_system(sol, kept)
+    v_int, certificate = karp_round(a, v0)
     if not certificate.ok:
         raise ColorStageError(
             f"rounding contract failed: max row increase {certificate.max_increase:.9f}"
             f" against bound {certificate.t}"
         )
     selected = [p for p, val in zip(kept, v_int[: len(kept)]) if val > 0.5]
-
     covered = {(p.sink, p.box_index) for p in selected}
     for j, boxes in plan.boxes.items():
         for box in boxes:
             if (j, box.index) not in covered:
                 raise ColorStageError(f"box ({j},{box.index}) left unserved")
-
-    copy_counts: dict[tuple[str, int], int] = {}
-    for p in selected:
-        if p.color is not None:
-            key = (p.sink, p.color)
-            copy_counts[key] = copy_counts.get(key, 0) + 1
-    for (j, color), count in sorted(copy_counts.items()):
-        if count > COPY_CAP:
-            raise ColorStageError(
-                f"sink {j}, color {color}: {count} copies over the cap {COPY_CAP}"
-            )
-
-    draw_cost = sol.realized_cost
-    path_cost_total = sum((p.cost for p in selected), 0.0)
-    if path_cost_total > COPY_CAP * draw_cost + 1e-6:
-        raise ColorStageError(
-            f"selected path cost {path_cost_total:.6f} over 13x draw cost {draw_cost:.6f}"
-        )
-
-    x_tilde = {(p.stream, p.reflector, p.sink): 1.0 for p in selected}
     return ColorResult(
-        x_tilde=x_tilde,
+        x_tilde={(p.stream, p.reflector, p.sink): 1.0 for p in selected},
         selected=selected,
         plan=plan,
         certificate=certificate,
-        draw_cost=draw_cost,
-        path_cost_total=path_cost_total,
-        dropped_paths=dropped_paths,
+        draw_cost=sol.realized_cost,
+        path_cost_total=sum((p.cost for p in selected), 0.0),
+        dropped_paths=len(dropped),
     )
-
-
-def run_color_stage(sol: SemiIntegralSolution) -> ColorResult:
-    """Box the draw, list the fragment paths, filter, round, and audit the pick."""
-    plan = build_boxes(sol)
-    kept, dropped = filter_and_scale(enumerate_paths(sol, plan), sol.realized_cost)
-    system = build_rounding_system(sol, kept)
-    v_int, certificate = karp_round(system.a, system.v0, system.t)
-    return extract_colored_solution(sol, kept, v_int, plan, certificate, len(dropped))

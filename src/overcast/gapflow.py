@@ -18,7 +18,7 @@ matrix is totally unimodular and the optimal vertex the simplex returns is
 integral (Shmoys & Tardos, Math. Prog. 62, 1993). A pair's relay mass is
 half the boxes it serves, so it lands in {0, 1/2, 1}. Because boxes are
 weight-sorted, serving every box from one of its own fragments' pairs keeps
-at least (1/2 - delta) of each sink's demanded weight, the pair cap keeps
+at least (1/2 - DELTA) of each sink's demanded weight, the pair cap keeps
 every reflector under four times its stream budget, and the LP optimum keeps
 the relay-mass cost under the drawn relay cost.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simplex
-from .rounding import SemiIntegralSolution
+from .rounding import DELTA, SemiIntegralSolution
 
 _MASS_TOL = 1e-9
 _ZERO_TOL = 1e-12
@@ -93,7 +93,7 @@ def build_boxes(sol: SemiIntegralSolution) -> BoxPlan:
             if mass > _ZERO_TOL:
                 entries.append((i, w, mass))
         total = sum(m for _i, _w, m in entries)
-        needed = 1.0 - sol.config.delta
+        needed = 1.0 - DELTA
         if total < needed - _MASS_TOL:
             raise GapStageError(
                 f"sink {d.id}: drawn mass {total:.6f} below the accepted floor {needed:.6f}"
@@ -178,36 +178,8 @@ def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
     mass_cost = sum(
         float(model.obj[model.x_index[key]]) * v for key, v in x_tilde.items()
     )
-    _check_guarantees(sol, plan, x_tilde, mass_cost)
-    return GapResult(x_tilde=x_tilde, mass_cost=mass_cost, plan=plan, box_servers=box_servers)
-
-
-def _check_guarantees(sol, plan, x_tilde, mass_cost):
-    model = sol.model
-    inst = model.inst
-
-    routes_per_reflector: dict[str, int] = {}
-    for (_k, i, _j) in x_tilde:
-        routes_per_reflector[i] = routes_per_reflector.get(i, 0) + 1
-    for i, count in routes_per_reflector.items():
-        if count > 4 * model.capacities[i]:
-            raise GapStageError(f"reflector {i} got {count} routes, cap {model.capacities[i]}")
-
-    floor_frac = max(0.0, 0.5 - sol.config.delta)
-    for d in inst.sinks:
-        if d.id not in plan.boxes:
-            continue
-        kept = sum(
-            model.weights.get(d.stream, i, d.id) * v
-            for (k, i, j), v in x_tilde.items()
-            if j == d.id
-        )
-        if kept < floor_frac * d.weight_threshold - 1e-6:
-            raise GapStageError(
-                f"sink {d.id}: kept weight {kept:.6f} under "
-                f"{floor_frac:.2f} * {d.weight_threshold:.6f}"
-            )
-
+    # The weight and fan-out bounds are the approx audit's to check; only the
+    # cost bound compares against the draw, which no audit sees.
     drawn_relay_cost = sum(
         float(model.obj[xi] * sol.values[xi]) for xi in model.x_index.values()
     )
@@ -215,3 +187,4 @@ def _check_guarantees(sol, plan, x_tilde, mass_cost):
         raise GapStageError(
             f"assignment cost {mass_cost:.6f} exceeds drawn relay cost {drawn_relay_cost:.6f}"
         )
+    return GapResult(x_tilde=x_tilde, mass_cost=mass_cost, plan=plan, box_servers=box_servers)

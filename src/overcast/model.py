@@ -157,9 +157,12 @@ def _compile(kind: str, fields: dict[str, str]) -> tuple[dict, frozenset, frozen
 _FIELDS = {kind: _compile(kind, fields) for kind, fields in _SCHEMA.items()}
 
 
-def _check_record(rec, kind: str, where: str) -> dict:
-    """A copy of `rec` once it is a `kind` record of `_SCHEMA`, with its
-    numbers as floats; anything else raises ValidationError naming `where`."""
+def _check_keys(rec, kind: str, where: str) -> dict:
+    """The compiled fields of a `kind` record, once `rec` is an object with
+    no unknown, missing or null key; else raise ValidationError naming `where`.
+
+    A null is refused here because a spec spells an absent field None, so it
+    would pass `Instance`'s field check as absent."""
     if not isinstance(rec, dict):
         raise ValidationError(f"{where}: expected an object, got {type(rec).__name__}")
     fields, required, closed = _FIELDS[kind]
@@ -167,6 +170,17 @@ def _check_record(rec, kind: str, where: str) -> dict:
         raise ValidationError(f"{where}: unknown key(s) {sorted(set(rec) - closed)}")
     if not required.issubset(rec):
         raise ValidationError(f"{where}: missing key(s) {sorted(required - set(rec))}")
+    if None in rec.values():
+        null = sorted(key for key, value in rec.items() if value is None and key in fields)
+        if null:
+            raise ValidationError(f"{where}: null key(s) {null}")
+    return fields
+
+
+def _check_record(rec, kind: str, where: str) -> dict:
+    """A copy of `rec` once it is a `kind` record of `_SCHEMA`, with its
+    numbers as floats; anything else raises ValidationError naming `where`."""
+    fields = _check_keys(rec, kind, where)
     out = dict(rec)
     for key, value in rec.items():
         field = fields.get(key)
@@ -181,6 +195,15 @@ def _check_record(rec, kind: str, where: str) -> dict:
         if json_kind == "number":
             out[key] = float(value)
     return out
+
+
+def _spec_record(spec) -> dict:
+    """A node spec as a document record; a None field is an absent one."""
+    return {f: v for f, v in vars(spec).items() if v is not None}
+
+
+def _edge_record(pair: tuple[str, str], edge: EdgeSpec) -> dict:
+    return {"from": pair[0], "to": pair[1], **vars(edge)}
 
 
 class Instance:
@@ -203,18 +226,15 @@ class Instance:
         bandwidth_enabled: bool = False,
     ):
         def checked(cls, specs, kind, key):
-            # A None field is an absent one.
             return tuple(
-                cls(**_check_record(
-                    {f: v for f, v in vars(spec).items() if v is not None}, kind, f"{key}[{n}]"
-                ))
+                cls(**_check_record(_spec_record(spec), kind, f"{key}[{n}]"))
                 for n, spec in enumerate(specs)
             )
 
         def edge_map(specs, key):
             records = [
-                _check_record({"from": a, "to": b, **vars(e)}, "edge", f"{key}[{n}]")
-                for n, ((a, b), e) in enumerate(specs.items())
+                _check_record(_edge_record(pair, e), "edge", f"{key}[{n}]")
+                for n, (pair, e) in enumerate(specs.items())
             ]
             return {(r["from"], r["to"]): EdgeSpec(r["loss"], r["cost"]) for r in records}
 
@@ -330,33 +350,12 @@ class Instance:
     # -- serialization ------------------------------------------------------
 
     def to_doc(self) -> dict:
-        def edge_doc(key, edge):
-            return {"from": key[0], "to": key[1], "loss": edge.loss, "cost": edge.cost}
-
-        sources = []
-        for s in self.sources:
-            rec = {"id": s.id}
-            if s.bitrate is not None:
-                rec["bitrate"] = s.bitrate
-            sources.append(rec)
-        reflectors = []
-        for r in self.reflectors:
-            rec = {"id": r.id, "cost": r.cost, "fanout": r.fanout}
-            if r.bandwidth is not None:
-                rec["bandwidth"] = r.bandwidth
-            if r.color is not None:
-                rec["color"] = r.color
-            reflectors.append(rec)
-        sinks = [
-            {"id": d.id, "stream": d.stream, "loss_threshold": d.loss_threshold}
-            for d in self.sinks
-        ]
         return {
-            "sources": sources,
-            "reflectors": reflectors,
-            "sinks": sinks,
-            "src_edges": [edge_doc(k, e) for k, e in sorted(self.src_edges.items())],
-            "refl_edges": [edge_doc(k, e) for k, e in sorted(self.refl_edges.items())],
+            "sources": [_spec_record(s) for s in self.sources],
+            "reflectors": [_spec_record(r) for r in self.reflectors],
+            "sinks": [_spec_record(d) for d in self.sinks],
+            "src_edges": [_edge_record(*item) for item in sorted(self.src_edges.items())],
+            "refl_edges": [_edge_record(*item) for item in sorted(self.refl_edges.items())],
             "mode": self.mode,
             "colors_enabled": self.colors_enabled,
             "bandwidth_enabled": self.bandwidth_enabled,
@@ -459,17 +458,26 @@ def instance_from_doc(doc: dict) -> Instance:
     """Build an Instance from a document already in normalized form.
 
     Every field must have its JSON kind and range as `_SCHEMA` gives them.
+    Here each record's keys are checked, as a spec cannot carry an unknown
+    or a missing one; `Instance` checks the fields, under the same labels.
     """
     _check_record(doc, "instance", "instance")
 
     def records(key, kind):
-        return [_check_record(rec, kind, f"{key}[{n}]") for n, rec in enumerate(doc[key])]
+        for n, rec in enumerate(doc[key]):
+            _check_keys(rec, kind, f"{key}[{n}]")
+        return doc[key]
 
     def edge_map(key):
         out = {}
-        for rec in records(key, "edge"):
+        for n, rec in enumerate(records(key, "edge")):
             pair = (rec["from"], rec["to"])
-            if pair in out:
+            try:
+                seen = pair in out
+            except TypeError:  # an unhashable end; the field check names it
+                _check_record(rec, "edge", f"{key}[{n}]")
+                raise
+            if seen:
                 raise ValidationError(f"{key}: duplicate edge {pair}")
             out[pair] = EdgeSpec(rec["loss"], rec["cost"])
         return out

@@ -2,7 +2,8 @@
 
 `run_approx` is the rounding pipeline: LP relaxation, retried randomized
 draw, then either the box-assignment stage or (with colors on) the path
-rounding stage, assembled into a PathSet with its audit-relevant metadata.
+rounding stage, assembled into a PathSet with its audit-relevant metadata
+and returned once the audit of its profile accepts it.
 `run_exact` and `run_hack` wrap the branch-and-bound baseline and the
 LP-fixing shortcut behind the same output type; both raise
 NoIncumbentError when a budget ends before any incumbent.
@@ -16,8 +17,9 @@ from .color import ColorStageError, run_color_stage
 from .gapflow import GapStageError, run_gap_stage
 from .lp import TimeBudget, approx_hack, build_model, solve_ip, solve_lp
 from .model import Instance
-from .rounding import RoundingConfig, randomized_round, round_with_retries
+from .rounding import DELTA, RoundingConfig, randomized_round, round_with_retries
 from .solution import PathSet, from_integral
+from .verify import audit
 
 PIPELINE_TRIALS = 3
 MULTIPLIER_SCALE = 64.0  # default M = 64 * log2(max(2, number of sinks))
@@ -26,6 +28,7 @@ __all__ = [
     "ApproxPipelineError",
     "MULTIPLIER_SCALE",
     "PIPELINE_TRIALS",
+    "audit_profile",
     "default_multiplier",
     # Not called here any more; perfbench/tracing.py wraps the draw under
     # this module attribute, as it does the other stage functions.
@@ -37,7 +40,12 @@ __all__ = [
 
 
 class ApproxPipelineError(RuntimeError):
-    """Every pipeline trial lost its stage-two guarantees."""
+    """Every pipeline trial failed stage two or the audit of its output."""
+
+
+def audit_profile(inst: Instance) -> str:
+    """The audit profile `run_approx`'s output on `inst` passes."""
+    return "color" if inst.colors_enabled else "approx"
 
 
 def default_multiplier(inst: Instance) -> float:
@@ -52,8 +60,10 @@ def run_approx(
 ) -> PathSet:
     """LP, accepted random draw, stage-two rounding, assembled routes.
 
-    A draw that passes the acceptance predicates can still lose a stage-two
-    guarantee check (the colored walk's certificate in particular), in which
+    The routes are returned only once `verify.audit` accepts them under
+    `audit_profile(inst)`: "color" with colors on, else "approx".
+    A draw that passes the acceptance predicates can still fail stage two
+    (the colored walk's certificate in particular) or that audit, in which
     case the pipeline redraws from the next attempt index, up to
     PIPELINE_TRIALS times. All randomness derives from (seed, attempt), so
     identical arguments give identical output.
@@ -62,6 +72,7 @@ def run_approx(
     frac = solve_lp(model)
     m = multiplier if multiplier is not None else default_multiplier(inst)
     config = RoundingConfig(multiplier=m, max_retries=max_retries, seed=seed)
+    profile = audit_profile(inst)
     start = 0
     failures: list[str] = []
     for trial in range(PIPELINE_TRIALS):
@@ -90,28 +101,33 @@ def run_approx(
                     "boxes": gap.plan.total_boxes,
                 }
         except (GapStageError, ColorStageError) as exc:
-            failures.append(f"trial {trial} (attempt {sol.attempt}): {exc}")
-            start = sol.attempt + 1
-            continue
-        meta = {
-            "multiplier": m,
-            "seed": seed,
-            "delta": config.delta,
-            "attempt": sol.attempt,
-            "attempts": sol.attempts,
-            "trial": trial,
-            "draw_cost": sol.realized_cost,
-            "lp_bound": frac.objective,
-            "violations_first_draw": violations_first,
-        }
-        meta.update(stage_meta)
-        return PathSet(
-            instance=inst,
-            x_tilde=x_tilde,
-            provenance=provenance,
-            mode=inst.mode,
-            meta=meta,
-        )
+            reason = str(exc)
+        else:
+            meta = {
+                "multiplier": m,
+                "seed": seed,
+                "delta": DELTA,
+                "attempt": sol.attempt,
+                "attempts": sol.attempts,
+                "trial": trial,
+                "draw_cost": sol.realized_cost,
+                "lp_bound": frac.objective,
+                "violations_first_draw": violations_first,
+            }
+            meta.update(stage_meta)
+            ps = PathSet(
+                instance=inst,
+                x_tilde=x_tilde,
+                provenance=provenance,
+                mode=inst.mode,
+                meta=meta,
+            )
+            report = audit(ps, profile)
+            if report.ok:
+                return ps
+            reason = f"{profile} audit: {report.failures[0]}"
+        failures.append(f"trial {trial} (attempt {sol.attempt}): {reason}")
+        start = sol.attempt + 1
     raise ApproxPipelineError("; ".join(failures))
 
 

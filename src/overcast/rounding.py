@@ -8,7 +8,7 @@ unbiased (the expectation of the drawn value equals the relaxation value).
 When both coins saturate at probability one the relay mass is copied over
 unchanged, so a large enough M makes the whole draw deterministic.
 
-A draw is accepted when every sink keeps at least (1 - delta) of its demanded
+A draw is accepted when every sink keeps at least (1 - DELTA) of its demanded
 weight and no reflector carries more than twice its stream budget (and, with
 color groups enabled, no group is used more than once per sink). Each retry
 re-derives its generator from (seed, attempt), so any attempt can be replayed
@@ -17,13 +17,13 @@ in isolation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import FractionalSolution, LpModel, UnsupportedInstanceError
 
+DELTA = 0.25  # a draw keeps at least (1 - DELTA) of each sink's demanded weight
 PRED_TOL = 1e-9
 _NONZERO_TOL = 1e-12
 
@@ -31,25 +31,18 @@ _NONZERO_TOL = 1e-12
 @dataclass(frozen=True)
 class RoundingConfig:
     multiplier: float
-    delta: float = 0.25
     max_retries: int = 20
     seed: int = 0
 
     def __post_init__(self):
         if self.multiplier < 1.0:
             raise ValueError("multiplier must be at least 1")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
         if self.max_retries < 1:
             raise ValueError("max_retries must be positive")
 
 
 class RoundingRetriesExhausted(RuntimeError):
-    """Every attempt failed a predicate; carries the best attempt seen."""
-
-    def __init__(self, message: str, best: "SemiIntegralSolution | None"):
-        super().__init__(message)
-        self.best = best
+    """Every attempt failed a predicate."""
 
 
 @dataclass
@@ -82,10 +75,9 @@ class SemiIntegralSolution:
     def violations(self) -> list[str]:
         """Predicate failures of this draw, empty when acceptable."""
         model, v = self.model, self.values
-        delta = self.config.delta
         bad = []
         for d in model.inst.sinks:
-            need = (1.0 - delta) * d.weight_threshold
+            need = (1.0 - DELTA) * d.weight_threshold
             if self.sink_weight(d.id) < need - PRED_TOL:
                 bad.append(f"weight[{d.id}]")
         loads = self.reflector_loads()
@@ -99,15 +91,6 @@ class SemiIntegralSolution:
                 if float(v[row.idx].sum()) > 1.0 + PRED_TOL:
                     bad.append(row.label)
         return bad
-
-    def weight_score(self) -> float:
-        """Worst kept-weight fraction across demanding sinks; ranks attempts."""
-        worst = math.inf
-        for d in self.model.inst.sinks:
-            if d.weight_threshold <= 0:
-                continue
-            worst = min(worst, self.sink_weight(d.id) / d.weight_threshold)
-        return worst
 
 
 def _index_arrays(model: LpModel):
@@ -178,8 +161,6 @@ def round_with_retries(
     start_attempt offsets the attempt indices so a caller can continue the
     sequence across its own outer retries without replaying earlier draws.
     """
-    best: SemiIntegralSolution | None = None
-    best_score = -math.inf
     first_violations = None
     for n, attempt in enumerate(
         range(start_attempt, start_attempt + config.max_retries), start=1
@@ -192,12 +173,7 @@ def round_with_retries(
         if not bad:
             sol.first_violations = first_violations
             return sol
-        score = sol.weight_score()
-        if score > best_score:
-            best, best_score = sol, score
-    raise RoundingRetriesExhausted(
-        f"no acceptable draw in {config.max_retries} attempts", best
-    )
+    raise RoundingRetriesExhausted(f"no acceptable draw in {config.max_retries} attempts")
 
 
 def saturation_multiplier(frac: FractionalSolution) -> float:

@@ -27,6 +27,9 @@ AUDIT_TOL = 1e-6
 # of `_fanout_failures`. In the color profile the capacity rows guarantee
 # < 4 * (2 * cap) + 9 routes per reflector.
 PROFILES = {"exact": (1.0, 0.0), "approx": (4.0, 0.0), "color": (8.0, 9.0)}
+# The color profile's bound on copies per (sink, color) group and on path cost
+# over the draw's cost: 4 fractional copies plus the rounding walk's drift of 9.
+COLOR_FACTOR = 13
 
 
 @dataclass
@@ -152,17 +155,18 @@ def audit(ps: PathSet, profile: str = "exact", claimed_cost: float | None = None
         failures += _weight_failures(ps, sink_weights, 0.25)
     else:  # color
         for (j, color), n in _color_group_counts(ps).items():
-            if n > 13:
-                failures.append(f"sink {j}: color {color} used {n} times, cap 13")
+            if n > COLOR_FACTOR:
+                failures.append(f"sink {j}: color {color} used {n} times, cap {COLOR_FACTOR}")
         for d in inst.sinks:
             if d.weight_threshold > 0 and not ps.sink_routes(d.id):
                 failures.append(f"sink {d.id}: no route at all")
         draw_cost = ps.meta.get("draw_cost")
         if draw_cost is not None and draw_cost > 0:
             path_cost = ps.meta.get("path_cost_total")
-            if path_cost is not None and path_cost > 13.0 * draw_cost + AUDIT_TOL:
+            if path_cost is not None and path_cost > COLOR_FACTOR * draw_cost + AUDIT_TOL:
                 failures.append(
-                    f"selected path cost {path_cost:.6f} over 13x draw cost {draw_cost:.6f}"
+                    f"selected path cost {path_cost:.6f} over {COLOR_FACTOR}x"
+                    f" draw cost {draw_cost:.6f}"
                 )
 
     cost = ps.cost

@@ -31,7 +31,7 @@ def two_path_doc():
     }
 
 
-def draw_from(model, x_masses, delta=0.25):
+def draw_from(model, x_masses):
     """Semi-integral draw with the given relay masses and full support."""
     values = np.zeros(model.nvars)
     for idx in model.z_index.values():
@@ -40,7 +40,7 @@ def draw_from(model, x_masses, delta=0.25):
         values[idx] = 1.0
     for key, mass in x_masses.items():
         values[model.x_index[key]] = mass
-    cfg = rounding.RoundingConfig(multiplier=2.0, delta=delta, seed=0)
+    cfg = rounding.RoundingConfig(multiplier=2.0, seed=0)
     return rounding.SemiIntegralSolution(model=model, values=values, config=cfg, attempt=0)
 
 
@@ -264,7 +264,7 @@ import numpy as np
 from overcast import gapflow, gen, lp, rounding
 arg = json.loads(sys.argv[1])
 model = lp.build_model(gen.gen_random((12, 12, 40), "avg", seed=0))
-config = rounding.RoundingConfig(multiplier=1.0, delta=arg["delta"])
+config = rounding.RoundingConfig(multiplier=1.0)
 sol = rounding.SemiIntegralSolution(model, np.load(arg["values"]), config, attempt=0)
 res = gapflow.run_gap_stage(sol)
 print(json.dumps({
@@ -280,7 +280,7 @@ def test_gap_stage_agrees_across_blas_threads(blas_threads, tmp_path):
     sol = ladder_draw((12, 12, 40))
     path = tmp_path / "values.npy"
     np.save(path, sol.values)
-    arg = {"values": str(path), "delta": sol.config.delta}
+    arg = {"values": str(path)}
     one, two = (blas_threads(GAP_STAGE_SCRIPT, arg, threads) for threads in (1, 2))
     assert one == two
     assert len(one["box_servers"]) == gapflow.build_boxes(sol).total_boxes

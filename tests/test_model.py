@@ -7,6 +7,7 @@ import re
 import pytest
 
 from overcast import model
+from overcast.gen import gen_random
 from overcast.model import (
     EdgeSpec,
     Instance,
@@ -243,6 +244,56 @@ def test_errors_in_replicated_fields_name_the_raw_location(where, edit):
     edit(doc)
     with pytest.raises(ValidationError, match=re.escape(where + ": ")):
         model.normalize(doc)
+
+
+@pytest.mark.parametrize(
+    "where, edit",
+    [
+        ("src_edges[1]", lambda doc: doc["src_edges"][1].update({"from": ["s0"]})),
+        ("refl_edges[0]", lambda doc: doc["refl_edges"][0].update(to={"id": "d0"})),
+        ("reflectors[1]", lambda doc: doc["reflectors"][1].update(color=None)),
+        ("sources[0]", lambda doc: doc["sources"][0].update(bitrate=None)),
+        ("sinks[0]", lambda doc: doc["sinks"][0].update(loss_threshold=[0.1])),
+    ],
+    ids=["list-end", "object-end", "null-color", "null-bitrate", "list-threshold"],
+)
+def test_a_normalized_document_names_the_bad_record(where, edit):
+    # instance_from_doc checks only the keys; Instance checks the fields
+    # under the same labels. An end that cannot key a dict is no TypeError,
+    # and a null is no absent field.
+    doc = {
+        "sources": [{"id": "s0"}],
+        "reflectors": [
+            {"id": "r0", "cost": 1.0, "fanout": 2},
+            {"id": "r1", "cost": 1.0, "fanout": 2},
+        ],
+        "sinks": [{"id": "d0", "stream": "s0", "loss_threshold": 0.1}],
+        "src_edges": [
+            {"from": "s0", "to": "r0", "loss": 0.1, "cost": 1.0},
+            {"from": "s0", "to": "r1", "loss": 0.1, "cost": 1.0},
+        ],
+        "refl_edges": [{"from": "r0", "to": "d0", "loss": 0.1, "cost": 1.0}],
+    }
+    model.instance_from_doc(doc)
+    edit(doc)
+    with pytest.raises(ValidationError, match=re.escape(where + ": ")):
+        model.instance_from_doc(doc)
+
+
+def test_instance_from_doc_checks_each_record_once(monkeypatch):
+    doc = gen_random((3, 4, 8), "avg", seed=0).to_doc()
+    check = model._check_record
+    kinds = []
+
+    def counting(rec, kind, where):
+        kinds.append(kind)
+        return check(rec, kind, where)
+
+    monkeypatch.setattr(model, "_check_record", counting)
+    model.instance_from_doc(doc)
+    kinds_of_record = ("sources", "reflectors", "sinks", "src_edges", "refl_edges")
+    records = sum(len(doc[key]) for key in kinds_of_record)
+    assert len(kinds) == records + 2  # and the top level and the flags, once each
 
 
 def test_a_sink_demanding_a_stream_twice_is_rejected():

@@ -1,5 +1,6 @@
 """The assembled pipelines: approx end-to-end, exact and fixing wrappers."""
 
+import dataclasses
 import json
 
 import pytest
@@ -146,3 +147,82 @@ def test_pipeline_retries_after_stage_failures(monkeypatch):
     monkeypatch.setattr(pipeline, "run_gap_stage", always)
     with pytest.raises(ApproxPipelineError, match="never happy"):
         run_approx(small_instance(), multiplier=8.0, seed=1)
+
+
+def star_doc(n_reflectors, n_sinks, colors=None):
+    """One stream; every reflector reaches every sink. Reflector r0 has
+    fan-out one; `colors`, if given, colors every reflector."""
+    reflectors = [
+        {"id": f"r{i}", "cost": 2.0 + i, "fanout": 1 if i == 0 else n_sinks}
+        for i in range(n_reflectors)
+    ]
+    if colors is not None:
+        for i, rec in enumerate(reflectors):
+            rec["color"] = colors[i]
+    return {
+        "sources": [{"id": "s0"}],
+        "reflectors": reflectors,
+        "sinks": [{"id": f"d{j}", "stream": "s0", "loss_threshold": 0.2} for j in range(n_sinks)],
+        "src_edges": [
+            {"from": "s0", "to": f"r{i}", "loss": 0.02, "cost": 1.0} for i in range(n_reflectors)
+        ],
+        "refl_edges": [
+            {"from": f"r{i}", "to": f"d{j}", "loss": 0.05, "cost": 0.5 + 0.1 * ((i + j) % 3)}
+            for i in range(n_reflectors)
+            for j in range(n_sinks)
+        ],
+        "colors_enabled": colors is not None,
+    }
+
+
+def breaking_stage(monkeypatch, name, extra, first_only):
+    """Patch pipeline's stage `name` to add the routes `extra` to its result,
+    on the first call only or on every call; returns the call counter."""
+    real = getattr(pipeline, name)
+    calls = {"n": 0}
+
+    def broken(sol):
+        calls["n"] += 1
+        res = real(sol)
+        if first_only and calls["n"] > 1:
+            return res
+        return dataclasses.replace(res, x_tilde={**res.x_tilde, **extra})
+
+    monkeypatch.setattr(pipeline, name, broken)
+    return calls
+
+
+@pytest.mark.parametrize("first_only", [True, False], ids=["once", "always"])
+def test_run_approx_redraws_when_the_approx_audit_fails(monkeypatch, first_only):
+    # Six routes through r0 break the approx audit's fan-out bound of 4 x 1.
+    inst = instance_from_doc(star_doc(3, 6))
+    extra = {("s0", "r0", f"d{j}"): 1.0 for j in range(6)}
+    calls = breaking_stage(monkeypatch, "run_gap_stage", extra, first_only)
+    if not first_only:
+        with pytest.raises(
+            ApproxPipelineError, match="approx audit: reflector r0: 6 routes over 4x fan-out 1"
+        ):
+            run_approx(inst, multiplier=8.0, seed=1)
+        assert calls["n"] == pipeline.PIPELINE_TRIALS
+        return
+    ps = run_approx(inst, multiplier=8.0, seed=1)
+    assert ps.meta["trial"] == 1 and calls["n"] == 2
+    assert audit(ps, "approx").ok
+
+
+@pytest.mark.parametrize("first_only", [True, False], ids=["once", "always"])
+def test_run_approx_redraws_when_the_color_audit_fails(monkeypatch, first_only):
+    # Fourteen color-0 routes to d0 break the color audit's cap of 13 copies.
+    inst = instance_from_doc(star_doc(16, 2, colors=[0] * 14 + [1, 1]))
+    extra = {("s0", f"r{i}", "d0"): 1.0 for i in range(14)}
+    calls = breaking_stage(monkeypatch, "run_color_stage", extra, first_only)
+    if not first_only:
+        with pytest.raises(
+            ApproxPipelineError, match="color audit: sink d0: color 0 used 14 times"
+        ):
+            run_approx(inst, multiplier=8.0, seed=1)
+        assert calls["n"] == pipeline.PIPELINE_TRIALS
+        return
+    ps = run_approx(inst, multiplier=8.0, seed=1)
+    assert ps.meta["trial"] == 1 and calls["n"] == 2
+    assert audit(ps, "color").ok

@@ -108,7 +108,7 @@ def test_saturating_multiplier_makes_draws_seed_independent():
     assert len(blobs) == 1
 
 
-def test_exhaustion_raises_with_best_attempt():
+def test_exhaustion_raises_after_max_retries():
     # Tiny relaxation mass: every draw keeps at most half the demanded
     # weight, so the acceptance predicate can never pass.
     doc = {
@@ -130,12 +130,8 @@ def test_exhaustion_raises_with_best_attempt():
     model = lp.build_model(normalize(doc))
     frac = lp.FractionalSolution(model, np.full(model.nvars, 0.05), 0.0)
     cfg = rounding.RoundingConfig(multiplier=4.0, seed=0)
-    with pytest.raises(rounding.RoundingRetriesExhausted) as err:
+    with pytest.raises(rounding.RoundingRetriesExhausted, match="in 20 attempts"):
         rounding.round_with_retries(frac, cfg)
-    best = err.value.best
-    assert best is not None
-    assert 0 <= best.attempt < 20
-    assert best.weight_score() <= 0.5 + 1e-9
 
 
 def test_overload_predicate_flags_reflector():
@@ -155,7 +151,6 @@ def test_zero_demand_sink_never_blocks():
     frac = lp.FractionalSolution(model, np.zeros(model.nvars), 0.0)
     sol = rounding.randomized_round(frac, rounding.RoundingConfig(multiplier=2.0), 0)
     assert sol.violations() == []
-    assert sol.weight_score() == math.inf
 
 
 def test_color_groups_checked_when_enabled():
@@ -201,8 +196,6 @@ def test_retry_loop_returns_replayable_attempt():
 def test_config_validation():
     with pytest.raises(ValueError):
         rounding.RoundingConfig(multiplier=0.5)
-    with pytest.raises(ValueError):
-        rounding.RoundingConfig(multiplier=2.0, delta=0.0)
     with pytest.raises(ValueError):
         rounding.RoundingConfig(multiplier=2.0, max_retries=0)
 
