@@ -15,7 +15,7 @@ prefers, so only the nonbasic slack of an inequality row can be dual
 infeasible; at the slack basis none is nonbasic. A warm basis that is
 singular, or that leaves such a slack with a negative reduced cost, is
 dropped for the slack basis. The bounded dual simplex then restores primal
-feasibility: the largest bound violation leaves, and the dual ratio test
+feasibility: a violated basic variable leaves, and the dual ratio test
 picks the entering column so that every reduced cost stays dual feasible.
 It ends at the optimum, or at a row that no column can repair, which makes
 the LP infeasible. There is no cost shift and no primal phase; an end that
@@ -38,10 +38,15 @@ rows, gathered from their sparse columns, is inverted densely; the rest of
 B^-1 follows by hand, written transposed, and the basic values come from
 the same inverse.
 
-Pricing takes the largest bound violation (lowest row on ties) and, in the
-ratio test, the largest |alpha| among the tied ratios, with a switch to
-Bland's rule (lowest basic index leaves, lowest column enters) after a run
-of degenerate pivots, so the solver cannot cycle and identical inputs pivot
+Pricing is dual steepest edge (Forrest & Goldfarb, Math. Prog. 57, 1992):
+the leaving row maximizes violation^2 / beta_r (lowest row on ties), where
+beta_r = ||e_r^T B^-1||^2 is the squared norm of column r of `binvt`. The
+norms are exact, not a recurrence: they are ones at the slack basis,
+recomputed at every factorization, and each pivot subtracts the squares of
+the rows of `binvt` it rewrites and adds their new squares. The ratio test
+takes the largest |alpha| among the tied ratios. After a run of degenerate
+pivots the solver switches to Bland's rule (lowest basic index leaves,
+lowest column enters), so it cannot cycle and identical inputs pivot
 identically. Reduced costs are updated incrementally and recomputed from a
 fresh factorization at a fixed cadence to bound drift; optimality and
 infeasibility are only declared on a fresh factorization.
@@ -177,6 +182,7 @@ class _Revised:
             self.status = np.full(cols, _AT_LB, dtype=np.int8)
             self.status[self.basis] = _BASIC
             self.binvt = np.diag(sign)
+            self.beta = np.ones(m)
             d = self._reduced_costs()
 
         nonbasic = self.status != _BASIC
@@ -207,6 +213,7 @@ class _Revised:
             self.binvt = self._factorize()
         except SimplexError:
             return None
+        self.beta = np.einsum("ij,ij->j", self.binvt, self.binvt)
         self.refreshes = 1
         d = self._reduced_costs()
         if np.any((self.status != _BASIC) & np.isinf(self.ub) & (d < -_DUAL_TOL)):
@@ -260,8 +267,9 @@ class _Revised:
         self.values[self.basis] = (self.b - used) @ self.binvt
 
     def _refresh(self):
-        """Refactorize the basis: recompute B^-1 and the basic values."""
+        """Refactorize the basis: recompute B^-1, its row norms and the basic values."""
         self.binvt = self._factorize()
+        self.beta = np.einsum("ij,ij->j", self.binvt, self.binvt)
         self._basic_values()
         self.refreshes += 1
         self.since_refresh = 0
@@ -307,16 +315,26 @@ class _Revised:
         rho = self.binvt[:, row] / pivot
         # Rank-1 update on the columns of B^-1 where its pivot row is
         # nonzero, each a contiguous row of binvt; the pivot row of B^-1
-        # (column `row` of binvt) is then replaced by rho as a whole.
+        # (column `row` of binvt) is then replaced by rho as a whole. Only
+        # those rows change, so beta loses their old squares and gains
+        # their new ones.
         nz = rho.nonzero()[0]
-        self.binvt[nz] -= np.multiply.outer(rho[nz], col)
+        block = self.binvt[nz]
+        self.beta -= np.einsum("ij,ij->j", block, block)
+        block -= np.multiply.outer(rho[nz], col)
+        self.beta += np.einsum("ij,ij->j", block, block)
+        self.binvt[nz] = block
         self.binvt[:, row] = rho
+        self.beta[row] = np.einsum("i,i->", rho, rho)
 
     def _leaving(self, bland):
-        """Row of the basic variable with the largest bound violation, -1 if none.
+        """Dual steepest-edge row: the largest violation^2 / beta, -1 if none.
 
-        Returns (row, below_lb, violation). Under Bland's rule the violated
-        row with the lowest basic index leaves instead.
+        Row r of B^-1 is the dual edge that row r leaving moves along, and
+        beta_r = ||e_r^T B^-1||^2 is its squared length, so each violation
+        is scaled by its edge's length. Returns (row, below_lb, violation).
+        Under Bland's rule the violated row with the lowest basic index
+        leaves instead.
         """
         xb = self.values[self.basis]
         below = self.lb[self.basis] - xb
@@ -324,7 +342,10 @@ class _Revised:
         rows = (viol > _FEAS_TOL).nonzero()[0]
         if rows.size == 0:
             return -1, False, 0.0
-        row = int(rows[self.basis[rows].argmin()] if bland else rows[viol[rows].argmax()])
+        if bland:
+            row = int(rows[self.basis[rows].argmin()])
+        else:
+            row = int(rows[(viol[rows] ** 2 / self.beta[rows]).argmax()])
         return row, bool(below[row] > 0), float(viol[row])
 
     def _dual_entering(self, alpha, d, below, bland):
@@ -335,15 +356,16 @@ class _Revised:
         ratio |d_j| / |alpha_j| keeps every reduced cost dual feasible; ties
         go to the largest |alpha_j| (lowest index under Bland's rule).
         """
-        toward = 1.0 if below else -1.0
-        cand = (toward * self.price * alpha < -_PIVOT_TOL).nonzero()[0]
+        moves = self.price * alpha
+        cand = (moves < -_PIVOT_TOL if below else moves > _PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
             return -1
-        ratio = np.maximum(self.price[cand] * d[cand], 0.0) / np.abs(alpha[cand])
-        ties = cand[ratio <= ratio.min() + _STEP_TOL]
+        size = np.abs(alpha[cand])
+        ratio = np.maximum(self.price[cand] * d[cand], 0.0) / size
+        tied = ratio <= ratio.min() + _STEP_TOL
         if bland:
-            return int(ties[0])
-        return int(ties[np.abs(alpha[ties]).argmax()])
+            return int(cand[tied][0])
+        return int(cand[tied][size[tied].argmax()])
 
     def _dual(self):
         """Bounded dual simplex to a primal feasible basis.
@@ -377,7 +399,7 @@ class _Revised:
             direction = self.price[q]
             step = abs((self.values[leaving] - bound) / col[row])
             theta = d[q] / alpha[q]
-            d = d - theta * alpha
+            d -= theta * alpha
             self._pivot(q, direction, step, row, not below, col)
             self.iterations += 1
             if abs(theta) <= _STEP_TOL:

@@ -182,18 +182,57 @@ def test_refreshes_once_per_phase():
     assert simplex.solve(*args).refreshes == 1
 
 
+def _row_norm_error(state):
+    """Largest relative error of the steepest-edge weights against B^-1's row norms."""
+    fresh = np.einsum("ij,ij->j", state.binvt, state.binvt)
+    return np.max(np.abs(state.beta - fresh) / fresh)
+
+
 def test_updated_inverse_matches_a_fresh_factorization(monkeypatch):
     # A few hundred rank-1 updates of the transposed inverse, with no
-    # refactorization in between, agree with factorizing the same basis.
+    # refactorization in between, agree with factorizing the same basis,
+    # and the steepest-edge weights that follow them stay B^-1's row norms:
+    # ones at the slack basis, recomputed by a refresh and a warm start.
     monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 300)
     model = lp.build_model(gen.gen_random((10, 10, 30), "avg", seed=0))
-    state = simplex._Revised(model.obj, model.layout, model.senses, model.rhs,
-                             model.lb, model.ub)
+    args = (model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
+    state = simplex._Revised(*args)
+    assert np.array_equal(state.beta, np.ones(state.m))
     with pytest.raises(simplex.SimplexError, match="iteration limit"):
         state.run()
     assert state.iterations == 300 and state.since_refresh >= 200
     assert state.binvt.flags.c_contiguous
     assert np.max(np.abs(state.binvt - state._factorize())) <= 1e-9
+    assert _row_norm_error(state) <= 1e-9
+    state._refresh()
+    assert _row_norm_error(state) == 0.0
+    monkeypatch.undo()
+    warm = simplex._Revised(*args, warm=simplex.solve(*args).basis)
+    assert warm.warm_started and not np.array_equal(warm.beta, np.ones(warm.m))
+    assert _row_norm_error(warm) == 0.0
+
+
+def test_steepest_edge_picks_the_leaving_row(monkeypatch):
+    # From the basis (x1, x0), B^-1 = [[1, 0], [-3, 1]]: row 0 holds x1 = 2
+    # (violation 1, beta 1) and row 1 holds x0 = 2.5 (violation 1.5, beta
+    # 10). The largest violation is row 1, but 1^2 / 1 > 1.5^2 / 10, so
+    # steepest edge takes row 0; Bland's rule takes x0, the lowest index.
+    a = simplex.Layout.from_dense(np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]]))
+    status = np.array([2, 2, 0, 0, 0, 0], dtype=np.int8)
+    warm = simplex.Basis(np.array([1, 0]), status)
+    state = simplex._Revised(np.array([0.0, 0.0, 1.0, 1.0]), a, ["<=", "<="],
+                             np.array([2.0, 8.5]), np.zeros(4), np.ones(4), warm=warm)
+    assert state.warm_started
+    assert np.allclose(state.values[state.basis], [2.0, 2.5])
+    assert np.allclose(state.beta, [1.0, 10.0])
+    assert state._leaving(bland=True)[0] == 1
+    assert state._leaving(bland=False) == (0, False, pytest.approx(1.0))
+    monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 1)
+    with pytest.raises(simplex.SimplexError, match="iteration limit"):
+        state.run()
+    # The first dual pivot moved x1 out of row 0; x0 is still basic in row 1.
+    assert state.basis[0] != 1 and state.basis[1] == 0
+    assert state.status[1] == simplex._AT_UB
 
 
 def test_duplicate_equality_rows_return_a_basis():
@@ -222,11 +261,11 @@ def test_duplicate_equality_rows_return_a_basis():
 # (sizes, regime, colors, mode) -> (iterations, sha256 of x bytes).
 PINNED = [
     (((8, 6, 16), "avg", None, "full"),
-     (205, "b4c29f3b3fccde7039071945c93173ec594d53464ee758a89eec77df387b856e")),
+     (150, "6825b061a76e717a5b6683dd682657499903492055c70d40a3353ca2aec02d3b")),
     (((8, 6, 16), "avg", None, "transmission"),
-     (79, "da5090c8eeb417df85e982ef87e6fb153f290be4a332b5b4a29d0833a2f32f7a")),
+     (68, "7333270dd82cbae809ba543bffc0d01311482ff63c30f92130b5861dd1527435")),
     (((2, 10, 20), "low", 5, "full"),
-     (260, "a2488452e06ada54a690e751f246bbd8a4655c17f00fd209417121286b1f7ed5")),
+     (146, "707e74f0eabcb7b626cf5c87b97d545a9036a3a3a5f738e8e1a7a7c02ec0a83f")),
 ]
 
 _PIN_SCRIPT = """
