@@ -36,6 +36,7 @@ rows, `solve_lp` and every bound derived from it never see these rows.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -104,7 +105,6 @@ class LpModel:
         self.inst = inst
         self.weights = WeightTable(inst)
 
-        self.names: list[str] = []
         self.z_index: dict[str, int] = {}
         self.y_index: dict[tuple[str, str], int] = {}
         self.x_index: dict[tuple[str, str, str], int] = {}
@@ -112,16 +112,14 @@ class LpModel:
 
         transmission = inst.mode == "transmission"
         for r in inst.reflectors:
-            self.z_index[r.id] = len(self.names)
-            self.names.append(f"z[{r.id}]")
+            self.z_index[r.id] = len(obj)
             obj.append(0.0 if transmission else r.cost)
         for s in inst.sources:
             for r in inst.reflectors:
                 edge = inst.src_edges.get((s.id, r.id))
                 if edge is None:
                     continue
-                self.y_index[(s.id, r.id)] = len(self.names)
-                self.names.append(f"y[{s.id},{r.id}]")
+                self.y_index[(s.id, r.id)] = len(obj)
                 obj.append(0.0 if transmission else edge.cost)
         for d in inst.sinks:
             k = d.stream
@@ -131,20 +129,18 @@ class LpModel:
                 edge = inst.refl_edges.get((r.id, d.id))
                 if edge is None:
                     continue
-                self.x_index[(k, r.id, d.id)] = len(self.names)
-                self.names.append(f"x[{k},{r.id},{d.id}]")
+                self.x_index[(k, r.id, d.id)] = len(obj)
                 if transmission:
                     obj.append(inst.src_edges[(k, r.id)].cost + edge.cost)
                 else:
                     obj.append(edge.cost)
 
         self.obj = np.array(obj)
-        self.nvars = len(self.names)
+        self.nvars = len(obj)
         self.lb = np.zeros(self.nvars)
         self.ub = np.ones(self.nvars)
         self.rows: list[LpRow] = []
         self.sink_weight_row: dict[str, int] = {}
-        self.uniform_bitrate = self._uniform_bitrate()
         self.capacities = self._effective_capacities()
         self._build_rows()
         # The solver's view of the rows, built once: every solve shares it.
@@ -159,14 +155,6 @@ class LpModel:
 
     # -- construction -------------------------------------------------------
 
-    def _uniform_bitrate(self) -> float | None:
-        if not self.inst.bandwidth_enabled:
-            return None
-        rates = {s.bitrate for s in self.inst.sources}
-        if len(rates) == 1 and None not in rates:
-            return rates.pop()
-        return None
-
     def _effective_capacities(self) -> dict[str, int] | None:
         """Per-reflector stream budget used by the rounding pipeline:
         whole copies of the one stream load every source shares."""
@@ -176,9 +164,10 @@ class LpModel:
                 raise UnsupportedInstanceError(
                     f"bandwidth mode needs a bandwidth cap on reflector {r.id}"
                 )
-        load = self.uniform_bitrate if inst.bandwidth_enabled else 1.0
-        if load is None:
+        loads = {inst.copy_load(s.id) for s in inst.sources}
+        if len(loads) != 1 or None in loads:
             return None  # heterogeneous bitrates: exact solver only
+        (load,) = loads
         return {r.id: int(math.floor(inst.copy_cap(r.id) / load)) for r in inst.reflectors}
 
     def _copy_load(self, k: str) -> float:
@@ -363,11 +352,13 @@ def solve_ip(
     Best-bound node order. A node branches on its most fractional z; only
     when every z is integral on the most fractional y, then on the most
     fractional x (largest distance from integrality, ties to the lowest
-    index), so the reflector and feed decisions settle first. Children are
-    explored one-up first, and each child LP starts from its parent's
-    optimal basis (a dual-simplex warm start). Raises NoIncumbentError when
-    the budget runs out before an incumbent is found, and InfeasibleError
-    when there is none.
+    index), so the reflector and feed decisions settle first. Both
+    children are solved when their parent branches, one-up first, each
+    from the parent's optimal basis (a dual-simplex warm start); the heap
+    holds only solved nodes, keyed by their own LP bounds, and the
+    incumbent is taken at pop. Raises NoIncumbentError when the budget runs
+    out before an incumbent is found, and InfeasibleError when there is
+    none.
     """
     budget = budget or TimeBudget()
     cert = model.weight_feasibility_certificate()
@@ -383,68 +374,51 @@ def solve_ip(
     nz, ny = len(model.z_index), len(model.y_index)
     classes = ((0, nz), (nz, nz + ny), (nz + ny, model.nvars))  # z, then y, then x
 
-    def node_lp(lb, ub, warm=None):
-        return simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=warm)
+    tie = itertools.count()
+    heap: list = []  # (bound, tie-break, lb, ub, solved LP), feasible nodes only
 
-    counter = 0
-    root = node_lp(lb, ub)
+    def solve_node(lb, ub, warm=None):
+        """Solve a node's LP; queue it unless it is infeasible or pruned."""
+        res = simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=warm)
+        if res.status == simplex.OPTIMAL and res.objective < inc_obj - 1e-9:
+            heapq.heappush(heap, (res.objective, next(tie), lb, ub, res))
+        return res
+
+    root = solve_node(lb.copy(), ub.copy())
     if root.status == simplex.INFEASIBLE:
         raise InfeasibleError(
             "integer program infeasible",
             certificate={"kind": "phase1", "residual": root.infeasibility},
         )
-    heap: list = []
-    # Entries: (bound, tie-break, lb, ub, solved LP or None, parent basis).
-    heapq.heappush(heap, (root.objective, counter, lb.copy(), ub.copy(), root, None))
     nodes = 0
     timed_out = False
 
-    while heap:
-        bound, _cnt, lb, ub, solved, warm_basis = heapq.heappop(heap)
-        if bound >= inc_obj - 1e-9:
-            continue  # pruned by incumbent
-        out_of_budget = (
+    # Bounds pop in increasing order, so once the best is pruned all are.
+    while heap and heap[0][0] < inc_obj - 1e-9:
+        timed_out = (
             budget.seconds is not None and time.perf_counter() - t0 > budget.seconds
         ) or (budget.node_limit is not None and nodes >= budget.node_limit)
-        if out_of_budget:
-            # Put the node back so the reported bound stays a true lower bound.
-            heapq.heappush(heap, (bound, _cnt, lb, ub, solved, warm_basis))
-            timed_out = True
+        if timed_out:
             break
-        if solved is None:
-            res = node_lp(lb, ub, warm_basis)
-            if res.status == simplex.INFEASIBLE:
-                continue
-            if res.objective >= inc_obj - 1e-9:
-                continue
-            # Re-queue with the true bound so best-bound order stays honest.
-            counter += 1
-            heapq.heappush(heap, (res.objective, counter, lb, ub, res, None))
-            continue
-        res = solved
+        _bound, _cnt, lb, ub, res = heapq.heappop(heap)
         nodes += 1
         values = res.x
         frac = np.abs(values - np.round(values))
         if np.all(frac <= INTEGRALITY_TOL):
-            rounded = np.round(values)
-            if res.objective < inc_obj - 1e-9:
-                incumbent = rounded
-                inc_obj = float(model.obj @ rounded)
+            incumbent = np.round(values)
+            inc_obj = float(model.obj @ incumbent)
             continue
         for start, end in classes:
             if frac[start:end].max(initial=0.0) > INTEGRALITY_TOL:
                 branch_var = start + int(np.argmax(frac[start:end]))
                 break
-        for fix in (1.0, 0.0):
-            nlb, nub = lb.copy(), ub.copy()
-            if fix == 1.0:
-                nlb[branch_var] = 1.0
-            else:
-                nub[branch_var] = 0.0
-            counter += 1
-            heapq.heappush(heap, (res.objective, counter, nlb, nub, None, res.basis))
+        up_lb, down_ub = lb.copy(), ub.copy()
+        up_lb[branch_var] = 1.0
+        down_ub[branch_var] = 0.0
+        solve_node(up_lb, ub, res.basis)
+        solve_node(lb, down_ub, res.basis)
 
-    best_bound = min([entry[0] for entry in heap] + [inc_obj])
+    best_bound = heap[0][0] if timed_out else inc_obj
     if incumbent is None:
         if timed_out:
             raise NoIncumbentError(best_bound, nodes)

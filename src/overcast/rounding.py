@@ -49,14 +49,9 @@ class RoundingRetriesExhausted(RuntimeError):
 class SemiIntegralSolution:
     model: LpModel
     values: np.ndarray
-    config: RoundingConfig
     attempt: int  # absolute attempt index the draw came from
     attempts: int = 1  # draws consumed by the retry loop that produced this
     first_violations: int = 0  # predicate failures of that loop's first draw
-
-    @property
-    def multiplier(self) -> float:
-        return self.config.multiplier
 
     @property
     def realized_cost(self) -> float:
@@ -150,7 +145,7 @@ def randomized_round(
     values[z_pos] = z_bar
     values[y_pos] = y_bar
     values[x_pos] = x_bar
-    return SemiIntegralSolution(model=model, values=values, config=config, attempt=attempt)
+    return SemiIntegralSolution(model=model, values=values, attempt=attempt)
 
 
 def round_with_retries(

@@ -7,19 +7,21 @@ always has n + m columns: a_i x + s_i = b_i for '<=' and '==' rows,
 a_i x - s_i = b_i for '>=' rows, with s_i >= 0, and s_i fixed at 0 on '=='
 rows. The slacks of inequality rows are the only unbounded columns.
 
-A solve starts from a dual-feasible basis. That is the `basis` of an earlier
-solve of the same rows (`warm=`, such as a branch-and-bound parent; the
-bounds and costs may differ), or the all-slack basis, whose inverse is
-diag(+-1). Each boxed nonbasic variable rests at the bound its reduced cost
-prefers, so only the nonbasic slack of an inequality row can be dual
-infeasible; at the slack basis none is nonbasic. A warm basis that is
-singular, or that leaves such a slack with a negative reduced cost, is
-dropped for the slack basis. The bounded dual simplex then restores primal
-feasibility: a violated basic variable leaves, and the dual ratio test
-picks the entering column so that every reduced cost stays dual feasible.
-It ends at the optimum, or at a row that no column can repair, which makes
-the LP infeasible. There is no cost shift and no primal phase; an end that
-is not dual feasible is a SimplexError.
+A solve starts from a dual-feasible basis: the `basis` of an earlier solve
+of the same rows (`warm=`, such as a branch-and-bound parent; the bounds and
+costs may differ), or else the all-slack basis. Both take one start path:
+the basis is factorized, its reduced costs are computed once, and the dual
+simplex begins from them. Each boxed nonbasic variable rests at the bound
+its reduced cost prefers, so only the nonbasic slack of an inequality row
+can be dual infeasible. A warm basis that is singular, or that leaves such a
+slack with a negative reduced cost, is dropped for the slack basis, which is
+neither: its inverse is diag(+-1), and no slack is nonbasic. An LP with no
+rows has an empty basis and takes the same path. The bounded dual simplex
+then restores primal feasibility: a violated basic variable leaves, and the
+dual ratio test picks the entering column so that every reduced cost stays
+dual feasible. It ends at the optimum, or at a row that no column can
+repair, which makes the LP infeasible. There is no cost shift and no primal
+phase; an end that is not dual feasible is a SimplexError.
 
 The constraint matrix is held as sparse columns (a `Layout`, which a model
 builds once and every solve of its rows shares); slack columns stay
@@ -97,7 +99,9 @@ class Layout:
     def __init__(self, shape, rows, cols, vals):
         vals = np.asarray(vals, dtype=float)
         keep = vals != 0
-        rows, cols, vals = np.asarray(rows)[keep], np.asarray(cols)[keep], vals[keep]
+        rows = np.asarray(rows, dtype=np.intp)[keep]
+        cols = np.asarray(cols, dtype=np.intp)[keep]
+        vals = vals[keep]
         order = np.lexsort((rows, cols))
         self.m, self.n = shape
         self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
@@ -139,10 +143,6 @@ def solve(c, a: Layout, senses, b, lb, ub, warm: Basis | None = None) -> LpResul
         raise ValueError("structural bounds must be finite")
     if np.any(lb > ub):
         return LpResult(INFEASIBLE, None, None, infeasibility=float(np.max(lb - ub)))
-    if b.size == 0:
-        x = np.where(c < 0, ub, lb)
-        return LpResult(OPTIMAL, x, float(c @ x))
-
     return _Revised(c, a, senses, b, lb, ub, warm).run()
 
 
@@ -162,7 +162,7 @@ class _Revised:
         self.ncols = cols = n + m
         # Slack of row i is column n + i, the unit column sign_i e_i:
         # a_i x + sign_i s_i = b_i.
-        self.sign = sign = _sense_signs(senses)
+        self.sign = _sense_signs(senses)
 
         self.lb = np.zeros(cols)
         self.ub = np.full(cols, np.inf)
@@ -175,15 +175,11 @@ class _Revised:
         self.refreshes = 0
         self.since_refresh = 0  # pivots since the last factorization
 
-        d = None if warm is None else self._warm_start(warm)
+        d = None if warm is None else self._start(warm)
         self.warm_started = d is not None
         if d is None:
-            self.basis = np.arange(n, cols)
-            self.status = np.full(cols, _AT_LB, dtype=np.int8)
-            self.status[self.basis] = _BASIC
-            self.binvt = np.diag(sign)
-            self.beta = np.ones(m)
-            d = self._reduced_costs()
+            d = self._start(Basis(np.arange(n, cols), np.zeros(cols, dtype=np.int8)))
+        self.d = d  # the start basis's reduced costs, where _dual begins
 
         nonbasic = self.status != _BASIC
         # Boxed nonbasics rest where their reduced cost is dual feasible;
@@ -200,21 +196,22 @@ class _Revised:
         self.price = np.where(self.status == _AT_UB, -1.0, 1.0)
         self.price[(self.status == _BASIC) | ~self.movable] = 0.0
 
-    def _warm_start(self, warm: Basis):
-        """Factorize `warm` and return its reduced costs; None when it is
+    def _start(self, basis: Basis):
+        """Factorize `basis` and return its reduced costs; None when it is
         singular or leaves an inequality row's slack nonbasic with a negative
-        reduced cost (it has no upper bound to rest at instead)."""
-        if warm.columns.shape != (self.m,) or warm.status.shape != (self.ncols,):
+        reduced cost (it has no upper bound to rest at instead). The slack
+        basis is never either."""
+        if basis.columns.shape != (self.m,) or basis.status.shape != (self.ncols,):
             raise ValueError("warm basis does not match the rows and columns")
-        self.basis = np.asarray(warm.columns, dtype=np.intp).copy()
-        self.status = np.where(warm.status == _AT_UB, _AT_UB, _AT_LB).astype(np.int8)
+        self.basis = np.asarray(basis.columns, dtype=np.intp).copy()
+        self.status = np.where(basis.status == _AT_UB, _AT_UB, _AT_LB).astype(np.int8)
         self.status[self.basis] = _BASIC
         try:
             self.binvt = self._factorize()
         except SimplexError:
             return None
         self.beta = np.einsum("ij,ij->j", self.binvt, self.binvt)
-        self.refreshes = 1
+        self.refreshes += 1
         d = self._reduced_costs()
         if np.any((self.status != _BASIC) & np.isinf(self.ub) & (d < -_DUAL_TOL)):
             return None
@@ -372,9 +369,10 @@ class _Revised:
 
         Returns (violation, d) on a fresh factorization: violation is 0.0
         when the basis is feasible, else the violation of a row no column
-        can repair (the LP is infeasible); d are the reduced costs.
+        can repair (the LP is infeasible); d are the reduced costs, which
+        start from those of the start basis.
         """
-        d = self._reduced_costs()
+        d = self.d
         stall = 0
         bland = False
         while True:

@@ -80,19 +80,26 @@ def _fanout_failures(ps: PathSet, factor: float, extra: float) -> tuple[list[str
 
     Load and cap are in `Instance.copy_load` / `copy_cap` units: route
     counts, or bitrates with bandwidth caps. `extra` is an additive allowance
-    in units of the largest copy load seen at the reflector.
+    in units of the largest copy load seen at the reflector. A routed stream
+    with no bitrate, or a used reflector with no bandwidth cap, leaves a
+    load unmeasurable: each is a failure, and the worst ratio is NaN.
     """
     inst = ps.instance
-    bad = []
+    bad = [f"stream {k}: no bitrate to load its reflectors with"
+           for k in sorted({k for k, _i, _j in ps.x_tilde if inst.copy_load(k) is None})]
+    bad += [f"reflector {i}: no bandwidth cap to bound its load"
+            for i in sorted({i for _k, i, _j in ps.x_tilde if inst.copy_cap(i) is None})]
+    if bad:
+        return bad, math.nan
     load: dict[str, float] = {}
     load_max: dict[str, float] = {}
     for (k, i, _j) in ps.x_tilde:
-        copy = inst.copy_load(k) or 0.0
+        copy = inst.copy_load(k)
         load[i] = load.get(i, 0.0) + copy
         load_max[i] = max(load_max.get(i, 0.0), copy)
     worst = 0.0
     for i, used in load.items():
-        cap = inst.copy_cap(i) or 0.0
+        cap = inst.copy_cap(i)
         worst = max(worst, used / cap if cap > 0 else math.inf)
         if used > factor * cap + extra * load_max[i] + AUDIT_TOL:
             if inst.bandwidth_enabled:

@@ -5,6 +5,8 @@ import pytest
 
 from overcast.cli import CSV_COLUMNS, SWEEP_COLUMNS, build_parser, main
 from overcast.lp import NoIncumbentError
+from overcast.model import normalize
+from overcast.solution import PathSet
 
 
 @pytest.fixture()
@@ -393,6 +395,23 @@ BANDWIDTH_DOC = {
         {"from": "r0", "to": "d1", "loss": 0.01, "cost": 1.0},
     ],
 }
+
+
+def test_verify_fails_a_route_with_no_bitrate(tmp_path, capsys):
+    # Under bandwidth caps a stream with no bitrate puts an unknown load on
+    # its reflectors; the audit says so instead of reading it as 0.
+    doc = json.loads(json.dumps(BANDWIDTH_DOC))
+    del doc["sources"][0]["bitrate"]
+    doc["reflectors"][0]["bandwidth"] = 1.0
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(doc))
+    inst = normalize(doc)
+    routes = {("s0", "r0", "d0"): 1.0, ("s0", "r0", "d1"): 1.0}
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(PathSet(instance=inst, x_tilde=routes, provenance="exact-ip").to_json())
+    assert main(["verify", str(inst_path), str(sol_path), "--profile", "exact"]) == 2
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert any(f.startswith("stream s0: no bitrate") for f in failures), failures
 
 
 def test_solve_bandwidth_mode_reports_bitrate_load(tmp_path, capsys):

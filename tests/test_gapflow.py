@@ -40,8 +40,7 @@ def draw_from(model, x_masses):
         values[idx] = 1.0
     for key, mass in x_masses.items():
         values[model.x_index[key]] = mass
-    cfg = rounding.RoundingConfig(multiplier=2.0, seed=0)
-    return rounding.SemiIntegralSolution(model=model, values=values, config=cfg, attempt=0)
+    return rounding.SemiIntegralSolution(model=model, values=values, attempt=0)
 
 
 def random_feasible_doc(rng, n_refl, n_sinks):
@@ -264,8 +263,7 @@ import numpy as np
 from overcast import gapflow, gen, lp, rounding
 arg = json.loads(sys.argv[1])
 model = lp.build_model(gen.gen_random((12, 12, 40), "avg", seed=0))
-config = rounding.RoundingConfig(multiplier=1.0)
-sol = rounding.SemiIntegralSolution(model, np.load(arg["values"]), config, attempt=0)
+sol = rounding.SemiIntegralSolution(model, np.load(arg["values"]), attempt=0)
 res = gapflow.run_gap_stage(sol)
 print(json.dumps({
     "x_tilde": [[*key, v] for key, v in res.x_tilde.items()],

@@ -43,7 +43,10 @@ def test_gen_random_regime_ranges():
 def test_gen_random_variable_count_complete_density():
     inst = gen_random((10, 7, 28), regime="avg", seed=2)
     model = build_model(inst)
-    assert len(model.names) == 7 * 28 + 7 * 10 + 7
+    assert len(model.x_index) == 7 * 28
+    assert len(model.y_index) == 7 * 10
+    assert len(model.z_index) == 7
+    assert model.nvars == 7 * 28 + 7 * 10 + 7
 
 
 def test_gen_random_deterministic_per_seed():

@@ -138,14 +138,11 @@ def scipy_opt(model, integral):
 
 def test_build_shape_and_order():
     model = lp.build_model(normalize(two_path_doc()))
-    assert model.names == [
-        "z[r0]",
-        "z[r1]",
-        "y[s0,r0]",
-        "y[s0,r1]",
-        "x[s0,r0,d0]",
-        "x[s0,r1,d0]",
-    ]
+    # Variables run z, then y, then x, each in instance order.
+    assert model.z_index == {"r0": 0, "r1": 1}
+    assert model.y_index == {("s0", "r0"): 2, ("s0", "r1"): 3}
+    assert model.x_index == {("s0", "r0", "d0"): 4, ("s0", "r1", "d0"): 5}
+    assert model.nvars == 6
     kinds = [row.kind for row in model.rows]
     assert kinds == ["feed-use"] * 2 + ["relay-use"] * 2 + ["fanout"] * 2 + [
         "feed-fanout"
@@ -371,7 +368,6 @@ def test_bandwidth_rows_and_capacities():
     # Uniform bitrate 2.0 and caps 2*fanout give back the original fan-outs.
     for rec in doc["reflectors"]:
         assert model.capacities[rec["id"]] == rec["fanout"]
-    assert model.uniform_bitrate == 2.0
     ref = scipy_opt(model, integral=False)
     frac = lp.solve_lp(model)
     assert ref.status == 0
@@ -388,7 +384,6 @@ def test_heterogeneous_bitrates_disable_pipeline_capacities():
     inst = normalize(doc)
     model = lp.build_model(inst)
     assert model.capacities is None
-    assert model.uniform_bitrate is None
     ref = scipy_opt(model, integral=True)
     if ref.status == 0:
         res = lp.solve_ip(model)

@@ -142,6 +142,7 @@ def test_a_dual_infeasible_end_raises():
     state = simplex._Revised(np.array([-1.0]), simplex.Layout.from_dense(np.array([[1.0]])),
                              ["<="], np.array([5.0]), np.zeros(1), np.ones(1))
     state.cost[0] = 1.0
+    state.d = state._reduced_costs()  # the dual simplex starts from these
     with pytest.raises(simplex.SimplexError, match="not dual feasible"):
         state.run()
 
@@ -172,14 +173,43 @@ def test_refreshes_once_per_phase():
     n, m = 3, 3
     assert state.ncols == n + m  # one slack per row
     assert np.array_equal(state.binvt, np.diag([-1.0, 1.0, 1.0]))  # the slack basis
-    assert state.refreshes == 0
+    assert state.refreshes == 1  # the start factorizes the slack basis
     res = state.run()
     assert res.status == simplex.OPTIMAL
     assert res.iterations == 2
     # The dual simplex is the only phase: one confirming refactorization.
-    assert res.refreshes == 1
+    assert res.refreshes == 2
     assert res.objective == pytest.approx(-0.5)
-    assert simplex.solve(*args).refreshes == 1
+    assert simplex.solve(*args).refreshes == 2
+
+
+def test_a_zero_row_lp_takes_the_start_path():
+    # No rows: the basis is empty, and each x rests at the bound its cost
+    # prefers (a zero cost keeps the lower bound).
+    lay = simplex.Layout((0, 3), [], [], [])
+    lb, ub = np.array([0.0, -1.0, 0.5]), np.array([1.0, 2.0, 3.0])
+    res = simplex.solve([1.0, -2.0, 0.0], lay, [], [], lb, ub)
+    assert res.status == simplex.OPTIMAL
+    assert isinstance(res.basis, simplex.Basis) and res.basis.columns.size == 0
+    assert np.array_equal(res.x, [0.0, 2.0, 0.5])
+    assert res.objective == -4.0 and res.iterations == 0
+
+
+def test_the_slack_basis_as_warm_start_is_the_cold_start():
+    # The cold start is the slack basis sent through the warm-start path:
+    # passing it explicitly pivots identically and ends at the same bytes.
+    model = lp.build_model(gen.gen_random((8, 6, 16), "avg", seed=0))
+    for args in (_boxed_lp(), (model.obj, model.layout, model.senses, model.rhs,
+                               model.lb, model.ub)):
+        n, m = args[1].n, args[1].m
+        slack = simplex.Basis(np.arange(n, n + m), np.zeros(n + m, dtype=np.int8))
+        cold = simplex.solve(*args)
+        warm = simplex.solve(*args, warm=slack)
+        assert warm.warm_started and not cold.warm_started
+        assert warm.iterations == cold.iterations > 0
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert np.array_equal(warm.basis.columns, cold.basis.columns)
+        assert np.array_equal(warm.basis.status, cold.basis.status)
 
 
 def _row_norm_error(state):

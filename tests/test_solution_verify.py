@@ -150,15 +150,48 @@ def test_fanout_audit_factors():
     assert not any("routes over" in f for f in approx.failures)
 
 
+def unmeasured_bandwidth_doc(missing):
+    """Three sinks routed over r0 under bandwidth caps, with the source's
+    bitrate or r0's bandwidth left out."""
+    doc = {
+        "bandwidth_enabled": True,
+        "sources": [{"id": "s0", "bitrate": 1.0}],
+        "reflectors": [{"id": "r0", "cost": 5.0, "fanout": 4, "bandwidth": 1.0}],
+        "sinks": [{"id": f"d{j}", "stream": "s0", "loss_threshold": 0.25} for j in range(3)],
+        "src_edges": [{"from": "s0", "to": "r0", "loss": 0.01, "cost": 1.0}],
+        "refl_edges": [
+            {"from": "r0", "to": f"d{j}", "loss": 0.01, "cost": 1.0} for j in range(3)
+        ],
+    }
+    if missing == "bitrate":
+        del doc["sources"][0]["bitrate"]
+    else:
+        del doc["reflectors"][0]["bandwidth"]
+    return doc
+
+
+@pytest.mark.parametrize(("missing", "named"), [
+    ("bitrate", "stream s0: no bitrate"),
+    ("bandwidth", "reflector r0: no bandwidth cap"),
+])
+def test_fanout_audit_names_a_missing_bitrate_or_bandwidth(missing, named):
+    # Three unit-rate copies over a bandwidth of 1 once passed as load 0
+    # when the bitrate was missing: a missing value is not a zero.
+    inst = normalize(unmeasured_bandwidth_doc(missing))
+    routes = {("s0", "r0", f"d{j}"): 1.0 for j in range(3)}
+    report = verify.audit(PathSet(instance=inst, x_tilde=routes, provenance="exact-ip"), "exact")
+    assert not report.ok
+    assert any(f.startswith(named) for f in report.failures), report.failures
+    assert math.isnan(report.fanout_ratio)
+
+
 def test_approx_audit_accepts_gap_output():
     inst = normalize(two_path_doc())
     model = lp.build_model(inst)
     values = np.ones(model.nvars)
     values[model.x_index[("s0", "r0", "d0")]] = 0.5
     values[model.x_index[("s0", "r1", "d0")]] = 0.5
-    sol = rounding.SemiIntegralSolution(
-        model, values, rounding.RoundingConfig(multiplier=2.0, seed=0), attempt=0
-    )
+    sol = rounding.SemiIntegralSolution(model, values, attempt=0)
     res = gapflow.run_gap_stage(sol)
     ps = PathSet(instance=inst, x_tilde=res.x_tilde, provenance="approx")
     report = verify.audit(ps, "approx")
