@@ -70,6 +70,28 @@ def _ratio(cost: float, bound: float) -> float:
     return float("inf")
 
 
+def _csv_row(alg, multiplier, seed, cost, bound, attempts, wall_ms, status) -> dict:
+    """The fields `compare.csv` and `sweep.csv` share, formatted."""
+    return {
+        "alg": alg,
+        "M": multiplier,
+        "seed": seed,
+        "cost": f"{cost:.6f}",
+        "lp_bound": f"{bound:.6f}",
+        "ratio": f"{_ratio(cost, bound):.6f}",
+        "attempts": attempts,
+        "wall_ms": wall_ms,
+        "status": status,
+    }
+
+
+def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_gen(args) -> int:
     sizes = tuple(int(part) for part in args.size.lower().split("x"))
     if len(sizes) != 3:
@@ -165,24 +187,15 @@ def cmd_compare(args) -> int:
             status = "audit_fail"
         costs[alg] = cost
         rows.append(
-            {
-                "alg": alg,
-                "M": args.multiplier if alg == "approx" and args.multiplier else "",
-                "seed": args.seed if alg == "approx" else "",
-                "cost": f"{cost:.6f}",
-                "lp_bound": f"{bound:.6f}",
-                "ratio": f"{_ratio(cost, bound):.6f}",
-                "attempts": attempts,
-                "wall_ms": wall_ms,
-                "status": status,
-            }
+            _csv_row(
+                alg,
+                args.multiplier if alg == "approx" and args.multiplier else "",
+                args.seed if alg == "approx" else "",
+                cost, bound, attempts, wall_ms, status,
+            )
         )
 
-    path = out / "compare.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(out / "compare.csv", CSV_COLUMNS, rows)
     for row in rows:
         print(",".join(str(row[c]) for c in CSV_COLUMNS))
 
@@ -229,30 +242,16 @@ def cmd_sweep(args) -> int:
                 attempts, violations = args.max_retries, ""
                 shapes.add(f"failed-{seed}")
             wall_ms = int((time.perf_counter() - started) * 1000)
-            cell_rows.append(
-                {
-                    "alg": "approx",
-                    "M": f"{m:g}",
-                    "seed": seed,
-                    "cost": f"{cost:.6f}",
-                    "lp_bound": f"{bound:.6f}",
-                    "ratio": f"{_ratio(cost, bound):.6f}",
-                    "attempts": attempts,
-                    "wall_ms": wall_ms,
-                    "status": status,
-                }
-            )
-            cell_rows[-1]["violations_first_draw"] = violations
+            row = _csv_row("approx", f"{m:g}", seed, cost, bound, attempts, wall_ms, status)
+            row["violations_first_draw"] = violations
+            cell_rows.append(row)
         identical = 1 if len(shapes) == 1 else 0
         for row in cell_rows:
             row["identical_across_seeds"] = identical
         rows.extend(cell_rows)
 
     path = out / "sweep.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(path, SWEEP_COLUMNS, rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0 if any_ok else 2
 

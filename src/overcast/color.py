@@ -9,9 +9,11 @@ least a quarter unit of mass because the expensive paths carry less than a
 quarter in total), the survivors are scaled by four and capped at one, and
 a dependent-rounding walk turns them into whole paths while every
 constraint row increases by strictly less than the column-sum bound t = 9.
-The chosen paths then cover every box, send at most 4 + 9 = 13 copies per
-(sink, color) group, and cost at most 13 times the draw's realized cost; the
-stage checks the first, and the color audit (`verify.audit`) the other two.
+The system has one row per bound the stage proves: a feed row per used
+reflector (fan-out under 8x its cap + 9), a box row per box (every box
+covered), a color row per (sink, color) group (at most 4 + 9 = 13 copies)
+and one cost row (at most 13 times the draw's realized cost). The stage
+checks coverage, and the color audit (`verify.audit`) the other three.
 
 The rounding rows are one sparse `simplex.Layout`, each row's slack a unit
 entry of its own column; the walk makes only its few tracked rows dense.
@@ -134,14 +136,17 @@ def build_rounding_system(
     returns A and the fractional point v0 that meets it, each slack clamped
     at zero where the row is over by at most 1e-7.
 
-    Four row families carry the edge capacities of the assignment network
-    (feed, pair, assignment, demand), each with right-hand side four times
-    the capacity; the network itself is never built. Then come one row per
-    box scaled by -9 (so the rounding drift cannot erase coverage), one row
-    per (sink, color) group capped at four fractional copies, and one
-    relay-cost row normalized by the draw's realized cost. Every path
-    column's positive entries then total at most t = 9 and its negative
-    entries at least -9.
+    Four row families, each for the bound it proves once the walk adds less
+    than t = 9 to it:
+      feed   per used reflector, its paths <= 4 * (2 * cap): fan-out under
+             8x cap + 9 (the color audit's fan-out bound);
+      box    per box, -9 times its paths <= -9: every box keeps a path, since
+             a drift under 9 cannot take the row from -9 up to 0;
+      color  per (sink, color) group, its paths <= 4: at most 13 copies;
+      cost   the paths' cost over the draw's realized cost <= 4: at most 13x
+             the draw's cost (a kept path costs at most 4x the draw).
+    Every path column's positive entries then total at most 1 + 1 + 4 = 6
+    and its negative entries at least -9, inside the walk's t = 9.
 
     A is one sparse `Layout` of m rows and n_paths + m columns: the path
     columns, then column n_paths + r holding row r's slack as a unit entry.
@@ -150,12 +155,10 @@ def build_rounding_system(
     draw_cost = sol.realized_cost
     rows: list[tuple[str, dict[int, float], float]] = []  # (label, coefs, rhs)
     feed_cols: dict[str, dict[int, float]] = {}
-    pair_cols: dict[tuple[str, str], dict[int, float]] = {}
     box_cols: dict[tuple[str, int], dict[int, float]] = {}
     color_cols: dict[tuple[str, int], dict[int, float]] = {}
     for col, p in enumerate(kept):
         feed_cols.setdefault(p.reflector, {})[col] = 1.0
-        pair_cols.setdefault((p.reflector, p.sink), {})[col] = 1.0
         box_cols.setdefault((p.sink, p.box_index), {})[col] = 1.0
         if p.color is not None:
             color_cols.setdefault((p.sink, p.color), {})[col] = 1.0
@@ -163,14 +166,7 @@ def build_rounding_system(
     for r in model.inst.reflectors:
         if r.id in feed_cols:
             cap = 2.0 * model.capacities[r.id]
-            rows.append((f"edge[feed:{r.id}]", feed_cols[r.id], MASS_SCALE * cap))
-    for (i, j), coefs in sorted(pair_cols.items()):
-        rows.append((f"edge[pair:{i},{j}]", coefs, MASS_SCALE * 1.0))
-    for col, p in enumerate(kept):
-        label = f"edge[assign:{p.reflector},{p.sink},{p.box_index}]"
-        rows.append((label, {col: 1.0}, MASS_SCALE * 0.5))
-    for (j, b), coefs in sorted(box_cols.items()):
-        rows.append((f"edge[demand:{j},{b}]", coefs, MASS_SCALE * 0.5))
+            rows.append((f"feed[{r.id}]", feed_cols[r.id], MASS_SCALE * cap))
     for (j, b), coefs in sorted(box_cols.items()):
         rows.append((f"box[{j},{b}]", {c: -9.0 for c in coefs}, -9.0))
     for (j, color), coefs in sorted(color_cols.items()):

@@ -35,9 +35,6 @@ class PathSet:
     def routes(self) -> list[tuple[str, str, str]]:
         return sorted(self.x_tilde)
 
-    def sink_routes(self, j: str) -> list[tuple[str, str, str]]:
-        return [key for key in self.routes if key[2] == j]
-
     @property
     def reflectors_used(self) -> list[str]:
         return sorted({i for (_k, i, _j) in self.x_tilde})

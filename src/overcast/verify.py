@@ -164,8 +164,9 @@ def audit(ps: PathSet, profile: str = "exact", claimed_cost: float | None = None
         for (j, color), n in _color_group_counts(ps).items():
             if n > COLOR_FACTOR:
                 failures.append(f"sink {j}: color {color} used {n} times, cap {COLOR_FACTOR}")
+        served = {j for (_k, _i, j) in ps.x_tilde}
         for d in inst.sinks:
-            if d.weight_threshold > 0 and not ps.sink_routes(d.id):
+            if d.weight_threshold > 0 and d.id not in served:
                 failures.append(f"sink {d.id}: no route at all")
         draw_cost = ps.meta.get("draw_cost")
         if draw_cost is not None and draw_cost > 0:

@@ -5,6 +5,7 @@ import pytest
 
 from overcast.color import (
     COLUMN_BOUND,
+    COST_FILTER_FACTOR,
     ColorStageError,
     RelayPath,
     build_rounding_system,
@@ -131,7 +132,7 @@ def test_walk_agrees_across_blas_threads(blas_threads, tmp_path):
     frac = solve_lp(build_model(inst))
     sol = round_with_retries(frac, RoundingConfig(multiplier=default_multiplier(inst)))
     kept, _dropped = filter_and_scale(enumerate_paths(sol, build_boxes(sol)), sol.realized_cost)
-    a, v0 = build_rounding_system(sol, kept)  # 485 x 611
+    a, v0 = build_rounding_system(sol, kept)  # 189 x 315
     path = tmp_path / "system.npz"
     np.savez(
         path, shape=(a.m, a.n), rows=a.rows, cols=a.cols, vals=a.vals, v0=v0, t=COLUMN_BOUND
@@ -140,6 +141,23 @@ def test_walk_agrees_across_blas_threads(blas_threads, tmp_path):
     one, two = (blas_threads(_WALK_SCRIPT, str(path), threads) for threads in (1, 2))
     assert one == two
     assert float(one["max_increase"]) < COLUMN_BOUND
+
+
+def test_rounding_system_has_one_row_per_bound():
+    sol = accepted_draw(colored_doc(), seed=3)
+    kept, _dropped = filter_and_scale(enumerate_paths(sol, build_boxes(sol)), sol.realized_cost)
+    a, _v0 = build_rounding_system(sol, kept)
+    reflectors = {p.reflector for p in kept}
+    boxes = {(p.sink, p.box_index) for p in kept}
+    groups = {(p.sink, p.color) for p in kept}
+    assert a.m == len(reflectors) + len(boxes) + len(groups) + 1  # + the cost row
+    assert a.n == len(kept) + a.m
+    # a path sits in one feed, one color and the cost row: 1 + 1 + 4 at most
+    on_path = a.cols < len(kept)
+    pos = np.bincount(
+        a.cols[on_path], weights=np.maximum(a.vals[on_path], 0.0), minlength=len(kept)
+    )
+    assert np.all(pos <= 2.0 + COST_FILTER_FACTOR + 1e-9)
 
 
 def fabricated_path(sink, box, reflector, mass, cost, color=None):
@@ -327,13 +345,40 @@ PINNED_COLOR_ROUTES = {
 }
 
 
+# sha256 of each case's solution.json (`save_pathset`) at one BLAS thread:
+# the whole document, so `karp_max_increase`, `path_cost_total` and the cost
+# are pinned to the last bit along with the routes. Recorded while the walk's
+# system still had its pair, assignment and demand rows; deleting them moved
+# no byte.
+PINNED_COLOR_DOCS = {
+    ((2, 10, 20), 5, 2): "d2f447829db437f965c7dca1d1c51eafd6911e9383cee8b3c143bfb8e4240979",
+    ((2, 10, 20), 5, 7): "aaf7b3eb59dc49364c8e2eb9bea72813f61271d59df178513c1ee84e07e9a917",
+    ((2, 14, 28), 7, 1): "422e4151a2c36b318468849365f46f35d7888b128d4ba3ed459966e0a551b8db",
+}
+
+_DOC_SCRIPT = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from overcast.gen import gen_random
+from overcast.pipeline import run_approx
+from overcast.solution import save_pathset
+sizes, colors, seed = json.loads(sys.argv[1])
+ps = run_approx(gen_random(tuple(sizes), "low", seed=seed, colors=colors))
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "solution.json"
+    save_pathset(ps, path)
+    print(json.dumps(hashlib.sha256(path.read_bytes()).hexdigest()))
+"""
+
+
 @pytest.mark.parametrize(
     "case", list(PINNED_COLOR_ROUTES), ids=["2", "7", "2x14x28-7-s1"]
 )
-def test_colored_selection_pinned(case):
+def test_colored_selection_pinned(case, one_blas_thread):
     sizes, colors, seed = case
     ps = run_approx(gen_random(sizes, "low", seed=seed, colors=colors))
     expected = sorted(
         (k, i, j) for (k, i), sinks in PINNED_COLOR_ROUTES[case].items() for j in sinks
     )
     assert sorted(ps.x_tilde) == expected
+    assert one_blas_thread(_DOC_SCRIPT, case) == PINNED_COLOR_DOCS[case]
