@@ -20,6 +20,8 @@ from .model import (
 from .pipeline import (
     ApproxPipelineError,
     default_multiplier,
+    hack_relaxation,
+    round_relaxation,
     run_approx,
     run_exact,
     run_hack,
@@ -56,10 +58,12 @@ __all__ = [
     "from_integral",
     "gen_random",
     "gen_setcover",
+    "hack_relaxation",
     "instance_from_doc",
     "load_pathset",
     "loss_to_weight",
     "randomized_round",
+    "round_relaxation",
     "round_with_retries",
     "run_approx",
     "run_exact",

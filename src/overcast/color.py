@@ -225,7 +225,9 @@ def karp_round(
     at all, and a row is released only once it provably cannot overshoot.
     When the tracked rows pin down every fractional coordinate, the row with
     the least future-increase potential is released and the outcome is left
-    to the final certificate check.
+    to the final certificate check. Once no row is tracked, none can be
+    again (a row's drift plus future increase never grows), so every
+    fractional coordinate is rounded up at once.
 
     Drift and future increase are sums over the nonzeros of `a`; only the
     tracked rows are made dense, over the floating columns, for the SVD.
@@ -258,6 +260,11 @@ def karp_round(
         fall = a.vals * np.where(col_pos >= 0, lo - v, 0.0)[a.cols]
         phi = np.bincount(a.rows, weights=np.maximum(rise, fall), minlength=a.m)
         tracked = (drift + phi >= t - _ACTIVE_MARGIN).nonzero()[0].tolist()
+        if not tracked:
+            # drift + phi never grows, so no row is tracked again, and each
+            # further step would ceil the first floating coordinate
+            v[floating] = hi[floating]
+            break
         # the tracked rows, dense over the floating columns
         row_pos = np.full(a.m, -1)
         row_pos[tracked] = np.arange(len(tracked))

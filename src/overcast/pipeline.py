@@ -1,12 +1,16 @@
 """End-to-end solver entry points.
 
-`run_approx` is the rounding pipeline: LP relaxation, retried randomized
-draw, then either the box-assignment stage or (with colors on) the path
-rounding stage, assembled into a PathSet with its audit-relevant metadata
-and returned once the audit of its profile accepts it.
+`run_approx` is the rounding pipeline in two halves. The relaxation is
+`solve_lp(build_model(inst))`; `round_relaxation` rounds a given relaxation:
+retried randomized draw, then either the box-assignment stage or (with
+colors on) the path rounding stage, assembled into a PathSet with its
+audit-relevant metadata and returned, with its report, once the audit of its
+profile accepts it. Rounding only reads the relaxation, so one relaxation
+can be rounded under many multipliers and seeds.
 `run_exact` and `run_hack` wrap the branch-and-bound baseline and the
-LP-fixing shortcut behind the same output type; both raise
-NoIncumbentError when a budget ends before any incumbent.
+LP-fixing shortcut behind the same output type (`hack_relaxation` is the
+shortcut on a given relaxation); both raise NoIncumbentError when a budget
+ends before any incumbent.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ import math
 
 from .color import ColorStageError, run_color_stage
 from .gapflow import GapStageError, run_gap_stage
-from .lp import TimeBudget, approx_hack, build_model, solve_ip, solve_lp
+from .lp import FractionalSolution, TimeBudget, approx_hack, build_model, solve_ip, solve_lp
 from .model import Instance
 from .rounding import DELTA, RoundingConfig, randomized_round, round_with_retries
 from .solution import PathSet, from_integral
-from .verify import audit
+from .verify import AuditReport, audit
 
 PIPELINE_TRIALS = 3
 MULTIPLIER_SCALE = 64.0  # default M = 64 * log2(max(2, number of sinks))
@@ -30,9 +34,11 @@ __all__ = [
     "PIPELINE_TRIALS",
     "audit_profile",
     "default_multiplier",
+    "hack_relaxation",
     # Not called here any more; perfbench/tracing.py wraps the draw under
     # this module attribute, as it does the other stage functions.
     "randomized_round",
+    "round_relaxation",
     "run_approx",
     "run_exact",
     "run_hack",
@@ -58,7 +64,18 @@ def run_approx(
     seed: int = 0,
     max_retries: int = 20,
 ) -> PathSet:
-    """LP, accepted random draw, stage-two rounding, assembled routes.
+    """LP relaxation, then `round_relaxation`'s audited routes."""
+    return round_relaxation(solve_lp(build_model(inst)), multiplier, seed, max_retries)[0]
+
+
+def round_relaxation(
+    frac: FractionalSolution,
+    multiplier: float | None = None,
+    seed: int = 0,
+    max_retries: int = 20,
+) -> tuple[PathSet, AuditReport]:
+    """Accepted random draw, stage-two rounding, assembled routes, and the
+    audit report that accepted them.
 
     The routes are returned only once `verify.audit` accepts them under
     `audit_profile(inst)`: "color" with colors on, else "approx".
@@ -66,10 +83,9 @@ def run_approx(
     (the colored walk's certificate in particular) or that audit, in which
     case the pipeline redraws from the next attempt index, up to
     PIPELINE_TRIALS times. All randomness derives from (seed, attempt), so
-    identical arguments give identical output.
+    identical arguments give identical output. `frac` is only read.
     """
-    model = build_model(inst)
-    frac = solve_lp(model)
+    inst = frac.model.inst
     m = multiplier if multiplier is not None else default_multiplier(inst)
     config = RoundingConfig(multiplier=m, max_retries=max_retries, seed=seed)
     profile = audit_profile(inst)
@@ -124,7 +140,7 @@ def run_approx(
             )
             report = audit(ps, profile)
             if report.ok:
-                return ps
+                return ps, report
             reason = f"{profile} audit: {report.failures[0]}"
         failures.append(f"trial {trial} (attempt {sol.attempt}): {reason}")
         start = sol.attempt + 1
@@ -146,6 +162,9 @@ def run_hack(
 ) -> PathSet:
     """Fix the LP-integral coordinates, then solve the residual exactly, or
     the whole model when the fixing leaves no integral point."""
-    model = build_model(inst)
-    frac = solve_lp(model)
-    return from_integral(approx_hack(model, frac, budget=budget), "approxhack")
+    return hack_relaxation(solve_lp(build_model(inst)), budget)
+
+
+def hack_relaxation(frac: FractionalSolution, budget: TimeBudget | None = None) -> PathSet:
+    """`run_hack` on a given relaxation, which it only reads."""
+    return from_integral(approx_hack(frac.model, frac, budget=budget), "approxhack")

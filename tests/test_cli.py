@@ -1,8 +1,11 @@
 import csv
+import hashlib
 import json
 
 import pytest
 
+import overcast.cli as cli
+import overcast.pipeline as pipeline
 from overcast.cli import CSV_COLUMNS, SWEEP_COLUMNS, build_parser, main
 from overcast.lp import NoIncumbentError
 from overcast.model import normalize
@@ -317,6 +320,63 @@ def test_sweep_grid(instance_file, tmp_path):
     for m in ("8", "64"):
         flags = {r["identical_across_seeds"] for r in rows if r["M"] == m}
         assert len(flags) == 1
+
+
+def blanked_sha256(path):
+    """sha256 of a CSV file with every `wall_ms` field emptied."""
+    lines = [line.split(",") for line in path.read_bytes().decode().split("\r\n")]
+    col = lines[0].index("wall_ms")
+    for fields in lines[1:-1]:  # the file ends in a line break
+        fields[col] = ""
+    return hashlib.sha256("\r\n".join(",".join(f) for f in lines).encode()).hexdigest()
+
+
+# The sweep has ok and retries_exhausted rows; compare has all three
+# algorithms. Recorded while each row still solved its own relaxation and
+# the CLI audited approx results a second time.
+CSV_RUNS = {
+    "sweep": (
+        ["--multipliers", "1,2", "--seeds", "0,1", "--max-retries", "2"],
+        "4e292dc2e79915c74bc22ca3da05dae90e2d6b56612ac3624317a4b1d81013c6",
+    ),
+    "compare": (
+        ["--algs", "approx,hack,ip", "--seed", "2"],
+        "71c8555eabbc9defb6b6c24f25feac0e3b6c1a329c05c35aaccc7feca086af96",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", CSV_RUNS)
+def test_csv_bytes_pinned(instance_file, tmp_path, command):
+    flags, digest = CSV_RUNS[command]
+    assert main([command, str(instance_file), *flags, "--out-dir", str(tmp_path)]) == 0
+    assert blanked_sha256(tmp_path / f"{command}.csv") == digest
+
+
+@pytest.mark.parametrize(
+    "command,flags,solves",
+    [
+        ("sweep", ["--multipliers", "8,64", "--seeds", "0,1"], 1),
+        ("compare", ["--algs", "approx,hack"], 1),
+        ("compare", ["--algs", "ip"], 0),
+    ],
+    ids=["sweep", "compare", "compare-ip"],
+)
+def test_each_command_solves_the_relaxation_once(
+    instance_file, tmp_path, monkeypatch, command, flags, solves
+):
+    calls = []
+    real = pipeline.solve_lp
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    # the CLI's own name, and the one run_approx and run_hack would call
+    monkeypatch.setattr(cli, "solve_lp", counting)
+    monkeypatch.setattr(pipeline, "solve_lp", counting)
+    assert main([command, str(instance_file), *flags, "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == solves
 
 
 def test_solve_transmission_mode(instance_file, tmp_path):

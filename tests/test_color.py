@@ -143,6 +143,71 @@ def test_walk_agrees_across_blas_threads(blas_threads, tmp_path):
     assert float(one["max_increase"]) < COLUMN_BOUND
 
 
+def stepwise_walk(a, v0, t=COLUMN_BOUND):
+    """`karp_round`'s walk as it was before it ceiled the floating
+    coordinates at once when no row is tracked: (v, max increase, number of
+    steps taken with no row tracked)."""
+    lo, hi = np.floor(v0 + 1e-12), np.ceil(v0 - 1e-12)
+    v = np.clip(v0, lo, hi)
+    dense = np.zeros((a.m, a.n))
+    dense[a.rows, a.cols] = a.vals
+    untracked = 0
+    while True:
+        floating = np.flatnonzero((v > lo + 1e-9) & (v < hi - 1e-9))
+        drift = np.bincount(a.rows, weights=a.vals * (v - v0)[a.cols], minlength=a.m)
+        if floating.size == 0:
+            return v, float(np.max(drift, initial=0.0)), untracked
+        free = np.zeros(a.n, dtype=bool)
+        free[floating] = True
+        rise = a.vals * np.where(free, hi - v, 0.0)[a.cols]
+        fall = a.vals * np.where(free, lo - v, 0.0)[a.cols]
+        phi = np.bincount(a.rows, weights=np.maximum(rise, fall), minlength=a.m)
+        tracked = (drift + phi >= t - 1e-6).nonzero()[0].tolist()
+        untracked += not tracked
+        while True:
+            if not tracked:
+                d = np.zeros(floating.size)
+                d[0] = 1.0
+                break
+            sub = dense[np.ix_(tracked, floating)]
+            _u, sv, vt = np.linalg.svd(sub)
+            cut = max(1e-12, max(sub.shape) * (sv[0] if sv.size else 0.0) * 1e-12)
+            rank = int(np.sum(sv > cut))
+            if rank < floating.size:
+                d = vt[rank]
+                break
+            tracked.remove(min(tracked, key=lambda r: (phi[r], r)))
+        mags = np.abs(d)
+        if d[int(np.flatnonzero(mags >= mags.max() * (1.0 - 1e-9))[0])] < 0:
+            d = -d
+        vf = v[floating]
+        up, down = d > 1e-12, d < -1e-12
+        lam = min(
+            np.min((hi[floating][up] - vf[up]) / d[up], initial=np.inf),
+            np.min((vf[down] - lo[floating][down]) / -d[down], initial=np.inf),
+        )
+        v[floating] += lam * d
+        v = np.clip(v, lo, hi)
+        snap_lo, snap_hi = v <= lo + 1e-9, v >= hi - 1e-9
+        v[snap_lo] = lo[snap_lo]
+        v[snap_hi] = hi[snap_hi]  # after lo: a zero coordinate ends at hi = -0.0
+
+
+@pytest.mark.parametrize("case", [((2, 6, 12), 3, 0), ((2, 10, 20), 5, 2)], ids=str)
+def test_walk_ends_once_no_row_is_tracked(case):
+    sizes, colors, seed = case
+    inst = gen_random(sizes, "low", seed=seed, colors=colors)
+    frac = solve_lp(build_model(inst))
+    sol = round_with_retries(frac, RoundingConfig(multiplier=default_multiplier(inst)))
+    kept, _dropped = filter_and_scale(enumerate_paths(sol, build_boxes(sol)), sol.realized_cost)
+    a, v0 = build_rounding_system(sol, kept)
+    v, cert = karp_round(a, v0)
+    v_steps, max_increase, untracked = stepwise_walk(a, v0)
+    assert untracked > 10  # steps the shortcut skips
+    assert v.tobytes() == v_steps.tobytes()
+    assert cert.max_increase == max_increase and cert.ok
+
+
 def test_rounding_system_has_one_row_per_bound():
     sol = accepted_draw(colored_doc(), seed=3)
     kept, _dropped = filter_and_scale(enumerate_paths(sol, build_boxes(sol)), sol.realized_cost)

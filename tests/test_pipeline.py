@@ -2,21 +2,26 @@
 
 import dataclasses
 import json
+from dataclasses import asdict
 
 import pytest
 
 import overcast.pipeline as pipeline
 from overcast.gen import gen_random
 from overcast.gapflow import GapStageError
-from overcast.lp import InfeasibleError, NoIncumbentError, TimeBudget
+from overcast.lp import InfeasibleError, NoIncumbentError, TimeBudget, build_model, solve_lp
 from overcast.model import instance_from_doc
 from overcast.pipeline import (
     ApproxPipelineError,
+    audit_profile,
     default_multiplier,
+    hack_relaxation,
+    round_relaxation,
     run_approx,
     run_exact,
     run_hack,
 )
+from overcast.solution import save_pathset
 from overcast.verify import audit
 
 
@@ -59,6 +64,27 @@ def test_run_approx_draws_attempt_zero_once(monkeypatch):
     assert attempts.count(0) == 1
     assert ps.meta["attempts"] == 3  # attempt 0 was rejected
     assert ps.meta["violations_first_draw"] == 4
+
+
+@pytest.mark.parametrize("colors", [None, 2], ids=["plain", "colored"])
+def test_a_relaxation_is_only_read(tmp_path, colors):
+    # Rounding one relaxation under two seeds, then fixing it, gives the
+    # bytes of fresh run_approx and run_hack calls.
+    inst = gen_random((1, 6, 5), regime="low", seed=3, colors=colors)
+    frac = solve_lp(build_model(inst))
+    values = frac.values.tobytes()
+    shared, fresh = tmp_path / "shared.json", tmp_path / "fresh.json"
+    for seed in (0, 1):
+        ps, report = round_relaxation(frac, multiplier=8.0, seed=seed)
+        assert ps.provenance == ("approx-color" if colors else "approx")
+        assert asdict(report) == asdict(audit(ps, audit_profile(inst)))
+        save_pathset(ps, shared)
+        save_pathset(run_approx(inst, multiplier=8.0, seed=seed), fresh)
+        assert shared.read_bytes() == fresh.read_bytes()
+    save_pathset(hack_relaxation(frac), shared)
+    save_pathset(run_hack(inst), fresh)
+    assert shared.read_bytes() == fresh.read_bytes()
+    assert frac.values.tobytes() == values
 
 
 def test_default_multiplier_tracks_sink_count():
