@@ -4,9 +4,9 @@ Subcommands: `gen` (write a synthetic instance), `solve` (the rounding
 pipeline plus audit), `compare` (rounding vs LP-fixing vs exact on one
 instance), `sweep` (multiplier-by-seed grid), and `verify` (re-audit a
 solution file). `sweep` and `compare` solve the LP relaxation once and
-round it per row, so a row's `wall_ms` leaves that solve out; the pipeline
-audits its approx results once, and only `hack` and `ip` rows are audited
-here. Exit codes: 0 success, 2 audit, quality or input failure,
+share it across their rows, so a row's `wall_ms` leaves that solve out; the
+pipeline audits its approx results once, and only `hack` and `ip` rows are
+audited here. Exit codes: 0 success, 2 audit, quality or input failure,
 3 infeasible instance. All output files are deterministic for fixed flags;
 wall-clock milliseconds appear only on stdout and in CSV `wall_ms` columns.
 """
