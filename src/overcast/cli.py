@@ -143,7 +143,7 @@ def cmd_compare(args) -> int:
     unknown = set(algs) - {"approx", "hack", "ip"}
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-    budget = TimeBudget(seconds=args.time_budget_secs) if args.time_budget_secs else None
+    budget = TimeBudget(seconds=args.time_budget_secs)
     # approx and hack round one relaxation, which neither changes
     frac = solve_lp(build_model(inst)) if {"approx", "hack"} & set(algs) else None
 
@@ -216,15 +216,15 @@ def cmd_sweep(args) -> int:
                     frac, multiplier=m, seed=seed, max_retries=args.max_retries
                 )
             except (RoundingRetriesExhausted, ApproxPipelineError):
-                status, cost, bound = "retries_exhausted", float("inf"), float("nan")
+                status, cost = "retries_exhausted", float("inf")
                 attempts, violations = args.max_retries, ""
                 shapes.add(f"failed-{seed}")
             else:
-                status, cost, bound = "ok", report.cost, ps.meta["lp_bound"]
+                status, cost = "ok", report.cost
                 attempts, violations = ps.meta["attempts"], ps.meta["violations_first_draw"]
                 shapes.add(json.dumps(sorted(ps.x_tilde.items()), sort_keys=True, default=str))
             wall_ms = int((time.perf_counter() - started) * 1000)
-            row = _csv_row("approx", f"{m:g}", seed, cost, bound, attempts, wall_ms, status)
+            row = _csv_row("approx", f"{m:g}", seed, cost, frac.objective, attempts, wall_ms, status)
             row["violations_first_draw"] = violations
             cell_rows.append(row)
         identical = 1 if len(shapes) == 1 else 0
@@ -276,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="run several algorithms on one instance")
     c.add_argument("instance")
     c.add_argument("--algs", default="approx,hack,ip")
-    c.add_argument("--time-budget-secs", type=_positive_seconds, default=None,
-                   help="wall-clock budget of the hack and ip solves")
+    c.add_argument("--time-budget-secs", type=_positive_seconds, default=60.0,
+                   help="wall-clock budget of the hack and ip solves (default %(default)g)")
     _add_run_flags(c)
     c.set_defaults(func=cmd_compare)
 

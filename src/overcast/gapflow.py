@@ -86,10 +86,9 @@ def build_boxes(sol: SemiIntegralSolution) -> BoxPlan:
     for d in model.inst.sinks:
         if d.weight_threshold <= 0.0:
             continue
-        k = d.stream
         entries = []
-        for i, w in model.weights.sink_entries(d.id):
-            mass = float(sol.values[model.x_index[(k, i, d.id)]])
+        for i, xi, w in model.sink_routes[d.id]:
+            mass = float(sol.values[xi])
             if mass > _ZERO_TOL:
                 entries.append((i, w, mass))
         total = sum(m for _i, _w, m in entries)

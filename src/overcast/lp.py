@@ -6,6 +6,12 @@ Decision variables, all in [0,1] (binary for the exact solver):
     y[k,i]    reflector i subscribes to stream k
     x[k,i,j]  sink j receives stream k via reflector i
 
+The columns run z, then y, then x, in three contiguous blocks. The x loop
+alone decides which triples are routes (both links present) and builds the
+route table `sink_routes[j]`: sink j's (reflector, x column, clamped weight)
+in reflector order. `y_parent` and `x_parent` hold each y's z column and
+each x's y column.
+
 Row families, in emission order:
 
     feed-use        y[k,i] <= z[i]
@@ -44,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import simplex
-from .model import Instance, WeightTable
+from .model import Instance
 
 INTEGRALITY_TOL = 1e-6
 FIX_TOL = 1e-7
@@ -103,11 +109,14 @@ class LpModel:
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self.weights = WeightTable(inst)
 
         self.z_index: dict[str, int] = {}
         self.y_index: dict[tuple[str, str], int] = {}
         self.x_index: dict[tuple[str, str, str], int] = {}
+        # sink -> [(reflector, x column, clamped weight)], the route table
+        self.sink_routes: dict[str, list[tuple[str, int, float]]] = {}
+        y_parent: list[int] = []  # the z column of each y
+        x_parent: list[int] = []  # the y column of each x
         obj: list[float] = []
 
         transmission = inst.mode == "transmission"
@@ -120,21 +129,23 @@ class LpModel:
                 if edge is None:
                     continue
                 self.y_index[(s.id, r.id)] = len(obj)
+                y_parent.append(self.z_index[r.id])
                 obj.append(0.0 if transmission else edge.cost)
         for d in inst.sinks:
             k = d.stream
+            routes = self.sink_routes[d.id] = []
             for r in inst.reflectors:
-                if (k, r.id) not in inst.src_edges:
-                    continue
+                first = inst.src_edges.get((k, r.id))
                 edge = inst.refl_edges.get((r.id, d.id))
-                if edge is None:
+                if first is None or edge is None:
                     continue
-                self.x_index[(k, r.id, d.id)] = len(obj)
-                if transmission:
-                    obj.append(inst.src_edges[(k, r.id)].cost + edge.cost)
-                else:
-                    obj.append(edge.cost)
+                xi = self.x_index[(k, r.id, d.id)] = len(obj)
+                routes.append((r.id, xi, inst.path_weight(k, r.id, d.id)))
+                x_parent.append(self.y_index[(k, r.id)])
+                obj.append(first.cost + edge.cost if transmission else edge.cost)
 
+        self.y_parent = np.array(y_parent, dtype=np.intp)
+        self.x_parent = np.array(x_parent, dtype=np.intp)
         self.obj = np.array(obj)
         self.nvars = len(obj)
         self.lb = np.zeros(self.nvars)
@@ -212,20 +223,18 @@ class LpModel:
             self._add_row("feed-fanout", f"{feed_label}[{k},{i}]", terms, "<=", 0.0)
 
         for d in inst.sinks:
-            k = d.stream
-            terms = [(self.x_index[(k, i, d.id)], w) for (i, w) in self.weights.sink_entries(d.id)]
+            terms = [(xi, w) for _i, xi, w in self.sink_routes[d.id]]
             self.sink_weight_row[d.id] = len(self.rows)
             self._add_row("weight", f"weight[{d.id}]", terms, ">=", d.weight_threshold)
 
         if inst.colors_enabled:
             for d in inst.sinks:
-                k = d.stream
                 groups: dict[int, list[int]] = {}
-                for (i, _w) in self.weights.sink_entries(d.id):
+                for i, xi, _w in self.sink_routes[d.id]:
                     color = inst.reflector_by_id[i].color
                     if color is None:
                         continue
-                    groups.setdefault(color, []).append(self.x_index[(k, i, d.id)])
+                    groups.setdefault(color, []).append(xi)
                 for color in sorted(groups):
                     terms = [(xi, 1.0) for xi in groups[color]]
                     self._add_row("color", f"color[{d.id},{color}]", terms, "<=", 1.0)
@@ -254,7 +263,7 @@ class LpModel:
         """Per-sink necessary condition: even all-ones must reach the threshold."""
         violated = []
         for d in self.inst.sinks:
-            attainable = sum(w for _i, w in self.weights.sink_entries(d.id))
+            attainable = sum(w for _i, _xi, w in self.sink_routes[d.id])
             if attainable < d.weight_threshold - 1e-9:
                 violated.append(
                     {"sink": d.id, "demanded": d.weight_threshold, "attainable": attainable}

@@ -16,7 +16,9 @@ and every sink demands exactly one stream. Replicas are named
 ``origId#streamId``. Normalization is idempotent.
 
 One table, `_SCHEMA`, states every field of instance and solution documents,
-and `_check_record` is the one function that checks them.
+and `_check_record` is the one function that checks them. Which triples are
+routes, and their clamped weights, is decided once, by the LP model's route
+table (`lp.LpModel.sink_routes`).
 """
 
 from __future__ import annotations
@@ -338,15 +340,6 @@ class Instance:
         r = self.reflector_by_id[i]
         return r.bandwidth if self.bandwidth_enabled else r.fanout
 
-    def admissible_reflectors(self, j: str) -> list[str]:
-        """Reflectors with both links present for sink j's stream."""
-        k = self.sink_by_id[j].stream
-        return [
-            r.id
-            for r in self.reflectors
-            if (k, r.id) in self.src_edges and (r.id, j) in self.refl_edges
-        ]
-
     # -- serialization ------------------------------------------------------
 
     def to_doc(self) -> dict:
@@ -507,31 +500,3 @@ def save_instance(inst: Instance, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(inst.to_json())
         fh.write("\n")
-
-
-class WeightTable:
-    """Clamped path weights for every usable (stream, reflector, sink) triple.
-
-    Built once per instance and shared read-only by the solvers; weights are
-    clamped into [0, sink threshold] so no single path dominates a demand row.
-    """
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.entries: dict[tuple[str, str, str], float] = {}
-        self._by_sink: dict[str, list[tuple[str, float]]] = {}
-        for sink in inst.sinks:
-            k = sink.stream
-            rows = []
-            for i in inst.admissible_reflectors(sink.id):
-                w = inst.path_weight(k, i, sink.id)
-                self.entries[(k, i, sink.id)] = w
-                rows.append((i, w))
-            self._by_sink[sink.id] = rows
-
-    def get(self, k: str, i: str, j: str) -> float:
-        return self.entries[(k, i, j)]
-
-    def sink_entries(self, j: str) -> list[tuple[str, float]]:
-        """(reflector, clamped weight) pairs admissible for sink j."""
-        return self._by_sink[j]

@@ -21,7 +21,9 @@ from .color import ColorStageError, run_color_stage
 from .gapflow import GapStageError, run_gap_stage
 from .lp import FractionalSolution, TimeBudget, approx_hack, build_model, solve_ip, solve_lp
 from .model import Instance
-from .rounding import DELTA, RoundingConfig, randomized_round, round_with_retries
+from .rounding import (
+    DELTA, RoundingConfig, RoundingRetriesExhausted, randomized_round, round_with_retries,
+)
 from .solution import PathSet, from_integral
 from .verify import AuditReport, audit
 
@@ -46,7 +48,8 @@ __all__ = [
 
 
 class ApproxPipelineError(RuntimeError):
-    """Every pipeline trial failed stage two or the audit of its output."""
+    """Every pipeline trial failed stage two or the audit of its output, or
+    a later trial's draws ran out; the message names each trial's reason."""
 
 
 def audit_profile(inst: Instance) -> str:
@@ -82,8 +85,11 @@ def round_relaxation(
     A draw that passes the acceptance predicates can still fail stage two
     (the colored walk's certificate in particular) or that audit, in which
     case the pipeline redraws from the next attempt index, up to
-    PIPELINE_TRIALS times. All randomness derives from (seed, attempt), so
-    identical arguments give identical output. `frac` is only read.
+    PIPELINE_TRIALS times. When trial 0's draws run out, that
+    RoundingRetriesExhausted propagates; when a later trial's do, an
+    ApproxPipelineError names every trial's reason. All randomness derives
+    from (seed, attempt), so identical arguments give identical output.
+    `frac` is only read.
     """
     inst = frac.model.inst
     m = multiplier if multiplier is not None else default_multiplier(inst)
@@ -92,7 +98,13 @@ def round_relaxation(
     start = 0
     failures: list[str] = []
     for trial in range(PIPELINE_TRIALS):
-        sol = round_with_retries(frac, config, start_attempt=start)
+        try:
+            sol = round_with_retries(frac, config, start_attempt=start)
+        except RoundingRetriesExhausted as exc:
+            if not failures:
+                raise
+            failures.append(f"trial {trial} (from attempt {start}): {exc}")
+            raise ApproxPipelineError("; ".join(failures)) from exc
         if trial == 0:
             violations_first = sol.first_violations  # the draw of attempt 0
         try:

@@ -88,17 +88,6 @@ class SemiIntegralSolution:
         return bad
 
 
-def _index_arrays(model: LpModel):
-    z_pos = np.fromiter(model.z_index.values(), dtype=int, count=len(model.z_index))
-    y_pos = np.fromiter(model.y_index.values(), dtype=int, count=len(model.y_index))
-    x_pos = np.fromiter(model.x_index.values(), dtype=int, count=len(model.x_index))
-    z_order = {i: t for t, i in enumerate(model.z_index)}
-    y_order = {key: t for t, key in enumerate(model.y_index)}
-    yp = np.array([z_order[i] for (_k, i) in model.y_index], dtype=int)
-    xp = np.array([y_order[(k, i)] for (k, i, _j) in model.x_index], dtype=int)
-    return z_pos, y_pos, x_pos, yp, xp
-
-
 def randomized_round(
     frac: FractionalSolution, config: RoundingConfig, attempt: int
 ) -> SemiIntegralSolution:
@@ -109,22 +98,25 @@ def randomized_round(
             "rounding needs per-reflector stream budgets; mixed bitrates have none"
         )
     m = config.multiplier
-    z_pos, y_pos, x_pos, yp, xp = _index_arrays(model)
-    z_hat = frac.values[z_pos]
-    y_hat = frac.values[y_pos]
-    x_hat = frac.values[x_pos]
+    # The z, y and x columns are three contiguous blocks, z from column 0,
+    # so a y's parent z column is its z position; xp is its y position.
+    nz, ny = len(model.z_index), len(model.y_index)
+    yp, xp = model.y_parent, model.x_parent - nz
+    z_hat = frac.values[:nz]
+    y_hat = frac.values[nz:nz + ny]
+    x_hat = frac.values[nz + ny:]
 
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(attempt,)))
     )
     # All uniforms are drawn up front in variable order, so the stream a
     # variable consumes never depends on other variables' outcomes.
-    u_z = rng.random(len(z_pos))
-    u_y = rng.random(len(y_pos))
-    u_x = rng.random(len(x_pos))
+    u_z = rng.random(nz)
+    u_y = rng.random(ny)
+    u_x = rng.random(x_hat.size)
 
     z_dot = np.minimum(z_hat * m, 1.0)
-    y_dot = np.zeros(len(y_pos))
+    y_dot = np.zeros(ny)
     live = z_dot[yp] > 0.0
     y_dot[live] = np.minimum(y_hat[live] * m / z_dot[yp][live], 1.0)
 
@@ -141,10 +133,7 @@ def randomized_round(
         np.where((y_bar[xp] > 0.0) & (u_x < keep_prob), 1.0 / m, 0.0),
     )
 
-    values = np.zeros(model.nvars)
-    values[z_pos] = z_bar
-    values[y_pos] = y_bar
-    values[x_pos] = x_bar
+    values = np.concatenate([z_bar, y_bar, x_bar])
     return SemiIntegralSolution(model=model, values=values, attempt=attempt)
 
 
@@ -179,12 +168,8 @@ def saturation_multiplier(frac: FractionalSolution) -> float:
     headroom is added so float division cannot land just under one.
     """
     model = frac.model
-    support = [
-        float(frac.values[idx])
-        for index in (model.z_index, model.y_index)
-        for idx in index.values()
-        if frac.values[idx] > _NONZERO_TOL
-    ]
-    if not support:
+    zy = frac.values[:len(model.z_index) + len(model.y_index)]  # the z and y blocks
+    support = zy[zy > _NONZERO_TOL]
+    if not support.size:
         return 1.0
-    return max(1.0, 1.0 / min(support)) * (1.0 + 1e-9)
+    return max(1.0, 1.0 / float(support.min())) * (1.0 + 1e-9)

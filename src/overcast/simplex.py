@@ -2,10 +2,11 @@
 
 Every structural variable carries a finite [lb, ub] interval, rows are '<=',
 '>=' or '==' with arbitrary right-hand sides, and nonbasic variables rest at
-one of their bounds. Each row gets one slack column, so the extended matrix
-always has n + m columns: a_i x + s_i = b_i for '<=' and '==' rows,
-a_i x - s_i = b_i for '>=' rows, with s_i >= 0, and s_i fixed at 0 on '=='
-rows. The slacks of inequality rows are the only unbounded columns.
+one of their bounds. Each row gets one slack column e_i, so the extended
+matrix always has n + m columns and a_i x + s_i = b_i. A row's sense lives
+only in its slack's bounds: s_i in [0, inf) for '<=', (-inf, 0] for '>=' and
+[0, 0] for '=='. The slacks of inequality rows are the only columns with an
+infinite bound; a nonbasic one rests at its finite bound.
 
 A solve starts from a dual-feasible basis: the `basis` of an earlier solve
 of the same rows (`warm=`, such as a branch-and-bound parent; the bounds and
@@ -14,14 +15,15 @@ the basis is factorized, its reduced costs are computed once, and the dual
 simplex begins from them. Each boxed nonbasic variable rests at the bound
 its reduced cost prefers, so only the nonbasic slack of an inequality row
 can be dual infeasible. A warm basis that is singular, or that leaves such a
-slack with a negative reduced cost, is dropped for the slack basis, which is
-neither: its inverse is diag(+-1), and no slack is nonbasic. An LP with no
-rows has an empty basis and takes the same path. The bounded dual simplex
-then restores primal feasibility: a violated basic variable leaves, and the
-dual ratio test picks the entering column so that every reduced cost stays
-dual feasible. It ends at the optimum, or at a row that no column can
-repair, which makes the LP infeasible. There is no cost shift and no primal
-phase; an end that is not dual feasible is a SimplexError.
+slack with a reduced cost pointing toward its infinite bound, is dropped
+for the slack basis, which is neither: its inverse is the identity, and no
+slack is nonbasic. An LP with no rows has an empty basis and takes the same
+path. The bounded dual simplex then restores primal feasibility: a
+violated basic variable leaves, and the dual ratio test picks the entering
+column so that every reduced cost stays dual feasible. It ends at the
+optimum, or at a row that no column can repair, which makes the LP
+infeasible. There is no cost shift and no primal phase; an end that is not
+dual feasible is a SimplexError.
 
 The constraint matrix is held as sparse columns (a `Layout`, which a model
 builds once and every solve of its rows shares); slack columns stay
@@ -33,7 +35,7 @@ tableau as one row of B^-1 times the matrix (a bincount over the nonzeros),
 and applies its rank-1 update only to the rows of `binvt` where the pivot
 row of B^-1 is nonzero; the pivot row is far sparser than B^-1 a_q.
 
-Refactorization uses the slacks: a basic slack is a +-unit vector, so B is
+Refactorization uses the slacks: a basic slack is a unit vector, so B is
 block triangular once the rows are split into those a basic slack covers and
 the rest. Only the k x k block of basic structural columns on the uncovered
 rows, gathered from their sparse columns, is inverted densely; the rest of
@@ -72,7 +74,6 @@ _STEP_TOL = 1e-12
 _STALL_LIMIT = 60
 _REFRESH_EVERY = 400
 _MAX_ITERATIONS = 200_000
-_SLACK_SIGN = {"<=": 1.0, ">=": -1.0, "==": 1.0}  # '==' slacks are fixed at 0
 
 
 class SimplexError(RuntimeError):
@@ -146,13 +147,6 @@ def solve(c, a: Layout, senses, b, lb, ub, warm: Basis | None = None) -> LpResul
     return _Revised(c, a, senses, b, lb, ub, warm).run()
 
 
-def _sense_signs(senses) -> np.ndarray:
-    bad = [s for s in senses if s not in _SLACK_SIGN]
-    if bad:
-        raise ValueError(f"bad sense {bad[0]!r}")
-    return np.array([_SLACK_SIGN[s] for s in senses])
-
-
 class _Revised:
     def __init__(self, c, a: Layout, senses, b, lb, ub, warm: Basis | None = None):
         self.layout = a
@@ -160,15 +154,17 @@ class _Revised:
         self.m, self.n_struct = m, n
         self.b = b
         self.ncols = cols = n + m
-        # Slack of row i is column n + i, the unit column sign_i e_i:
-        # a_i x + sign_i s_i = b_i.
-        self.sign = _sense_signs(senses)
-
+        # Slack of row i is column n + i, the unit column e_i: a_i x + s_i = b_i.
+        senses = np.asarray(senses, dtype=object)
+        bad = [s for s in senses if s not in ("<=", ">=", "==")]
+        if bad:
+            raise ValueError(f"bad sense {bad[0]!r}")
         self.lb = np.zeros(cols)
-        self.ub = np.full(cols, np.inf)
+        self.ub = np.zeros(cols)
         self.lb[:n] = lb
         self.ub[:n] = ub
-        self.ub[n:][np.asarray(senses) == "=="] = 0.0
+        self.lb[n:][senses == ">="] = -np.inf
+        self.ub[n:][senses == "<="] = np.inf
         self.cost = np.zeros(cols)
         self.cost[:n] = c
         self.iterations = 0
@@ -183,9 +179,10 @@ class _Revised:
 
         nonbasic = self.status != _BASIC
         # Boxed nonbasics rest where their reduced cost is dual feasible;
-        # on a (near) zero reduced cost they keep their bound.
+        # on a (near) zero reduced cost they keep their bound. A column with
+        # one infinite bound rests at the other.
         at_ub = nonbasic & np.isfinite(self.ub) & (
-            (d < -_DUAL_TOL) | ((self.status == _AT_UB) & (d <= _DUAL_TOL)))
+            (d < -_DUAL_TOL) | ((self.status == _AT_UB) & (d <= _DUAL_TOL)) | np.isinf(self.lb))
         self.status[nonbasic] = np.where(at_ub[nonbasic], _AT_UB, _AT_LB)
         self.values = np.where(at_ub, self.ub, self.lb)
         self._basic_values()
@@ -198,9 +195,9 @@ class _Revised:
 
     def _start(self, basis: Basis):
         """Factorize `basis` and return its reduced costs; None when it is
-        singular or leaves an inequality row's slack nonbasic with a negative
-        reduced cost (it has no upper bound to rest at instead). The slack
-        basis is never either."""
+        singular or leaves an inequality row's slack nonbasic with a reduced
+        cost pointing toward its infinite bound (it has no bound to rest at
+        there). The slack basis is never either."""
         if basis.columns.shape != (self.m,) or basis.status.shape != (self.ncols,):
             raise ValueError("warm basis does not match the rows and columns")
         self.basis = np.asarray(basis.columns, dtype=np.intp).copy()
@@ -213,7 +210,9 @@ class _Revised:
         self.beta = np.einsum("ij,ij->j", self.binvt, self.binvt)
         self.refreshes += 1
         d = self._reduced_costs()
-        if np.any((self.status != _BASIC) & np.isinf(self.ub) & (d < -_DUAL_TOL)):
+        nonbasic = self.status != _BASIC
+        if np.any(nonbasic & ((np.isinf(self.ub) & (d < -_DUAL_TOL))
+                              | (np.isinf(self.lb) & (d > _DUAL_TOL)))):
             return None
         return d
 
@@ -225,14 +224,13 @@ class _Revised:
         unit = self.basis >= n
         pos_u, pos_s = unit.nonzero()[0], (~unit).nonzero()[0]
         urow = self.basis[pos_u] - n
-        usign = self.sign[urow]
         covered = np.zeros(m, dtype=bool)
         covered[urow] = True
         rest = (~covered).nonzero()[0]
         if rest.size != pos_s.size:
             raise SimplexError("singular basis")  # a slack basic twice
         binvt = np.zeros((m, m))
-        binvt[urow, pos_u] = usign
+        binvt[urow, pos_u] = 1.0
         if pos_s.size:
             # a[:, S].T for the basic structural columns S, from their entries.
             at = np.full(n, -1)
@@ -248,11 +246,11 @@ class _Revised:
             if not np.all(np.isfinite(inv_t)):
                 raise SimplexError("singular basis")
             binvt[rest[:, None], pos_s] = inv_t
-            # Covered rows: -sign * a[row, S] @ inv, only where a[row, S] != 0.
+            # Covered rows: -a[row, S] @ inv, only where a[row, S] != 0.
             coupling_t = a_st[:, urow]
             hit = coupling_t.any(axis=0).nonzero()[0]
             if hit.size:
-                binvt[rest[:, None], pos_u[hit]] = -(inv_t @ (coupling_t[:, hit] * usign[hit]))
+                binvt[rest[:, None], pos_u[hit]] = -(inv_t @ coupling_t[:, hit])
         return binvt
 
     def _basic_values(self):
@@ -260,7 +258,7 @@ class _Revised:
         nonbasic = self.values.copy()
         nonbasic[self.basis] = 0.0
         used = np.bincount(lay.rows, weights=lay.vals * nonbasic[lay.cols], minlength=self.m)
-        used = used + self.sign * nonbasic[n:]
+        used = used + nonbasic[n:]
         self.values[self.basis] = (self.b - used) @ self.binvt
 
     def _refresh(self):
@@ -275,13 +273,13 @@ class _Revised:
         """v @ [A | slacks] over the sparse entries: one tableau row when v is a row of B^-1."""
         lay = self.layout
         struct = np.bincount(lay.cols, weights=v[lay.rows] * lay.vals, minlength=self.n_struct)
-        return np.concatenate([struct, v * self.sign])
+        return np.concatenate([struct, v])
 
     def _column(self, q):
         """B^-1 a_q, from the rows of binvt that a_q touches."""
         n, lay = self.n_struct, self.layout
         if q >= n:
-            return self.binvt[q - n] * self.sign[q - n]
+            return self.binvt[q - n]
         lo, hi = lay.colptr[q], lay.colptr[q + 1]
         return lay.vals[lo:hi] @ self.binvt[lay.rows[lo:hi]]
 

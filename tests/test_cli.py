@@ -7,8 +7,8 @@ import pytest
 import overcast.cli as cli
 import overcast.pipeline as pipeline
 from overcast.cli import CSV_COLUMNS, SWEEP_COLUMNS, build_parser, main
-from overcast.lp import NoIncumbentError
-from overcast.model import normalize
+from overcast.lp import NoIncumbentError, TimeBudget, build_model, solve_lp
+from overcast.model import load_instance, normalize
 from overcast.solution import PathSet
 
 
@@ -332,12 +332,14 @@ def blanked_sha256(path):
 
 
 # The sweep has ok and retries_exhausted rows; compare has all three
-# algorithms. Recorded while each row still solved its own relaxation and
-# the CLI audited approx results a second time.
+# algorithms. compare was recorded while each row still solved its own
+# relaxation and the CLI audited approx results a second time; sweep was
+# re-recorded when its retries_exhausted rows began to carry the solved
+# bound instead of nan, the only change to its bytes.
 CSV_RUNS = {
     "sweep": (
         ["--multipliers", "1,2", "--seeds", "0,1", "--max-retries", "2"],
-        "4e292dc2e79915c74bc22ca3da05dae90e2d6b56612ac3624317a4b1d81013c6",
+        "5a9a81e5583fc838480e874a6d36094f4a18f51d83a3e046c18fd52938a85c9b",
     ),
     "compare": (
         ["--algs", "approx,hack,ip", "--seed", "2"],
@@ -351,6 +353,41 @@ def test_csv_bytes_pinned(instance_file, tmp_path, command):
     flags, digest = CSV_RUNS[command]
     assert main([command, str(instance_file), *flags, "--out-dir", str(tmp_path)]) == 0
     assert blanked_sha256(tmp_path / f"{command}.csv") == digest
+
+
+def test_sweep_rows_carry_the_solved_bound(instance_file, tmp_path):
+    # The relaxation is solved before the grid, so a row whose draws ran out
+    # still has its bound; only its ratio is inf.
+    flags, _ = CSV_RUNS["sweep"]
+    assert main(["sweep", str(instance_file), *flags, "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    bound = f"{solve_lp(build_model(load_instance(instance_file))).objective:.6f}"
+    assert {row["lp_bound"] for row in rows} == {bound}
+    exhausted = [row for row in rows if row["status"] == "retries_exhausted"]
+    assert exhausted and all(row["ratio"] == "inf" for row in exhausted)
+
+
+def test_compare_budget_defaults_to_a_minute(instance_file, tmp_path, monkeypatch, capsys):
+    # Without the flag the hack and ip solves still have a wall-clock bound;
+    # a search it ends without an incumbent writes the usual timeout row.
+    args = build_parser().parse_args(["compare", str(instance_file)])
+    assert args.time_budget_secs == 60.0
+    budgets = []
+
+    def out_of_time(inst, budget=None):
+        budgets.append(budget)
+        raise NoIncumbentError(1.5, 3)
+
+    monkeypatch.setattr(cli, "run_exact", out_of_time)
+    assert main(["compare", str(instance_file), "--algs", "ip", "--out-dir", str(tmp_path)]) == 0
+    assert budgets == [TimeBudget(seconds=60.0)]
+    with open(tmp_path / "compare.csv", newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["cost"], row["status"]) == ("inf", "timeout")
+    with pytest.raises(SystemExit):
+        main(["compare", "--help"])
+    assert "(default 60)" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize(

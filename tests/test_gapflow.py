@@ -106,7 +106,7 @@ def test_strictly_partial_last_box_dropped():
     assert res.x_tilde == {("s0", "r0", "d0"): 0.5}
     assert res.plan.dropped["d0"].fragments == [("r1", pytest.approx(0.3))]
     # Kept weight is one half of the full 2-bit demand, over the 1/4 floor.
-    assert sol.model.weights.get("s0", "r0", "d0") * 0.5 == pytest.approx(1.0)
+    assert sol.model.inst.path_weight("s0", "r0", "d0") * 0.5 == pytest.approx(1.0)
 
 
 def test_split_fragment_lets_cheap_pair_serve_both_boxes():
@@ -188,7 +188,7 @@ def test_random_draws_meet_guarantees_and_optimality():
             if d.weight_threshold <= 0:
                 continue
             kept = sum(
-                model.weights.get(k, i, j) * v
+                model.inst.path_weight(k, i, j) * v
                 for (k, i, j), v in res.x_tilde.items()
                 if j == d.id
             )

@@ -143,13 +143,17 @@ def test_build_shape_and_order():
     assert model.y_index == {("s0", "r0"): 2, ("s0", "r1"): 3}
     assert model.x_index == {("s0", "r0", "d0"): 4, ("s0", "r1", "d0"): 5}
     assert model.nvars == 6
+    # Each y's parent is its z column, each x's its y column.
+    assert model.y_parent.tolist() == [0, 1]
+    assert model.x_parent.tolist() == [2, 3]
+    # Both raw path weights exceed the demand of 2 bits, so both clamp to it.
+    assert model.sink_routes == {"d0": [("r0", 4, 2.0), ("r1", 5, 2.0)]}
     kinds = [row.kind for row in model.rows]
     assert kinds == ["feed-use"] * 2 + ["relay-use"] * 2 + ["fanout"] * 2 + [
         "feed-fanout"
     ] * 2 + ["weight"]
     # Full-mode objective: fixed costs on z, first hop on y, second hop on x.
     assert model.obj.tolist() == [5.0, 3.0, 1.0, 2.0, 1.0, 1.5]
-    # Both raw path weights exceed the demand of 2 bits, so both clamp to it.
     wrow = model.rows[model.sink_weight_row["d0"]]
     assert wrow.sense == ">="
     assert wrow.rhs == pytest.approx(2.0)

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from overcast import model
+from overcast.lp import build_model
 from overcast.gen import gen_random
 from overcast.model import (
     EdgeSpec,
@@ -15,7 +16,6 @@ from overcast.model import (
     SinkSpec,
     SourceSpec,
     ValidationError,
-    WeightTable,
 )
 
 
@@ -308,7 +308,7 @@ def test_loss_one_edge_is_a_dead_link():
     inst = tiny_instance(p_refl=1.0)
     assert inst.path_loss("s0", "r0", "d0") == 1.0
     assert inst.path_weight("s0", "r0", "d0") == 0.0
-    assert WeightTable(inst).get("s0", "r0", "d0") == 0.0
+    assert build_model(inst).sink_routes["d0"] == [("r0", 2, 0.0)]
     doc = raw_doc()
     doc["refl_edges"][0]["loss"] = 1.0
     assert model.normalize(doc).refl_edges[("r0", "D#a")].loss == 1.0
@@ -330,12 +330,15 @@ def test_json_round_trip(tmp_path):
     }
 
 
-def test_weight_table_covers_admissible_triples_only():
+def test_route_table_covers_admissible_triples_only():
     inst = model.normalize(raw_doc())
-    table = WeightTable(inst)
+    built = build_model(inst)
     # G#a reaches only r0 (no r1 -> G edge).
-    assert [i for i, _ in table.sink_entries("G#a")] == ["r0"]
-    assert ("E#a", "r1", "G#a") not in table.entries
-    for (k, i, j), w in table.entries.items():
-        sink = inst.sink_by_id[j]
-        assert 0.0 <= w <= sink.weight_threshold + 1e-12
+    assert [i for i, _xi, _w in built.sink_routes["G#a"]] == ["r0"]
+    assert ("E#a", "r1", "G#a") not in built.x_index
+    for d in inst.sinks:
+        for i, xi, w in built.sink_routes[d.id]:
+            assert built.x_index[(d.stream, i, d.id)] == xi
+            assert w == inst.path_weight(d.stream, i, d.id)
+            assert 0.0 <= w <= d.weight_threshold + 1e-12
+    assert sum(len(routes) for routes in built.sink_routes.values()) == len(built.x_index)

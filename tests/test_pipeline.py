@@ -21,6 +21,7 @@ from overcast.pipeline import (
     run_exact,
     run_hack,
 )
+from overcast.rounding import RoundingRetriesExhausted
 from overcast.solution import save_pathset
 from overcast.verify import audit
 
@@ -85,6 +86,40 @@ def test_a_relaxation_is_only_read(tmp_path, colors):
     save_pathset(run_hack(inst), fresh)
     assert shared.read_bytes() == fresh.read_bytes()
     assert frac.values.tobytes() == values
+
+
+# sha256 of save_pathset(run_approx(gen_random(sizes, "avg", seed)) in `mode`)
+# at one BLAS thread: the draw, stage two and the assembled routes of the
+# uncolored pipeline. (sizes, seed, mode) -> digest.
+PINNED_APPROX_DOCS = [
+    (((8, 6, 16), 0, "full"), "0c7463d7fc9f6add8b3ed13200c4eb71b421e27216ec59996e1287c151e809dd"),
+    (((8, 6, 16), 0, "transmission"),
+     "02e27ed581bdb7fc905478d0105600200e743e29c4ff1af1cec4f174ad2526f0"),
+    (((12, 12, 40), 0, "full"), "920f55166ae7b9d35e266e94558c74d10b2476dc3d91656c1a18c36c21496c54"),
+]
+
+_APPROX_DOC_SCRIPT = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from overcast.gen import gen_random
+from overcast.model import instance_from_doc
+from overcast.pipeline import run_approx
+from overcast.solution import save_pathset
+out = []
+for (sizes, seed, mode), _ in json.loads(sys.argv[1]):
+    inst = gen_random(tuple(sizes), "avg", seed=seed)
+    ps = run_approx(instance_from_doc({**inst.to_doc(), "mode": mode}))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "solution.json"
+        save_pathset(ps, path)
+        out.append(hashlib.sha256(path.read_bytes()).hexdigest())
+print(json.dumps(out))
+"""
+
+
+def test_uncolored_pipeline_pinned(one_blas_thread):
+    got = one_blas_thread(_APPROX_DOC_SCRIPT, PINNED_APPROX_DOCS)
+    assert got == [digest for _, digest in PINNED_APPROX_DOCS]
 
 
 def test_default_multiplier_tracks_sink_count():
@@ -172,6 +207,38 @@ def test_pipeline_retries_after_stage_failures(monkeypatch):
 
     monkeypatch.setattr(pipeline, "run_gap_stage", always)
     with pytest.raises(ApproxPipelineError, match="never happy"):
+        run_approx(small_instance(), multiplier=8.0, seed=1)
+
+
+def test_pipeline_names_every_trial_when_later_draws_run_out(monkeypatch):
+    # Trial 0's routes fail stage two and trial 1's draws run out: the error
+    # names both reasons and chains from the exhaustion.
+    real = pipeline.round_with_retries
+    calls = {"n": 0}
+
+    def draws(frac, config, start_attempt=0):
+        calls["n"] += 1
+        if calls["n"] > 1:
+            raise RoundingRetriesExhausted(f"no acceptable draw in {config.max_retries} attempts")
+        return real(frac, config, start_attempt=start_attempt)
+
+    def never(sol):
+        raise GapStageError("never happy")
+
+    monkeypatch.setattr(pipeline, "round_with_retries", draws)
+    monkeypatch.setattr(pipeline, "run_gap_stage", never)
+    with pytest.raises(
+        ApproxPipelineError,
+        match=r"^trial 0 \(attempt \d+\): never happy; "
+        r"trial 1 \(from attempt \d+\): no acceptable draw in 20 attempts$",
+    ) as err:
+        run_approx(small_instance(), multiplier=8.0, seed=1)
+    assert isinstance(err.value.__cause__, RoundingRetriesExhausted)
+    assert calls["n"] == 2
+
+    # When trial 0's own draws run out there is no earlier reason to name.
+    calls["n"] = 1
+    with pytest.raises(RoundingRetriesExhausted, match="no acceptable draw in 20 attempts"):
         run_approx(small_instance(), multiplier=8.0, seed=1)
 
 

@@ -135,6 +135,21 @@ def test_infinite_bound_is_rejected():
         solve_dense([-1.0], np.array([[0.0]]), ["<="], [1.0], lb=[0.0], ub=[np.inf])
 
 
+def test_a_bad_sense_is_rejected():
+    # A row's sense lives only in its slack's bounds; anything else is refused.
+    with pytest.raises(ValueError, match="bad sense '<'"):
+        solve_dense([1.0], np.array([[1.0]]), ["<"], [1.0], lb=[0.0], ub=[1.0])
+
+
+def test_a_ge_slack_rests_at_its_finite_bound():
+    # x >= 0.5 with x at its lower bound: the '>=' slack s = 0.5 - x lies in
+    # (-inf, 0], so it starts basic at +0.5 and leaves to its bound 0.
+    res = solve_dense([1.0], np.array([[1.0]]), [">="], [0.5], lb=[0.0], ub=[1.0])
+    assert res.status == simplex.OPTIMAL and res.x.tolist() == [0.5]
+    assert res.basis.columns.tolist() == [0]
+    assert res.basis.status.tolist() == [simplex._BASIC, simplex._AT_UB]
+
+
 def test_a_dual_infeasible_end_raises():
     # No primal phase repairs a basis that is not dual feasible: with its
     # cost flipped after the start, x rests at its upper bound with a
@@ -172,7 +187,7 @@ def test_refreshes_once_per_phase():
     state = simplex._Revised(*args)
     n, m = 3, 3
     assert state.ncols == n + m  # one slack per row
-    assert np.array_equal(state.binvt, np.diag([-1.0, 1.0, 1.0]))  # the slack basis
+    assert np.array_equal(state.binvt, np.eye(3))  # the slack basis
     assert state.refreshes == 1  # the start factorizes the slack basis
     res = state.run()
     assert res.status == simplex.OPTIMAL
