@@ -240,9 +240,6 @@ def cmd_sweep(args) -> int:
 
 def _add_run_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--mode", choices=["full", "transmission"], default=None)
-    sp.add_argument("--multiplier", type=float, default=None,
-                    help="rounding multiplier M (default 64*log2(sinks))")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-retries", type=int, default=20)
     sp.add_argument("--colors", action="store_true",
                     help="force the colored pipeline on")
@@ -280,8 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget of the hack and ip solves (default %(default)g)")
     _add_run_flags(c)
     c.set_defaults(func=cmd_compare)
+    for sp in (s, c):  # one draw each; sweep takes lists of both
+        sp.add_argument("--multiplier", type=float, default=None,
+                        help="rounding multiplier M (default 64*log2(sinks))")
+        sp.add_argument("--seed", type=int, default=0)
 
-    w = sub.add_parser("sweep", help="grid of multipliers and seeds")
+    # No abbreviations: --multiplier and --seed would pass for the lists.
+    w = sub.add_parser("sweep", help="grid of multipliers and seeds", allow_abbrev=False)
     w.add_argument("instance")
     w.add_argument("--multipliers", required=True, help="comma separated, e.g. 1,2,4,8")
     w.add_argument("--seeds", default="0", help="comma separated seed list")

@@ -124,11 +124,6 @@ def filter_and_scale(
 # the rounding system
 
 
-def _row_sums(a: Layout, x: np.ndarray) -> np.ndarray:
-    """A x, summed over the nonzeros."""
-    return np.bincount(a.rows, weights=a.vals * x[a.cols], minlength=a.m)
-
-
 def build_rounding_system(
     sol: SemiIntegralSolution, kept: list[RelayPath]
 ) -> tuple[Layout, np.ndarray]:
@@ -183,7 +178,7 @@ def build_rounding_system(
     a = Layout((m, n_paths + m), *zip(*entries))
     v0 = np.zeros(n_paths + m)
     v0[:n_paths] = [p.scaled for p in kept]
-    slack = np.array(rhs) - _row_sums(a, v0)  # the slack coordinates are still zero
+    slack = np.array(rhs) - a.dot(v0)  # the slack coordinates are still zero
     if np.any(slack < -1e-7):
         bad = labels[int(np.argmin(slack))]
         raise ColorStageError(f"fractional infeasibility on row {bad}")
@@ -251,7 +246,7 @@ def karp_round(
         floating = np.flatnonzero((v > lo + _SNAP) & (v < hi - _SNAP))
         if floating.size == 0:
             break
-        drift = _row_sums(a, v - v0)
+        drift = a.dot(v - v0)
         col_pos = np.full(n, -1)
         col_pos[floating] = np.arange(floating.size)
         # a row's largest future increase: each floating coordinate moves
@@ -311,7 +306,7 @@ def karp_round(
         raise ColorStageError("rounding walk did not terminate")
 
     coords_ok = bool(np.all((v == lo) | (v == hi)))
-    row_increase = _row_sums(a, v - v0)
+    row_increase = a.dot(v - v0)
     cert = KarpCertificate(
         t=t,
         max_increase=float(np.max(row_increase, initial=0.0)),

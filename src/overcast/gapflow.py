@@ -35,6 +35,7 @@ from .rounding import DELTA, SemiIntegralSolution
 _MASS_TOL = 1e-9
 _ZERO_TOL = 1e-12
 _INT_TOL = 1e-9
+FANOUT_FACTOR = 4  # the reflector rows' bound, in stream budgets
 
 
 class GapStageError(RuntimeError):
@@ -53,11 +54,8 @@ class Box:
 
     @property
     def reflectors(self) -> list[str]:
-        seen = []
-        for i, _m in self.fragments:
-            if i not in seen:
-                seen.append(i)
-        return seen
+        # An entry fills a box before the next begins, so no reflector repeats.
+        return [i for i, _m in self.fragments]
 
 
 @dataclass
@@ -157,7 +155,8 @@ def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
         rows, np.repeat(np.arange(len(columns)), 3), np.ones(rows.size),
     )
     senses = ["<="] * first_box + ["=="] * len(boxes)
-    rhs = [4 * model.capacities[i] for i in reflectors] + [2] * len(pair_at) + [1] * len(boxes)
+    rhs = [FANOUT_FACTOR * model.capacities[i] for i in reflectors]
+    rhs += [2] * len(pair_at) + [1] * len(boxes)
     cost = [float(model.obj[model.x_index[(sink_stream[j], i, j)]]) for _b, i, j in columns]
     res = simplex.solve(
         cost, layout, senses, rhs, np.zeros(len(columns)), np.ones(len(columns))

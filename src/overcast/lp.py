@@ -12,7 +12,10 @@ route table `sink_routes[j]`: sink j's (reflector, x column, clamped weight)
 in reflector order. `y_parent` and `x_parent` hold each y's z column and
 each x's y column.
 
-Row families, in emission order:
+The rows are one table: the sparse `layout` holds every entry, `rows`,
+`senses` and `rhs` each row's label, sense and right-hand side, `families`
+each kind's contiguous rows, and `activity(x)` is A x in one product.
+Row families, in order:
 
     feed-use        y[k,i] <= z[i]
     relay-use       x[k,i,j] <= y[k,i]
@@ -89,16 +92,6 @@ class UnsupportedInstanceError(ValueError):
 
 
 @dataclass
-class LpRow:
-    kind: str
-    label: str
-    idx: np.ndarray
-    coef: np.ndarray
-    sense: str
-    rhs: float
-
-
-@dataclass
 class TimeBudget:
     seconds: float | None = None
     node_limit: int | None = None
@@ -150,19 +143,8 @@ class LpModel:
         self.nvars = len(obj)
         self.lb = np.zeros(self.nvars)
         self.ub = np.ones(self.nvars)
-        self.rows: list[LpRow] = []
-        self.sink_weight_row: dict[str, int] = {}
         self.capacities = self._effective_capacities()
         self._build_rows()
-        # The solver's view of the rows, built once: every solve shares it.
-        self.senses = [row.sense for row in self.rows]
-        self.rhs = np.array([row.rhs for row in self.rows])
-        self.layout = simplex.Layout(
-            (len(self.rows), self.nvars),
-            np.repeat(np.arange(len(self.rows)), [row.idx.size for row in self.rows]),
-            np.concatenate([row.idx for row in self.rows]),
-            np.concatenate([row.coef for row in self.rows]),
-        )
 
     # -- construction -------------------------------------------------------
 
@@ -187,57 +169,76 @@ class LpModel:
             raise UnsupportedInstanceError(f"bandwidth mode needs a bitrate on source {k}")
         return load
 
-    def _add_row(self, kind, label, terms, sense, rhs):
-        idx = np.array([t[0] for t in terms], dtype=int)
-        coef = np.array([t[1] for t in terms], dtype=float)
-        self.rows.append(LpRow(kind, label, idx, coef, sense, rhs))
-
     def _build_rows(self):
-        inst = self.inst
-        x_by_reflector: dict[str, list[tuple[str, str, str]]] = {r.id: [] for r in inst.reflectors}
-        x_by_feed: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
-        for key in self.x_index:
-            k, i, j = key
-            x_by_reflector[i].append(key)
-            x_by_feed.setdefault((k, i), []).append(key)
+        """The one row table: each family's (row, column, value) entries go
+        straight into the solver's `layout`, next to each row's label in
+        `rows`, its sense and rhs, and each family's rows in `families`."""
+        inst, sinks = self.inst, self.inst.sinks
+        nz, ny = len(self.z_index), len(self.y_index)
+        cols = np.arange(self.nvars)
+        z_cols, y_cols, x_cols = cols[:nz], cols[nz:nz + ny], cols[nz + ny:]
+        x_feed = self.x_parent - nz  # each x's position in the y block
+        x_refl = self.y_parent[x_feed]  # each x's reflector, as its z column
+        counts = [len(self.sink_routes[d.id]) for d in sinks]
+        x_sink = np.repeat(np.arange(len(sinks)), counts)  # x columns run in sink order
+        x_load = np.repeat([self._copy_load(d.stream) if n else 0.0 for d, n in zip(sinks, counts)],
+                           counts)
+        caps = np.array([float(inst.copy_cap(r.id)) for r in inst.reflectors])
 
-        for (k, i), yi in self.y_index.items():
-            self._add_row("feed-use", f"feed_use[{k},{i}]", [(yi, 1.0), (self.z_index[i], -1.0)], "<=", 0.0)
+        self.rows: list[str] = []
+        self.senses: list[str] = []
+        self.families: dict[str, range] = {}
+        rhs, entries = [], []
 
-        for key, xi in self.x_index.items():
-            k, i, j = key
-            yi = self.y_index[(k, i)]
-            self._add_row("relay-use", f"relay_use[{k},{i},{j}]", [(xi, 1.0), (yi, -1.0)], "<=", 0.0)
+        def family(kind, labels, sense, b, *blocks):
+            """Append a family's rows; a block is (rows counted from the
+            family's first row, columns, values)."""
+            start = len(self.rows)
+            self.families[kind] = range(start, start + len(labels))
+            self.rows += labels
+            self.senses += [sense] * len(labels)
+            rhs.append(np.full(len(labels), b, dtype=float))
+            for r, c, v in blocks:
+                r = start + np.asarray(r, dtype=np.intp)
+                entries.append((r, c, np.full(len(c), v, dtype=float)))
 
-        fan_label, feed_label = (
+        y_rows, x_rows = np.arange(ny), np.arange(x_cols.size)
+        family("feed-use", [f"feed_use[{k},{i}]" for k, i in self.y_index], "<=", 0.0,
+               (y_rows, y_cols, 1.0), (y_rows, self.y_parent, -1.0))
+        family("relay-use", [f"relay_use[{k},{i},{j}]" for k, i, j in self.x_index], "<=", 0.0,
+               (x_rows, x_cols, 1.0), (x_rows, self.x_parent, -1.0))
+
+        fan, feed = (
             ("bandwidth", "bandwidth_feed") if inst.bandwidth_enabled else ("fanout", "feed_fanout")
         )
-        for r in inst.reflectors:
-            terms = [(self.x_index[key], self._copy_load(key[0])) for key in x_by_reflector[r.id]]
-            terms.append((self.z_index[r.id], -float(inst.copy_cap(r.id))))
-            self._add_row("fanout", f"{fan_label}[{r.id}]", terms, "<=", 0.0)
-        for (k, i), keys in sorted(x_by_feed.items()):
-            load = self._copy_load(k)
-            terms = [(self.x_index[key], load) for key in keys]
-            terms.append((self.y_index[(k, i)], -float(inst.copy_cap(i))))
-            self._add_row("feed-fanout", f"{feed_label}[{k},{i}]", terms, "<=", 0.0)
+        family("fanout", [f"{fan}[{r.id}]" for r in inst.reflectors], "<=", 0.0,
+               (x_refl, x_cols, x_load), (z_cols, z_cols, -caps))
+        # One row per feed that relays, in sorted (stream, reflector) order,
+        # which is not y column order once ids reach r10 or s10.
+        feeds = sorted({(k, i) for k, i, _j in self.x_index})
+        fed = np.array([self.y_index[f] for f in feeds], dtype=np.intp) - nz
+        feed_row = np.zeros(ny, dtype=np.intp)
+        feed_row[fed] = np.arange(fed.size)
+        family("feed-fanout", [f"{feed}[{k},{i}]" for k, i in feeds], "<=", 0.0,
+               (feed_row[x_feed], x_cols, x_load),
+               (feed_row[fed], nz + fed, -caps[self.y_parent[fed]]))
 
-        for d in inst.sinks:
-            terms = [(xi, w) for _i, xi, w in self.sink_routes[d.id]]
-            self.sink_weight_row[d.id] = len(self.rows)
-            self._add_row("weight", f"weight[{d.id}]", terms, ">=", d.weight_threshold)
+        weights = [w for d in sinks for _i, _xi, w in self.sink_routes[d.id]]
+        family("weight", [f"weight[{d.id}]" for d in sinks], ">=",
+               [d.weight_threshold for d in sinks], (x_sink, x_cols, weights))
 
-        if inst.colors_enabled:
-            for d in inst.sinks:
-                groups: dict[int, list[int]] = {}
-                for i, xi, _w in self.sink_routes[d.id]:
-                    color = inst.reflector_by_id[i].color
-                    if color is None:
-                        continue
-                    groups.setdefault(color, []).append(xi)
-                for color in sorted(groups):
-                    terms = [(xi, 1.0) for xi in groups[color]]
-                    self._add_row("color", f"color[{d.id},{color}]", terms, "<=", 1.0)
+        if inst.colors_enabled:  # one row per (sink, color) its routes reach, colors ascending
+            colors = [r.color for r in inst.reflectors]
+            x_group = [(j, colors[i]) for j, i in zip(x_sink.tolist(), x_refl.tolist())]
+            colored = [n for n, g in enumerate(x_group) if g[1] is not None]
+            groups = sorted({x_group[n] for n in colored})
+            group_row = {g: n for n, g in enumerate(groups)}
+            family("color", [f"color[{sinks[j].id},{c}]" for j, c in groups], "<=", 1.0,
+                   ([group_row[x_group[n]] for n in colored], x_cols[colored], 1.0))
+
+        r, c, v = (np.concatenate(parts) for parts in zip(*entries))
+        self.rhs = np.concatenate(rhs)
+        self.layout = simplex.Layout((len(self.rows), self.nvars), r, c, v)
 
     # -- array access ---------------------------------------------------------
 
@@ -248,16 +249,17 @@ class LpModel:
         a[lay.rows, lay.cols] = lay.vals
         return self.obj, a, self.senses, self.rhs
 
-    def check_rows(self, x: np.ndarray, tol: float = ROW_TOL) -> list[str]:
-        """Labels of rows the assignment violates beyond tol."""
-        bad = []
-        for row in self.rows:
-            v = float(x[row.idx] @ row.coef)
-            if row.sense == "<=" and v > row.rhs + tol:
-                bad.append(row.label)
-            elif row.sense == ">=" and v < row.rhs - tol:
-                bad.append(row.label)
-        return bad
+    def activity(self, x: np.ndarray) -> np.ndarray:
+        """A x, one entry per row, in one product over the layout."""
+        return self.layout.dot(x)
+
+    def check_rows(self, x: np.ndarray) -> list[str]:
+        """Labels of the rows x violates by more than ROW_TOL."""
+        act, sense = self.activity(x), np.asarray(self.senses)
+        bad = ((sense == "<=") & (act > self.rhs + ROW_TOL)) | (
+            (sense == ">=") & (act < self.rhs - ROW_TOL)
+        )
+        return [self.rows[r] for r in np.flatnonzero(bad)]
 
     def weight_feasibility_certificate(self) -> dict | None:
         """Per-sink necessary condition: even all-ones must reach the threshold."""
@@ -331,14 +333,15 @@ def search_rows(model: LpModel) -> tuple[simplex.Layout, list[str], np.ndarray]:
     rows, cols, vals = [lay.rows], [lay.cols], [lay.vals]
     rhs = list(model.rhs)
     for d in model.inst.sinks:
-        row = model.rows[model.sink_weight_row[d.id]]
-        reach = np.cumsum(np.sort(row.coef)[::-1]) >= row.rhs - CARD_TOL * max(1.0, row.rhs)
+        routes, demand = model.sink_routes[d.id], d.weight_threshold
+        largest = sorted((w for _i, _xi, w in routes), reverse=True)
+        reach = np.cumsum(largest) >= demand - CARD_TOL * max(1.0, demand)
         need = 1 + int(np.count_nonzero(~reach))  # prefix sums only grow
         if need < 2:
             continue
-        rows.append(np.full(row.idx.size, len(rhs)))
-        cols.append(row.idx)
-        vals.append(np.ones(row.idx.size))
+        rows.append(np.full(len(routes), len(rhs)))
+        cols.append(np.array([xi for _i, xi, _w in routes], dtype=np.intp))
+        vals.append(np.ones(len(routes)))
         rhs.append(float(need))
     layout = simplex.Layout(
         (len(rhs), model.nvars), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
@@ -439,12 +442,9 @@ def solve_ip(
     return IntegralSolution(model, incumbent, inc_obj, status, bound=best_bound, nodes=nodes)
 
 
-def approx_hack(
-    model: LpModel,
-    frac: FractionalSolution,
-    budget: TimeBudget | None = None,
-) -> IntegralSolution:
-    """Fix every LP-integral variable, then solve the residual IP exactly.
+def approx_hack(frac: FractionalSolution, budget: TimeBudget | None = None) -> IntegralSolution:
+    """Fix every LP-integral variable of `frac.model`, then solve the
+    residual IP exactly.
 
     The residual's bound holds only under the fixing, so the result carries
     the LP bound `frac.objective` instead, and is "optimal" only when it
@@ -453,6 +453,7 @@ def approx_hack(
     integral point, search the whole model with the seconds left of the
     budget and return `solve_ip`'s result as it is.
     """
+    model = frac.model
     budget = budget or TimeBudget()
     t0 = time.perf_counter()
     lb = model.lb.copy()

@@ -301,7 +301,7 @@ class Instance:
             raise PathUnavailableError((k, i, j)) from None
         return combined_loss(first.loss, second.loss)
 
-    def path_weight(self, k: str, i: str, j: str, clamp: bool = True) -> float:
+    def path_weight(self, k: str, i: str, j: str) -> float:
         """Log-domain weight of a relay path, clamped to the sink's threshold.
 
         Raises PathUnavailableError when either link is absent, so callers
@@ -312,10 +312,7 @@ class Instance:
             raise PathUnavailableError((k, i, j))
         if sink.stream != k:
             raise ValidationError(f"sink {j} demands stream {sink.stream!r}, not {k!r}")
-        raw = loss_to_weight(self.path_loss(k, i, j))
-        if not clamp:
-            return raw
-        return min(max(raw, 0.0), sink.weight_threshold)
+        return min(max(loss_to_weight(self.path_loss(k, i, j)), 0.0), sink.weight_threshold)
 
     def analytic_loss(self, routes, k: str, j: str) -> float:
         """Exact delivery loss at sink j when the reflectors in `routes` relay stream k.

@@ -179,4 +179,4 @@ def run_hack(
 
 def hack_relaxation(frac: FractionalSolution, budget: TimeBudget | None = None) -> PathSet:
     """`run_hack` on a given relaxation, which it only reads."""
-    return from_integral(approx_hack(frac.model, frac, budget=budget), "approxhack")
+    return from_integral(approx_hack(frac, budget=budget), "approxhack")

@@ -10,7 +10,9 @@ unchanged, so a large enough M makes the whole draw deterministic.
 
 A draw is accepted when every sink keeps at least (1 - DELTA) of its demanded
 weight and no reflector carries more than twice its stream budget (and, with
-color groups enabled, no group is used more than once per sink). Each retry
+color groups enabled, no group is used more than once per sink). The weight
+and color predicates read the model's weight and color rows from one
+`LpModel.activity` product, the loads one bincount of the x block. Each retry
 re-derives its generator from (seed, attempt), so any attempt can be replayed
 in isolation.
 """
@@ -57,34 +59,27 @@ class SemiIntegralSolution:
     def realized_cost(self) -> float:
         return float(self.model.obj @ self.values)
 
-    def sink_weight(self, j: str) -> float:
-        row = self.model.rows[self.model.sink_weight_row[j]]
-        return float(self.values[row.idx] @ row.coef)
-
-    def reflector_loads(self) -> dict[str, float]:
-        loads = {r.id: 0.0 for r in self.model.inst.reflectors}
-        for (k, i, j), xi in self.model.x_index.items():
-            loads[i] += float(self.values[xi])
-        return loads
-
     def violations(self) -> list[str]:
-        """Predicate failures of this draw, empty when acceptable."""
+        """Predicate failures of this draw, empty when acceptable: weights,
+        then reflector loads, then colors, each in model order."""
         model, v = self.model, self.values
-        bad = []
-        for d in model.inst.sinks:
-            need = (1.0 - DELTA) * d.weight_threshold
-            if self.sink_weight(d.id) < need - PRED_TOL:
-                bad.append(f"weight[{d.id}]")
-        loads = self.reflector_loads()
-        for r in model.inst.reflectors:
-            if loads[r.id] > 2.0 * model.capacities[r.id] + PRED_TOL:
-                bad.append(f"load[{r.id}]")
-        if model.inst.colors_enabled:
-            for row in model.rows:
-                if row.kind != "color":
-                    continue
-                if float(v[row.idx].sum()) > 1.0 + PRED_TOL:
-                    bad.append(row.label)
+        act = model.activity(v)
+        weight = model.families["weight"]  # one row per sink, in sink order
+        w = slice(weight.start, weight.stop)
+        short = act[w] < (1.0 - DELTA) * model.rhs[w] - PRED_TOL
+        bad = [model.rows[r] for r in weight.start + np.flatnonzero(short)]
+        nz, ny = len(model.z_index), len(model.y_index)
+        # Each x's reflector is the z column of its y column's parent.
+        loads = np.bincount(
+            model.y_parent[model.x_parent - nz], weights=v[nz + ny:], minlength=nz
+        )
+        refls = model.inst.reflectors
+        caps = np.array([model.capacities[r.id] for r in refls], dtype=float)
+        bad += [f"load[{refls[i].id}]" for i in np.flatnonzero(loads > 2.0 * caps + PRED_TOL)]
+        color = model.families.get("color", range(0))
+        c = slice(color.start, color.stop)
+        over = act[c] > model.rhs[c] + PRED_TOL
+        bad += [model.rows[r] for r in color.start + np.flatnonzero(over)]
         return bad
 
 

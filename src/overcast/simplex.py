@@ -108,6 +108,11 @@ class Layout:
         self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
         self.colptr = np.searchsorted(self.cols, np.arange(self.n + 1))
 
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """A x, one bincount over the nonzeros; entries of x past column n
+        (a solver's slacks) are not read."""
+        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.m)
+
     @classmethod
     def from_dense(cls, a):
         cols, rows = np.nonzero(a.T)
@@ -254,11 +259,9 @@ class _Revised:
         return binvt
 
     def _basic_values(self):
-        lay, n = self.layout, self.n_struct
         nonbasic = self.values.copy()
         nonbasic[self.basis] = 0.0
-        used = np.bincount(lay.rows, weights=lay.vals * nonbasic[lay.cols], minlength=self.m)
-        used = used + nonbasic[n:]
+        used = self.layout.dot(nonbasic) + nonbasic[self.n_struct:]
         self.values[self.basis] = (self.b - used) @ self.binvt
 
     def _refresh(self):

@@ -30,6 +30,7 @@ PROFILES = {"exact": (1.0, 0.0), "approx": (4.0, 0.0), "color": (8.0, 9.0)}
 # The color profile's bound on copies per (sink, color) group and on path cost
 # over the draw's cost: 4 fractional copies plus the rounding walk's drift of 9.
 COLOR_FACTOR = 13
+APPROX_WEIGHT_FRACTION = 0.25  # of each demanded weight: 1/2 - DELTA, what stage two keeps
 
 
 @dataclass
@@ -159,7 +160,7 @@ def audit(ps: PathSet, profile: str = "exact", claimed_cost: float | None = None
                 if n > 1:
                     failures.append(f"sink {j}: color {color} used {n} times")
     elif profile == "approx":
-        failures += _weight_failures(ps, sink_weights, 0.25)
+        failures += _weight_failures(ps, sink_weights, APPROX_WEIGHT_FRACTION)
     else:  # color
         for (j, color), n in _color_group_counts(ps).items():
             if n > COLOR_FACTOR:

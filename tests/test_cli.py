@@ -58,15 +58,21 @@ def test_solve_deterministic_files(instance_file, tmp_path):
     assert (out_a / "audit.json").read_bytes() == (out_b / "audit.json").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_time_budget_is_a_compare_flag(instance_file, tmp_path, capsys, command):
-    # Only compare runs the budgeted hack and ip solves.
+@pytest.mark.parametrize(
+    "command,flag",
+    [pytest.param("solve", "--time-budget-secs", id="solve"),
+     pytest.param("sweep", "--time-budget-secs", id="sweep"),
+     pytest.param("sweep", "--multiplier", id="sweep-multiplier"),
+     pytest.param("sweep", "--seed", id="sweep-seed")],
+)
+def test_time_budget_is_a_compare_flag(instance_file, tmp_path, capsys, command, flag):
+    # Only compare runs the budgeted hack and ip solves, and sweep takes
+    # its multipliers and seeds as lists, never the single-draw flags.
     extra = ["--multipliers", "1"] if command == "sweep" else []
     with pytest.raises(SystemExit) as exc:
-        main([command, str(instance_file), *extra, "--time-budget-secs", "5",
-              "--out-dir", str(tmp_path)])
+        main([command, str(instance_file), *extra, flag, "5", "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
-    assert "--time-budget-secs" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
     args = build_parser().parse_args(["compare", str(instance_file), "--time-budget-secs", "5"])
     assert args.time_budget_secs == 5.0
 

@@ -148,16 +148,25 @@ def test_build_shape_and_order():
     assert model.x_parent.tolist() == [2, 3]
     # Both raw path weights exceed the demand of 2 bits, so both clamp to it.
     assert model.sink_routes == {"d0": [("r0", 4, 2.0), ("r1", 5, 2.0)]}
-    kinds = [row.kind for row in model.rows]
-    assert kinds == ["feed-use"] * 2 + ["relay-use"] * 2 + ["fanout"] * 2 + [
-        "feed-fanout"
-    ] * 2 + ["weight"]
+    assert model.rows == [
+        "feed_use[s0,r0]", "feed_use[s0,r1]",
+        "relay_use[s0,r0,d0]", "relay_use[s0,r1,d0]",
+        "fanout[r0]", "fanout[r1]",
+        "feed_fanout[s0,r0]", "feed_fanout[s0,r1]",
+        "weight[d0]",
+    ]
+    assert {kind: list(rows) for kind, rows in model.families.items()} == {
+        "feed-use": [0, 1], "relay-use": [2, 3], "fanout": [4, 5], "feed-fanout": [6, 7],
+        "weight": [8],
+    }
     # Full-mode objective: fixed costs on z, first hop on y, second hop on x.
     assert model.obj.tolist() == [5.0, 3.0, 1.0, 2.0, 1.0, 1.5]
-    wrow = model.rows[model.sink_weight_row["d0"]]
-    assert wrow.sense == ">="
-    assert wrow.rhs == pytest.approx(2.0)
-    assert wrow.coef.tolist() == pytest.approx([2.0, 2.0])
+    (w,) = model.families["weight"]
+    assert model.senses[w] == ">="
+    assert model.rhs[w] == pytest.approx(2.0)
+    # A column's activity is its column of A: the weight row reads both x.
+    unit = np.eye(model.nvars)
+    assert [model.activity(unit[xi])[w] for xi in (4, 5)] == pytest.approx([2.0, 2.0])
 
 
 def test_transmission_objective_folds_edge_costs():
@@ -368,7 +377,8 @@ def test_bandwidth_rows_and_capacities():
     rng = np.random.default_rng(3)
     doc = random_doc(rng, n_refl=3, n_sinks=3, bandwidth=True)
     model = lp.build_model(normalize(doc))
-    assert any(row.label.startswith("bandwidth[") for row in model.rows)
+    assert all(model.rows[r].startswith("bandwidth[") for r in model.families["fanout"])
+    assert all(model.rows[r].startswith("bandwidth_feed[") for r in model.families["feed-fanout"])
     # Uniform bitrate 2.0 and caps 2*fanout give back the original fan-outs.
     for rec in doc["reflectors"]:
         assert model.capacities[rec["id"]] == rec["fanout"]
@@ -410,7 +420,7 @@ def test_bandwidth_mode_needs_every_reflector_cap(rates):
 def test_approx_hack_keeps_integral_lp_fixings():
     model = lp.build_model(normalize(two_path_doc()))
     frac = lp.solve_lp(model)
-    res = lp.approx_hack(model, frac)
+    res = lp.approx_hack(frac)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(6.5, abs=1e-9)
 
@@ -421,7 +431,7 @@ def test_approx_hack_falls_back_on_infeasible_fixing():
     # upper bounds to zero cannot satisfy the weight row, so the whole
     # model is searched instead.
     fake = lp.FractionalSolution(model, np.zeros(model.nvars), 0.0)
-    res = lp.approx_hack(model, fake, budget=lp.TimeBudget(seconds=30.0))
+    res = lp.approx_hack(fake, budget=lp.TimeBudget(seconds=30.0))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(6.5, abs=1e-9)
     assert not model.check_rows(res.values)

@@ -16,6 +16,7 @@ from overcast.model import (
     SinkSpec,
     SourceSpec,
     ValidationError,
+    loss_to_weight,
 )
 
 
@@ -45,12 +46,12 @@ def test_weight_threshold_is_log2_of_loss_ceiling():
 def test_path_weight_clamped_and_raw():
     inst = tiny_instance(threshold=0.01, p_src=0.1, p_refl=0.1)
     # Oracle: -log2(0.19), frozen.
-    raw = inst.path_weight("s0", "r0", "d0", clamp=False)
+    raw = loss_to_weight(inst.path_loss("s0", "r0", "d0"))
     assert raw == pytest.approx(2.395928676331139, abs=1e-12)
     assert inst.path_weight("s0", "r0", "d0") == pytest.approx(raw)  # below threshold
     # A lossless path clamps to the sink threshold instead of inf.
     lossless = tiny_instance(threshold=0.01, p_src=0.0, p_refl=0.0)
-    assert math.isinf(lossless.path_weight("s0", "r0", "d0", clamp=False))
+    assert math.isinf(loss_to_weight(lossless.path_loss("s0", "r0", "d0")))
     assert lossless.path_weight("s0", "r0", "d0") == pytest.approx(6.643856189774724)
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from overcast import lp, rounding
-from overcast.model import normalize
+from overcast.gen import gen_random
+from overcast.model import instance_from_doc, normalize
 
 
 def triangle_doc():
@@ -223,3 +224,89 @@ def test_mixed_bitrates_rejected():
     frac = lp.FractionalSolution(model, np.zeros(model.nvars), 0.0)
     with pytest.raises(lp.UnsupportedInstanceError):
         rounding.randomized_round(frac, rounding.RoundingConfig(multiplier=2.0), 0)
+
+
+def _reference_models():
+    """A colored, a bandwidth and a transmission model, so every row family
+    and both fan-out labels are present."""
+    colored = gen_random((2, 10, 20), "low", seed=0, colors=5)
+    doc = gen_random((3, 4, 8), "avg", seed=1).to_doc()
+    doc["bandwidth_enabled"] = True
+    for rec in doc["sources"]:
+        rec["bitrate"] = 2.0
+    for rec in doc["reflectors"]:
+        rec["bandwidth"] = 2.0 * rec["fanout"]
+    transmission = {**gen_random((2, 5, 10), "avg", seed=2).to_doc(), "mode": "transmission"}
+    return [
+        lp.build_model(colored),
+        lp.build_model(instance_from_doc(doc)),
+        lp.build_model(instance_from_doc(transmission)),
+    ]
+
+
+def _dense_check_rows(model, x):
+    """Labels of the rows where dense A x breaks rhs by more than ROW_TOL."""
+    _c, a, senses, b = model.arrays()
+    ax = a @ x
+    return [
+        label
+        for label, sense, lhs, rhs in zip(model.rows, senses, ax, b)
+        if (sense == "<=" and lhs > rhs + lp.ROW_TOL) or (sense == ">=" and lhs < rhs - lp.ROW_TOL)
+    ]
+
+
+def _summed_violations(model, v):
+    """The draw's predicates from per-sink, per-reflector and per-group
+    Python sums over the x variables."""
+    inst = model.inst
+    weight = {d.id: 0.0 for d in inst.sinks}
+    load = {r.id: 0.0 for r in inst.reflectors}
+    groups = {}
+    for (k, i, j), xi in model.x_index.items():
+        weight[j] += inst.path_weight(k, i, j) * v[xi]
+        load[i] += v[xi]
+        color = inst.reflector_by_id[i].color
+        if inst.colors_enabled and color is not None:
+            groups[(j, color)] = groups.get((j, color), 0.0) + v[xi]
+    bad = [
+        f"weight[{d.id}]"
+        for d in inst.sinks
+        if weight[d.id] < (1.0 - rounding.DELTA) * d.weight_threshold - rounding.PRED_TOL
+    ]
+    bad += [
+        f"load[{r.id}]"
+        for r in inst.reflectors
+        if load[r.id] > 2.0 * model.capacities[r.id] + rounding.PRED_TOL
+    ]
+    sink_pos = {d.id: n for n, d in enumerate(inst.sinks)}
+    bad += [
+        f"color[{j},{c}]"
+        for (j, c), used in sorted(groups.items(), key=lambda g: (sink_pos[g[0][0]], g[0][1]))
+        if used > 1.0 + rounding.PRED_TOL
+    ]
+    return bad
+
+
+def test_vectorized_checks_match_dense_reference():
+    rng = np.random.default_rng(23)
+    seen = {"row": 0, "clean": 0, "weight": 0, "load": 0, "color": 0, "pass": 0}
+    for model in _reference_models():
+        frac = lp.solve_lp(model)
+        assert {"feed-use", "relay-use", "fanout", "feed-fanout", "weight"} <= set(model.families)
+        points = [frac.values, rng.random(model.nvars)]
+        points += [np.clip(frac.values + rng.normal(0.0, 1e-6, model.nvars), 0, 1) for _ in range(5)]
+        for x in points:
+            bad = model.check_rows(x)
+            assert bad == _dense_check_rows(model, x)
+            seen["row" if bad else "clean"] += 1
+        for m in (1.0, 2.0, 4.0, rounding.saturation_multiplier(frac)):
+            cfg = rounding.RoundingConfig(multiplier=m, seed=9)
+            for attempt in range(15):
+                sol = rounding.randomized_round(frac, cfg, attempt)
+                bad = sol.violations()
+                assert bad == _summed_violations(model, sol.values)
+                for label in bad:
+                    seen[label.split("[")[0]] += 1
+                seen["pass"] += not bad
+    # Every outcome of both checks occurred at least once.
+    assert min(seen.values()) > 0, seen

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from overcast import gapflow, lp, rounding, verify
+from overcast import color, gapflow, lp, rounding, verify
 from overcast.model import ValidationError, normalize
 from overcast.solution import PathSet, from_integral
 
@@ -294,3 +294,12 @@ def test_simulation_ignores_route_order_and_round_trip():
     expected = verify.simulate_losses(ps, 20_000, seed=5)
     assert verify.simulate_losses(PathSet.from_doc(inst, ps.to_doc()), 20_000, seed=5) == expected
     assert verify.simulate_losses(reverse, 20_000, seed=5) == expected
+
+
+def test_audit_bounds_follow_from_the_stage_constants():
+    # The audit keeps its own numbers, so that it does not trust the stages;
+    # these are the bounds each stage proves from its constants.
+    assert verify.APPROX_WEIGHT_FRACTION == 0.5 - rounding.DELTA
+    assert verify.PROFILES["approx"] == (gapflow.FANOUT_FACTOR, 0.0)
+    assert verify.PROFILES["color"] == (2 * color.MASS_SCALE, color.COLUMN_BOUND)
+    assert verify.COLOR_FACTOR == color.MASS_SCALE + color.COLUMN_BOUND
