@@ -30,8 +30,7 @@ class GenerationError(RuntimeError):
     """No feasible instance came out after the redraw budget."""
 
 
-def _pick_top_count(rng: np.random.Generator) -> int:
-    u = rng.random()
+def _pick_top_count(u: float) -> int:
     acc = 0.0
     for count, share in _TOP_PATH_WEIGHTS:
         acc += share
@@ -50,108 +49,90 @@ def _draw_doc(
     n_src, n_refl, n_sink = sizes
     lo, hi = LOSS_REGIMES[regime]
 
-    sources = [{"id": f"s{k}"} for k in range(n_src)]
+    # scalar, as integers() draws 32-bit halves that PCG64 buffers between calls
     fan_hi = max(2, math.ceil(2 * n_sink / n_refl))
-    reflectors = []
-    for i in range(n_refl):
-        rec = {
-            "id": f"r{i}",
-            "cost": float(rng.uniform(*REFLECTOR_COST_RANGE)),
-            "fanout": int(rng.integers(2, fan_hi + 1)),
-        }
-        if colors is not None:
-            rec["color"] = i % colors
-        reflectors.append(rec)
+    refl_costs, caps = [], []
+    for _ in range(n_refl):
+        refl_costs.append(float(rng.uniform(*REFLECTOR_COST_RANGE)))
+        caps.append(int(rng.integers(2, fan_hi + 1)))
 
-    src_edges = []
-    for k in range(n_src):
-        for i in range(n_refl):
-            keep = rng.random() < density
-            loss = float(rng.uniform(lo, hi))
-            cost = float(rng.uniform(*COST_RANGE))
-            if keep:
-                src_edges.append(
-                    {"from": f"s{k}", "to": f"r{i}", "loss": loss, "cost": cost}
-                )
-    refl_edges = []
-    for i in range(n_refl):
-        for j in range(n_sink):
-            keep = rng.random() < density
-            loss = float(rng.uniform(lo, hi))
-            cost = float(rng.uniform(*COST_RANGE))
-            if keep:
-                refl_edges.append(
-                    {"from": f"r{i}", "to": f"d{j}", "loss": loss, "cost": cost}
-                )
+    # then one block: keep, loss and cost of each source edge in (k, i) order
+    # and of each relay edge in (i, j) order, then top-count and alpha of each
+    # sink; uniform(a, b) is a + (b - a) * u bit for bit
+    n_src_edges = n_src * n_refl
+    n_edges = n_src_edges + n_refl * n_sink
+    block = rng.random(3 * n_edges + 2 * n_sink)
+    keep_u, loss_u, cost_u = block[: 3 * n_edges].reshape(n_edges, 3).T
+    keep = keep_u < density
+    loss = lo + (hi - lo) * loss_u
+    cost = COST_RANGE[0] + (COST_RANGE[1] - COST_RANGE[0]) * cost_u
+    sink_u = block[3 * n_edges :].reshape(n_sink, 2).tolist()
 
-    src_loss = {(e["from"], e["to"]): e["loss"] for e in src_edges}
-    refl_loss = {(e["from"], e["to"]): e["loss"] for e in refl_edges}
-    color_of = {r["id"]: r.get("color") for r in reflectors}
+    def by_sink(values):  # row j: sink j's edge pairs, from its stream j % n_src
+        src = values[:n_src_edges].reshape(n_src, n_refl)
+        return src[np.arange(n_sink) % n_src], values[n_src_edges:].reshape(n_refl, n_sink).T
 
-    # per-sink candidate paths, best first; with colors on, one per group
-    sinks = []
-    demands: list[list[tuple[float, str]]] = []
-    for j in range(n_sink):
-        stream = f"s{j % n_src}"
-        paths = []
-        for i in range(n_refl):
-            rid = f"r{i}"
-            first = src_loss.get((stream, rid))
-            second = refl_loss.get((rid, f"d{j}"))
-            if first is None or second is None:
-                continue
-            paths.append((loss_to_weight(combined_loss(first, second)), rid))
-        paths.sort(key=lambda p: (-p[0], p[1]))
-        if colors is not None:
-            best_per_group: dict[int, tuple[float, str]] = {}
-            for w, rid in paths:
-                group = color_of[rid]
-                if group not in best_per_group:
-                    best_per_group[group] = (w, rid)
-            paths = sorted(best_per_group.values(), key=lambda p: (-p[0], p[1]))
-        n_top = _pick_top_count(rng)
-        alpha = float(rng.uniform(0.5, 0.95))
+    path_loss = combined_loss(*by_sink(loss)).tolist()
+    path_ok = np.logical_and(*by_sink(keep)).tolist()
+
+    # per sink: its best paths (with colors on, the best of each group), its
+    # threshold, then greedy service under the fan-out caps, in sink order
+    rids = [f"r{i}" for i in range(n_refl)]
+    groups = None if colors is None else [i % colors for i in range(n_refl)]
+    loads = [0] * n_refl
+    thresholds = []
+    for j, (top_u, alpha_u) in enumerate(sink_u):
+        # (-weight, id, index) tuples sort best first, ties by id, with no key
+        paths = sorted(
+            (-loss_to_weight(p), rids[i], i)
+            for i, (p, ok) in enumerate(zip(path_loss[j], path_ok[j]))
+            if ok
+        )
+        if groups is not None:
+            best_per_group: dict[int, tuple[float, str, int]] = {}
+            for path in paths:
+                best_per_group.setdefault(groups[path[2]], path)
+            paths = list(best_per_group.values())
         if not paths:
             return None
-        n_top = min(n_top, len(paths))
-        threshold_weight = alpha * sum(w for w, _rid in paths[:n_top])
-        sinks.append(
-            {
-                "id": f"d{j}",
-                "stream": stream,
-                "loss_threshold": float(2.0 ** (-threshold_weight)),
-            }
-        )
-        demands.append(paths)
+        n_top = min(_pick_top_count(top_u), len(paths))
+        alpha = 0.5 + (0.95 - 0.5) * alpha_u
+        threshold = 2.0 ** (-(alpha * sum(-neg_w for neg_w, _rid, _i in paths[:n_top])))
+        thresholds.append(threshold)
 
-    # greedy feasibility: serve sinks in order from their best usable paths
-    loads = {r["id"]: 0 for r in reflectors}
-    caps = {r["id"]: r["fanout"] for r in reflectors}
-    for j, paths in enumerate(demands):
-        need = -math.log2(sinks[j]["loss_threshold"]) if sinks[j]["loss_threshold"] < 1 else 0.0
+        need = -math.log2(threshold) if threshold < 1 else 0.0
         got = 0.0
-        used_groups: set[int] = set()
-        for w, rid in paths:
+        for neg_w, _rid, i in paths:  # at most one per group, so groups need no check
             if got >= need - 1e-9:
                 break
-            if loads[rid] >= caps[rid]:
-                continue
-            group = color_of[rid]
-            if colors is not None and group in used_groups:
-                continue
-            loads[rid] += 1
-            if colors is not None:
-                used_groups.add(group)
-            got += min(w, need)
+            if loads[i] < caps[i]:
+                loads[i] += 1
+                got += min(-neg_w, need)
         if got < need - 1e-9:
             return None
 
+    # certified: only now build the records
+    reflectors = [{"id": rid, "cost": c, "fanout": f} for rid, c, f in zip(rids, refl_costs, caps)]
+    if groups is not None:
+        for rec, group in zip(reflectors, groups):
+            rec["color"] = group
+    ends = [(f"s{k}", rid) for k in range(n_src) for rid in rids]
+    ends += [(rid, f"d{j}") for rid in rids for j in range(n_sink)]
+    edges = [
+        {"from": a, "to": b, "loss": p, "cost": c}
+        for (a, b), ok, p, c in zip(ends, keep.tolist(), loss.tolist(), cost.tolist())
+        if ok
+    ]
+    n_src_kept = int(keep[:n_src_edges].sum())
     return {
-        "sources": sources,
+        "sources": [{"id": f"s{k}"} for k in range(n_src)],
         "reflectors": reflectors,
-        "sinks": sinks,
-        "src_edges": src_edges,
-        "refl_edges": refl_edges,
+        "sinks": [
+            {"id": f"d{j}", "stream": f"s{j % n_src}", "loss_threshold": t}
+            for j, t in enumerate(thresholds)
+        ],
+        "src_edges": edges[:n_src_kept],
+        "refl_edges": edges[n_src_kept:],
         "colors_enabled": colors is not None,
     }
 
@@ -166,9 +147,12 @@ def gen_random(
     """Draw a seeded three-layer instance with per-sink reachable thresholds.
 
     Every sink's loss ceiling is alpha times the weight of its best one to
-    three paths (alpha < 1), and a greedy assignment under the fan-out caps
-    is verified before the draw is accepted; a draw that cannot be certified
-    is retried with a fresh substream, up to 100 times.
+    three paths (alpha < 1). An attempt draws each reflector's cost and
+    fan-out in turn, then one block of doubles for the edges and sinks (see
+    `_draw_doc`). It is accepted once a greedy assignment under the fan-out
+    caps serves every sink, and only then is its document built; an attempt
+    that cannot be certified is retried with a fresh substream, up to 100
+    times.
     """
     n_src, n_refl, n_sink = sizes
     if min(n_src, n_refl, n_sink) < 1:
@@ -181,6 +165,8 @@ def gen_random(
         raise ValueError("density must be in (0, 1]")
     if colors is not None and colors < 1:
         raise ValueError("colors must be a positive count")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
     for attempt in range(MAX_ATTEMPTS):
         rng = np.random.default_rng(
