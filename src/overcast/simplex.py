@@ -1,4 +1,4 @@
-"""Bounded dual simplex on an explicit basis inverse.
+"""Bounded dual simplex on the inverse of the basis's structural block.
 
 Every structural variable carries a finite [lb, ub] interval, rows are '<=',
 '>=' or '==' with arbitrary right-hand sides, and nonbasic variables rest at
@@ -16,49 +16,51 @@ simplex begins from them. Each boxed nonbasic variable rests at the bound
 its reduced cost prefers, so only the nonbasic slack of an inequality row
 can be dual infeasible. A warm basis that is singular, or that leaves such a
 slack with a reduced cost pointing toward its infinite bound, is dropped
-for the slack basis, which is neither: its inverse is the identity, and no
-slack is nonbasic. An LP with no rows has an empty basis and takes the same
-path. The bounded dual simplex then restores primal feasibility: a
-violated basic variable leaves, and the dual ratio test picks the entering
-column so that every reduced cost stays dual feasible. It ends at the
-optimum, or at a row that no column can repair, which makes the LP
-infeasible. There is no cost shift and no primal phase; an end that is not
-dual feasible is a SimplexError.
+for the slack basis, which is neither: it inverts nothing, and no slack is
+nonbasic. An LP with no rows has an empty basis and takes the same path.
+The bounded dual simplex then restores primal feasibility: a violated
+basic variable leaves, and the dual ratio test picks the entering column
+so that every reduced cost stays dual feasible. It ends at the optimum, or
+at a row that no column can repair, which makes the LP infeasible. There
+is no cost shift and no primal phase; an end that is not dual feasible is
+a SimplexError.
 
 The constraint matrix is held as sparse columns (a `Layout`, which a model
 builds once and every solve of its rows shares); slack columns stay
-implicit. The solver keeps the m x m basis inverse explicitly, stored
-transposed and C-contiguous: row r of B^-1 is column r of `binvt`, and the
-column of B^-1 for row i is the contiguous row i. A pivot gathers B^-1 a_q
-from the rows of `binvt` that a_q touches, reads the pivot row of the
-tableau as one row of B^-1 times the matrix (a bincount over the nonzeros),
-and applies its rank-1 update only to the rows of `binvt` where the pivot
-row of B^-1 is nonzero; the pivot row is far sparser than B^-1 a_q.
-
-Refactorization uses the slacks: a basic slack is a unit vector, so B is
-block triangular once the rows are split into those a basic slack covers and
-the rest. Only the k x k block of basic structural columns on the uncovered
-rows, gathered from their sparse columns, is inverted densely; the rest of
-B^-1 follows by hand, written transposed, and the basic values come from
-the same inverse.
+implicit. A basic slack is a unit column, so once the rows are split into
+the covered ones C, whose slack is basic, and the rest R, the basis is
+block triangular: B = [[A_RS, 0], [A_CS, I]] for the basic structural
+columns S, with |R| = |S| = k. Its inverse is [[K^-1, 0], [-A_CS K^-1, I]]
+with K = A_RS, and only the k x k inverse K^-1 is held, densely; the slack
+rows follow from the sparse rows of A. So B^-1 a_q is K^-1 a_q[R] on the
+basic structural columns, and the basic slacks are b - A x on their rows.
+Row r of B^-1 is K^-1's row on R for a basic structural column and
+e_c - a[c, S] K^-1 for the basic slack of row c; the duals are c_S K^-1 on R
+and zero on C. A pivot updates K^-1 by one rank-1 step, and K^-1 grows by a
+row and a column when a structural column replaces a slack, shrinks when a
+slack replaces a structural column, and swaps a column when a slack
+replaces a slack. Refactorization inverts K alone. All products are
+elementwise, `np.einsum` without `optimize` or `np.bincount`;
+`np.linalg.inv` in `_factorize` is the one LAPACK call.
 
 Pricing is dual steepest edge (Forrest & Goldfarb, Math. Prog. 57, 1992):
-the leaving row maximizes violation^2 / beta_r (lowest row on ties), where
-beta_r = ||e_r^T B^-1||^2 is the squared norm of column r of `binvt`. The
-norms are exact, not a recurrence: they are ones at the slack basis,
-recomputed at every factorization, and each pivot subtracts the squares of
-the rows of `binvt` it rewrites and adds their new squares. The ratio test
-takes the largest |alpha| among the tied ratios. After a run of degenerate
-pivots the solver switches to Bland's rule (lowest basic index leaves,
-lowest column enters), so it cannot cycle and identical inputs pivot
-identically. Reduced costs are updated incrementally and recomputed from a
-fresh factorization at a fixed cadence to bound drift; optimality and
-infeasibility are only declared on a fresh factorization.
+the leaving row maximizes violation^2 / w_r (lowest row on ties), where
+w_r = ||e_r^T B^-1||^2 is ||K^-1[i]||^2 for a basic structural column in
+row i of K^-1 and 1 + ||a[c, S] K^-1||^2 for the basic slack of row c. The
+weights are exact, not a recurrence: each iteration computes them from the
+current K^-1 for the violated rows alone. The ratio test takes the largest
+|alpha| among the tied ratios. After a run of degenerate pivots the solver
+switches to Bland's rule (lowest basic index leaves, lowest column enters),
+so it cannot cycle and identical inputs pivot identically. Reduced costs
+are updated incrementally and recomputed from a fresh factorization at a
+fixed cadence to bound drift; optimality and infeasibility are only
+declared on a fresh factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +76,10 @@ _STEP_TOL = 1e-12
 _STALL_LIMIT = 60
 _REFRESH_EVERY = 400
 _MAX_ITERATIONS = 200_000
+
+# A row's sense, as an index into the (lb, ub) of its slack.
+_SENSE_KIND = {"<=": 0, ">=": 1, "==": 2}
+_SLACK_BOUNDS = np.array([[0.0, np.inf], [-np.inf, 0.0], [0.0, 0.0]])
 
 
 class SimplexError(RuntimeError):
@@ -112,6 +118,14 @@ class Layout:
         """A x, one bincount over the nonzeros; entries of x past column n
         (a solver's slacks) are not read."""
         return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.m)
+
+    @cached_property
+    def stacked(self):
+        """The entries of [I; A] (n + m rows over the n columns) as (rows,
+        cols, vals): row j < n is e_j and row n + i is row i of A."""
+        ident = np.arange(self.n)
+        return (np.concatenate([ident, self.n + self.rows]), np.concatenate([ident, self.cols]),
+                np.concatenate([np.ones(self.n), self.vals]))
 
     @classmethod
     def from_dense(cls, a):
@@ -160,18 +174,14 @@ class _Revised:
         self.b = b
         self.ncols = cols = n + m
         # Slack of row i is column n + i, the unit column e_i: a_i x + s_i = b_i.
-        senses = np.asarray(senses, dtype=object)
-        bad = [s for s in senses if s not in ("<=", ">=", "==")]
-        if bad:
-            raise ValueError(f"bad sense {bad[0]!r}")
-        self.lb = np.zeros(cols)
-        self.ub = np.zeros(cols)
-        self.lb[:n] = lb
-        self.ub[:n] = ub
-        self.lb[n:][senses == ">="] = -np.inf
-        self.ub[n:][senses == "<="] = np.inf
-        self.cost = np.zeros(cols)
-        self.cost[:n] = c
+        try:
+            kind = np.fromiter(map(_SENSE_KIND.__getitem__, senses), dtype=np.intp, count=m)
+        except KeyError as exc:
+            raise ValueError(f"bad sense {exc.args[0]!r}") from None
+        slack = _SLACK_BOUNDS[kind]
+        self.lb = np.concatenate([lb, slack[:, 0]])
+        self.ub = np.concatenate([ub, slack[:, 1]])
+        self.cost = np.concatenate([c, np.zeros(m)])
         self.iterations = 0
         self.refreshes = 0
         self.since_refresh = 0  # pivots since the last factorization
@@ -209,10 +219,9 @@ class _Revised:
         self.status = np.where(basis.status == _AT_UB, _AT_UB, _AT_LB).astype(np.int8)
         self.status[self.basis] = _BASIC
         try:
-            self.binvt = self._factorize()
+            self._install(*self._factorize())
         except SimplexError:
             return None
-        self.beta = np.einsum("ij,ij->j", self.binvt, self.binvt)
         self.refreshes += 1
         d = self._reduced_costs()
         nonbasic = self.status != _BASIC
@@ -224,50 +233,67 @@ class _Revised:
     # -- basic machinery ---------------------------------------------------
 
     def _factorize(self):
-        """B^-1, transposed, from the basic slacks by hand and one dense k x k inverse."""
+        """(K^-1, spos, rrow) for the basis: the basic slacks cover their
+        rows, the basic structural columns (at positions spos) meet the
+        other rows (rrow) in the k x k block K, and only K is inverted."""
         m, n, lay = self.m, self.n_struct, self.layout
         unit = self.basis >= n
-        pos_u, pos_s = unit.nonzero()[0], (~unit).nonzero()[0]
-        urow = self.basis[pos_u] - n
+        spos = (~unit).nonzero()[0]
         covered = np.zeros(m, dtype=bool)
-        covered[urow] = True
-        rest = (~covered).nonzero()[0]
-        if rest.size != pos_s.size:
+        covered[self.basis[unit] - n] = True
+        rrow = (~covered).nonzero()[0]
+        k = spos.size
+        if rrow.size != k:
             raise SimplexError("singular basis")  # a slack basic twice
-        binvt = np.zeros((m, m))
-        binvt[urow, pos_u] = 1.0
-        if pos_s.size:
-            # a[:, S].T for the basic structural columns S, from their entries.
-            at = np.full(n, -1)
-            at[self.basis[pos_s]] = np.arange(pos_s.size)
-            col = at[lay.cols]
-            mine = col >= 0
-            a_st = np.zeros((pos_s.size, m))
-            a_st[col[mine], lay.rows[mine]] = lay.vals[mine]
-            try:
-                inv_t = np.linalg.inv(a_st[:, rest])
-            except np.linalg.LinAlgError as exc:
-                raise SimplexError("singular basis") from exc
-            if not np.all(np.isfinite(inv_t)):
-                raise SimplexError("singular basis")
-            binvt[rest[:, None], pos_s] = inv_t
-            # Covered rows: -a[row, S] @ inv, only where a[row, S] != 0.
-            coupling_t = a_st[:, urow]
-            hit = coupling_t.any(axis=0).nonzero()[0]
-            if hit.size:
-                binvt[rest[:, None], pos_u[hit]] = -(inv_t @ coupling_t[:, hit])
-        return binvt
+        at_row = np.full(m, -1)
+        at_row[rrow] = np.arange(k)
+        at_col = np.full(n, -1)
+        at_col[self.basis[spos]] = np.arange(k)
+        i, j = at_row[lay.rows], at_col[lay.cols]
+        mine = (i >= 0) & (j >= 0)
+        block = np.zeros((k, k))
+        block[i[mine], j[mine]] = lay.vals[mine]
+        try:
+            kinv = np.linalg.inv(block)
+        except np.linalg.LinAlgError as exc:
+            raise SimplexError("singular basis") from exc
+        if not np.all(np.isfinite(kinv)):
+            raise SimplexError("singular basis")
+        return kinv, spos, rrow
+
+    def _install(self, kinv, spos, rrow):
+        """Take K^-1 and index its rows and columns."""
+        m, n = self.m, self.n_struct
+        k = self.k = spos.size
+        self.kinv = kinv
+        # Row i of K^-1 belongs to basis position spos[i] and column j to
+        # row rrow[j]; slot maps a basic structural column to its row of
+        # K^-1 and a nonbasic slack, whose row is uncovered, to its column.
+        self.spos = np.zeros(m, dtype=np.intp)
+        self.rrow = np.zeros(m, dtype=np.intp)
+        self.spos[:k], self.rrow[:k] = spos, rrow
+        self.slot = np.full(self.ncols, -1)
+        self.slot[self.basis[spos]] = np.arange(k)
+        self.slot[n + rrow] = np.arange(k)
 
     def _basic_values(self):
-        nonbasic = self.values.copy()
-        nonbasic[self.basis] = 0.0
-        used = self.layout.dot(nonbasic) + nonbasic[self.n_struct:]
-        self.values[self.basis] = (self.b - used) @ self.binvt
+        """Basic structurals from K^-1 on the uncovered rows, whose nonbasic
+        slacks rest at 0; then the slacks as b - A x."""
+        k, scols = self.k, self.basis[self.spos[:self.k]]
+        nonbasic = self.values[:self.n_struct].copy()
+        nonbasic[scols] = 0.0
+        rest = self.b - self.layout.dot(nonbasic)
+        self.values[scols] = np.einsum("ij,j->i", self.kinv, rest[self.rrow[:k]])
+        self._slack_values()
+
+    def _slack_values(self):
+        """Every slack as b - A x on its row: a basic slack's value, and 0
+        up to rounding for a nonbasic one, which rests at its bound 0."""
+        self.values[self.n_struct:] = self.b - self.layout.dot(self.values)
 
     def _refresh(self):
-        """Refactorize the basis: recompute B^-1, its row norms and the basic values."""
-        self.binvt = self._factorize()
-        self.beta = np.einsum("ij,ij->j", self.binvt, self.binvt)
+        """Refactorize the basis: recompute K^-1 and the basic values."""
+        self._install(*self._factorize())
         self._basic_values()
         self.refreshes += 1
         self.since_refresh = 0
@@ -278,16 +304,39 @@ class _Revised:
         struct = np.bincount(lay.cols, weights=v[lay.rows] * lay.vals, minlength=self.n_struct)
         return np.concatenate([struct, v])
 
+    def _inverse_rows(self, cols):
+        """What the rows of B^-1 for the basic columns `cols` hold on R:
+        row `cols` of [I; A] on S times K^-1. That is K^-1[i] for the
+        structural column in row i of K^-1, and a[c, S] K^-1 for the slack
+        of row c, whose row of B^-1 is e_c minus it."""
+        k = self.k
+        r, c, v = self.layout.stacked
+        at = np.full(self.ncols, -1)
+        at[cols] = np.arange(cols.size) * k
+        at, slot = at[r], self.slot[c]
+        on = (np.minimum(at, slot) >= 0).nonzero()[0]
+        # Sum each row's terms into its block of k entries of one flat array.
+        flat = at[on][:, None] + np.arange(k)
+        terms = v[on][:, None] * self.kinv[slot[on]]
+        return np.bincount(flat.ravel(), weights=terms.ravel(), minlength=cols.size * k).reshape(cols.size, k)
+
     def _column(self, q):
-        """B^-1 a_q, from the rows of binvt that a_q touches."""
+        """w = K^-1 a_q[R], the entries of B^-1 a_q on the basic structural
+        columns; the basic slacks follow from b - A x."""
         n, lay = self.n_struct, self.layout
         if q >= n:
-            return self.binvt[q - n]
+            return self.kinv[:, self.slot[q]].copy()  # a nonbasic slack's row is in R
         lo, hi = lay.colptr[q], lay.colptr[q + 1]
-        return lay.vals[lo:hi] @ self.binvt[lay.rows[lo:hi]]
+        j = self.slot[n + lay.rows[lo:hi]]
+        on = j >= 0
+        return np.einsum("ij,j->i", self.kinv[:, j[on]], lay.vals[lo:hi][on])
 
     def _reduced_costs(self):
-        return self.cost - self._row(self.binvt @ self.cost[self.basis])
+        """c - y [A | I] with the duals y = c_S K^-1 on R and zero on the covered rows."""
+        k = self.k
+        y = np.zeros(self.m)
+        y[self.rrow[:k]] = np.einsum("i,ij->j", self.cost[self.basis[self.spos[:k]]], self.kinv)
+        return self.cost - self._row(y)
 
     def _rest(self, j, at_ub):
         """Make j nonbasic at its upper (at_ub) or lower bound."""
@@ -295,11 +344,13 @@ class _Revised:
         self.values[j] = self.ub[j] if at_ub else self.lb[j]
         self.price[j] = (-1.0 if at_ub else 1.0) if self.movable[j] else 0.0
 
-    def _pivot(self, q, direction, step, row, leaves_to_ub, col):
-        """Move q by step along col = B^-1 a_q into the basis at `row`."""
+    def _pivot(self, q, direction, step, row, leaves_to_ub, w, rho, pivot):
+        """Move q by step into the basis at `row`; w = K^-1 a_q[R], rho is
+        row `row` of B^-1 and pivot = rho a_q."""
         self.since_refresh += 1
+        n, k, slot, spos, rrow = self.n_struct, self.k, self.slot, self.spos, self.rrow
         if step > 0:
-            self.values[self.basis] -= direction * step * col
+            self.values[self.basis[spos[:k]]] -= direction * step * w
         leaving = self.basis[row]
         self.values[q] = (self.lb[q] if self.status[q] == _AT_LB else self.ub[q]) + direction * step
         self._rest(leaving, leaves_to_ub)
@@ -307,44 +358,91 @@ class _Revised:
         self.price[q] = 0.0
         self.basis[row] = q
 
-        pivot = col[row]
-        if abs(pivot) < _PIVOT_TOL:
-            raise SimplexError("pivot element vanished")
-        rho = self.binvt[:, row] / pivot
-        # Rank-1 update on the columns of B^-1 where its pivot row is
-        # nonzero, each a contiguous row of binvt; the pivot row of B^-1
-        # (column `row` of binvt) is then replaced by rho as a whole. Only
-        # those rows change, so beta loses their old squares and gains
-        # their new ones.
-        nz = rho.nonzero()[0]
-        block = self.binvt[nz]
-        self.beta -= np.einsum("ij,ij->j", block, block)
-        block -= np.multiply.outer(rho[nz], col)
-        self.beta += np.einsum("ij,ij->j", block, block)
-        self.binvt[nz] = block
-        self.binvt[:, row] = rho
-        self.beta[row] = np.einsum("i,i->", rho, rho)
+        # One rank-1 step: row `row` of the new B^-1 is rho / pivot, and
+        # each basic structural column's row i loses w_i times it. On R,
+        # that is K^-1 minus the outer product of w and new.
+        new = rho[rrow[:k]] / pivot
+        kinv = self.kinv
+        kinv -= np.einsum("i,j->ij", w, new)
+        if leaving < n:
+            i = slot[leaving]
+            if q < n:  # structural for structural: q takes the row
+                kinv[i] = new
+                slot[q] = i
+            else:
+                # A slack enters: its row leaves R, where K^-1 is now zero,
+                # and the leaving column's row goes. The last row and
+                # column move into their places.
+                j, k = slot[q], k - 1
+                kinv[i] = kinv[k]
+                kinv[:, j] = kinv[:, k]
+                self.kinv = kinv[:k, :k].copy()
+                spos[i], rrow[j] = spos[k], rrow[k]
+                slot[self.basis[spos[i]]] = i
+                slot[n + rrow[j]] = j
+                slot[q] = -1
+                self.k = k
+            slot[leaving] = -1
+        else:
+            # A slack leaves: its row c joins R, where the new B^-1 is
+            # -w / pivot on the structural rows and 1 / pivot on row `row`.
+            c = leaving - n
+            if q < n:  # structural for slack: K^-1 grows by a row and a column
+                grown = np.empty((k + 1, k + 1))
+                grown[:k, :k] = kinv
+                grown[:k, k] = -w / pivot
+                grown[k, :k] = new
+                grown[k, k] = 1.0 / pivot
+                self.kinv = grown
+                spos[k], rrow[k] = row, c
+                slot[q] = slot[leaving] = k
+                self.k = k + 1
+            else:  # slack for slack: row c takes the column of q's row
+                j = slot[q]
+                kinv[:, j] = -w / pivot
+                rrow[j] = c
+                slot[leaving], slot[q] = j, -1
+        if step > 0:
+            self._slack_values()
+
+    def _weights(self, cols, part):
+        """The squared norms of the rows of B^-1 for the basic columns
+        `cols`, from their `_inverse_rows`: a slack's row also holds its 1."""
+        return np.einsum("ij,ij->i", part, part) + (cols >= self.n_struct)
 
     def _leaving(self, bland):
-        """Dual steepest-edge row: the largest violation^2 / beta, -1 if none.
+        """Dual steepest-edge row: the largest violation^2 / weight, -1 if none.
 
         Row r of B^-1 is the dual edge that row r leaving moves along, and
-        beta_r = ||e_r^T B^-1||^2 is its squared length, so each violation
-        is scaled by its edge's length. Returns (row, below_lb, violation).
-        Under Bland's rule the violated row with the lowest basic index
-        leaves instead.
+        its weight ||e_r^T B^-1||^2 is its squared length, so each violation
+        is scaled by its edge's length: ||K^-1[i]||^2 for a basic structural
+        column in row i of K^-1, 1 + ||a[c, S] K^-1||^2 for the basic slack
+        of row c. The weights are computed for the violated rows alone.
+        Returns (row, below_lb, violation, rho), rho being row `row` of
+        B^-1. Under Bland's rule the violated row with the lowest basic
+        index leaves instead.
         """
-        xb = self.values[self.basis]
-        below = self.lb[self.basis] - xb
-        viol = np.maximum(below, xb - self.ub[self.basis])
+        basis, n, k = self.basis, self.n_struct, self.k
+        xb = self.values[basis]
+        below = self.lb[basis] - xb
+        viol = np.maximum(below, xb - self.ub[basis])
         rows = (viol > _FEAS_TOL).nonzero()[0]
         if rows.size == 0:
-            return -1, False, 0.0
+            return -1, False, 0.0, None
+        cols = basis[rows]
+        part = self._inverse_rows(cols)
         if bland:
-            row = int(rows[self.basis[rows].argmin()])
+            at = cols.argmin()
         else:
-            row = int(rows[(viol[rows] ** 2 / self.beta[rows]).argmax()])
-        return row, bool(below[row] > 0), float(viol[row])
+            at = (viol[rows] ** 2 / self._weights(cols, part)).argmax()
+        row, col = int(rows[at]), cols[at]
+        rho = np.zeros(self.m)
+        if col < n:
+            rho[self.rrow[:k]] = part[at]
+        else:
+            rho[self.rrow[:k]] = -part[at]
+            rho[col - n] = 1.0
+        return row, bool(below[row] > 0), float(viol[row]), rho
 
     def _dual_entering(self, alpha, d, below, bland):
         """Dual ratio test on tableau row `alpha`; -1 when no column can enter.
@@ -354,16 +452,16 @@ class _Revised:
         ratio |d_j| / |alpha_j| keeps every reduced cost dual feasible; ties
         go to the largest |alpha_j| (lowest index under Bland's rule).
         """
-        moves = self.price * alpha
-        cand = (moves < -_PIVOT_TOL if below else moves > _PIVOT_TOL).nonzero()[0]
+        # |price| is 1 on every candidate, so size is |alpha_j| there.
+        size = self.price * alpha
+        if below:
+            size = -size
+        cand = (size > _PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
             return -1
-        size = np.abs(alpha[cand])
-        ratio = np.maximum(self.price[cand] * d[cand], 0.0) / size
-        tied = ratio <= ratio.min() + _STEP_TOL
-        if bland:
-            return int(cand[tied][0])
-        return int(cand[tied][size[tied].argmax()])
+        ratio = np.maximum(self.price[cand] * d[cand], 0.0) / size[cand]
+        tied = cand[ratio <= ratio.min() + _STEP_TOL]
+        return int(tied[0] if bland else tied[size[tied].argmax()])
 
     def _dual(self):
         """Bounded dual simplex to a primal feasible basis.
@@ -379,10 +477,10 @@ class _Revised:
         while True:
             if self.iterations >= _MAX_ITERATIONS:
                 raise SimplexError("iteration limit exceeded")
-            row, below, violation = self._leaving(bland)
+            row, below, violation, rho = self._leaving(bland)
             q = -1
             if row >= 0:
-                alpha = self._row(self.binvt[:, row])
+                alpha = self._row(rho)
                 q = self._dual_entering(alpha, d, below, bland)
             if q < 0:
                 # Feasible, or a row no column can repair: either verdict
@@ -392,14 +490,12 @@ class _Revised:
                 self._refresh()
                 d = self._reduced_costs()
                 continue
-            col = self._column(q)
-            leaving = self.basis[row]
-            bound = self.lb[leaving] if below else self.ub[leaving]
-            direction = self.price[q]
-            step = abs((self.values[leaving] - bound) / col[row])
-            theta = d[q] / alpha[q]
+            # The leaving variable moves to the bound it violates.
+            pivot = alpha[q]
+            step = violation / abs(pivot)
+            theta = d[q] / pivot
             d -= theta * alpha
-            self._pivot(q, direction, step, row, not below, col)
+            self._pivot(q, self.price[q], step, row, not below, self._column(q), rho, pivot)
             self.iterations += 1
             if abs(theta) <= _STEP_TOL:
                 stall += 1
@@ -424,7 +520,7 @@ class _Revised:
             raise SimplexError("feasible basis is not dual feasible")
         n = self.n_struct
         x = np.clip(self.values[:n], self.lb[:n], self.ub[:n])
-        return self._result(OPTIMAL, x=x, objective=float(self.cost[:n] @ x),
+        return self._result(OPTIMAL, x=x, objective=float(np.einsum("i,i->", self.cost[:n], x)),
                             basis=Basis(self.basis.copy(), self.status.copy()))
 
     def _result(self, status, x=None, objective=None, infeasibility=0.0, basis=None) -> LpResult:

@@ -416,9 +416,9 @@ PINNED_COLOR_ROUTES = {
 # system still had its pair, assignment and demand rows; deleting them moved
 # no byte.
 PINNED_COLOR_DOCS = {
-    ((2, 10, 20), 5, 2): "d2f447829db437f965c7dca1d1c51eafd6911e9383cee8b3c143bfb8e4240979",
-    ((2, 10, 20), 5, 7): "aaf7b3eb59dc49364c8e2eb9bea72813f61271d59df178513c1ee84e07e9a917",
-    ((2, 14, 28), 7, 1): "422e4151a2c36b318468849365f46f35d7888b128d4ba3ed459966e0a551b8db",
+    ((2, 10, 20), 5, 2): "4ed371d2c8d7c84b04e00959d39c0514c012904a32aaa862655e500b5fc898a1",
+    ((2, 10, 20), 5, 7): "0cb33fa9873196c6d80fb466a7933825b823f1758fb2bf6a1140527586f54410",
+    ((2, 14, 28), 7, 1): "4859ac57fd5508e51e5c82cecbebb4847d7943a7743f415a9d4804d75bfd370f",
 }
 
 _DOC_SCRIPT = """

@@ -1,5 +1,8 @@
 """Simplex core vs scipy's HiGHS on randomized LPs."""
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -187,7 +190,7 @@ def test_refreshes_once_per_phase():
     state = simplex._Revised(*args)
     n, m = 3, 3
     assert state.ncols == n + m  # one slack per row
-    assert np.array_equal(state.binvt, np.eye(3))  # the slack basis
+    assert state.k == 0 and state.kinv.shape == (0, 0)  # the slack basis inverts nothing
     assert state.refreshes == 1  # the start factorizes the slack basis
     res = state.run()
     assert res.status == simplex.OPTIMAL
@@ -227,41 +230,113 @@ def test_the_slack_basis_as_warm_start_is_the_cold_start():
         assert np.array_equal(warm.basis.status, cold.basis.status)
 
 
-def _row_norm_error(state):
-    """Largest relative error of the steepest-edge weights against B^-1's row norms."""
-    fresh = np.einsum("ij,ij->j", state.binvt, state.binvt)
-    return np.max(np.abs(state.beta - fresh) / fresh)
+def _dense_inverse(state):
+    """B^-1 from a dense copy of [A | I] on the basic columns."""
+    lay = state.layout
+    ext = np.zeros((lay.m, lay.n + lay.m))
+    ext[lay.rows, lay.cols] = lay.vals
+    ext[:, lay.n:] = np.eye(lay.m)
+    return np.linalg.inv(ext[:, state.basis])
+
+
+def _placed(state, kinv, spos, rrow):
+    """K^-1 at (basis position, row) of an m x m array, zero elsewhere."""
+    out = np.zeros((state.m, state.m))
+    out[np.ix_(spos, rrow)] = kinv
+    return out
+
+
+def _inverse_error(state):
+    """Largest gap between the held K^-1 and a fresh factorization of the basis."""
+    k = state.k
+    held = _placed(state, state.kinv, state.spos[:k], state.rrow[:k])
+    return np.max(np.abs(held - _placed(state, *state._factorize())), initial=0.0)
+
+
+def _weight_error(state):
+    """Largest relative error of the steepest-edge weights against the row
+    norms of a dense B^-1."""
+    binv = _dense_inverse(state)
+    weights = state._weights(state.basis, state._inverse_rows(state.basis))
+    fresh = np.einsum("ij,ij->i", binv, binv)
+    return np.max(np.abs(weights - fresh) / fresh)
 
 
 def test_updated_inverse_matches_a_fresh_factorization(monkeypatch):
-    # A few hundred rank-1 updates of the transposed inverse, with no
-    # refactorization in between, agree with factorizing the same basis,
-    # and the steepest-edge weights that follow them stay B^-1's row norms:
-    # ones at the slack basis, recomputed by a refresh and a warm start.
+    # A few hundred rank-1 updates of K^-1, with no refactorization in
+    # between, agree with factorizing the same basis, and the steepest-edge
+    # weights read from it stay B^-1's row norms: ones at the slack basis,
+    # and again after a refresh and from a warm start.
     monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 300)
     model = lp.build_model(gen.gen_random((10, 10, 30), "avg", seed=0))
     args = (model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
     state = simplex._Revised(*args)
-    assert np.array_equal(state.beta, np.ones(state.m))
+    assert np.array_equal(state._weights(state.basis, state._inverse_rows(state.basis)),
+                          np.ones(state.m))
     with pytest.raises(simplex.SimplexError, match="iteration limit"):
         state.run()
     assert state.iterations == 300 and state.since_refresh >= 200
-    assert state.binvt.flags.c_contiguous
-    assert np.max(np.abs(state.binvt - state._factorize())) <= 1e-9
-    assert _row_norm_error(state) <= 1e-9
+    assert state.kinv.flags.c_contiguous and state.kinv.shape == (state.k, state.k)
+    assert _inverse_error(state) <= 1e-9
+    assert _weight_error(state) <= 1e-9
     state._refresh()
-    assert _row_norm_error(state) == 0.0
+    assert _inverse_error(state) == 0.0
+    assert _weight_error(state) <= 1e-9
     monkeypatch.undo()
     warm = simplex._Revised(*args, warm=simplex.solve(*args).basis)
-    assert warm.warm_started and not np.array_equal(warm.beta, np.ones(warm.m))
-    assert _row_norm_error(warm) == 0.0
+    assert warm.warm_started and warm.k > 0
+    assert _weight_error(warm) <= 1e-9
+
+
+def test_every_kind_of_basis_change_keeps_the_inverse(monkeypatch):
+    # The four pivots: a structural column for a structural one, a
+    # structural column for a slack (K^-1 grows by a row and a column), a
+    # slack for a structural column (it shrinks) and a slack for a slack
+    # (one row of R is swapped). After each, K^-1 agrees with a fresh
+    # factorization, the rows of B^-1 it gives are those of a dense B^-1,
+    # and the pricing weights are their squared norms.
+    model = lp.build_model(gen.gen_random((8, 6, 16), "avg", seed=0))
+    args = (model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
+    pivot = simplex._Revised._pivot
+    kinds = Counter()
+
+    def checked(state, q, direction, step, row, *rest):
+        n = state.n_struct
+        kinds[(q < n, state.basis[row] < n)] += 1
+        pivot(state, q, direction, step, row, *rest)
+        assert _inverse_error(state) <= 1e-9
+        binv = _dense_inverse(state)
+        part = state._inverse_rows(state.basis)
+        sign = np.where(state.basis < n, 1.0, -1.0)  # a slack's row is e_c minus its part
+        assert np.allclose(sign[:, None] * part, binv[:, state.rrow[:state.k]], rtol=0, atol=1e-9)
+        assert _weight_error(state) <= 1e-9
+
+    monkeypatch.setattr(simplex._Revised, "_pivot", checked)
+    res = simplex.solve(*args)
+    assert res.status == simplex.OPTIMAL
+    assert set(kinds) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_a_large_solve_holds_no_m_by_m_array():
+    # The 20x15x60 relaxation has m = 1575 rows; one dense B^-1 alone would
+    # take m^2 doubles, more than the whole solve peaks at.
+    model = lp.build_model(gen.gen_random((20, 15, 60), "avg", seed=0))
+    args = (model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
+    tracemalloc.start()
+    try:
+        res = simplex.solve(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.status == simplex.OPTIMAL and model.layout.m == 1575
+    assert peak < model.layout.m ** 2 * 8
 
 
 def test_steepest_edge_picks_the_leaving_row(monkeypatch):
     # From the basis (x1, x0), B^-1 = [[1, 0], [-3, 1]]: row 0 holds x1 = 2
-    # (violation 1, beta 1) and row 1 holds x0 = 2.5 (violation 1.5, beta
-    # 10). The largest violation is row 1, but 1^2 / 1 > 1.5^2 / 10, so
-    # steepest edge takes row 0; Bland's rule takes x0, the lowest index.
+    # (violation 1, weight 1) and row 1 holds x0 = 2.5 (violation 1.5,
+    # weight 10). The largest violation is row 1, but 1^2 / 1 > 1.5^2 / 10,
+    # so steepest edge takes row 0; Bland's rule takes x0, the lowest index.
     a = simplex.Layout.from_dense(np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]]))
     status = np.array([2, 2, 0, 0, 0, 0], dtype=np.int8)
     warm = simplex.Basis(np.array([1, 0]), status)
@@ -269,9 +344,12 @@ def test_steepest_edge_picks_the_leaving_row(monkeypatch):
                              np.array([2.0, 8.5]), np.zeros(4), np.ones(4), warm=warm)
     assert state.warm_started
     assert np.allclose(state.values[state.basis], [2.0, 2.5])
-    assert np.allclose(state.beta, [1.0, 10.0])
+    assert state.k == 2  # no slack is basic: K is all of B
+    assert np.allclose(state._weights(state.basis, state._inverse_rows(state.basis)), [1.0, 10.0])
     assert state._leaving(bland=True)[0] == 1
-    assert state._leaving(bland=False) == (0, False, pytest.approx(1.0))
+    row, below, violation, rho = state._leaving(bland=False)
+    assert (row, below, violation) == (0, False, pytest.approx(1.0))
+    assert np.allclose(rho, [1.0, 0.0])  # row 0 of B^-1
     monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 1)
     with pytest.raises(simplex.SimplexError, match="iteration limit"):
         state.run()
@@ -302,15 +380,15 @@ def test_duplicate_equality_rows_return_a_basis():
 
 
 # Pivot counts and optimal vertices of the revised simplex at one BLAS
-# thread; any change to the pivot path or the rounding of B^-1 moves them.
+# thread; any change to the pivot path or the rounding of K^-1 moves them.
 # (sizes, regime, colors, mode) -> (iterations, sha256 of x bytes).
 PINNED = [
     (((8, 6, 16), "avg", None, "full"),
-     (150, "6825b061a76e717a5b6683dd682657499903492055c70d40a3353ca2aec02d3b")),
+     (153, "c4d39d0d1140fb8195ab2c2acfafeab5500420db68ce5822b9892df6f0da4c4a")),
     (((8, 6, 16), "avg", None, "transmission"),
-     (68, "7333270dd82cbae809ba543bffc0d01311482ff63c30f92130b5861dd1527435")),
+     (68, "44d7fa74e7629c4c2d84aeb2d88407e4e1c1a7d3f15b3e9ece104bec983b0dc0")),
     (((2, 10, 20), "low", 5, "full"),
-     (146, "707e74f0eabcb7b626cf5c87b97d545a9036a3a3a5f738e8e1a7a7c02ec0a83f")),
+     (146, "0f7e4f8c07948d03fbb5129de9f0647557ee9c9ebac16959c3d9e4daeb9539fe")),
 ]
 
 _PIN_SCRIPT = """
