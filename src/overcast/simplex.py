@@ -41,20 +41,25 @@ row and a column when a structural column replaces a slack, shrinks when a
 slack replaces a structural column, and swaps a column when a slack
 replaces a slack. Refactorization inverts K alone. All products are
 elementwise, `np.einsum` without `optimize` or `np.bincount`;
-`np.linalg.inv` in `_factorize` is the one LAPACK call.
+`np.linalg.inv` in `_factorize` is the one LAPACK call. A layout with at
+most `_DENSE_ENTRIES` entries in [I; A] also holds [I; A] dense
+(`Layout.stacked_dense`): on the small LPs of a branch and bound each array
+operation costs more than its arithmetic, so K, K^-1 a_q[R] and the rows of
+B^-1 on R are gathered from it there rather than from the sparse entries.
 
 Pricing is dual steepest edge (Forrest & Goldfarb, Math. Prog. 57, 1992):
 the leaving row maximizes violation^2 / w_r (lowest row on ties), where
 w_r = ||e_r^T B^-1||^2 is ||K^-1[i]||^2 for a basic structural column in
 row i of K^-1 and 1 + ||a[c, S] K^-1||^2 for the basic slack of row c. The
 weights are exact, not a recurrence: each iteration computes them from the
-current K^-1 for the violated rows alone. The ratio test takes the largest
-|alpha| among the tied ratios. After a run of degenerate pivots the solver
-switches to Bland's rule (lowest basic index leaves, lowest column enters),
-so it cannot cycle and identical inputs pivot identically. Reduced costs
-are updated incrementally and recomputed from a fresh factorization at a
-fixed cadence to bound drift; optimality and infeasibility are only
-declared on a fresh factorization.
+current K^-1 for the violated rows alone, and skips them when only one row
+is violated. The ratio test takes the largest |alpha| among the tied
+ratios. After a run of degenerate pivots the solver switches to Bland's
+rule (lowest basic index leaves, lowest column enters), so it cannot cycle
+and identical inputs pivot identically. Reduced costs are updated
+incrementally and recomputed from a fresh factorization at a fixed cadence
+to bound drift; optimality and infeasibility are only declared on a fresh
+factorization.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ _STEP_TOL = 1e-12
 _STALL_LIMIT = 60
 _REFRESH_EVERY = 400
 _MAX_ITERATIONS = 200_000
+# Up to this many entries, [I; A] is also held dense: gathering its rows
+# costs fewer array operations than gathering the sparse entries.
+_DENSE_ENTRIES = 4096
 
 # A row's sense, as an index into the (lb, ub) of its slack.
 _SENSE_KIND = {"<=": 0, ">=": 1, "==": 2}
@@ -127,6 +135,14 @@ class Layout:
         return (np.concatenate([ident, self.n + self.rows]), np.concatenate([ident, self.cols]),
                 np.concatenate([np.ones(self.n), self.vals]))
 
+    @cached_property
+    def stacked_dense(self):
+        """[I; A] as a dense (n + m) x n array, for small layouts."""
+        out = np.zeros((self.n + self.m, self.n))
+        r, c, v = self.stacked
+        out[r, c] = v
+        return out
+
     @classmethod
     def from_dense(cls, a):
         cols, rows = np.nonzero(a.T)
@@ -150,7 +166,8 @@ def solve(c, a: Layout, senses, b, lb, ub, warm: Basis | None = None) -> LpResul
     """Minimize c.x subject to a x (senses) b and lb <= x <= ub.
 
     `senses` is a sequence of '<=', '>=', '=='; every lb and ub must be
-    finite. Returns structural values only; slacks are internal. `warm` is
+    finite. Returns structural values only, a value within 1e-9 of a bound
+    as that bound; slacks are internal. `warm` is
     the `basis` of an earlier optimal solve with the same `a` and `senses`;
     the solve starts from the slack basis when that basis is singular or
     dual infeasible.
@@ -159,9 +176,9 @@ def solve(c, a: Layout, senses, b, lb, ub, warm: Basis | None = None) -> LpResul
     b = np.asarray(b, dtype=float)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))):
+    if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
         raise ValueError("structural bounds must be finite")
-    if np.any(lb > ub):
+    if (lb > ub).any():
         return LpResult(INFEASIBLE, None, None, infeasibility=float(np.max(lb - ub)))
     return _Revised(c, a, senses, b, lb, ub, warm).run()
 
@@ -185,6 +202,11 @@ class _Revised:
         self.iterations = 0
         self.refreshes = 0
         self.since_refresh = 0  # pivots since the last factorization
+        self.at = np.full(cols, -1)  # scratch for _inverse_rows
+        self.ranks = np.arange(m)
+        # [I; A] and A dense, on a small layout only.
+        self.dense = a.stacked_dense if cols * n <= _DENSE_ENTRIES else None
+        self.dense_a = None if self.dense is None else self.dense[n:]
 
         d = None if warm is None else self._start(warm)
         self.warm_started = d is not None
@@ -205,8 +227,7 @@ class _Revised:
         # variable is dual feasible when price * d >= 0; pivots keep the
         # signs current.
         self.movable = self.ub - self.lb > _PIVOT_TOL
-        self.price = np.where(self.status == _AT_UB, -1.0, 1.0)
-        self.price[(self.status == _BASIC) | ~self.movable] = 0.0
+        self.price = np.where(nonbasic & self.movable, np.where(at_ub, -1.0, 1.0), 0.0)
 
     def _start(self, basis: Basis):
         """Factorize `basis` and return its reduced costs; None when it is
@@ -216,7 +237,8 @@ class _Revised:
         if basis.columns.shape != (self.m,) or basis.status.shape != (self.ncols,):
             raise ValueError("warm basis does not match the rows and columns")
         self.basis = np.asarray(basis.columns, dtype=np.intp).copy()
-        self.status = np.where(basis.status == _AT_UB, _AT_UB, _AT_LB).astype(np.int8)
+        self.lbb, self.ubb = self.lb[self.basis], self.ub[self.basis]  # bounds by position
+        self.status = (basis.status == _AT_UB).astype(np.int8)  # _AT_UB or _AT_LB
         self.status[self.basis] = _BASIC
         try:
             self._install(*self._factorize())
@@ -225,65 +247,72 @@ class _Revised:
         self.refreshes += 1
         d = self._reduced_costs()
         nonbasic = self.status != _BASIC
-        if np.any(nonbasic & ((np.isinf(self.ub) & (d < -_DUAL_TOL))
-                              | (np.isinf(self.lb) & (d > _DUAL_TOL)))):
+        if (nonbasic & ((np.isinf(self.ub) & (d < -_DUAL_TOL))
+                        | (np.isinf(self.lb) & (d > _DUAL_TOL)))).any():
             return None
         return d
 
     # -- basic machinery ---------------------------------------------------
 
     def _factorize(self):
-        """(K^-1, spos, rrow) for the basis: the basic slacks cover their
-        rows, the basic structural columns (at positions spos) meet the
-        other rows (rrow) in the k x k block K, and only K is inverted."""
+        """(K^-1, scol, rrow) for the basis: the basic slacks cover their
+        rows, the basic structural columns scol meet the other rows rrow in
+        the k x k block K, and only K is inverted."""
         m, n, lay = self.m, self.n_struct, self.layout
         unit = self.basis >= n
-        spos = (~unit).nonzero()[0]
+        scol = self.basis[~unit]
         covered = np.zeros(m, dtype=bool)
         covered[self.basis[unit] - n] = True
         rrow = (~covered).nonzero()[0]
-        k = spos.size
+        k = scol.size
         if rrow.size != k:
             raise SimplexError("singular basis")  # a slack basic twice
-        at_row = np.full(m, -1)
-        at_row[rrow] = np.arange(k)
-        at_col = np.full(n, -1)
-        at_col[self.basis[spos]] = np.arange(k)
-        i, j = at_row[lay.rows], at_col[lay.cols]
-        mine = (i >= 0) & (j >= 0)
-        block = np.zeros((k, k))
-        block[i[mine], j[mine]] = lay.vals[mine]
+        if k == 0:
+            return np.zeros((0, 0)), scol, rrow
+        if self.dense is not None:
+            block = self.dense_a[rrow[:, None], scol]
+        else:
+            # Number the rows rrow and the columns scol of K; -1 elsewhere.
+            at = np.full(n + m, -1)
+            at[scol] = at[n + rrow] = np.arange(k)
+            r, c, v = lay.stacked
+            i, j = at[r[n:]], at[c[n:]]
+            mine = (i | j) >= 0
+            block = np.zeros((k, k))
+            block[i[mine], j[mine]] = v[n:][mine]
         try:
             kinv = np.linalg.inv(block)
         except np.linalg.LinAlgError as exc:
             raise SimplexError("singular basis") from exc
-        if not np.all(np.isfinite(kinv)):
+        if not np.isfinite(kinv).all():
             raise SimplexError("singular basis")
-        return kinv, spos, rrow
+        return kinv, scol, rrow
 
-    def _install(self, kinv, spos, rrow):
+    def _install(self, kinv, scol, rrow):
         """Take K^-1 and index its rows and columns."""
         m, n = self.m, self.n_struct
-        k = self.k = spos.size
+        k = self.k = scol.size
         self.kinv = kinv
-        # Row i of K^-1 belongs to basis position spos[i] and column j to
-        # row rrow[j]; slot maps a basic structural column to its row of
-        # K^-1 and a nonbasic slack, whose row is uncovered, to its column.
-        self.spos = np.zeros(m, dtype=np.intp)
+        # Row i of K^-1 belongs to the basic structural column scol[i] and
+        # column j to row rrow[j]; slot maps a basic structural column to
+        # its row of K^-1 and a nonbasic slack, whose row is uncovered, to
+        # its column.
+        self.scol = np.zeros(m, dtype=np.intp)
         self.rrow = np.zeros(m, dtype=np.intp)
-        self.spos[:k], self.rrow[:k] = spos, rrow
+        self.scol[:k], self.rrow[:k] = scol, rrow
         self.slot = np.full(self.ncols, -1)
-        self.slot[self.basis[spos]] = np.arange(k)
-        self.slot[n + rrow] = np.arange(k)
+        self.slot[scol] = self.slot[n + rrow] = self.ranks[:k]
 
     def _basic_values(self):
         """Basic structurals from K^-1 on the uncovered rows, whose nonbasic
         slacks rest at 0; then the slacks as b - A x."""
-        k, scols = self.k, self.basis[self.spos[:self.k]]
-        nonbasic = self.values[:self.n_struct].copy()
-        nonbasic[scols] = 0.0
-        rest = self.b - self.layout.dot(nonbasic)
-        self.values[scols] = np.einsum("ij,j->i", self.kinv, rest[self.rrow[:k]])
+        k = self.k
+        if k:
+            scol = self.scol[:k]
+            nonbasic = self.values[:self.n_struct].copy()
+            nonbasic[scol] = 0.0
+            rest = self.b - self.layout.dot(nonbasic)
+            self.values[scol] = np.einsum("ij,j->i", self.kinv, rest[self.rrow[:k]])
         self._slack_values()
 
     def _slack_values(self):
@@ -310,14 +339,17 @@ class _Revised:
         structural column in row i of K^-1, and a[c, S] K^-1 for the slack
         of row c, whose row of B^-1 is e_c minus it."""
         k = self.k
+        if self.dense is not None:
+            return np.einsum("ti,ij->tj", self.dense[cols[:, None], self.scol[:k]], self.kinv)
         r, c, v = self.layout.stacked
-        at = np.full(self.ncols, -1)
-        at[cols] = np.arange(cols.size) * k
-        at, slot = at[r], self.slot[c]
-        on = (np.minimum(at, slot) >= 0).nonzero()[0]
+        at = self.at  # -1 outside this call
+        at[cols] = self.ranks[:cols.size] * k
+        i, j = at[r], self.slot[c]
+        at[cols] = -1
+        on = ((i | j) >= 0).nonzero()[0]
         # Sum each row's terms into its block of k entries of one flat array.
-        flat = at[on][:, None] + np.arange(k)
-        terms = v[on][:, None] * self.kinv[slot[on]]
+        flat = i[on, None] + self.ranks[:k]
+        terms = v[on, None] * self.kinv[j[on]]
         return np.bincount(flat.ravel(), weights=terms.ravel(), minlength=cols.size * k).reshape(cols.size, k)
 
     def _column(self, q):
@@ -326,16 +358,22 @@ class _Revised:
         n, lay = self.n_struct, self.layout
         if q >= n:
             return self.kinv[:, self.slot[q]].copy()  # a nonbasic slack's row is in R
-        lo, hi = lay.colptr[q], lay.colptr[q + 1]
-        j = self.slot[n + lay.rows[lo:hi]]
+        if self.dense is not None:
+            return np.einsum("ij,j->i", self.kinv, self.dense_a[self.rrow[:self.k], q])
+        # Column q's entries of A, as rows n + i of [I; A].
+        r, _, v = lay.stacked
+        lo, hi = n + lay.colptr[q], n + lay.colptr[q + 1]
+        j = self.slot[r[lo:hi]]
         on = j >= 0
-        return np.einsum("ij,j->i", self.kinv[:, j[on]], lay.vals[lo:hi][on])
+        return np.einsum("ij,j->i", self.kinv[:, j[on]], v[lo:hi][on])
 
     def _reduced_costs(self):
         """c - y [A | I] with the duals y = c_S K^-1 on R and zero on the covered rows."""
         k = self.k
+        if k == 0:
+            return self.cost.copy()  # all duals are zero
         y = np.zeros(self.m)
-        y[self.rrow[:k]] = np.einsum("i,ij->j", self.cost[self.basis[self.spos[:k]]], self.kinv)
+        y[self.rrow[:k]] = np.einsum("i,ij->j", self.cost[self.scol[:k]], self.kinv)
         return self.cost - self._row(y)
 
     def _rest(self, j, at_ub):
@@ -344,30 +382,31 @@ class _Revised:
         self.values[j] = self.ub[j] if at_ub else self.lb[j]
         self.price[j] = (-1.0 if at_ub else 1.0) if self.movable[j] else 0.0
 
-    def _pivot(self, q, direction, step, row, leaves_to_ub, w, rho, pivot):
-        """Move q by step into the basis at `row`; w = K^-1 a_q[R], rho is
-        row `row` of B^-1 and pivot = rho a_q."""
+    def _pivot(self, q, direction, step, row, leaves_to_ub, w, new, pivot):
+        """Move q by step into the basis at `row`; w = K^-1 a_q[R], new is
+        row `row` of the new B^-1 on R, and pivot = (B^-1 a_q)[row]."""
         self.since_refresh += 1
-        n, k, slot, spos, rrow = self.n_struct, self.k, self.slot, self.spos, self.rrow
+        n, k, slot, scol, rrow = self.n_struct, self.k, self.slot, self.scol, self.rrow
         if step > 0:
-            self.values[self.basis[spos[:k]]] -= direction * step * w
-        leaving = self.basis[row]
+            self.values[scol[:k]] -= direction * step * w
+        leaving = int(self.basis[row])
         self.values[q] = (self.lb[q] if self.status[q] == _AT_LB else self.ub[q]) + direction * step
         self._rest(leaving, leaves_to_ub)
         self.status[q] = _BASIC
         self.price[q] = 0.0
         self.basis[row] = q
+        self.lbb[row], self.ubb[row] = self.lb[q], self.ub[q]
 
-        # One rank-1 step: row `row` of the new B^-1 is rho / pivot, and
-        # each basic structural column's row i loses w_i times it. On R,
-        # that is K^-1 minus the outer product of w and new.
-        new = rho[rrow[:k]] / pivot
+        # One rank-1 step: each basic structural column's row i of B^-1
+        # loses w_i times the new row `row`. On R, that is K^-1 minus the
+        # outer product of w and new.
         kinv = self.kinv
-        kinv -= np.einsum("i,j->ij", w, new)
+        kinv -= np.multiply.outer(w, new)
         if leaving < n:
             i = slot[leaving]
             if q < n:  # structural for structural: q takes the row
                 kinv[i] = new
+                scol[i] = q
                 slot[q] = i
             else:
                 # A slack enters: its row leaves R, where K^-1 is now zero,
@@ -377,8 +416,8 @@ class _Revised:
                 kinv[i] = kinv[k]
                 kinv[:, j] = kinv[:, k]
                 self.kinv = kinv[:k, :k].copy()
-                spos[i], rrow[j] = spos[k], rrow[k]
-                slot[self.basis[spos[i]]] = i
+                scol[i], rrow[j] = scol[k], rrow[k]
+                slot[scol[i]] = i
                 slot[n + rrow[j]] = j
                 slot[q] = -1
                 self.k = k
@@ -394,7 +433,7 @@ class _Revised:
                 grown[k, :k] = new
                 grown[k, k] = 1.0 / pivot
                 self.kinv = grown
-                spos[k], rrow[k] = row, c
+                scol[k], rrow[k] = q, c
                 slot[q] = slot[leaving] = k
                 self.k = k + 1
             else:  # slack for slack: row c takes the column of q's row
@@ -417,32 +456,34 @@ class _Revised:
         its weight ||e_r^T B^-1||^2 is its squared length, so each violation
         is scaled by its edge's length: ||K^-1[i]||^2 for a basic structural
         column in row i of K^-1, 1 + ||a[c, S] K^-1||^2 for the basic slack
-        of row c. The weights are computed for the violated rows alone.
-        Returns (row, below_lb, violation, rho), rho being row `row` of
-        B^-1. Under Bland's rule the violated row with the lowest basic
-        index leaves instead.
+        of row c. The weights are computed for the violated rows alone, and
+        only when there are two or more. Returns (row, below_lb, violation, rho,
+        part): rho is row `row` of B^-1 and part its entries on R. Under
+        Bland's rule the violated row with the lowest basic index leaves
+        instead.
         """
         basis, n, k = self.basis, self.n_struct, self.k
         xb = self.values[basis]
-        below = self.lb[basis] - xb
-        viol = np.maximum(below, xb - self.ub[basis])
+        below = self.lbb - xb
+        viol = np.maximum(below, xb - self.ubb)
         rows = (viol > _FEAS_TOL).nonzero()[0]
         if rows.size == 0:
-            return -1, False, 0.0, None
+            return -1, False, 0.0, None, None
         cols = basis[rows]
-        part = self._inverse_rows(cols)
-        if bland:
+        if bland or rows.size == 1:
             at = cols.argmin()
+            part = self._inverse_rows(cols[at:at + 1])[0]
         else:
+            part = self._inverse_rows(cols)
             at = (viol[rows] ** 2 / self._weights(cols, part)).argmax()
-        row, col = int(rows[at]), cols[at]
+            part = part[at]
+        row, col = int(rows[at]), int(cols[at])
         rho = np.zeros(self.m)
-        if col < n:
-            rho[self.rrow[:k]] = part[at]
-        else:
-            rho[self.rrow[:k]] = -part[at]
+        if col >= n:
+            part = -part
             rho[col - n] = 1.0
-        return row, bool(below[row] > 0), float(viol[row]), rho
+        rho[self.rrow[:k]] = part
+        return row, bool(below[row] > 0), float(viol[row]), rho, part
 
     def _dual_entering(self, alpha, d, below, bland):
         """Dual ratio test on tableau row `alpha`; -1 when no column can enter.
@@ -457,11 +498,14 @@ class _Revised:
         if below:
             size = -size
         cand = (size > _PIVOT_TOL).nonzero()[0]
-        if cand.size == 0:
-            return -1
-        ratio = np.maximum(self.price[cand] * d[cand], 0.0) / size[cand]
-        tied = cand[ratio <= ratio.min() + _STEP_TOL]
-        return int(tied[0] if bland else tied[size[tied].argmax()])
+        if cand.size <= 1:
+            return int(cand[0]) if cand.size else -1
+        size = size[cand]
+        ratio = np.maximum((self.price * d)[cand], 0.0) / size
+        tied = (ratio <= ratio.min() + _STEP_TOL).nonzero()[0]
+        if bland or tied.size == 1:
+            return int(cand[tied[0]])
+        return int(cand[tied[size[tied].argmax()]])
 
     def _dual(self):
         """Bounded dual simplex to a primal feasible basis.
@@ -477,7 +521,7 @@ class _Revised:
         while True:
             if self.iterations >= _MAX_ITERATIONS:
                 raise SimplexError("iteration limit exceeded")
-            row, below, violation, rho = self._leaving(bland)
+            row, below, violation, rho, part = self._leaving(bland)
             q = -1
             if row >= 0:
                 alpha = self._row(rho)
@@ -491,11 +535,11 @@ class _Revised:
                 d = self._reduced_costs()
                 continue
             # The leaving variable moves to the bound it violates.
-            pivot = alpha[q]
+            pivot = float(alpha[q])
             step = violation / abs(pivot)
-            theta = d[q] / pivot
+            theta = float(d[q]) / pivot
             d -= theta * alpha
-            self._pivot(q, self.price[q], step, row, not below, self._column(q), rho, pivot)
+            self._pivot(q, float(self.price[q]), step, row, not below, self._column(q), part / pivot, pivot)
             self.iterations += 1
             if abs(theta) <= _STEP_TOL:
                 stall += 1
@@ -516,10 +560,13 @@ class _Revised:
             return self._result(INFEASIBLE, infeasibility=violation)
         # The start is dual feasible and the dual ratio test keeps it so; a
         # violation here is numerical breakdown, which no primal phase hides.
-        if np.any(self.price * d < -_DUAL_TOL):
+        if (self.price * d < -_DUAL_TOL).any():
             raise SimplexError("feasible basis is not dual feasible")
         n = self.n_struct
-        x = np.clip(self.values[:n], self.lb[:n], self.ub[:n])
+        lb, ub, x = self.lb[:n], self.ub[:n], self.values[:n]
+        # A value past a bound or within rounding of it is that bound, so
+        # the LP's zeros and ones come out exact.
+        x = np.where(x - lb <= _FEAS_TOL, lb, np.where(ub - x <= _FEAS_TOL, ub, x))
         return self._result(OPTIMAL, x=x, objective=float(np.einsum("i,i->", self.cost[:n], x)),
                             basis=Basis(self.basis.copy(), self.status.copy()))
 

@@ -417,7 +417,7 @@ PINNED_COLOR_ROUTES = {
 # no byte.
 PINNED_COLOR_DOCS = {
     ((2, 10, 20), 5, 2): "4ed371d2c8d7c84b04e00959d39c0514c012904a32aaa862655e500b5fc898a1",
-    ((2, 10, 20), 5, 7): "0cb33fa9873196c6d80fb466a7933825b823f1758fb2bf6a1140527586f54410",
+    ((2, 10, 20), 5, 7): "25a4cea728a3ae9dff948622eca76087aef420b83b29bacebb7528e690cea5b3",
     ((2, 14, 28), 7, 1): "4859ac57fd5508e51e5c82cecbebb4847d7943a7743f415a9d4804d75bfd370f",
 }
 

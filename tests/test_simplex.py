@@ -239,17 +239,19 @@ def _dense_inverse(state):
     return np.linalg.inv(ext[:, state.basis])
 
 
-def _placed(state, kinv, spos, rrow):
+def _placed(state, kinv, scol, rrow):
     """K^-1 at (basis position, row) of an m x m array, zero elsewhere."""
+    position = np.empty(state.ncols, dtype=np.intp)
+    position[state.basis] = np.arange(state.m)
     out = np.zeros((state.m, state.m))
-    out[np.ix_(spos, rrow)] = kinv
+    out[np.ix_(position[scol], rrow)] = kinv
     return out
 
 
 def _inverse_error(state):
     """Largest gap between the held K^-1 and a fresh factorization of the basis."""
     k = state.k
-    held = _placed(state, state.kinv, state.spos[:k], state.rrow[:k])
+    held = _placed(state, state.kinv, state.scol[:k], state.rrow[:k])
     return np.max(np.abs(held - _placed(state, *state._factorize())), initial=0.0)
 
 
@@ -288,13 +290,17 @@ def test_updated_inverse_matches_a_fresh_factorization(monkeypatch):
     assert _weight_error(warm) <= 1e-9
 
 
-def test_every_kind_of_basis_change_keeps_the_inverse(monkeypatch):
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_every_kind_of_basis_change_keeps_the_inverse(monkeypatch, dense):
     # The four pivots: a structural column for a structural one, a
     # structural column for a slack (K^-1 grows by a row and a column), a
     # slack for a structural column (it shrinks) and a slack for a slack
     # (one row of R is swapped). After each, K^-1 agrees with a fresh
     # factorization, the rows of B^-1 it gives are those of a dense B^-1,
-    # and the pricing weights are their squared norms.
+    # and the pricing weights are their squared norms. The LP runs once on
+    # the sparse entries and once on the dense copy of [I; A] that small
+    # layouts take.
+    monkeypatch.setattr(simplex, "_DENSE_ENTRIES", 10**6 if dense else 0)
     model = lp.build_model(gen.gen_random((8, 6, 16), "avg", seed=0))
     args = (model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
     pivot = simplex._Revised._pivot
@@ -312,9 +318,21 @@ def test_every_kind_of_basis_change_keeps_the_inverse(monkeypatch):
         assert _weight_error(state) <= 1e-9
 
     monkeypatch.setattr(simplex._Revised, "_pivot", checked)
+    assert (simplex._Revised(*args).dense is not None) == dense
     res = simplex.solve(*args)
     assert res.status == simplex.OPTIMAL
     assert set(kinds) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_values_at_a_bound_come_out_exact():
+    # The 2x4x8 relaxation ends with basic values one rounding step off 0
+    # and 1; the solver returns them as the bounds themselves, so a caller
+    # that tests x >= 1.0 or x == 0.0 sees the vertex.
+    model = lp.build_model(gen.gen_random((2, 4, 8), "avg", seed=1))
+    res = simplex.solve(model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
+    near = (np.abs(res.x - model.lb) <= 1e-9) | (np.abs(res.x - model.ub) <= 1e-9)
+    assert near.any()
+    assert np.all((res.x[near] == model.lb[near]) | (res.x[near] == model.ub[near]))
 
 
 def test_a_large_solve_holds_no_m_by_m_array():
@@ -347,9 +365,10 @@ def test_steepest_edge_picks_the_leaving_row(monkeypatch):
     assert state.k == 2  # no slack is basic: K is all of B
     assert np.allclose(state._weights(state.basis, state._inverse_rows(state.basis)), [1.0, 10.0])
     assert state._leaving(bland=True)[0] == 1
-    row, below, violation, rho = state._leaving(bland=False)
+    row, below, violation, rho, part = state._leaving(bland=False)
     assert (row, below, violation) == (0, False, pytest.approx(1.0))
     assert np.allclose(rho, [1.0, 0.0])  # row 0 of B^-1
+    assert np.array_equal(part, rho[state.rrow[:2]])  # all rows are in R
     monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 1)
     with pytest.raises(simplex.SimplexError, match="iteration limit"):
         state.run()
@@ -384,11 +403,11 @@ def test_duplicate_equality_rows_return_a_basis():
 # (sizes, regime, colors, mode) -> (iterations, sha256 of x bytes).
 PINNED = [
     (((8, 6, 16), "avg", None, "full"),
-     (153, "c4d39d0d1140fb8195ab2c2acfafeab5500420db68ce5822b9892df6f0da4c4a")),
+     (153, "038f968e2b2eddac6637c5564b7f50eabc630700af729f2557b49ef5f4a13883")),
     (((8, 6, 16), "avg", None, "transmission"),
-     (68, "44d7fa74e7629c4c2d84aeb2d88407e4e1c1a7d3f15b3e9ece104bec983b0dc0")),
+     (68, "43fe7016f9cd3545dabd07dceb525c1f1abb6b548549784f54db0d193563dac3")),
     (((2, 10, 20), "low", 5, "full"),
-     (146, "0f7e4f8c07948d03fbb5129de9f0647557ee9c9ebac16959c3d9e4daeb9539fe")),
+     (146, "f41d594cf6bb6c4641b06a260d2aeee991061a1a80bb04e69e75fc20e617fa02")),
 ]
 
 _PIN_SCRIPT = """
