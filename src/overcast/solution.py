@@ -65,15 +65,6 @@ class PathSet:
     def cost(self) -> float:
         return self.cost_breakdown()["total"]
 
-    def weight_mass(self, j: str) -> float:
-        """Clamped route weight kept at sink j, mass-weighted."""
-        inst = self.instance
-        return sum(
-            inst.path_weight(k, i, j) * mass
-            for (k, i, jj), mass in self.x_tilde.items()
-            if jj == j
-        )
-
     def analytic_loss(self, j: str) -> float:
         sink = self.instance.sink_by_id[j]
         reflectors = [i for (_k, i, jj) in self.x_tilde if jj == j]

@@ -2,12 +2,15 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from overcast import color, gapflow, lp, rounding, verify
+from overcast.gen import gen_random
 from overcast.model import ValidationError, normalize
+from overcast.pipeline import run_approx
 from overcast.solution import PathSet, from_integral
 
 
@@ -244,6 +247,10 @@ def test_simulation_deterministic_and_validates():
     assert a == b
     with pytest.raises(ValueError):
         verify.simulate_losses(ps, 0, seed=1)
+    for packets in (1e5, 100.0, True, "100", None):
+        with pytest.raises(ValueError, match="packets must be an integer"):
+            verify.simulate_losses(ps, packets, seed=1)
+    assert verify.simulate_losses(ps, np.int64(10_000), seed=9) == a
     stray = PathSet(instance=inst, x_tilde={("s0", "r9", "d0"): 1.0}, provenance="exact-ip")
     with pytest.raises(ValueError, match=r"route \(s0,r9,d0\): no first-hop edge"):
         verify.simulate_losses(stray, 100, seed=1)
@@ -281,6 +288,102 @@ def test_simulation_edge_loss_rates():
     assert verify.simulate_losses(ps, 5000, seed=3) == {"d0": 0.0, "d1": 1.0}
 
 
+def set_oracle_losses(ps, packets, seed):
+    """simulate_losses with Python sets: the same drops, drawn in the same
+    order (feeds, then routes), united per route and intersected per sink."""
+    inst = ps.instance
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+
+    def drops(p):
+        idx = verify._drops(rng, p, packets)
+        assert all(0 <= n < packets for n in idx)
+        return set(idx.tolist())
+
+    feed = {f: drops(inst.src_edges[f].loss) for f in ps.feeds}
+    lost = {}
+    for (k, i, j) in ps.routes:
+        route = feed[(k, i)] | drops(inst.refl_edges[(i, j)].loss)
+        lost[j] = lost[j] & route if j in lost else route
+    return {d.id: len(lost.get(d.id, range(packets))) / packets for d in inst.sinks}
+
+
+@pytest.mark.parametrize("packets", [1, 2, 7, 1000, 20_000])
+def test_simulation_matches_a_set_oracle(packets):
+    # d0 has three routes, d1 two (one over a leg that drops everything), d2
+    # none and d3 one over lossless links; 7 packets and fewer are smaller
+    # than one draw batch at every loss rate here.
+    doc = {
+        "sources": [{"id": "s0"}],
+        "reflectors": [{"id": f"r{n}", "cost": 1.0, "fanout": 4} for n in range(3)],
+        "sinks": [{"id": f"d{n}", "stream": "s0", "loss_threshold": 1.0} for n in range(4)],
+        "src_edges": [
+            {"from": "s0", "to": "r0", "loss": 0.3, "cost": 1.0},
+            {"from": "s0", "to": "r1", "loss": 0.0, "cost": 1.0},
+            {"from": "s0", "to": "r2", "loss": 0.5, "cost": 1.0},
+        ],
+        "refl_edges": [
+            {"from": i, "to": j, "loss": loss, "cost": 1.0}
+            for i, j, loss in [
+                ("r0", "d0", 0.2), ("r1", "d0", 0.4), ("r2", "d0", 0.1),
+                ("r0", "d1", 1.0), ("r2", "d1", 0.25), ("r0", "d2", 0.1), ("r1", "d3", 0.0),
+            ]
+        ],
+    }
+    inst = normalize(doc)
+    routes = [("r0", "d0"), ("r1", "d0"), ("r2", "d0"), ("r0", "d1"), ("r2", "d1"), ("r1", "d3")]
+    ps = PathSet(
+        instance=inst, x_tilde={("s0", i, j): 1.0 for i, j in routes}, provenance="exact-ip"
+    )
+    for seed in range(4):
+        losses = verify.simulate_losses(ps, packets, seed)
+        assert losses == set_oracle_losses(ps, packets, seed)
+        assert losses["d2"] == 1.0 and losses["d3"] == 0.0
+
+
+def test_simulation_memory_is_the_drops_plus_a_byte_per_packet():
+    # 1.25x the tracemalloc peak of the sort-based union and intersection
+    # that mark-and-gather replaced (23675608 bytes on this plan and seed).
+    # One packet mask per sink would take 16 x 2 MB on its own.
+    bound = 1.25 * 23_675_608
+    ps = run_approx(gen_random((8, 6, 16), "avg", seed=0))
+    tracemalloc.start()
+    try:
+        verify.simulate_losses(ps, 2_000_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
+@pytest.mark.parametrize(
+    "sizes, regime, colors", [((12, 12, 40), "avg", None), ((2, 10, 20), "low", 5)]
+)
+def test_audit_matches_the_per_sink_values(sizes, regime, colors):
+    inst = gen_random(sizes, regime, seed=0, colors=colors)
+    ps = run_approx(inst)
+    # The same plan without its first sink's routes, in reverse x_tilde order.
+    first = inst.sinks[0].id
+    rest = PathSet(
+        instance=inst,
+        x_tilde={r: m for r, m in reversed(ps.x_tilde.items()) if r[2] != first},
+        provenance=ps.provenance,
+    )
+    for plan in (ps, rest):
+        report = verify.audit(plan, "color" if colors else "approx")
+        weights = {
+            d.id: sum(
+                inst.path_weight(k, i, j) * mass
+                for (k, i, j), mass in plan.x_tilde.items()
+                if j == d.id
+            )
+            for d in inst.sinks
+        }
+        losses = {d.id: plan.analytic_loss(d.id) for d in inst.sinks}
+        assert repr(report.sink_weights) == repr(weights)
+        assert repr(report.sink_losses) == repr(losses)
+    assert report.sink_weights[first] == 0 and report.sink_losses[first] == 1.0
+
+
 def test_simulation_ignores_route_order_and_round_trip():
     doc = two_path_doc()
     doc["sinks"].append({"id": "d1", "stream": "s0", "loss_threshold": 1.0})
@@ -303,3 +406,42 @@ def test_audit_bounds_follow_from_the_stage_constants():
     assert verify.PROFILES["approx"] == (gapflow.FANOUT_FACTOR, 0.0)
     assert verify.PROFILES["color"] == (2 * color.MASS_SCALE, color.COLUMN_BOUND)
     assert verify.COLOR_FACTOR == color.MASS_SCALE + color.COLUMN_BOUND
+
+
+# sha256 of repr(sorted(simulate_losses(plan, packets, seed).items())) for
+# seeds 0-2 and the packet counts below, per plan, where a plan is
+# run_approx(gen_random(sizes, regime, seed=0, colors=colors)) at one BLAS
+# thread. Recorded from the sort-based union and intersection that the
+# mark-and-gather simulation replaced. (sizes, regime, colors) -> digest.
+PINNED_LOSSES = [
+    (((8, 6, 16), "avg", None),
+     "a9f5fd8b6273afaa9c175d016e92626376f0b90e6204d079a97609f9a1a644b5"),
+    (((2, 10, 20), "low", 5),
+     "fbd1a21442d37aa9b1931f9849770addcb8cf2dd72a2c99ec929ed2c8ff33967"),
+    (((3, 4, 8), "high", None),
+     "20a21a3ebbd5027a7b6a3f29687585b6779cb6c9e3304849c068690c56ed0ee2"),
+]
+PINNED_PACKETS = [1, 37, 10**4, 250_000]
+
+_LOSSES_SCRIPT = """
+import hashlib, json, sys
+from overcast.gen import gen_random
+from overcast.pipeline import run_approx
+from overcast.verify import simulate_losses
+plans, packet_counts = json.loads(sys.argv[1])
+out = []
+for (sizes, regime, colors), _ in plans:
+    ps = run_approx(gen_random(tuple(sizes), regime, seed=0, colors=colors))
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for packets in packet_counts:
+            losses = simulate_losses(ps, packets, seed)
+            digest.update(repr(sorted(losses.items())).encode() + b"\\n")
+    out.append(digest.hexdigest())
+print(json.dumps(out))
+"""
+
+
+def test_simulated_losses_pinned(one_blas_thread):
+    got = one_blas_thread(_LOSSES_SCRIPT, [PINNED_LOSSES, PINNED_PACKETS])
+    assert got == [digest for _, digest in PINNED_LOSSES]
