@@ -238,6 +238,7 @@ def simulate_losses(ps: PathSet, packets: int, seed: int) -> dict[str, float]:
         raise ValueError(f"packets must be an integer, not {packets!r}")
     if packets <= 0:
         raise ValueError("packets must be positive")
+    packets = int(packets)  # a numpy integer would make each loss a numpy float
     bad = _route_failures(ps)
     if bad:
         raise ValueError(bad[0])
