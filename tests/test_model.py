@@ -1,5 +1,6 @@
 """Instance model: weights, losses, normalization, schema validation."""
 
+import hashlib
 import json
 import math
 import re
@@ -245,6 +246,57 @@ def test_errors_in_replicated_fields_name_the_raw_location(where, edit):
     edit(doc)
     with pytest.raises(ValidationError, match=re.escape(where + ": ")):
         model.normalize(doc)
+
+
+def bandwidth_doc():
+    doc = raw_doc()
+    doc["bandwidth_enabled"] = True
+    doc["sources"][0]["bitrate"] = 2.5
+    for n, rec in enumerate(doc["reflectors"]):
+        rec["bandwidth"] = 6.0 + n
+    return doc
+
+
+def test_instance_bytes_and_errors_pinned():
+    # Frozen outputs: a change to how documents are read must leave these alone.
+    docs = {
+        "raw": raw_doc(),
+        "colored": gen_random((2, 10, 20), "low", seed=0, colors=5).to_doc(),
+        "bandwidth": bandwidth_doc(),
+        "transmission": {**gen_random((3, 4, 8), "avg", seed=1).to_doc(), "mode": "transmission"},
+    }
+    digests = {
+        name: hashlib.sha256(model.normalize(doc).to_json().encode()).hexdigest()
+        for name, doc in docs.items()
+    }
+    assert digests == {
+        "raw": "690482698cd200920232b4febcb3dc57b7e0e0c164e629e68d71ec7bf446c26a",
+        "colored": "d7764924b5ddd68d604a3ae827267bfef2db2093f32a8e5c0ed1013cf24bbe1a",
+        "bandwidth": "05f74e63035dba04e867dc26d686f861bf4bb445d04841f58f00b8deaaaa9309",
+        "transmission": "ad94bef106aeba89d5147aff1af89b5187d51c031508d0543153387005077b39",
+    }
+    for name in ("colored", "transmission"):
+        assert model.instance_from_doc(docs[name]).to_json() == model.normalize(docs[name]).to_json()
+
+    edits = [
+        lambda doc: doc["sinks"][0]["demands"][1].update(loss_threshold="0.02"),
+        lambda doc: doc["src_edges"][1].update(loss="0.02"),
+        lambda doc: doc["sources"][0].update(bitrate=-1.0),
+        lambda doc: doc["refl_edges"][2].update(cost=math.inf),
+    ]
+    errors = []
+    for edit in edits:
+        doc = raw_doc()
+        edit(doc)
+        with pytest.raises(ValidationError) as err:
+            model.normalize(doc)
+        errors.append(str(err.value))
+    assert errors == [
+        "sinks[0].demands[1]: loss_threshold must be a number, got '0.02'",
+        "src_edges[1]: loss must be a number, got '0.02'",
+        "sources[0]: bitrate -1.0 outside (0, inf)",
+        "refl_edges[2]: cost inf outside [0, inf)",
+    ]
 
 
 @pytest.mark.parametrize(
