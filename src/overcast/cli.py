@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .gen import GenerationError, gen_random
 from .lp import InfeasibleError, NoIncumbentError, TimeBudget, build_model, solve_lp
-from .model import Instance, instance_from_doc, normalize_doc
+from .model import Instance
 from .pipeline import ApproxPipelineError, hack_relaxation, round_relaxation, run_exact
 from .rounding import RoundingRetriesExhausted
 from .solution import PathSet, save_pathset
@@ -34,15 +34,13 @@ SWEEP_COLUMNS = CSV_COLUMNS + ["violations_first_draw", "identical_across_seeds"
 
 
 def _load_instance(args) -> Instance:
+    """The instance file, read once, with the run flags written into it."""
     with open(args.instance, "r", encoding="utf-8") as fh:
-        doc = normalize_doc(json.load(fh))
-    if getattr(args, "mode", None):
-        doc["mode"] = args.mode
-    if getattr(args, "colors", False):
-        doc["colors_enabled"] = True
-    if getattr(args, "bandwidth", False):
-        doc["bandwidth_enabled"] = True
-    return instance_from_doc(doc)
+        doc = json.load(fh)
+    flags = {"mode": args.mode, "colors_enabled": args.colors, "bandwidth_enabled": args.bandwidth}
+    if isinstance(doc, dict):  # else the reader names what it got
+        doc.update((key, value) for key, value in flags.items() if value)
+    return Instance(doc)
 
 
 def _positive_seconds(text: str) -> float:

@@ -9,20 +9,23 @@ stream together with an end-to-end loss ceiling, which we express in the
 log domain as a weight threshold: a set of relay paths meets the ceiling
 iff their path weights sum to at least the threshold.
 
-Raw inputs may list several streams per entry point and several demands
-per edge server; `normalize` replicates nodes (and their edges) so that
-every source originates exactly one stream, named after the source itself,
-and every sink demands exactly one stream. Replicas are named
-``origId#streamId``. Normalization is idempotent.
+`Instance(doc)` is the one reader from a document to an instance. Raw
+documents may list several streams per entry point and several demands per
+edge server; the reader replicates those nodes (and their edges) as it goes,
+so that every source originates exactly one stream, named after the source
+itself, and every sink demands exactly one stream. Replicas are named
+``origId#streamId``, and sources that no sink demands are dropped. A
+unit-form document, such as `Instance.to_doc()` writes, reads back to itself.
 
 One table, `_SCHEMA`, states every field of instance and solution documents,
-and `_check_record` is the one function that checks them. Which triples are
-routes, and their clamped weights, is decided once, by the LP model's route
-table (`lp.LpModel.sink_routes`).
+and `_check_record` is the one function that checks them; the reader calls
+it once per record. Which triples are routes, and their clamped weights, is
+decided once, by the LP model's route table (`lp.LpModel.sink_routes`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -74,7 +77,7 @@ class ReflectorSpec:
 @dataclass(frozen=True)
 class SinkSpec:
     id: str
-    stream: str  # source id (after normalization streams are named by source)
+    stream: str  # source id (in unit form streams are named by source)
     loss_threshold: float  # acceptable end-to-end loss, in (0, 1]
 
     @property
@@ -93,8 +96,10 @@ _SCHEMA = {
         "src_edges": "list", "refl_edges": "list",
         "mode": "string?", "colors_enabled": "boolean?", "bandwidth_enabled": "boolean?",
     },
-    "flags": {"mode": "string", "colors_enabled": "boolean", "bandwidth_enabled": "boolean"},
-    "source": {"id": "string", "bitrate": "number? in (0, inf)"},
+    # `streams` is the raw form, which the reader replicates into one source per stream
+    "source": {
+        "id": "string", "streams": "non-empty list of strings?", "bitrate": "number? in (0, inf)",
+    },
     "reflector": {
         "id": "string", "cost": "number in [0, inf)", "fanout": "integer in [1, inf)",
         "bandwidth": "number? in (0, inf)", "color": "integer?",
@@ -103,10 +108,7 @@ _SCHEMA = {
     "edge": {
         "from": "string", "to": "string", "loss": "number in [0, 1]", "cost": "number in [0, inf)",
     },
-    # raw forms, which normalize_doc replicates into sources and sinks
-    "raw source": {
-        "id": "string", "streams": "non-empty list of strings?", "bitrate": "number? in (0, inf)",
-    },
+    # the raw form of a sink, which the reader replicates into one sink per demand
     "multi sink": {"id": "string", "demands": "non-empty list"},
     "demand": {"stream": "string", "loss_threshold": "number in (0, 1]"},
     # solution documents; meta is open, as it also holds stage details not read back
@@ -159,12 +161,11 @@ def _compile(kind: str, fields: dict[str, str]) -> tuple[dict, frozenset, frozen
 _FIELDS = {kind: _compile(kind, fields) for kind, fields in _SCHEMA.items()}
 
 
-def _check_keys(rec, kind: str, where: str) -> dict:
-    """The compiled fields of a `kind` record, once `rec` is an object with
-    no unknown, missing or null key; else raise ValidationError naming `where`.
+def _check_record(rec, kind: str, where: str) -> dict:
+    """A copy of `rec` once it is a `kind` record of `_SCHEMA`, with its
+    numbers as floats; anything else raises ValidationError naming `where`.
 
-    A null is refused here because a spec spells an absent field None, so it
-    would pass `Instance`'s field check as absent."""
+    A null is refused, as a spec spells an absent field None."""
     if not isinstance(rec, dict):
         raise ValidationError(f"{where}: expected an object, got {type(rec).__name__}")
     fields, required, closed = _FIELDS[kind]
@@ -176,13 +177,6 @@ def _check_keys(rec, kind: str, where: str) -> dict:
         null = sorted(key for key, value in rec.items() if value is None and key in fields)
         if null:
             raise ValidationError(f"{where}: null key(s) {null}")
-    return fields
-
-
-def _check_record(rec, kind: str, where: str) -> dict:
-    """A copy of `rec` once it is a `kind` record of `_SCHEMA`, with its
-    numbers as floats; anything else raises ValidationError naming `where`."""
-    fields = _check_keys(rec, kind, where)
     out = dict(rec)
     for key, value in rec.items():
         field = fields.get(key)
@@ -209,47 +203,73 @@ def _edge_record(pair: tuple[str, str], edge: EdgeSpec) -> dict:
 
 
 class Instance:
-    """A validated, normalized relay-network instance.
+    """A validated relay-network instance in unit form.
 
-    Immutable once constructed. Construct via `normalize` / `load_instance`
-    (raw or normalized documents) or directly from specs (must already be
-    in normalized form: one stream per source, named by the source).
+    Immutable once constructed. `Instance(doc)` reads a raw or unit-form
+    document: it checks each record once, under its place in `doc`, and
+    replicates multi-stream sources and multi-demand sinks as it reads.
     """
 
-    def __init__(
-        self,
-        sources: list[SourceSpec],
-        reflectors: list[ReflectorSpec],
-        sinks: list[SinkSpec],
-        src_edges: dict[tuple[str, str], EdgeSpec],
-        refl_edges: dict[tuple[str, str], EdgeSpec],
-        mode: str = "full",
-        colors_enabled: bool = False,
-        bandwidth_enabled: bool = False,
-    ):
-        def checked(cls, specs, kind, key):
-            return tuple(
-                cls(**_check_record(_spec_record(spec), kind, f"{key}[{n}]"))
-                for n, spec in enumerate(specs)
-            )
+    def __init__(self, doc: dict):
+        top = _check_record(doc, "instance", "instance")
+        self.mode = top.get("mode", "full")
+        self.colors_enabled = top.get("colors_enabled", False)
+        self.bandwidth_enabled = top.get("bandwidth_enabled", False)
 
-        def edge_map(specs, key):
-            records = [
-                _check_record(_edge_record(pair, e), "edge", f"{key}[{n}]")
-                for n, (pair, e) in enumerate(specs.items())
-            ]
-            return {(r["from"], r["to"]): EdgeSpec(r["loss"], r["cost"]) for r in records}
+        sources = []
+        stream_of: dict[str, str] = {}  # raw stream name -> its source replica
+        source_replicas: dict[str, list[str]] = {}  # raw source id -> its replicas
+        for n, rec in enumerate(doc["sources"]):
+            rec = _check_record(rec, "source", f"sources[{n}]")
+            sid = rec["id"]
+            streams = rec.pop("streams", None)
+            # Without streams the source is in unit form: its stream is named by its id.
+            replicas = [(s, f"{sid}#{s}") for s in streams] if streams else [(sid, sid)]
+            for stream, replica in replicas:
+                if stream in stream_of:
+                    raise ValidationError(f"duplicate stream id {stream!r}")
+                stream_of[stream] = replica
+                sources.append(SourceSpec(**{**rec, "id": replica}))
+                source_replicas.setdefault(sid, []).append(replica)
 
-        self.sources = checked(SourceSpec, sources, "source", "sources")
-        self.reflectors = checked(ReflectorSpec, reflectors, "reflector", "reflectors")
-        self.sinks = checked(SinkSpec, sinks, "sink", "sinks")
-        self.src_edges = edge_map(src_edges, "src_edges")
-        self.refl_edges = edge_map(refl_edges, "refl_edges")
-        flags = {"mode": mode, "colors_enabled": colors_enabled, "bandwidth_enabled": bandwidth_enabled}
-        _check_record(flags, "flags", "instance")
-        self.mode = mode
-        self.colors_enabled = colors_enabled
-        self.bandwidth_enabled = bandwidth_enabled
+        sinks = []
+        sink_replicas: dict[str, list[str]] = {}  # raw sink id -> its replicas
+        for n, rec in enumerate(doc["sinks"]):
+            where = f"sinks[{n}]"
+            if isinstance(rec, dict) and "demands" in rec:
+                sid = _check_record(rec, "multi sink", where)["id"]
+                demands = [
+                    _check_record(dem, "demand", f"{where}.demands[{d}]")
+                    for d, dem in enumerate(rec["demands"])
+                ]
+                replicas = [f"{sid}#{dem['stream']}" for dem in demands]
+            else:
+                demands = [_check_record(rec, "sink", where)]
+                sid = demands[0]["id"]
+                replicas = [sid]
+            demanded = set()
+            for replica, dem in zip(replicas, demands):
+                stream = dem["stream"]
+                if stream not in stream_of:
+                    raise ValidationError(f"{where}: unknown stream {stream!r}")
+                if stream in demanded:
+                    raise ValidationError(f"{where}: stream {stream!r} demanded twice")
+                demanded.add(stream)
+                sinks.append(SinkSpec(replica, stream_of[stream], dem["loss_threshold"]))
+            sink_replicas.setdefault(sid, []).extend(replicas)
+
+        # A source no sink demands can never carry traffic: drop it and its edges.
+        kept = {d.stream for d in sinks}
+        self.sources = tuple(s for s in sources if s.id in kept)
+        self.sinks = tuple(sinks)
+        self.reflectors = tuple(
+            ReflectorSpec(**_check_record(rec, "reflector", f"reflectors[{n}]"))
+            for n, rec in enumerate(doc["reflectors"])
+        )
+        kept_replicas = {sid: [r for r in reps if r in kept] for sid, reps in source_replicas.items()}
+        reflector_ends = ("reflector", {r.id: [r.id] for r in self.reflectors})
+        self.src_edges = _read_edges(doc, "src_edges", ("source", kept_replicas), reflector_ends)
+        self.refl_edges = _read_edges(doc, "refl_edges", reflector_ends, ("sink", sink_replicas))
 
         self.source_by_id = {s.id: s for s in self.sources}
         self.reflector_by_id = {r.id: r for r in self.reflectors}
@@ -259,10 +279,11 @@ class Instance:
     # -- validation -------------------------------------------------------
 
     def _validate(self) -> None:
-        """The checks that span records; `__init__` checked each field."""
+        """The checks that span records; the reader checked each record and
+        each reference to a node."""
         if self.mode not in ("full", "transmission"):
             raise ValidationError(f"mode must be 'full' or 'transmission', got {self.mode!r}")
-        if not self.reflectors or not self.sinks or not self.sources:
+        if not self.reflectors or not self.sinks:  # each sink demands a source
             raise ValidationError("instance needs at least one source, reflector and sink")
         for group, name in ((self.sources, "source"), (self.reflectors, "reflector"), (self.sinks, "sink")):
             seen = set()
@@ -270,25 +291,9 @@ class Instance:
                 if spec.id in seen:
                     raise ValidationError(f"duplicate {name} id {spec.id!r}")
                 seen.add(spec.id)
-        all_ids = (
-            {s.id for s in self.sources}
-            | {r.id for r in self.reflectors}
-            | {d.id for d in self.sinks}
-        )
+        all_ids = set(self.source_by_id) | set(self.reflector_by_id) | set(self.sink_by_id)
         if len(all_ids) != len(self.sources) + len(self.reflectors) + len(self.sinks):
             raise ValidationError("node ids must be unique across sources, reflectors and sinks")
-        for d in self.sinks:
-            if d.stream not in self.source_by_id:
-                raise ValidationError(f"sink {d.id}: unknown stream {d.stream!r}")
-        if len(self.sources) > len(self.sinks):
-            raise ValidationError("more sources than sinks after normalization")
-
-        for a, b in self.src_edges:
-            if a not in self.source_by_id or b not in self.reflector_by_id:
-                raise ValidationError(f"src edge ({a}, {b}) does not join a source to a reflector")
-        for a, b in self.refl_edges:
-            if a not in self.reflector_by_id or b not in self.sink_by_id:
-                raise ValidationError(f"refl edge ({a}, {b}) does not join a reflector to a sink")
 
     # -- derived quantities ------------------------------------------------
 
@@ -355,136 +360,33 @@ class Instance:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
 
-# -- raw document handling ---------------------------------------------------
-
-def normalize_doc(doc: dict) -> dict:
-    """Replicate multi-stream sources and multi-demand sinks into unit form.
-
-    Pure document-to-document transform; running it on its own output is a
-    no-op. Replicas are named ``origId#streamId``. Source replicas whose
-    stream no sink demands are dropped along with their edges (they can
-    never carry traffic, and the normalized form keeps at most one source
-    per demanded stream). Each record it replicates is checked here, so an
-    error names its place in `doc`.
-    """
-    _check_record(doc, "instance", "instance")
-
-    # Streams: map raw stream name -> normalized source id.
-    stream_of: dict[str, str] = {}
-    out_sources = []
-    streams_by_source: dict[str, list[str]] = {}
-    for idx, rec in enumerate(doc["sources"]):
-        rec = _check_record(rec, "raw source", f"sources[{idx}]")
-        sid = rec["id"]
-        streams = rec.pop("streams", None)
-        # Without streams the source is in unit form: its stream is named by its id.
-        replicas = [(s, f"{sid}#{s}") for s in streams] if streams else [(sid, sid)]
-        for stream, replica in replicas:
-            if stream in stream_of:
-                raise ValidationError(f"duplicate stream id {stream!r}")
-            stream_of[stream] = replica
-            out_sources.append({**rec, "id": replica})
-            streams_by_source.setdefault(sid, []).append(replica)
-
-    out_sinks = []
-    sink_replicas: dict[str, list[str]] = {}  # raw sink id -> its replicas
-    for idx, rec in enumerate(doc["sinks"]):
-        where = f"sinks[{idx}]"
-        if isinstance(rec, dict) and "demands" in rec:
-            sid = _check_record(rec, "multi sink", where)["id"]
-            demands = [
-                _check_record(dem, "demand", f"{where}.demands[{d_idx}]")
-                for d_idx, dem in enumerate(rec["demands"])
-            ]
-            replicas = [f"{sid}#{dem['stream']}" for dem in demands]
-        else:
-            demands = [_check_record(rec, "sink", where)]
-            sid = demands[0]["id"]
-            replicas = [sid]
-        demanded = set()
-        for replica, dem in zip(replicas, demands):
-            stream = dem["stream"]
-            if stream not in stream_of:
-                raise ValidationError(f"{where}: unknown stream {stream!r}")
-            if stream in demanded:
-                raise ValidationError(f"{where}: stream {stream!r} demanded twice")
-            demanded.add(stream)
-            out_sinks.append(
-                {"id": replica, "stream": stream_of[stream], "loss_threshold": dem["loss_threshold"]}
-            )
-            sink_replicas.setdefault(sid, []).append(replica)
-
-    kept_sources = {rec["stream"] for rec in out_sinks}
-    out_sources = [rec for rec in out_sources if rec["id"] in kept_sources]
-
-    out_src_edges = []
-    for idx, rec in enumerate(doc["src_edges"]):
-        rec = _check_record(rec, "edge", f"src_edges[{idx}]")
-        replicas = streams_by_source.get(rec["from"])
-        if replicas is None:
-            raise ValidationError(f"src_edges[{idx}]: unknown source {rec['from']!r}")
-        out_src_edges += [{**rec, "from": replica} for replica in replicas if replica in kept_sources]
-
-    out_refl_edges = []
-    for idx, rec in enumerate(doc["refl_edges"]):
-        rec = _check_record(rec, "edge", f"refl_edges[{idx}]")
-        replicas = sink_replicas.get(rec["to"])
-        if replicas is None:
-            raise ValidationError(f"refl_edges[{idx}]: unknown sink {rec['to']!r}")
-        out_refl_edges += [{**rec, "to": replica} for replica in replicas]
-
-    out = {
-        "sources": out_sources,
-        "reflectors": doc["reflectors"],
-        "sinks": out_sinks,
-        "src_edges": out_src_edges,
-        "refl_edges": out_refl_edges,
-    }
-    out.update((key, doc[key]) for key in _SCHEMA["flags"] if key in doc)
+def _read_edges(doc: dict, key: str, tails: tuple, heads: tuple) -> dict:
+    """`doc[key]` as an edge map. `tails` and `heads` each name the kind of
+    node an end joins and map its ids to their replicas; an edge is copied
+    onto each pair of replicas. An unknown end raises ValidationError naming
+    the edge's record."""
+    out = {}
+    for n, rec in enumerate(doc[key]):
+        where = f"{key}[{n}]"
+        rec = _check_record(rec, "edge", where)
+        ends = []
+        for (node, replicas), end in ((tails, rec["from"]), (heads, rec["to"])):
+            if end not in replicas:
+                raise ValidationError(f"{where}: unknown {node} {end!r}")
+            ends.append(replicas[end])
+        for pair in itertools.product(*ends):
+            if pair in out:
+                raise ValidationError(f"{where}: duplicate edge {pair}")
+            out[pair] = EdgeSpec(rec["loss"], rec["cost"])
     return out
 
 
 def instance_from_doc(doc: dict) -> Instance:
-    """Build an Instance from a document already in normalized form.
-
-    Every field must have its JSON kind and range as `_SCHEMA` gives them.
-    Here each record's keys are checked, as a spec cannot carry an unknown
-    or a missing one; `Instance` checks the fields, under the same labels.
-    """
-    _check_record(doc, "instance", "instance")
-
-    def records(key, kind):
-        for n, rec in enumerate(doc[key]):
-            _check_keys(rec, kind, f"{key}[{n}]")
-        return doc[key]
-
-    def edge_map(key):
-        out = {}
-        for n, rec in enumerate(records(key, "edge")):
-            pair = (rec["from"], rec["to"])
-            try:
-                seen = pair in out
-            except TypeError:  # an unhashable end; the field check names it
-                _check_record(rec, "edge", f"{key}[{n}]")
-                raise
-            if seen:
-                raise ValidationError(f"{key}: duplicate edge {pair}")
-            out[pair] = EdgeSpec(rec["loss"], rec["cost"])
-        return out
-
-    return Instance(
-        sources=[SourceSpec(**rec) for rec in records("sources", "source")],
-        reflectors=[ReflectorSpec(**rec) for rec in records("reflectors", "reflector")],
-        sinks=[SinkSpec(**rec) for rec in records("sinks", "sink")],
-        src_edges=edge_map("src_edges"),
-        refl_edges=edge_map("refl_edges"),
-        **{key: doc[key] for key in _SCHEMA["flags"] if key in doc},
-    )
+    """Read an instance document, raw or in unit form (see `Instance`)."""
+    return Instance(doc)
 
 
-def normalize(doc: dict) -> Instance:
-    """Parse a raw (or already normalized) instance document."""
-    return instance_from_doc(normalize_doc(doc))
+normalize = instance_from_doc
 
 
 def load_instance(path) -> Instance:

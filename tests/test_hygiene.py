@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no module
-defines a private name it never reads, no class has a public member that
-nothing reads, and no package module is left that no other one imports."""
+defines a private name it never reads, no public function, class or class
+member is left that nothing reads, and no package module is left that no
+other one imports."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,25 @@ def unread_members(defining: list[ast.Module], reading: list[ast.Module]) -> set
         if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
     }
     return {f"{c}.{m}" for c, m in members if not m.startswith("_") and m not in read}
+
+
+def unread_publics(defining: list[ast.Module], reading: list[ast.Module]) -> set[str]:
+    """Public module-level functions and classes in `defining` whose name no
+    module in `reading` loads as a name or an attribute."""
+    defined = {
+        node.name
+        for tree in defining
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    read = set()
+    for tree in reading:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    return {name for name in defined if not name.startswith("_")} - read
 
 
 def orphan_modules(package: dict[str, ast.Module], entry: set[str]) -> set[str]:
@@ -165,6 +185,36 @@ def test_unread_members_flags_leftovers():
     )
     reading = ast.parse("def use(cert, plain):\n    return cert.ok, plain.run()\n")
     assert unread_members([defining], [defining, reading]) == {"Cert.rows", "Cert.z_hat"}
+
+
+def test_no_unread_publics():
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    unread = unread_publics([parse(p) for p in SOURCES], [parse(p) for p in READERS])
+    assert not unread, f"public functions and classes nothing reads: {sorted(unread)}"
+
+
+def test_unread_publics_flags_leftovers():
+    defining = ast.parse(
+        "from .model import Instance\n"
+        "__all__ = ['normalize_doc']\n"
+        "def normalize_doc(doc):\n"
+        "    return doc\n"
+        "def instance_from_doc(doc):\n"
+        "    return Instance(doc)\n"
+        "def load(path):\n"
+        "    return instance_from_doc(path)\n"
+        "def _private():\n"
+        "    pass\n"
+        "class Spec:\n"
+        "    pass\n"
+        "class Used:\n"
+        "    def normalize_doc(self):\n"
+        "        pass\n"
+    )
+    reading = ast.parse("from overcast import model\nmodel.Used()\n")
+    assert unread_publics([defining], [defining, reading]) == {"normalize_doc", "load", "Spec"}
 
 
 def test_no_orphan_modules():

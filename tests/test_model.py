@@ -7,29 +7,24 @@ import re
 
 import pytest
 
-from overcast import model
+from overcast import cli, model
 from overcast.lp import build_model
 from overcast.gen import gen_random
-from overcast.model import (
-    EdgeSpec,
-    Instance,
-    ReflectorSpec,
-    SinkSpec,
-    SourceSpec,
-    ValidationError,
-    loss_to_weight,
-)
+from overcast.model import Instance, SinkSpec, ValidationError, loss_to_weight
 
 
-def tiny_instance(threshold=0.01, p_src=0.1, p_refl=0.1, mode="full"):
-    return Instance(
-        sources=[SourceSpec("s0")],
-        reflectors=[ReflectorSpec("r0", cost=10.0, fanout=2)],
-        sinks=[SinkSpec("d0", stream="s0", loss_threshold=threshold)],
-        src_edges={("s0", "r0"): EdgeSpec(loss=p_src, cost=1.0)},
-        refl_edges={("r0", "d0"): EdgeSpec(loss=p_refl, cost=2.0)},
-        mode=mode,
-    )
+def tiny_doc(threshold=0.01, p_src=0.1, p_refl=0.1):
+    return {
+        "sources": [{"id": "s0"}],
+        "reflectors": [{"id": "r0", "cost": 10.0, "fanout": 2}],
+        "sinks": [{"id": "d0", "stream": "s0", "loss_threshold": threshold}],
+        "src_edges": [{"from": "s0", "to": "r0", "loss": p_src, "cost": 1.0}],
+        "refl_edges": [{"from": "r0", "to": "d0", "loss": p_refl, "cost": 2.0}],
+    }
+
+
+def tiny_instance(threshold=0.01, p_src=0.1, p_refl=0.1):
+    return Instance(tiny_doc(threshold, p_src, p_refl))
 
 
 def test_path_loss_combines_independent_links():
@@ -67,19 +62,19 @@ def test_weight_antitone_in_loss():
 
 
 def test_analytic_loss_is_product_of_path_losses():
-    inst = Instance(
-        sources=[SourceSpec("s0")],
-        reflectors=[ReflectorSpec("r0", 1.0, 4), ReflectorSpec("r1", 1.0, 4)],
-        sinks=[SinkSpec("d0", "s0", 0.05)],
-        src_edges={
-            ("s0", "r0"): EdgeSpec(0.1, 1.0),
-            ("s0", "r1"): EdgeSpec(0.05, 1.0),
-        },
-        refl_edges={
-            ("r0", "d0"): EdgeSpec(0.1, 1.0),
-            ("r1", "d0"): EdgeSpec(0.05, 1.0),
-        },
-    )
+    inst = Instance({
+        "sources": [{"id": "s0"}],
+        "reflectors": [{"id": "r0", "cost": 1.0, "fanout": 4}, {"id": "r1", "cost": 1.0, "fanout": 4}],
+        "sinks": [{"id": "d0", "stream": "s0", "loss_threshold": 0.05}],
+        "src_edges": [
+            {"from": "s0", "to": "r0", "loss": 0.1, "cost": 1.0},
+            {"from": "s0", "to": "r1", "loss": 0.05, "cost": 1.0},
+        ],
+        "refl_edges": [
+            {"from": "r0", "to": "d0", "loss": 0.1, "cost": 1.0},
+            {"from": "r1", "to": "d0", "loss": 0.05, "cost": 1.0},
+        ],
+    })
     # Oracle: (0.19) * (0.05 + 0.05 - 0.0025) = 0.19 * 0.0975
     assert inst.analytic_loss(["r0", "r1"], "s0", "d0") == pytest.approx(0.19 * 0.0975, abs=1e-15)
     assert inst.analytic_loss([], "s0", "d0") == 1.0
@@ -142,9 +137,8 @@ def test_normalize_replicates_sources_and_sinks():
 
 
 def test_normalize_idempotent():
-    once = model.normalize_doc(raw_doc())
-    twice = model.normalize_doc(once)
-    assert once == twice
+    once = model.normalize(raw_doc()).to_doc()
+    assert model.normalize(once).to_doc() == once
 
 
 def test_normalize_drops_undemanded_streams():
@@ -188,47 +182,42 @@ def test_schema_violations_rejected():
 @pytest.mark.parametrize(
     "field, specs",
     [
-        ("loss_threshold", {"sinks": [SinkSpec("d0", stream="s0", loss_threshold="0.1")]}),
-        ("bitrate", {"sources": [SourceSpec("s0", bitrate="1.0")]}),
-        ("cost", {"reflectors": [ReflectorSpec("r0", cost="10", fanout=2)]}),
-        ("bandwidth", {"reflectors": [ReflectorSpec("r0", cost=10.0, fanout=2, bandwidth="5")]}),
-        ("color", {"reflectors": [ReflectorSpec("r0", cost=10.0, fanout=2, color="a")]}),
-        ("id", {"sources": [SourceSpec(5)]}),
+        ("loss_threshold", {"sinks": [{"id": "d0", "stream": "s0", "loss_threshold": "0.1"}]}),
+        ("bitrate", {"sources": [{"id": "s0", "bitrate": "1.0"}]}),
+        ("cost", {"reflectors": [{"id": "r0", "cost": "10", "fanout": 2}]}),
+        ("bandwidth", {"reflectors": [{"id": "r0", "cost": 10.0, "fanout": 2, "bandwidth": "5"}]}),
+        ("color", {"reflectors": [{"id": "r0", "cost": 10.0, "fanout": 2, "color": "a"}]}),
+        ("id", {"sources": [{"id": 5}]}),
         ("colors_enabled", {"colors_enabled": "no"}),
         ("bandwidth_enabled", {"bandwidth_enabled": "no"}),
     ],
 )
 def test_spec_fields_of_the_wrong_type_rejected(field, specs):
-    # Built from specs, not a document: the instance checks each field's type.
-    base = {
-        "sources": [SourceSpec("s0")],
-        "reflectors": [ReflectorSpec("r0", cost=10.0, fanout=2)],
-        "sinks": [SinkSpec("d0", stream="s0", loss_threshold=0.01)],
-        "src_edges": {("s0", "r0"): EdgeSpec(loss=0.1, cost=1.0)},
-        "refl_edges": {("r0", "d0"): EdgeSpec(loss=0.1, cost=2.0)},
-    }
+    # Each node spec's record, or a run flag, with one field of the wrong type.
     with pytest.raises(ValidationError, match=field):
-        Instance(**{**base, **specs})
+        Instance({**tiny_doc(), **specs})
 
 
-def test_spec_and_document_instances_serialize_alike():
-    # Both paths check each field the same way and keep every number a float.
-    from_specs = Instance(
-        sources=[SourceSpec("s0", bitrate=2)],
-        reflectors=[ReflectorSpec("r0", cost=10, fanout=2, bandwidth=4, color=0)],
-        sinks=[SinkSpec("d0", stream="s0", loss_threshold=1)],
-        src_edges={("s0", "r0"): EdgeSpec(loss=0, cost=1)},
-        refl_edges={("r0", "d0"): EdgeSpec(loss=1, cost=2)},
-    )
+def test_integers_in_number_fields_read_as_floats():
+    # Integers in a document's number fields are read as floats.
     doc = {
+        "sources": [{"id": "s0", "bitrate": 2}],
+        "reflectors": [{"id": "r0", "cost": 10, "fanout": 2, "bandwidth": 4, "color": 0}],
+        "sinks": [{"id": "d0", "stream": "s0", "loss_threshold": 1}],
+        "src_edges": [{"from": "s0", "to": "r0", "loss": 0, "cost": 1}],
+        "refl_edges": [{"from": "r0", "to": "d0", "loss": 1, "cost": 2}],
+    }
+    floats = {
         "sources": [{"id": "s0", "bitrate": 2.0}],
         "reflectors": [{"id": "r0", "cost": 10.0, "fanout": 2, "bandwidth": 4.0, "color": 0}],
         "sinks": [{"id": "d0", "stream": "s0", "loss_threshold": 1.0}],
         "src_edges": [{"from": "s0", "to": "r0", "loss": 0.0, "cost": 1.0}],
         "refl_edges": [{"from": "r0", "to": "d0", "loss": 1.0, "cost": 2.0}],
     }
-    assert from_specs.to_json() == model.instance_from_doc(doc).to_json()
-    assert from_specs.to_json() == model.normalize(doc).to_json()
+    assert Instance(doc).to_json() == Instance(floats).to_json()
+    assert Instance(doc).to_doc() == {
+        **floats, "mode": "full", "colors_enabled": False, "bandwidth_enabled": False,
+    }
 
 
 @pytest.mark.parametrize(
@@ -333,8 +322,24 @@ def test_a_normalized_document_names_the_bad_record(where, edit):
         model.instance_from_doc(doc)
 
 
-def test_instance_from_doc_checks_each_record_once(monkeypatch):
-    doc = gen_random((3, 4, 8), "avg", seed=0).to_doc()
+@pytest.mark.parametrize(
+    "key, end, message",
+    [
+        ("src_edges", ("s0", "r9"), "src_edges[1]: unknown reflector 'r9'"),
+        ("src_edges", ("s9", "r0"), "src_edges[1]: unknown source 's9'"),
+        ("refl_edges", ("r9", "d0"), "refl_edges[1]: unknown reflector 'r9'"),
+        ("refl_edges", ("r0", "d9"), "refl_edges[1]: unknown sink 'd9'"),
+    ],
+    ids=["src-to-reflector", "src-from-source", "refl-from-reflector", "refl-to-sink"],
+)
+def test_an_edge_to_an_unknown_node_names_its_record(key, end, message):
+    doc = tiny_doc()
+    doc[key].append({"from": end[0], "to": end[1], "loss": 0.1, "cost": 1.0})
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        model.instance_from_doc(doc)
+
+
+def test_instance_from_doc_checks_each_record_once(monkeypatch, tmp_path):
     check = model._check_record
     kinds = []
 
@@ -342,11 +347,25 @@ def test_instance_from_doc_checks_each_record_once(monkeypatch):
         kinds.append(kind)
         return check(rec, kind, where)
 
+    def records(doc):  # each demand of a multi-demand sink counts as a record
+        keys = ("sources", "reflectors", "sinks", "src_edges", "refl_edges")
+        demands = sum(len(rec.get("demands", ())) for rec in doc["sinks"])
+        return sum(len(doc[key]) for key in keys) + demands
+
     monkeypatch.setattr(model, "_check_record", counting)
-    model.instance_from_doc(doc)
-    kinds_of_record = ("sources", "reflectors", "sinks", "src_edges", "refl_edges")
-    records = sum(len(doc[key]) for key in kinds_of_record)
-    assert len(kinds) == records + 2  # and the top level and the flags, once each
+    doc = gen_random((3, 4, 8), "avg", seed=0).to_doc()
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    args = cli.build_parser().parse_args(["solve", str(path), "--mode", "transmission"])
+    for read, source in [
+        (model.instance_from_doc, doc),
+        (model.normalize, raw_doc()),
+        (lambda _: cli._load_instance(args), doc),
+    ]:
+        kinds.clear()
+        read(source)
+        assert len(kinds) == records(source) + 1  # and the top level, once
+    assert cli._load_instance(args).mode == "transmission"
 
 
 def test_a_sink_demanding_a_stream_twice_is_rejected():
