@@ -14,7 +14,8 @@ documents may list several streams per entry point and several demands per
 edge server; the reader replicates those nodes (and their edges) as it goes,
 so that every source originates exactly one stream, named after the source
 itself, and every sink demands exactly one stream. Replicas are named
-``origId#streamId``, and sources that no sink demands are dropped. A
+``origId#streamId``; a raw source or sink id names one record only, and
+sources that no sink demands are dropped. A
 unit-form document, such as `Instance.to_doc()` writes, reads back to itself.
 
 One table, `_SCHEMA`, states every field of instance and solution documents,
@@ -222,6 +223,8 @@ class Instance:
         for n, rec in enumerate(doc["sources"]):
             rec = _check_record(rec, "source", f"sources[{n}]")
             sid = rec["id"]
+            if sid in source_replicas:
+                raise ValidationError(f"sources[{n}]: duplicate source id {sid!r}")
             streams = rec.pop("streams", None)
             # Without streams the source is in unit form: its stream is named by its id.
             replicas = [(s, f"{sid}#{s}") for s in streams] if streams else [(sid, sid)]
@@ -230,7 +233,7 @@ class Instance:
                     raise ValidationError(f"duplicate stream id {stream!r}")
                 stream_of[stream] = replica
                 sources.append(SourceSpec(**{**rec, "id": replica}))
-                source_replicas.setdefault(sid, []).append(replica)
+            source_replicas[sid] = [replica for _stream, replica in replicas]
 
         sinks = []
         sink_replicas: dict[str, list[str]] = {}  # raw sink id -> its replicas
@@ -247,6 +250,8 @@ class Instance:
                 demands = [_check_record(rec, "sink", where)]
                 sid = demands[0]["id"]
                 replicas = [sid]
+            if sid in sink_replicas:
+                raise ValidationError(f"{where}: duplicate sink id {sid!r}")
             demanded = set()
             for replica, dem in zip(replicas, demands):
                 stream = dem["stream"]
@@ -256,7 +261,7 @@ class Instance:
                     raise ValidationError(f"{where}: stream {stream!r} demanded twice")
                 demanded.add(stream)
                 sinks.append(SinkSpec(replica, stream_of[stream], dem["loss_threshold"]))
-            sink_replicas.setdefault(sid, []).extend(replicas)
+            sink_replicas[sid] = replicas
 
         # A source no sink demands can never carry traffic: drop it and its edges.
         kept = {d.stream for d in sinks}

@@ -7,12 +7,17 @@ Three audit profiles, matching what each solver family guarantees:
     color   one use of a color group may fan out to 13 copies, cost 13x
 
 The simulation drives independent per-link Bernoulli losses. It draws only
-the packets each link drops, as geometric gaps between drops, and forms each
-route's union and each sink's intersection by marking those drops in one
-boolean array over the packets and gathering from it, with no sort. Its work
+the packets each link drops, as geometric gaps between drops: below a loss
+of 1/3, one block of exponentials per link, scaled by one log and summed in
+place, which gives numpy's `geometric` values from the same random words.
+Each route stamps its drops with its own number in one byte array over the
+packets, and each route's union and each sink's intersection are gathered
+by comparing stamps, with no sort and no clearing between routes. Its work
 grows with the packets lost; its memory is the drop arrays plus one byte per
 packet sent. A first-hop link (stream, reflector) is sampled once and shared
-by every sink fed from it, so cross-sink correlation is preserved.
+by every sink fed from it, so cross-sink correlation is preserved. The
+losses are, byte for byte, those of `geometric` draws and sorted set
+operations.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ PROFILES = {"exact": (1.0, 0.0), "approx": (4.0, 0.0), "color": (8.0, 9.0)}
 # over the draw's cost: 4 fractional copies plus the rounding walk's drift of 9.
 COLOR_FACTOR = 13
 APPROX_WEIGHT_FRACTION = 0.25  # of each demanded weight: 1/2 - DELTA, what stage two keeps
+# numpy's `Generator.geometric` draws by inversion of an exponential below this
+# loss rate, and by a search over uniforms at and above it.
+_INVERSION_BELOW = 1.0 / 3.0
 
 
 @dataclass
@@ -212,16 +220,41 @@ def audit(ps: PathSet, profile: str = "exact", claimed_cost: float | None = None
     )
 
 
+def _gaps(rng: np.random.Generator, p: float, batch: int) -> np.ndarray:
+    """`rng.geometric(p, batch)`: the same gaps, drawn from the same words.
+
+    Below numpy's threshold of 1/3 a Geometric(p) draw is ceil(-E / log1p(-p))
+    with E a ziggurat standard exponential, so the gaps come from one block
+    of exponentials, divided in place by one log per call, as whole floats.
+    At and above 1/3 numpy draws by a search that uses the stream otherwise,
+    so those links, set-cover losses of 1/2 among them, call `geometric`.
+    """
+    if p >= _INVERSION_BELOW:
+        return rng.geometric(p, batch)
+    g = rng.standard_exponential(batch)
+    g /= -math.log1p(-p)
+    return np.ceil(g, out=g)
+
+
 def _drops(rng: np.random.Generator, p: float, packets: int) -> np.ndarray:
     """Sorted indices of the packets, out of `packets`, that a link of loss p
-    drops: the cumulative sums of Geometric(p) gaps, less one."""
+    drops: the cumulative sums of Geometric(p) gaps, less one.
+
+    The sums run in place, in floats below a loss of 1/3, and only the kept
+    prefix is cast to int64. They are exact: every partial sum up to
+    `packets` is an integer below 2**53, a bound the one byte per packet of
+    `simulate_losses` keeps far off, and sums past `packets` are only
+    compared and cut.
+    """
     if p <= 0.0:
         return np.empty(0, dtype=np.int64)
     batch = int(p * packets + 3.0 * math.sqrt(p * packets)) + 1  # mean + 3 sd: rarely extended
-    idx = np.cumsum(rng.geometric(p, batch)) - 1
+    idx = _gaps(rng, p, batch)
+    idx[0] -= 1
+    np.cumsum(idx, out=idx)
     while idx[-1] < packets:
-        idx = np.concatenate((idx, idx[-1] + np.cumsum(rng.geometric(p, batch))))
-    return idx[: np.searchsorted(idx, packets)]
+        idx = np.concatenate((idx, idx[-1] + np.cumsum(_gaps(rng, p, batch))))
+    return idx[: np.searchsorted(idx, packets)].astype(np.int64, copy=False)
 
 
 def simulate_losses(ps: PathSet, packets: int, seed: int) -> dict[str, float]:
@@ -229,10 +262,15 @@ def simulate_losses(ps: PathSet, packets: int, seed: int) -> dict[str, float]:
 
     One generator, PCG64 seeded with `seed`, draws each first-hop link's
     dropped packets once (in `ps.feeds` order), then each route's relay-leg
-    drops (in `ps.routes` order), as geometric gaps between drops. A route
-    drops the union of its two links' drops; a sink misses the packets every
-    one of its routes dropped, and a sink without routes misses all of them.
-    Results are exact functions of (solution, packets, seed).
+    drops (in `ps.routes` order), as geometric gaps between drops (`_drops`).
+    A route drops the union of its two links' drops; a sink misses the
+    packets every one of its routes dropped, and a sink without routes
+    misses all of them. Each route takes the next stamp s of a uint8 array
+    over the packets and stamps its feed's drops: a sink's first route keeps
+    the feed's drops and the leg's unstamped ones, a later route also stamps
+    its leg and keeps the sink's lost packets stamped s. After stamp 255 the
+    array is zeroed and the stamps restart at 1. Results are exact functions
+    of (solution, packets, seed).
     """
     if isinstance(packets, bool) or not isinstance(packets, numbers.Integral):
         raise ValueError(f"packets must be an integer, not {packets!r}")
@@ -245,18 +283,22 @@ def simulate_losses(ps: PathSet, packets: int, seed: int) -> dict[str, float]:
     inst = ps.instance
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
     feed_drops = {f: _drops(rng, inst.src_edges[f].loss, packets) for f in ps.feeds}
-    # Set algebra by marking: `marked` is False everywhere between routes.
-    marked = np.zeros(packets, dtype=bool)
+    # Set algebra by stamping: the packets a route drops are those stamped with
+    # its s, so older stamps need clearing only when a byte's 255 run out.
+    stamp = np.zeros(packets, dtype=np.uint8)
+    s = 0
     lost: dict[str, np.ndarray] = {}
     for (k, i, j) in ps.routes:
         feed = feed_drops[(k, i)]
         leg = _drops(rng, inst.refl_edges[(i, j)].loss, packets)
-        marked[feed] = True
+        if s == 255:
+            stamp[:] = 0
+            s = 0
+        s += 1
+        stamp[feed] = s
         if j in lost:  # keep what this route drops too
-            marked[leg] = True
-            lost[j] = lost[j][marked[lost[j]]]
-            marked[leg] = False
+            stamp[leg] = s
+            lost[j] = lost[j][stamp[lost[j]] == s]
         else:  # the route's drops, each once, unsorted
-            lost[j] = np.concatenate((feed, leg[~marked[leg]]))
-        marked[feed] = False
+            lost[j] = np.concatenate((feed, leg[stamp[leg] != s]))
     return {d.id: len(lost[d.id]) / packets if d.id in lost else 1.0 for d in inst.sinks}

@@ -339,6 +339,29 @@ def test_an_edge_to_an_unknown_node_names_its_record(key, end, message):
         model.instance_from_doc(doc)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # Two raw sources E with distinct streams would read as E#a and E#b,
+        # each with a copy of E's edges.
+        (lambda doc: doc["sources"].append({"id": "E", "streams": ["c"]}),
+         "sources[1]: duplicate source id 'E'"),
+        # Two multi-demand sinks D would pool their demands and their edges.
+        (lambda doc: doc["sinks"].append(
+            {"id": "D", "demands": [{"stream": "b", "loss_threshold": 0.05}]}),
+         "sinks[2]: duplicate sink id 'D'"),
+        (lambda doc: doc["sinks"].append({"id": "G", "stream": "b", "loss_threshold": 0.05}),
+         "sinks[2]: duplicate sink id 'G'"),
+    ],
+    ids=["sources", "multi-demand-sinks", "unit-and-multi-demand-sink"],
+)
+def test_a_repeated_raw_id_names_its_record(edit, message):
+    doc = raw_doc()
+    edit(doc)
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        Instance(doc)
+
+
 def test_instance_from_doc_checks_each_record_once(monkeypatch, tmp_path):
     check = model._check_record
     kinds = []

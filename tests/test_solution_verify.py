@@ -340,6 +340,90 @@ def test_simulation_matches_a_set_oracle(packets):
         assert losses["d2"] == 1.0 and losses["d3"] == 0.0
 
 
+def geometric_drops(rng, p, packets):
+    """The sampler `verify._drops` replaced: Geometric(p) gaps from
+    `rng.geometric`, summed in int64. Also returns how often its extension
+    loop ran."""
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64), 0
+    batch = int(p * packets + 3.0 * math.sqrt(p * packets)) + 1
+    idx = np.cumsum(rng.geometric(p, batch)) - 1
+    extensions = 0
+    while idx[-1] < packets:
+        idx = np.concatenate((idx, idx[-1] + np.cumsum(rng.geometric(p, batch))))
+        extensions += 1
+    return idx[: np.searchsorted(idx, packets)], extensions
+
+
+def test_drops_are_the_geometric_draws_they_replace():
+    # Pins the installed numpy's `Generator.geometric`, which the loss pins
+    # above were recorded with: below 1/3 `_drops` scales a block of
+    # exponentials itself, at and above it calls `geometric`. The generator's
+    # end state must match too, so that later links draw the same words.
+    rates = [1e-12, 1e-3, 0.02, 0.2, math.nextafter(1 / 3, 0), 1 / 3, 0.5, 1.0]
+    # (seed, p, packets); the two cases after seeds 0-4 run the extension
+    # loop twice on their first link, past a batch of one gap (seed 25 was
+    # found by search).
+    cases = [(seed, p, packets) for seed in range(5) for p in rates
+             for packets in (1, 7, 1000, 250_000)]
+    cases += [(25, 0.02, 4), (25, 1e-3, 91)]
+    extended = 0
+    for seed, p, packets in cases:
+        new = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+        old = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+        for _ in range(3):  # successive links off one generator
+            got = verify._drops(new, p, packets)
+            want, extensions = geometric_drops(old, p, packets)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (seed, p, packets)
+            extended = max(extended, extensions)
+        assert new.bit_generator.state == old.bit_generator.state, (seed, p, packets)
+    assert extended >= 2
+
+
+def many_routes_plan(reflectors, sinks, feed_loss, leg_loss):
+    """A plan routing every sink over every reflector, one stream."""
+    doc = {
+        "sources": [{"id": "s0"}],
+        "reflectors": [{"id": r, "cost": 1.0, "fanout": len(sinks)} for r in reflectors],
+        "sinks": [{"id": d, "stream": "s0", "loss_threshold": 1.0} for d in sinks],
+        "src_edges": [
+            {"from": "s0", "to": r, "loss": feed_loss(n), "cost": 1.0}
+            for n, r in enumerate(reflectors)
+        ],
+        "refl_edges": [
+            {"from": r, "to": d, "loss": leg_loss(n, m), "cost": 1.0}
+            for m, d in enumerate(sinks) for n, r in enumerate(reflectors)
+        ],
+    }
+    return PathSet(
+        instance=normalize(doc),
+        x_tilde={("s0", r, d): 1.0 for d in sinks for r in reflectors},
+        provenance="exact-ip",
+    )
+
+
+@pytest.mark.parametrize("layout", ["dense", "sparse"])
+def test_simulation_past_255_routes_matches_a_set_oracle(layout):
+    # The stamps of a byte run out after route 255, and the array is zeroed
+    # and stamped from 1 again. Dense: 3 reflectors x 90 sinks, every link
+    # lossy. Sparse: 2 reflectors x 300 sinks, where only the legs of routes
+    # 301 and 556 (stamp 46 both) are stamped at all, so route 556 would keep
+    # route 301's drops if the array were not zeroed in between.
+    if layout == "dense":
+        ps = many_routes_plan(
+            ["r0", "r1", "r2"], [f"d{m}" for m in range(90)],
+            lambda n: (0.1, 0.3, 0.5)[n], lambda n, m: (0.05, 0.2, 0.45)[(n + m) % 3],
+        )
+    else:
+        ps = many_routes_plan(
+            ["a", "b"], [f"d{m:03}" for m in range(300)],
+            lambda n: 0.0, lambda n, m: 0.5 if n == 0 or m in (0, 255) else 0.0,
+        )
+    assert len(ps.routes) > 255
+    for seed in range(4):
+        assert verify.simulate_losses(ps, 1000, seed) == set_oracle_losses(ps, 1000, seed)
+
+
 def test_simulation_memory_is_the_drops_plus_a_byte_per_packet():
     # 1.25x the tracemalloc peak of the sort-based union and intersection
     # that mark-and-gather replaced (23675608 bytes on this plan and seed).
