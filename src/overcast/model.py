@@ -15,8 +15,8 @@ edge server; the reader replicates those nodes (and their edges) as it goes,
 so that every source originates exactly one stream, named after the source
 itself, and every sink demands exactly one stream. Replicas are named
 ``origId#streamId``; a raw source or sink id names one record only, and
-sources that no sink demands are dropped. A
-unit-form document, such as `Instance.to_doc()` writes, reads back to itself.
+sources that no sink demands are dropped. A unit-form document, such as
+`Instance.to_doc()` writes, reads back to itself.
 
 One table, `_SCHEMA`, states every field of instance and solution documents,
 and `_check_record` is the one function that checks them; the reader calls

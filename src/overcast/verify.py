@@ -12,12 +12,12 @@ of 1/3, one block of exponentials per link, scaled by one log and summed in
 place, which gives numpy's `geometric` values from the same random words.
 Each route stamps its drops with its own number in one byte array over the
 packets, and each route's union and each sink's intersection are gathered
-by comparing stamps, with no sort and no clearing between routes. Its work
-grows with the packets lost; its memory is the drop arrays plus one byte per
-packet sent. A first-hop link (stream, reflector) is sampled once and shared
-by every sink fed from it, so cross-sink correlation is preserved. The
-losses are, byte for byte, those of `geometric` draws and sorted set
-operations.
+by comparing stamps, with no sort; the array is cleared only when its 255
+stamps run out. Its work grows with the packets lost; its memory is the
+drop arrays plus one byte per packet sent. A first-hop link (stream,
+reflector) is sampled once and shared by every sink fed from it, so
+cross-sink correlation is preserved. The losses are, byte for byte, those of
+`geometric` draws and sorted set operations.
 """
 
 from __future__ import annotations
