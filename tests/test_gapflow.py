@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,3 +302,95 @@ def test_a_non_integral_or_failed_assignment_lp_raises(monkeypatch, outcome):
     monkeypatch.setattr(gapflow.simplex, "solve", broken)
     with pytest.raises(gapflow.GapStageError):
         gapflow.run_gap_stage(sol)
+
+
+def filtered_colored_doc():
+    """A transmission-mode colored instance whose drawn r2 route costs over
+    four times the draw, so the color stage's cost filter drops it."""
+    doc = two_path_doc()
+    doc["mode"], doc["colors_enabled"] = "transmission", True
+    doc["reflectors"] = [
+        {"id": f"r{i}", "cost": 1.0, "fanout": 4, "color": c} for i, c in enumerate((0, 0, 1))
+    ]
+    doc["sinks"] = [{"id": j, "stream": "s0", "loss_threshold": 0.1} for j in ("d0", "d1")]
+    doc["src_edges"] = [
+        {"from": "s0", "to": f"r{i}", "loss": 0.1, "cost": 0.5} for i in range(3)
+    ]
+    doc["refl_edges"] = [
+        {"from": f"r{i}", "to": j, "loss": loss, "cost": cost}
+        for i, loss, cost in ((0, 0.1, 0.5), (1, 0.1, 0.5), (2, 0.01, 100.0))
+        for j in ("d0", "d1")
+    ]
+    return doc
+
+
+# The masses `draw_from` gives each route of `filtered_colored_doc`: r2
+# carries 0.05 of each sink, at cost 100.5 against a draw of 12.05.
+FILTERED_MASSES = {
+    ("s0", "r0", "d0"): 0.5, ("s0", "r1", "d0"): 0.5, ("s0", "r2", "d0"): 0.05,
+    ("s0", "r0", "d1"): 0.3, ("s0", "r1", "d1"): 0.7, ("s0", "r2", "d1"): 0.05,
+}
+
+_STAGE_TWO_SCRIPT = """
+import hashlib, json, sys
+from overcast import color, gapflow, gen, lp, pipeline, rounding
+from test_gapflow import FILTERED_MASSES, draw_from, filtered_colored_doc
+from overcast.model import Instance
+out = []
+for regime, sizes, colors, seed in json.loads(sys.argv[1]):
+    if regime == "hand":
+        sol = draw_from(lp.build_model(Instance(filtered_colored_doc())), FILTERED_MASSES)
+    else:
+        inst = gen.gen_random(tuple(sizes), regime, seed=seed, colors=colors)
+        frac = lp.solve_lp(lp.build_model(inst))
+        cfg = rounding.RoundingConfig(multiplier=pipeline.default_multiplier(inst), seed=0)
+        sol = rounding.round_with_retries(frac, cfg)
+    if sol.model.inst.colors_enabled:
+        res = color.run_color_stage(sol)
+        costs = (res.path_cost_total, res.certificate.max_increase)
+        counts = (res.plan.total_boxes, res.dropped_paths)
+    else:
+        res = gapflow.run_gap_stage(sol)
+        costs, counts = (res.mass_cost,), (res.plan.total_boxes, 0)
+    text = repr((list(res.x_tilde.items()), [repr(c) for c in costs], counts))
+    out.append([hashlib.sha256(text.encode()).hexdigest(), *counts])
+print(json.dumps(out))
+"""
+
+# Per stage-two case, at one BLAS thread: the sha256 of the repr of
+# (x_tilde's items in insertion order, the reprs of mass_cost, or of
+# path_cost_total and karp_max_increase, (boxes, dropped paths)), then the
+# box and dropped-path counts. The draws are `ladder_draw`'s, the accepted
+# draw `run_approx` starts from on the colored instances, and the hand-made
+# draw on `filtered_colored_doc`, the one case whose cost filter drops paths.
+PINNED_STAGE_TWO = {
+    ("avg", (8, 6, 16), None, 0): (
+        "ce349ccfe4914bbc39f43762512151df4d54abe46c742ef80946f9ca4e674d31", 38, 0
+    ),
+    ("avg", (10, 10, 30), None, 0): (
+        "02b64d995b010677782522b01d2a058821b8074a1c0acd150254d0e848dcbaae", 70, 0
+    ),
+    ("avg", (12, 12, 40), None, 0): (
+        "1bbfdf1eeb314417f43fbb9088f461d874ab71c589486d0f47237b833e70b6a3", 94, 0
+    ),
+    ("low", (2, 10, 20), 5, 2): (
+        "dffc62045fa238a56387eb54f8cb13f851b48ffc2bc5c1c83d5dbbec56e9b9b3", 45, 0
+    ),
+    ("low", (2, 10, 20), 5, 7): (
+        "33ac1e822ad3d08b4e2d02e58fc075e3de336a877247d296921269001b28227f", 46, 0
+    ),
+    ("low", (2, 14, 28), 7, 1): (
+        "77edb33838160ddfd60fe215ebe407f111003095d1fb61aa1f543750387a1f90", 62, 0
+    ),
+    ("hand", None, None, None): (
+        "de130d6efcdf99552ea051a1bcd0effa1a1582b9442ea60542313b90d15a883e", 4, 2
+    ),
+}
+
+
+def test_stage_two_outputs_pinned(one_blas_thread, monkeypatch):
+    here = str(Path(__file__).resolve().parent)  # the child imports this module
+    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
+    monkeypatch.setenv("PYTHONPATH", path)
+    got = one_blas_thread(_STAGE_TWO_SCRIPT, list(PINNED_STAGE_TWO))
+    assert [tuple(g) for g in got] == list(PINNED_STAGE_TWO.values())
