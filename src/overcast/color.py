@@ -1,19 +1,23 @@
 """Color-aware rounding stage: pick whole relay paths under copy caps.
 
 When reflectors carry colors (one network operator each), the accepted draw
-is rounded path-wise instead of through the box-assignment LP. The drawn relay
-mass is cut into half-unit boxes, and each (reflector, sink, box) fragment
-is one candidate path carrying that fragment's mass. Paths costing more
-than four times the draw's realized cost are discarded (each box keeps at
-least a quarter unit of mass because the expensive paths carry less than a
-quarter in total), the survivors are scaled by four and capped at one, and
-a dependent-rounding walk turns them into whole paths while every
-constraint row increases by strictly less than the column-sum bound t = 9.
-The system has one row per bound the stage proves: a feed row per used
-reflector (fan-out under 8x its cap + 9), a box row per box (every box
-covered), a color row per (sink, color) group (at most 4 + 9 = 13 copies)
-and one cost row (at most 13 times the draw's realized cost). The stage
-checks coverage, and the color audit (`verify.audit`) the other three.
+is rounded path-wise instead of through the box-assignment LP. The draw is
+cut into the gap stage's fragment table (`gapflow.BoxPlan`), and each
+fragment is one candidate path: its box, its mass, and its x column, whose
+reflector, sink and cost the model's `x_refl`, `x_sink` and `obj` give. The
+walk's columns are the fragments stably sorted by reflector position; the
+walk's pick depends on that order, so it is part of the output.
+
+Paths costing more than four times the draw's realized cost are discarded
+(each box keeps at least a quarter unit of mass because the expensive paths
+carry less than a quarter in total), the survivors are scaled by four and
+capped at one, and a dependent-rounding walk turns them into whole paths
+while every constraint row increases by strictly less than the column-sum
+bound t = 9. The system has one row per bound the stage proves: a feed row
+per used reflector (fan-out under 8x its cap + 9), a box row per box (every
+box covered), a color row per (sink, color) group (at most 4 + 9 = 13
+copies) and one cost row (at most 13 times the draw's realized cost). The
+stage checks coverage, and the color audit (`verify.audit`) the other three.
 
 The rounding rows are one sparse `simplex.Layout`, each row's slack a unit
 entry of its own column; the walk makes only its few tracked rows dense.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gapflow import BoxPlan, build_boxes
+from .gapflow import BoxPlan, build_boxes, route_keys
 from .rounding import SemiIntegralSolution
 from .simplex import Layout
 
@@ -43,103 +47,48 @@ class ColorStageError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# candidate paths
-
-
-@dataclass
-class RelayPath:
-    """One source->reflector->(pair)->box->target candidate from the draw."""
-
-    sink: str
-    box_index: int
-    reflector: str
-    stream: str
-    mass: float  # fractional value carried, at most one half
-    cost: float  # relay objective coefficient of the underlying route
-    color: int | None
-    scaled: float = 0.0  # min(4 * mass, 1) once filtering has run
-
-
-def enumerate_paths(sol: SemiIntegralSolution, plan: BoxPlan) -> list[RelayPath]:
-    """One candidate path per box fragment, carrying that fragment's mass.
-
-    Fragments are listed in (sink, box, fragment) order, then stably sorted
-    by the reflector's position in the instance. The rounding walk's pick
-    depends on the column order, so this order is part of the output.
-    """
-    model = sol.model
-    inst = model.inst
-    paths: list[RelayPath] = []
-    for d in inst.sinks:
-        for box in plan.boxes.get(d.id, []):
-            for i, mass in box.fragments:
-                paths.append(
-                    RelayPath(
-                        sink=d.id,
-                        box_index=box.index,
-                        reflector=i,
-                        stream=d.stream,
-                        mass=mass,
-                        cost=float(model.obj[model.x_index[(d.stream, i, d.id)]]),
-                        color=inst.reflector_by_id[i].color,
-                    )
-                )
-    position = {r.id: pos for pos, r in enumerate(inst.reflectors)}
-    paths.sort(key=lambda p: position[p.reflector])
-    return paths
+# candidate paths and the rounding system
 
 
 def filter_and_scale(
-    paths: list[RelayPath], draw_cost: float
-) -> tuple[list[RelayPath], list[RelayPath]]:
-    """Drop paths costing over 4x the draw, scale the rest by four, cap at one.
+    plan: BoxPlan, paths: np.ndarray, cost: np.ndarray, draw_cost: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fragments of `paths` (in walk order) that cost at most 4x the draw,
+    and their masses scaled by four and capped at one; `cost` is indexed by
+    fragment. A draw that costs nothing keeps every path.
 
     Every box must keep at least a quarter unit of mass afterwards; less
     means the realized cost handed in was understated, which is a hard error.
     """
-    kept: list[RelayPath] = []
-    dropped: list[RelayPath] = []
-    threshold = COST_FILTER_FACTOR * draw_cost
-    for p in paths:
-        if draw_cost > _TOL and p.cost > threshold * (1.0 + 1e-12):
-            dropped.append(p)
-        else:
-            p.scaled = min(MASS_SCALE * p.mass, 1.0)
-            kept.append(p)
-
-    per_box: dict[tuple[str, int], float] = {}
-    for p in paths:
-        per_box.setdefault((p.sink, p.box_index), 0.0)
-    for p in kept:
-        per_box[(p.sink, p.box_index)] += p.mass
-    for (j, b), mass in sorted(per_box.items()):
-        if mass < 0.25 - _TOL:
-            raise ColorStageError(
-                f"box ({j},{b}): retained mass {mass:.6f} fell under one quarter"
-            )
-    return kept, dropped
-
-
-# ---------------------------------------------------------------------------
-# the rounding system
+    kept = paths
+    if draw_cost > _TOL:
+        kept = paths[cost[paths] <= COST_FILTER_FACTOR * draw_cost * (1.0 + 1e-12)]
+    retained = np.bincount(plan.box[kept], weights=plan.mass[kept], minlength=plan.total_boxes)
+    short = np.flatnonzero(retained < 0.25 - _TOL)
+    if short.size:
+        b = short[0]
+        raise ColorStageError(f"box {b}: retained mass {retained[b]:.6f} fell under one quarter")
+    return kept, np.minimum(MASS_SCALE * plan.mass[kept], 1.0)
 
 
 def build_rounding_system(
-    sol: SemiIntegralSolution, kept: list[RelayPath]
+    sol: SemiIntegralSolution, plan: BoxPlan, kept: np.ndarray, scaled: np.ndarray
 ) -> tuple[Layout, np.ndarray]:
-    """The equality system A v = b over path columns plus one slack per row:
-    returns A and the fractional point v0 that meets it, each slack clamped
-    at zero where the row is over by at most 1e-7.
+    """The equality system A v = b over the kept fragments' path columns
+    (valued `scaled`) plus one slack per row: returns A and the fractional
+    point v0 that meets it, each slack clamped at zero where the row is over
+    by at most 1e-7.
 
     Four row families, each for the bound it proves once the walk adds less
     than t = 9 to it:
-      feed   per used reflector, its paths <= 4 * (2 * cap): fan-out under
-             8x cap + 9 (the color audit's fan-out bound);
+      feed   per used reflector, in instance order, its paths <= 4 * (2 * cap):
+             fan-out under 8x cap + 9 (the color audit's fan-out bound);
       box    per box, -9 times its paths <= -9: every box keeps a path, since
              a drift under 9 cannot take the row from -9 up to 0;
       color  per (sink, color) group, its paths <= 4: at most 13 copies;
       cost   the paths' cost over the draw's realized cost <= 4: at most 13x
              the draw's cost (a kept path costs at most 4x the draw).
+    Box and color rows run by sink id (d10 before d2), then by box or color.
     Every path column's positive entries then total at most 1 + 1 + 4 = 6
     and its negative entries at least -9, inside the walk's t = 9.
 
@@ -147,42 +96,46 @@ def build_rounding_system(
     columns, then column n_paths + r holding row r's slack as a unit entry.
     """
     model = sol.model  # a draw exists only for models with stream budgets
-    draw_cost = sol.realized_cost
-    rows: list[tuple[str, dict[int, float], float]] = []  # (label, coefs, rhs)
-    feed_cols: dict[str, dict[int, float]] = {}
-    box_cols: dict[tuple[str, int], dict[int, float]] = {}
-    color_cols: dict[tuple[str, int], dict[int, float]] = {}
-    for col, p in enumerate(kept):
-        feed_cols.setdefault(p.reflector, {})[col] = 1.0
-        box_cols.setdefault((p.sink, p.box_index), {})[col] = 1.0
-        if p.color is not None:
-            color_cols.setdefault((p.sink, p.color), {})[col] = 1.0
+    inst, draw_cost, n = model.inst, sol.realized_cost, kept.size
+    x = plan.col[kept] - len(model.z_index) - len(model.y_index)
+    used, feed = np.unique(model.x_refl[x], return_inverse=True)
+    sink_ids = np.array([d.id for d in inst.sinks])
+    sink_rank = np.argsort(np.argsort(sink_ids))  # each sink's place in id order
+    box_row = np.argsort(np.argsort(sink_rank[plan.sink], kind="stable"))
+    has_color = np.array([r.color is not None for r in inst.reflectors])
+    refl_color = np.array([r.color or 0 for r in inst.reflectors])
+    colored = np.flatnonzero(has_color[model.x_refl[x]])
+    group_of = [sink_rank[model.x_sink[x[colored]]], refl_color[model.x_refl[x[colored]]]]
+    groups, group_row = np.unique(np.column_stack(group_of), axis=0, return_inverse=True)
 
-    for r in model.inst.reflectors:
-        if r.id in feed_cols:
-            cap = 2.0 * model.capacities[r.id]
-            rows.append((f"feed[{r.id}]", feed_cols[r.id], MASS_SCALE * cap))
-    for (j, b), coefs in sorted(box_cols.items()):
-        rows.append((f"box[{j},{b}]", {c: -9.0 for c in coefs}, -9.0))
-    for (j, color), coefs in sorted(color_cols.items()):
-        rows.append((f"color[{j},{color}]", coefs, MASS_SCALE))
-    cost_coefs = {}  # empty when the draw costs nothing
-    if draw_cost > _TOL:
-        cost_coefs = {col: p.cost / draw_cost for col, p in enumerate(kept)}
-    rows.append(("cost", cost_coefs, MASS_SCALE))
-
-    labels, row_coefs, rhs = zip(*rows)
-    m, n_paths = len(rows), len(kept)
-    entries = [(ri, col, c) for ri, coefs in enumerate(row_coefs) for col, c in coefs.items()]
-    entries += [(ri, n_paths + ri, 1.0) for ri in range(m)]  # the slacks
-    a = Layout((m, n_paths + m), *zip(*entries))
-    v0 = np.zeros(n_paths + m)
-    v0[:n_paths] = [p.scaled for p in kept]
-    slack = np.array(rhs) - a.dot(v0)  # the slack coordinates are still zero
+    first_color = used.size + plan.total_boxes
+    m = first_color + len(groups) + 1  # the cost row is last
+    path = np.arange(n)
+    # A free draw leaves the cost row empty: the layout drops zero entries.
+    cost = model.obj[plan.col[kept]] / draw_cost if draw_cost > _TOL else np.zeros(n)
+    a = Layout(
+        (m, n + m),
+        np.concatenate([
+            feed, used.size + box_row[plan.box[kept]], first_color + group_row,
+            np.full(n, m - 1), np.arange(m),
+        ]),
+        np.concatenate([path, path, colored, path, n + np.arange(m)]),  # the slacks last
+        np.concatenate([np.ones(n), np.full(n, -9.0), np.ones(colored.size), cost, np.ones(m)]),
+    )
+    caps = np.array(list(model.capacities.values()), dtype=float)  # in reflector order
+    rhs = np.concatenate([
+        MASS_SCALE * (2.0 * caps[used]), np.full(plan.total_boxes, -9.0),
+        np.full(len(groups), MASS_SCALE), [MASS_SCALE],
+    ])
+    v0 = np.concatenate([scaled, np.zeros(m)])
+    slack = rhs - a.dot(v0)  # the slack coordinates are still zero
     if np.any(slack < -1e-7):
-        bad = labels[int(np.argmin(slack))]
-        raise ColorStageError(f"fractional infeasibility on row {bad}")
-    v0[n_paths:] = np.maximum(slack, 0.0)
+        by_id = np.sort(sink_ids)
+        labels = [f"feed[{inst.reflectors[i].id}]" for i in used]
+        labels += [f"box[{b}]" for b in np.argsort(box_row)]
+        labels += [f"color[{by_id[j]},{c}]" for j, c in groups.tolist()] + ["cost"]
+        raise ColorStageError(f"fractional infeasibility on row {labels[int(np.argmin(slack))]}")
+    v0[n:] = np.maximum(slack, 0.0)
     return a, v0
 
 
@@ -323,7 +276,7 @@ def karp_round(
 @dataclass
 class ColorResult:
     x_tilde: dict[tuple[str, str, str], float]
-    selected: list[RelayPath]
+    selected: np.ndarray  # the picked paths, as fragments of `plan`
     plan: BoxPlan
     certificate: KarpCertificate
     draw_cost: float
@@ -332,32 +285,33 @@ class ColorResult:
 
 
 def run_color_stage(sol: SemiIntegralSolution) -> ColorResult:
-    """Box the draw, list the fragment paths, filter, round, and read back the
-    pick once its certificate holds and it covers every box.
+    """Box the draw, order its fragment paths by reflector, filter, round,
+    and read back the pick once its certificate holds and it covers every box.
 
     The copy and cost bounds are the color audit's to check.
     """
-    plan = build_boxes(sol)
-    kept, dropped = filter_and_scale(enumerate_paths(sol, plan), sol.realized_cost)
-    a, v0 = build_rounding_system(sol, kept)
+    model, plan = sol.model, build_boxes(sol)
+    x = plan.col - len(model.z_index) - len(model.y_index)
+    paths = np.argsort(model.x_refl[x], kind="stable")  # the walk's column order
+    kept, scaled = filter_and_scale(plan, paths, model.obj[plan.col], sol.realized_cost)
+    a, v0 = build_rounding_system(sol, plan, kept, scaled)
     v_int, certificate = karp_round(a, v0)
     if not certificate.ok:
         raise ColorStageError(
             f"rounding contract failed: max row increase {certificate.max_increase:.9f}"
             f" against bound {certificate.t}"
         )
-    selected = [p for p, val in zip(kept, v_int[: len(kept)]) if val > 0.5]
-    covered = {(p.sink, p.box_index) for p in selected}
-    for j, boxes in plan.boxes.items():
-        for box in boxes:
-            if (j, box.index) not in covered:
-                raise ColorStageError(f"box ({j},{box.index}) left unserved")
+    selected = kept[v_int[:kept.size] > 0.5]
+    unserved = np.flatnonzero(np.bincount(plan.box[selected], minlength=plan.total_boxes) == 0)
+    if unserved.size:
+        raise ColorStageError(f"box {unserved[0]} left unserved")
+    cols = plan.col[selected]
     return ColorResult(
-        x_tilde={(p.stream, p.reflector, p.sink): 1.0 for p in selected},
+        x_tilde=dict.fromkeys(route_keys(model, cols), 1.0),
         selected=selected,
         plan=plan,
         certificate=certificate,
         draw_cost=sol.realized_cost,
-        path_cost_total=sum((p.cost for p in selected), 0.0),
-        dropped_paths=len(dropped),
+        path_cost_total=sum(model.obj[cols].tolist(), 0.0),
+        dropped_paths=paths.size - kept.size,
     )

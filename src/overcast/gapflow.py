@@ -1,31 +1,40 @@
 """Stage-two rounding: assign half-unit demand boxes to relay pairs.
 
-The accepted draw leaves fractional relay mass per (stream, reflector, sink).
-Per sink, that mass is cut into boxes of exactly one half, filling boxes in
-non-increasing weight order and splitting entries at box boundaries; a
-trailing strictly-partial box is discarded. Each kept box then goes to one
-of its own fragments' reflectors, by an assignment LP on the simplex:
+The accepted draw leaves fractional relay mass on the x columns, one per
+(stream, reflector, sink) route. Per sink, that mass is cut into boxes of
+exactly one half, filling boxes in non-increasing weight order and
+splitting entries at box boundaries; a trailing strictly-partial box is
+discarded. The cut is one fragment table, `BoxPlan`: fragment f carries
+`mass[f]` of x column `col[f]` in global box `box[f]`, and box b belongs to
+the sink at position `sink[b]`. Both stage-two roundings read that table,
+and the model's `x_refl` and `x_sink` arrays give each column's reflector
+and sink; a pair (reflector, sink) is just an x column.
 
-    minimize   sum cost(k, i, j) * a[box, i]  over the fragments (box, i)
-    subject to sum over i of a[box, i]        == 1          per box
-               sum over j's boxes of a[box, i] <= 2         per pair (i, j)
-               sum over all boxes of a[box, i] <= 4 * cap_i  per reflector i
+Each kept box then goes to one of its own fragments' pairs, by an
+assignment LP on the simplex with one variable a[f] per fragment:
+
+    minimize   sum cost(col[f]) * a[f]
+    subject to sum over box b's fragments of a[f]    == 1          per box
+               sum over the pair's fragments of a[f] <= 2          per pair
+               sum over reflector i's fragments a[f] <= 4 * cap_i  per reflector i
                0 <= a <= 1
 
-Each column's reflector and pair rows lie on one chain of a laminar family
-(pair inside reflector) and its third row is in the box partition, so the
-matrix is totally unimodular and the optimal vertex the simplex returns is
-integral (Shmoys & Tardos, Math. Prog. 62, 1993). A pair's relay mass is
-half the boxes it serves, so it lands in {0, 1/2, 1}. Because boxes are
-weight-sorted, serving every box from one of its own fragments' pairs keeps
-at least (1/2 - DELTA) of each sink's demanded weight, the pair cap keeps
-every reflector under four times its stream budget, and the LP optimum keeps
-the relay-mass cost under the drawn relay cost.
+The rows run used reflectors in instance order, then pairs in order of
+first use, then boxes. Each variable's reflector and pair rows lie on one
+chain of a laminar family (pair inside reflector) and its third row is in
+the box partition, so the matrix is totally unimodular and the optimal
+vertex the simplex returns is integral (Shmoys & Tardos, Math. Prog. 62,
+1993). A pair's relay mass is half the boxes it serves, so it lands in
+{0, 1/2, 1}. Because boxes are weight-sorted, serving every box from one of
+its own fragments' pairs keeps at least (1/2 - DELTA) of each sink's
+demanded weight, the pair cap keeps every reflector under four times its
+stream budget, and the LP optimum keeps the relay-mass cost under the drawn
+relay cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,29 +52,19 @@ class GapStageError(RuntimeError):
 
 
 @dataclass
-class Box:
-    sink: str
-    index: int
-    fragments: list[tuple[str, float]] = field(default_factory=list)
-
-    @property
-    def mass(self) -> float:
-        return sum(m for _i, m in self.fragments)
-
-    @property
-    def reflectors(self) -> list[str]:
-        # An entry fills a box before the next begins, so no reflector repeats.
-        return [i for i, _m in self.fragments]
-
-
-@dataclass
 class BoxPlan:
-    boxes: dict[str, list[Box]]
-    dropped: dict[str, Box | None]
+    """The cut as one fragment table, in (sink, box, cut) order: fragment f
+    carries `mass[f]` of model column `col[f]` in global box `box[f]`, and
+    box b belongs to the sink at position `sink[b]`."""
+
+    col: np.ndarray
+    box: np.ndarray
+    mass: np.ndarray
+    sink: np.ndarray
 
     @property
     def total_boxes(self) -> int:
-        return sum(len(bs) for bs in self.boxes.values())
+        return self.sink.size
 
 
 @dataclass
@@ -73,23 +72,31 @@ class GapResult:
     x_tilde: dict[tuple[str, str, str], float]
     mass_cost: float
     plan: BoxPlan
-    box_servers: dict[tuple[str, int], str]
+
+
+def route_keys(model, cols: np.ndarray) -> list[tuple[str, str, str]]:
+    """The (stream, reflector, sink) ids of each of the x columns `cols`."""
+    x = cols - len(model.z_index) - len(model.y_index)
+    refls, sinks = model.inst.reflectors, model.inst.sinks
+    return [
+        (sinks[j].stream, refls[i].id, sinks[j].id)
+        for i, j in zip(model.x_refl[x].tolist(), model.x_sink[x].tolist())
+    ]
 
 
 def build_boxes(sol: SemiIntegralSolution) -> BoxPlan:
-    """Cut each demanding sink's drawn mass into half-unit fragment boxes."""
+    """Cut each demanding sink's drawn mass into half-unit boxes of fragments."""
     model = sol.model
-    boxes_by_sink: dict[str, list[Box]] = {}
-    dropped: dict[str, Box | None] = {}
-    for d in model.inst.sinks:
+    col: list[int] = []
+    box: list[int] = []
+    mass: list[float] = []
+    sink: list[int] = []
+    for j, (d, routes) in enumerate(zip(model.inst.sinks, model.sink_routes.values())):
         if d.weight_threshold <= 0.0:
             continue
-        entries = []
-        for i, xi, w in model.sink_routes[d.id]:
-            mass = float(sol.values[xi])
-            if mass > _ZERO_TOL:
-                entries.append((i, w, mass))
-        total = sum(m for _i, _w, m in entries)
+        entries = [(i, w, float(sol.values[xi]), xi) for i, xi, w in routes]
+        entries = [e for e in entries if e[2] > _ZERO_TOL]
+        total = sum(m for _i, _w, m, _xi in entries)
         needed = 1.0 - DELTA
         if total < needed - _MASS_TOL:
             raise GapStageError(
@@ -97,70 +104,57 @@ def build_boxes(sol: SemiIntegralSolution) -> BoxPlan:
             )
         entries.sort(key=lambda e: (-e[1], e[0]))
 
-        boxes: list[Box] = []
-        cur = Box(d.id, 0)
-        room = 0.5
-        for i, _w, mass in entries:
-            while mass > _ZERO_TOL:
-                take = min(mass, room)
-                cur.fragments.append((i, take))
-                mass -= take
+        first_box = len(sink)
+        start, room = len(col), 0.5  # the open box's first fragment and its room
+        for _i, _w, m, xi in entries:
+            while m > _ZERO_TOL:
+                take = min(m, room)
+                col.append(xi)
+                box.append(len(sink))
+                mass.append(take)
+                m -= take
                 room -= take
                 if room <= _ZERO_TOL:
-                    boxes.append(cur)
-                    cur = Box(d.id, len(boxes))
-                    room = 0.5
-        if cur.fragments and cur.mass >= 0.5 - _MASS_TOL:
-            boxes.append(cur)
-            cur = Box(d.id, len(boxes))
-        dropped[d.id] = cur if cur.fragments else None
-        if not boxes:
+                    sink.append(j)
+                    start, room = len(col), 0.5
+        if sum(mass[start:]) >= 0.5 - _MASS_TOL:  # short of a half by rounding only
+            sink.append(j)
+        else:  # strictly partial: its fragments go
+            del col[start:], box[start:], mass[start:]
+        if len(sink) == first_box:
             raise GapStageError(f"sink {d.id}: no full box survived the cut")
-        boxes_by_sink[d.id] = boxes
-    return BoxPlan(boxes=boxes_by_sink, dropped=dropped)
+    return BoxPlan(
+        np.array(col, dtype=np.intp), np.array(box, dtype=np.intp),
+        np.array(mass, dtype=float), np.array(sink, dtype=np.intp),
+    )
 
 
 def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
     """Solve the box assignment LP and read the half-integral relay masses back."""
     model = sol.model
-    inst = model.inst
     plan = build_boxes(sol)
-    if not plan.boxes:
-        return GapResult({}, 0.0, plan, {})
+    if not plan.total_boxes:
+        return GapResult({}, 0.0, plan)
 
-    sink_stream = {d.id: d.stream for d in inst.sinks}
-    boxes: list[tuple[str, int]] = []
-    pair_at: dict[tuple[str, str], int] = {}  # (reflector, sink), sink-major
-    columns: list[tuple[int, str, str]] = []  # (box position, reflector, sink)
-    for j, sink_boxes in plan.boxes.items():
-        for box in sink_boxes:
-            for i in box.reflectors:
-                pair_at.setdefault((i, j), len(pair_at))
-                columns.append((len(boxes), i, j))
-            boxes.append((j, box.index))
-    used = {i for _b, i, _j in columns}
-    reflectors = [r.id for r in inst.reflectors if r.id in used]
-    refl_at = {i: r for r, i in enumerate(reflectors)}
-    col_pair = np.array([pair_at[(i, j)] for _b, i, j in columns])
+    # Pairs are numbered in order of first use, reflectors in instance order.
+    _cols, first, pair = np.unique(plan.col, return_index=True, return_inverse=True)
+    col_pair, pair_col = np.argsort(np.argsort(first))[pair], plan.col[np.sort(first)]
+    nz, ny = len(model.z_index), len(model.y_index)
+    used, col_refl = np.unique(model.x_refl[plan.col - nz - ny], return_inverse=True)
 
     # Rows: reflectors, then pairs, then boxes; each column meets one of each.
-    first_pair, first_box = len(reflectors), len(reflectors) + len(pair_at)
-    rows = np.column_stack([
-        [refl_at[i] for _b, i, _j in columns],
-        first_pair + col_pair,
-        [first_box + b for b, _i, _j in columns],
-    ]).ravel()
+    n, boxes = plan.col.size, plan.total_boxes
+    first_pair, first_box = used.size, used.size + pair_col.size
+    rows = np.column_stack([col_refl, first_pair + col_pair, first_box + plan.box]).ravel()
     layout = simplex.Layout(
-        (first_box + len(boxes), len(columns)),
-        rows, np.repeat(np.arange(len(columns)), 3), np.ones(rows.size),
+        (first_box + boxes, n), rows, np.repeat(np.arange(n), 3), np.ones(rows.size)
     )
-    senses = ["<="] * first_box + ["=="] * len(boxes)
-    rhs = [FANOUT_FACTOR * model.capacities[i] for i in reflectors]
-    rhs += [2] * len(pair_at) + [1] * len(boxes)
-    cost = [float(model.obj[model.x_index[(sink_stream[j], i, j)]]) for _b, i, j in columns]
-    res = simplex.solve(
-        cost, layout, senses, rhs, np.zeros(len(columns)), np.ones(len(columns))
+    senses = ["<="] * first_box + ["=="] * boxes
+    caps = np.array(list(model.capacities.values()), dtype=float)  # in reflector order
+    rhs = np.concatenate(
+        [FANOUT_FACTOR * caps[used], np.full(pair_col.size, 2.0), np.ones(boxes)]
     )
+    res = simplex.solve(model.obj[plan.col], layout, senses, rhs, np.zeros(n), np.ones(n))
     if res.status != simplex.OPTIMAL:
         raise GapStageError(f"assignment LP is {res.status}")
     picked = np.rint(res.x)
@@ -168,21 +162,16 @@ def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
     if off > _INT_TOL:
         raise GapStageError(f"assignment LP vertex is {off:.3g} from integral")
 
-    box_servers = {boxes[b]: i for (b, i, _j), v in zip(columns, picked) if v == 1}
-    halves = np.bincount(col_pair, weights=picked, minlength=len(pair_at))
-    x_tilde = {
-        (sink_stream[j], i, j): h / 2.0 for (i, j), h in zip(pair_at, halves) if h > 0
-    }
-    mass_cost = sum(
-        float(model.obj[model.x_index[key]]) * v for key, v in x_tilde.items()
-    )
+    halves = np.bincount(col_pair, weights=picked, minlength=pair_col.size)
+    served = halves > 0
+    mass = halves[served] / 2.0
+    x_tilde = dict(zip(route_keys(model, pair_col[served]), mass))
+    mass_cost = sum(model.obj[pair_col[served]] * mass)  # added in x_tilde order
     # The weight and fan-out bounds are the approx audit's to check; only the
     # cost bound compares against the draw, which no audit sees.
-    drawn_relay_cost = sum(
-        float(model.obj[xi] * sol.values[xi]) for xi in model.x_index.values()
-    )
+    drawn_relay_cost = sum((model.obj[nz + ny:] * sol.values[nz + ny:]).tolist())
     if mass_cost > drawn_relay_cost + 1e-6:
         raise GapStageError(
             f"assignment cost {mass_cost:.6f} exceeds drawn relay cost {drawn_relay_cost:.6f}"
         )
-    return GapResult(x_tilde=x_tilde, mass_cost=mass_cost, plan=plan, box_servers=box_servers)
+    return GapResult(x_tilde=x_tilde, mass_cost=mass_cost, plan=plan)

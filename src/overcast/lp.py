@@ -10,7 +10,8 @@ The columns run z, then y, then x, in three contiguous blocks. The x loop
 alone decides which triples are routes (both links present) and builds the
 route table `sink_routes[j]`: sink j's (reflector, x column, clamped weight)
 in reflector order. `y_parent` and `x_parent` hold each y's z column and
-each x's y column.
+each x's y column, and `x_refl` and `x_sink` each x's reflector and sink
+position, indexed by position in the x block.
 
 The rows are one table: the sparse `layout` holds every entry, `rows`,
 `senses` and `rhs` each row's label, sense and right-hand side, `families`
@@ -178,9 +179,11 @@ class LpModel:
         cols = np.arange(self.nvars)
         z_cols, y_cols, x_cols = cols[:nz], cols[nz:nz + ny], cols[nz + ny:]
         x_feed = self.x_parent - nz  # each x's position in the y block
-        x_refl = self.y_parent[x_feed]  # each x's reflector, as its z column
+        # Each x's reflector and sink positions, by position in the x block;
+        # a reflector's position is its z column. Stage two reads both.
+        self.x_refl = x_refl = self.y_parent[x_feed]
         counts = [len(self.sink_routes[d.id]) for d in sinks]
-        x_sink = np.repeat(np.arange(len(sinks)), counts)  # x columns run in sink order
+        self.x_sink = x_sink = np.repeat(np.arange(len(sinks)), counts)  # x runs in sink order
         x_load = np.repeat([self._copy_load(d.stream) if n else 0.0 for d, n in zip(sinks, counts)],
                            counts)
         caps = np.array([float(inst.copy_cap(r.id)) for r in inst.reflectors])

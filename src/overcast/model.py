@@ -232,10 +232,10 @@ class Instance:
                 if stream in stream_of:
                     raise ValidationError(f"duplicate stream id {stream!r}")
                 stream_of[stream] = replica
-                sources.append(SourceSpec(**{**rec, "id": replica}))
+                sources.append((n, SourceSpec(**{**rec, "id": replica})))
             source_replicas[sid] = [replica for _stream, replica in replicas]
 
-        sinks = []
+        self.sink_by_id = {}
         sink_replicas: dict[str, list[str]] = {}  # raw sink id -> its replicas
         for n, rec in enumerate(doc["sinks"]):
             where = f"sinks[{n}]"
@@ -259,43 +259,47 @@ class Instance:
                     raise ValidationError(f"{where}: unknown stream {stream!r}")
                 if stream in demanded:
                     raise ValidationError(f"{where}: stream {stream!r} demanded twice")
+                if replica in self.sink_by_id:  # another record's, e.g. unit D#a and D's a
+                    raise ValidationError(f"{where}: duplicate sink id {replica!r}")
                 demanded.add(stream)
-                sinks.append(SinkSpec(replica, stream_of[stream], dem["loss_threshold"]))
+                spec = SinkSpec(replica, stream_of[stream], dem["loss_threshold"])
+                self.sink_by_id[replica] = spec
             sink_replicas[sid] = replicas
+        self.sinks = tuple(self.sink_by_id.values())
 
-        # A source no sink demands can never carry traffic: drop it and its edges.
-        kept = {d.stream for d in sinks}
-        self.sources = tuple(s for s in sources if s.id in kept)
-        self.sinks = tuple(sinks)
-        self.reflectors = tuple(
-            ReflectorSpec(**_check_record(rec, "reflector", f"reflectors[{n}]"))
-            for n, rec in enumerate(doc["reflectors"])
-        )
+        # A source no sink demands can never carry traffic: drop it and its
+        # edges. Two records may make one replica id (unit E#a and E's a);
+        # when it is demanded, both copies are kept, and refused.
+        kept = {d.stream for d in self.sinks}
+        self.source_by_id = {}
+        for n, s in sources:
+            if s.id in self.source_by_id:
+                raise ValidationError(f"sources[{n}]: duplicate source id {s.id!r}")
+            if s.id in kept:
+                self.source_by_id[s.id] = s
+        self.sources = tuple(self.source_by_id.values())
+        self.reflector_by_id = {}
+        for n, rec in enumerate(doc["reflectors"]):
+            r = ReflectorSpec(**_check_record(rec, "reflector", f"reflectors[{n}]"))
+            if r.id in self.reflector_by_id:
+                raise ValidationError(f"reflectors[{n}]: duplicate reflector id {r.id!r}")
+            self.reflector_by_id[r.id] = r
+        self.reflectors = tuple(self.reflector_by_id.values())
         kept_replicas = {sid: [r for r in reps if r in kept] for sid, reps in source_replicas.items()}
         reflector_ends = ("reflector", {r.id: [r.id] for r in self.reflectors})
         self.src_edges = _read_edges(doc, "src_edges", ("source", kept_replicas), reflector_ends)
         self.refl_edges = _read_edges(doc, "refl_edges", reflector_ends, ("sink", sink_replicas))
-
-        self.source_by_id = {s.id: s for s in self.sources}
-        self.reflector_by_id = {r.id: r for r in self.reflectors}
-        self.sink_by_id = {d.id: d for d in self.sinks}
         self._validate()
 
     # -- validation -------------------------------------------------------
 
     def _validate(self) -> None:
-        """The checks that span records; the reader checked each record and
-        each reference to a node."""
+        """The checks that span kinds; the reader checked each record, each
+        reference to a node, and that no two records of a kind make one id."""
         if self.mode not in ("full", "transmission"):
             raise ValidationError(f"mode must be 'full' or 'transmission', got {self.mode!r}")
         if not self.reflectors or not self.sinks:  # each sink demands a source
             raise ValidationError("instance needs at least one source, reflector and sink")
-        for group, name in ((self.sources, "source"), (self.reflectors, "reflector"), (self.sinks, "sink")):
-            seen = set()
-            for spec in group:
-                if spec.id in seen:
-                    raise ValidationError(f"duplicate {name} id {spec.id!r}")
-                seen.add(spec.id)
         all_ids = set(self.source_by_id) | set(self.reflector_by_id) | set(self.sink_by_id)
         if len(all_ids) != len(self.sources) + len(self.reflectors) + len(self.sinks):
             raise ValidationError("node ids must be unique across sources, reflectors and sinks")
@@ -391,13 +395,10 @@ def instance_from_doc(doc: dict) -> Instance:
     return Instance(doc)
 
 
-normalize = instance_from_doc
-
-
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return normalize(doc)
+    return Instance(doc)
 
 
 def save_instance(inst: Instance, path) -> None:

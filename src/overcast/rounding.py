@@ -19,6 +19,7 @@ in isolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class RoundingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be at least 1")
+        if not (math.isfinite(self.multiplier) and self.multiplier >= 1.0):
+            raise ValueError(f"multiplier must be finite and at least 1, got {self.multiplier!r}")
         if self.max_retries < 1:
             raise ValueError("max_retries must be positive")
 
@@ -69,12 +70,9 @@ class SemiIntegralSolution:
         short = act[w] < (1.0 - DELTA) * model.rhs[w] - PRED_TOL
         bad = [model.rows[r] for r in weight.start + np.flatnonzero(short)]
         nz, ny = len(model.z_index), len(model.y_index)
-        # Each x's reflector is the z column of its y column's parent.
-        loads = np.bincount(
-            model.y_parent[model.x_parent - nz], weights=v[nz + ny:], minlength=nz
-        )
+        loads = np.bincount(model.x_refl, weights=v[nz + ny:], minlength=nz)
         refls = model.inst.reflectors
-        caps = np.array([model.capacities[r.id] for r in refls], dtype=float)
+        caps = np.array(list(model.capacities.values()), dtype=float)  # in reflector order
         bad += [f"load[{refls[i].id}]" for i in np.flatnonzero(loads > 2.0 * caps + PRED_TOL)]
         color = model.families.get("color", range(0))
         c = slice(color.start, color.stop)

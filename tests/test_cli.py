@@ -8,7 +8,7 @@ import overcast.cli as cli
 import overcast.pipeline as pipeline
 from overcast.cli import CSV_COLUMNS, SWEEP_COLUMNS, build_parser, main
 from overcast.lp import NoIncumbentError, TimeBudget, build_model, solve_lp
-from overcast.model import load_instance, normalize
+from overcast.model import Instance, load_instance
 from overcast.solution import PathSet
 
 
@@ -94,6 +94,17 @@ def test_missing_file_exits_2(instance_file, tmp_path, capsys, missing):
         argv = ["verify", str(instance_file), absent]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["solve", "compare", "sweep"])
+def test_a_non_finite_multiplier_exits_2(instance_file, tmp_path, capsys, command, value):
+    out = tmp_path / "x"
+    flag = ["--multipliers", value] if command == "sweep" else ["--multiplier", value]
+    extra = ["--algs", "approx"] if command == "compare" else []
+    assert main([command, str(instance_file), *flag, *extra, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: multiplier must be finite")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_solve_infeasible_exits_3(instance_file, tmp_path, capsys):
@@ -508,7 +519,7 @@ def test_verify_fails_a_route_with_no_bitrate(tmp_path, capsys):
     doc["reflectors"][0]["bandwidth"] = 1.0
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(json.dumps(doc))
-    inst = normalize(doc)
+    inst = Instance(doc)
     routes = {("s0", "r0", "d0"): 1.0, ("s0", "r0", "d1"): 1.0}
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(PathSet(instance=inst, x_tilde=routes, provenance="exact-ip").to_json())

@@ -7,14 +7,12 @@ from overcast.color import (
     COLUMN_BOUND,
     COST_FILTER_FACTOR,
     ColorStageError,
-    RelayPath,
     build_rounding_system,
-    enumerate_paths,
     filter_and_scale,
     karp_round,
     run_color_stage,
 )
-from overcast.gapflow import build_boxes
+from overcast.gapflow import BoxPlan, build_boxes
 from overcast.gen import gen_random
 from overcast.lp import build_model, solve_lp
 from overcast.model import instance_from_doc
@@ -23,6 +21,7 @@ from overcast.rounding import RoundingConfig, round_with_retries
 from overcast.simplex import Layout
 from overcast.solution import PathSet
 from overcast.verify import audit
+from test_gapflow import FILTERED_MASSES, draw_from, filtered_colored_doc
 
 
 def colored_doc(phi=0.01, colors=(0, 0, 1, 1), n_sinks=3):
@@ -61,6 +60,22 @@ def accepted_draw(doc, multiplier=8.0, seed=5):
     frac = solve_lp(model)
     config = RoundingConfig(multiplier=multiplier, seed=seed)
     return round_with_retries(frac, config)
+
+
+def path_columns(sol):
+    """`run_color_stage`'s cut and walk columns for the draw: (plan, the
+    fragments stably sorted by reflector position, their reflector positions)."""
+    model, plan = sol.model, build_boxes(sol)
+    refl = model.x_refl[plan.col - len(model.z_index) - len(model.y_index)]
+    paths = np.argsort(refl, kind="stable")
+    return plan, paths, refl
+
+
+def rounding_system(sol):
+    """`run_color_stage`'s rounding system for the draw: (plan, kept, a, v0)."""
+    plan, paths, _refl = path_columns(sol)
+    kept, scaled = filter_and_scale(plan, paths, sol.model.obj[plan.col], sol.realized_cost)
+    return (plan, kept, *build_rounding_system(sol, plan, kept, scaled))
 
 
 def recompute_increases(a, v0, v):
@@ -131,8 +146,7 @@ def test_walk_agrees_across_blas_threads(blas_threads, tmp_path):
     inst = gen_random((2, 20, 40), "low", seed=0, colors=10)
     frac = solve_lp(build_model(inst))
     sol = round_with_retries(frac, RoundingConfig(multiplier=default_multiplier(inst)))
-    kept, _dropped = filter_and_scale(enumerate_paths(sol, build_boxes(sol)), sol.realized_cost)
-    a, v0 = build_rounding_system(sol, kept)  # 189 x 315
+    _plan, _kept, a, v0 = rounding_system(sol)  # 189 x 315
     path = tmp_path / "system.npz"
     np.savez(
         path, shape=(a.m, a.n), rows=a.rows, cols=a.cols, vals=a.vals, v0=v0, t=COLUMN_BOUND
@@ -199,8 +213,7 @@ def test_walk_ends_once_no_row_is_tracked(case):
     inst = gen_random(sizes, "low", seed=seed, colors=colors)
     frac = solve_lp(build_model(inst))
     sol = round_with_retries(frac, RoundingConfig(multiplier=default_multiplier(inst)))
-    kept, _dropped = filter_and_scale(enumerate_paths(sol, build_boxes(sol)), sol.realized_cost)
-    a, v0 = build_rounding_system(sol, kept)
+    _plan, _kept, a, v0 = rounding_system(sol)
     v, cert = karp_round(a, v0)
     v_steps, max_increase, untracked = stepwise_walk(a, v0)
     assert untracked > 10  # steps the shortcut skips
@@ -210,68 +223,67 @@ def test_walk_ends_once_no_row_is_tracked(case):
 
 def test_rounding_system_has_one_row_per_bound():
     sol = accepted_draw(colored_doc(), seed=3)
-    kept, _dropped = filter_and_scale(enumerate_paths(sol, build_boxes(sol)), sol.realized_cost)
-    a, _v0 = build_rounding_system(sol, kept)
-    reflectors = {p.reflector for p in kept}
-    boxes = {(p.sink, p.box_index) for p in kept}
-    groups = {(p.sink, p.color) for p in kept}
+    plan, kept, a, _v0 = rounding_system(sol)
+    inst, refl = sol.model.inst, path_columns(sol)[2]
+    reflectors = set(refl[kept].tolist())
+    boxes = set(plan.box[kept].tolist())
+    groups = {(plan.sink[plan.box[f]], inst.reflectors[refl[f]].color) for f in kept}
     assert a.m == len(reflectors) + len(boxes) + len(groups) + 1  # + the cost row
-    assert a.n == len(kept) + a.m
+    assert a.n == kept.size + a.m
     # a path sits in one feed, one color and the cost row: 1 + 1 + 4 at most
-    on_path = a.cols < len(kept)
+    on_path = a.cols < kept.size
     pos = np.bincount(
-        a.cols[on_path], weights=np.maximum(a.vals[on_path], 0.0), minlength=len(kept)
+        a.cols[on_path], weights=np.maximum(a.vals[on_path], 0.0), minlength=kept.size
     )
     assert np.all(pos <= 2.0 + COST_FILTER_FACTOR + 1e-9)
 
 
-def fabricated_path(sink, box, reflector, mass, cost, color=None):
-    return RelayPath(
-        sink=sink,
-        box_index=box,
-        reflector=reflector,
-        stream="s0",
-        mass=mass,
-        cost=cost,
-        color=color,
-    )
+def one_box_plan(*masses):
+    """A fragment table of one box holding fragments of the given masses,
+    fragment f on column f."""
+    n = len(masses)
+    return BoxPlan(np.arange(n), np.zeros(n, dtype=np.intp), np.array(masses), np.zeros(1, int))
 
 
 def test_filter_and_scale_drops_expensive_paths():
-    paths = [
-        fabricated_path("d0", 0, "r0", 0.125, 1.0),
-        fabricated_path("d0", 0, "r1", 0.125, 1.0),
-        fabricated_path("d0", 0, "r2", 0.125, 1.0),
-        fabricated_path("d0", 0, "r3", 0.125, 100.0),
-    ]
-    kept, dropped = filter_and_scale(paths, draw_cost=1.0)
-    assert [p.reflector for p in dropped] == ["r3"]
-    assert all(p.scaled == pytest.approx(0.5) for p in kept)
+    plan = one_box_plan(0.125, 0.125, 0.125, 0.125)
+    kept, scaled = filter_and_scale(plan, np.arange(4), np.array([1.0, 1.0, 1.0, 100.0]), 1.0)
+    assert kept.tolist() == [0, 1, 2]  # the fourth, at 100x the draw, is dropped
+    assert scaled.tolist() == [0.5, 0.5, 0.5]
 
     # boundary: cost exactly 4x the draw stays in
-    paths2 = [fabricated_path("d0", 0, "r0", 0.5, 4.0)]
-    kept2, dropped2 = filter_and_scale(paths2, draw_cost=1.0)
-    assert kept2 and not dropped2 and kept2[0].scaled == 1.0
+    kept2, scaled2 = filter_and_scale(one_box_plan(0.5), np.arange(1), np.array([4.0]), 1.0)
+    assert kept2.tolist() == [0] and scaled2.tolist() == [1.0]
 
 
 def test_filter_and_scale_quarter_floor_and_zero_cost_guard():
-    paths = [
-        fabricated_path("d0", 0, "r0", 0.4, 50.0),
-        fabricated_path("d0", 0, "r1", 0.1, 1.0),
-    ]
+    plan, paths, cost = one_box_plan(0.4, 0.1), np.arange(2), np.array([50.0, 1.0])
     with pytest.raises(ColorStageError, match="retained mass"):
-        filter_and_scale(paths, draw_cost=1.0)
+        filter_and_scale(plan, paths, cost, draw_cost=1.0)
     # zero realized cost disables filtering entirely
-    kept, dropped = filter_and_scale(paths, draw_cost=0.0)
-    assert len(kept) == 2 and not dropped
+    kept, _scaled = filter_and_scale(plan, paths, cost, draw_cost=0.0)
+    assert kept.tolist() == [0, 1]
+
+
+def test_walk_columns_follow_the_reflector_order_and_the_filter():
+    # The hand-made draw of test_gapflow's pin: r2 costs over 4x the draw.
+    sol = draw_from(build_model(instance_from_doc(filtered_colored_doc())), FILTERED_MASSES)
+    plan, paths, refl = path_columns(sol)
+    # Per sink, r2's heavier routes fill first: d0 cuts r2 r0 | r0 r1 and d1
+    # r2 r0 r1 | r1, so r2's fragments are 0 and 4.
+    assert refl.tolist() == [2, 0, 0, 1, 2, 0, 1, 1]
+    assert paths.tolist() == [1, 2, 5, 3, 6, 7, 0, 4]  # stable within a reflector
+    kept, scaled = filter_and_scale(plan, paths, sol.model.obj[plan.col], sol.realized_cost)
+    assert kept.tolist() == paths[:6].tolist()  # both r2 fragments are dropped
+    assert scaled.tolist() == np.minimum(4.0 * plan.mass[kept], 1.0).tolist()
+    result = run_color_stage(sol)
+    assert result.dropped_paths == 2 and set(result.selected.tolist()) <= set(kept.tolist())
 
 
 @pytest.mark.parametrize("shift", [20.0, -20.0], ids=["positive", "negative"])
 def test_karp_round_rejects_a_column_over_t(shift):
     sol = accepted_draw(colored_doc(), seed=3)
-    plan = build_boxes(sol)
-    kept, _dropped = filter_and_scale(enumerate_paths(sol, plan), sol.realized_cost)
-    a, v0 = build_rounding_system(sol, kept)
+    _plan, _kept, a, v0 = rounding_system(sol)
     karp_round(a, v0)
 
     a.vals[a.colptr[0]:a.colptr[1]] += shift
@@ -279,28 +291,24 @@ def test_karp_round_rejects_a_column_over_t(shift):
         karp_round(a, v0)
 
 
-def test_enumerate_paths_covers_boxes_exactly():
+def test_fragment_table_covers_boxes_exactly():
     sol = accepted_draw(colored_doc(), seed=3)
-    plan = build_boxes(sol)
-    paths = enumerate_paths(sol, plan)
-    per_box = {}
-    for p in paths:
-        per_box[(p.sink, p.box_index)] = per_box.get((p.sink, p.box_index), 0.0) + p.mass
-    for j, boxes in plan.boxes.items():
-        for box in boxes:
-            assert per_box[(j, box.index)] == pytest.approx(0.5, abs=1e-7)
-    n_frags = sum(len(b.fragments) for bs in plan.boxes.values() for b in bs)
-    assert len(paths) == n_frags
-    # every path is one fragment, with that fragment's mass to the last bit
-    frag_mass = {
-        (j, box.index, i): m
-        for j, boxes in plan.boxes.items()
-        for box in boxes
-        for i, m in box.fragments
-    }
-    assert len(frag_mass) == n_frags
-    for p in paths:
-        assert p.mass == frag_mass[(p.sink, p.box_index, p.reflector)]
+    plan, paths, _refl = path_columns(sol)
+    per_box = np.bincount(plan.box, weights=plan.mass, minlength=plan.total_boxes)
+    assert per_box == pytest.approx(np.full(plan.total_boxes, 0.5), abs=1e-7)
+    # boxes are numbered in order, each sink's together, and no box holds
+    # two fragments of one column
+    assert np.all(np.diff(plan.box) >= 0) and np.all(np.diff(plan.sink) >= 0)
+    assert len(set(zip(plan.box.tolist(), plan.col.tolist()))) == plan.col.size
+    # every box's column belongs to its sink, and a column's fragments never
+    # carry more than its drawn mass
+    model = sol.model
+    x0 = len(model.z_index) + len(model.y_index)
+    assert model.x_sink[plan.col - x0].tolist() == plan.sink[plan.box].tolist()
+    per_col = np.bincount(plan.col, weights=plan.mass, minlength=model.nvars)
+    assert np.all(per_col <= sol.values + 1e-12)
+    # the walk's columns are every fragment once
+    assert sorted(paths.tolist()) == list(range(plan.col.size))
 
 
 def test_color_stage_end_to_end_guarantees():
@@ -310,14 +318,13 @@ def test_color_stage_end_to_end_guarantees():
         assert result.certificate.ok
         assert result.certificate.max_increase < 9.0 - 1e-9
 
-        covered = {(p.sink, p.box_index) for p in result.selected}
-        for j, boxes in result.plan.boxes.items():
-            for box in boxes:
-                assert (j, box.index) in covered
+        plan, selected = result.plan, result.selected
+        assert set(plan.box[selected].tolist()) == set(range(plan.total_boxes))
+        refl = sol.model.x_refl[plan.col - len(sol.model.z_index) - len(sol.model.y_index)]
         counts = {}
-        for p in result.selected:
-            if p.color is not None:
-                counts[(p.sink, p.color)] = counts.get((p.sink, p.color), 0) + 1
+        for f in selected.tolist():
+            group = (plan.sink[plan.box[f]], sol.model.inst.reflectors[refl[f]].color)
+            counts[group] = counts.get(group, 0) + 1
         assert all(n <= 13 for n in counts.values())
         assert result.path_cost_total <= 13.0 * result.draw_cost + 1e-6
         assert set(result.x_tilde) <= set(sol.model.x_index)
@@ -346,7 +353,7 @@ def test_color_stage_skips_when_no_sink_demands_weight():
     doc = colored_doc(phi=1.0)
     sol = accepted_draw(doc, seed=3)
     result = run_color_stage(sol)
-    assert result.x_tilde == {} and result.selected == []
+    assert result.x_tilde == {} and result.selected.size == 0
     assert result.certificate.ok
 
 

@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from overcast import gapflow, gen, lp, pipeline, rounding, simplex
-from overcast.model import normalize
+from overcast.model import Instance
 
 
 def two_path_doc():
@@ -89,45 +89,54 @@ def random_feasible_doc(rng, n_refl, n_sinks):
     return doc
 
 
+def fragments(plan, model):
+    """Each box's fragments as [(reflector, mass)], boxes in plan order."""
+    x0 = len(model.z_index) + len(model.y_index)
+    refl = [model.inst.reflectors[i].id for i in model.x_refl[plan.col - x0]]
+    return [
+        [(refl[f], plan.mass[f]) for f in np.flatnonzero(plan.box == b)]
+        for b in range(plan.total_boxes)
+    ]
+
+
 def test_two_parallel_boxes_assign_one_each():
-    model = lp.build_model(normalize(two_path_doc()))
+    model = lp.build_model(Instance(two_path_doc()))
     sol = draw_from(model, {("s0", "r0", "d0"): 0.5, ("s0", "r1", "d0"): 0.5})
     res = gapflow.run_gap_stage(sol)
+    # Box 0 went to r0 and box 1 to r1, each pair serving one half.
     assert res.x_tilde == {("s0", "r0", "d0"): 0.5, ("s0", "r1", "d0"): 0.5}
-    assert res.box_servers == {("d0", 0): "r0", ("d0", 1): "r1"}
     assert res.mass_cost == pytest.approx(0.5 * 1.0 + 0.5 * 1.5)
     plan = res.plan
-    assert [b.fragments for b in plan.boxes["d0"]] == [[("r0", 0.5)], [("r1", 0.5)]]
-    assert plan.dropped["d0"] is None
+    assert fragments(plan, model) == [[("r0", 0.5)], [("r1", 0.5)]]
+    assert plan.col.tolist() == [4, 5] and plan.sink.tolist() == [0, 0]
 
 
 def test_strictly_partial_last_box_dropped():
-    model = lp.build_model(normalize(two_path_doc()))
+    model = lp.build_model(Instance(two_path_doc()))
     sol = draw_from(model, {("s0", "r0", "d0"): 0.5, ("s0", "r1", "d0"): 0.3})
     res = gapflow.run_gap_stage(sol)
     assert res.x_tilde == {("s0", "r0", "d0"): 0.5}
-    assert res.plan.dropped["d0"].fragments == [("r1", pytest.approx(0.3))]
+    # r1's 0.3 fills no box, so the table holds r0's one fragment only.
+    assert fragments(res.plan, model) == [[("r0", 0.5)]]
     # Kept weight is one half of the full 2-bit demand, over the 1/4 floor.
     assert sol.model.inst.path_weight("s0", "r0", "d0") * 0.5 == pytest.approx(1.0)
 
 
 def test_split_fragment_lets_cheap_pair_serve_both_boxes():
-    model = lp.build_model(normalize(two_path_doc()))
+    model = lp.build_model(Instance(two_path_doc()))
     sol = draw_from(model, {("s0", "r0", "d0"): 0.6, ("s0", "r1", "d0"): 0.4})
     res = gapflow.run_gap_stage(sol)
     # Box 1 holds fragments of both pairs; r0's relay edge is cheaper, so the
     # LP doubles up on r0 and never opens r1.
     assert res.x_tilde == {("s0", "r0", "d0"): 1.0}
-    assert res.box_servers == {("d0", 0): "r0", ("d0", 1): "r0"}
-    boxes = res.plan.boxes["d0"]
-    assert boxes[1].fragments == [
+    assert fragments(res.plan, model)[1] == [
         ("r0", pytest.approx(0.1)),
         ("r1", pytest.approx(0.4)),
     ]
 
 
 def test_mass_floor_enforced():
-    model = lp.build_model(normalize(two_path_doc()))
+    model = lp.build_model(Instance(two_path_doc()))
     sol = draw_from(model, {("s0", "r0", "d0"): 0.3, ("s0", "r1", "d0"): 0.3})
     with pytest.raises(gapflow.GapStageError):
         gapflow.build_boxes(sol)
@@ -137,33 +146,32 @@ def test_zero_demand_sink_gets_no_boxes():
     doc = two_path_doc()
     doc["sinks"].append({"id": "d1", "stream": "s0", "loss_threshold": 1.0})
     doc["refl_edges"].append({"from": "r0", "to": "d1", "loss": 0.1, "cost": 1.0})
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     sol = draw_from(model, {("s0", "r0", "d0"): 0.5, ("s0", "r1", "d0"): 0.5})
     res = gapflow.run_gap_stage(sol)
-    assert "d1" not in res.plan.boxes
+    assert res.plan.sink.tolist() == [0, 0]  # d1, at position 1, has none
     assert all(j != "d1" for (_k, _i, j) in res.x_tilde)
 
 
 def brute_force_best_assignment(model, plan):
-    """Cheapest feasible box->reflector assignment, by enumeration."""
-    boxes = [box for d in model.inst.sinks if d.id in plan.boxes for box in plan.boxes[d.id]]
-    choices = [box.reflectors for box in boxes]
+    """Cheapest feasible box->pair assignment, by enumeration; a pair is an
+    x column."""
+    x0 = len(model.z_index) + len(model.y_index)
+    caps = list(model.capacities.values())
+    choices = [plan.col[plan.box == b].tolist() for b in range(plan.total_boxes)]
     best = math.inf
     for pick in itertools.product(*choices):
         pair_count = {}
         refl_count = {}
-        for box, i in zip(boxes, pick):
-            pair_count[(i, box.sink)] = pair_count.get((i, box.sink), 0) + 1
+        for col in pick:
+            pair_count[col] = pair_count.get(col, 0) + 1
+            i = int(model.x_refl[col - x0])
             refl_count[i] = refl_count.get(i, 0) + 1
         if any(v > 2 for v in pair_count.values()):
             continue
-        if any(refl_count[i] > 4 * model.capacities[i] for i in refl_count):
+        if any(refl_count[i] > 4 * caps[i] for i in refl_count):
             continue
-        sink_stream = {d.id: d.stream for d in model.inst.sinks}
-        cost = sum(
-            float(model.obj[model.x_index[(sink_stream[j], i, j)]]) * n / 2.0
-            for (i, j), n in pair_count.items()
-        )
+        cost = sum(float(model.obj[col]) * n / 2.0 for col, n in pair_count.items())
         best = min(best, cost)
     return best
 
@@ -173,7 +181,7 @@ def test_random_draws_meet_guarantees_and_optimality():
     checked = 0
     for trial in range(12):
         doc = random_feasible_doc(rng, n_refl=int(rng.integers(2, 4)), n_sinks=int(rng.integers(2, 4)))
-        model = lp.build_model(normalize(doc))
+        model = lp.build_model(Instance(doc))
         try:
             frac = lp.solve_lp(model)
         except lp.InfeasibleError:
@@ -207,12 +215,14 @@ def test_random_draws_meet_guarantees_and_optimality():
 
 
 def test_gap_stage_deterministic():
-    model = lp.build_model(normalize(two_path_doc()))
+    model = lp.build_model(Instance(two_path_doc()))
     sol = draw_from(model, {("s0", "r0", "d0"): 0.6, ("s0", "r1", "d0"): 0.4})
     a = gapflow.run_gap_stage(sol)
     b = gapflow.run_gap_stage(sol)
     assert a.x_tilde == b.x_tilde
-    assert a.box_servers == b.box_servers
+    assert a.mass_cost == b.mass_cost
+    for field in ("col", "box", "mass", "sink"):
+        assert getattr(a.plan, field).tobytes() == getattr(b.plan, field).tobytes()
 
 
 def ladder_draw(size):
@@ -224,24 +234,24 @@ def ladder_draw(size):
 
 
 def milp_best_assignment(model, plan):
-    """Cheapest feasible box->reflector assignment, by HiGHS's MILP."""
-    sink_stream = {d.id: d.stream for d in model.inst.sinks}
-    boxes = [box for d in model.inst.sinks if d.id in plan.boxes for box in plan.boxes[d.id]]
-    cols = [(n, i, box.sink) for n, box in enumerate(boxes) for i in box.reflectors]
-    pairs = sorted({(i, j) for _n, i, j in cols})
-    refls = sorted({i for _n, i, _j in cols})
-    per_box = np.array([[n == b for b, _i, _j in cols] for n in range(len(boxes))], float)
-    per_pair = np.array([[(i, j) == pair for _b, i, j in cols] for pair in pairs], float)
-    per_refl = np.array([[i == r for _b, i, _j in cols] for r in refls], float)
-    cost = [float(model.obj[model.x_index[(sink_stream[j], i, j)]]) / 2.0 for _b, i, j in cols]
+    """Cheapest feasible box->pair assignment, by HiGHS's MILP over the
+    fragments; a pair is an x column."""
+    x0 = len(model.z_index) + len(model.y_index)
+    refl = model.x_refl[plan.col - x0]
+    pairs, refls = np.unique(plan.col), np.unique(refl)
+    per_box = (plan.box == np.arange(plan.total_boxes)[:, None]).astype(float)
+    per_pair = (plan.col == pairs[:, None]).astype(float)
+    per_refl = (refl == refls[:, None]).astype(float)
+    caps = np.array(list(model.capacities.values()))
+    cost = model.obj[plan.col] / 2.0
     res = milp(
         cost,
         constraints=[
             LinearConstraint(per_box, 1, 1),
             LinearConstraint(per_pair, 0, 2),
-            LinearConstraint(per_refl, 0, [4 * model.capacities[r] for r in refls]),
+            LinearConstraint(per_refl, 0, 4 * caps[refls]),
         ],
-        integrality=np.ones(len(cols)),
+        integrality=np.ones(plan.col.size),
         bounds=Bounds(0, 1),
     )
     assert res.status == 0
@@ -269,7 +279,8 @@ sol = rounding.SemiIntegralSolution(model, np.load(arg["values"]), attempt=0)
 res = gapflow.run_gap_stage(sol)
 print(json.dumps({
     "x_tilde": [[*key, v] for key, v in res.x_tilde.items()],
-    "box_servers": sorted([*key, i] for key, i in res.box_servers.items()),
+    "mass_cost": repr(res.mass_cost),
+    "boxes": res.plan.total_boxes,
 }))
 """
 
@@ -283,12 +294,12 @@ def test_gap_stage_agrees_across_blas_threads(blas_threads, tmp_path):
     arg = {"values": str(path)}
     one, two = (blas_threads(GAP_STAGE_SCRIPT, arg, threads) for threads in (1, 2))
     assert one == two
-    assert len(one["box_servers"]) == gapflow.build_boxes(sol).total_boxes
+    assert one["boxes"] == gapflow.build_boxes(sol).total_boxes
 
 
 @pytest.mark.parametrize("outcome", ["fractional", "infeasible"])
 def test_a_non_integral_or_failed_assignment_lp_raises(monkeypatch, outcome):
-    model = lp.build_model(normalize(two_path_doc()))
+    model = lp.build_model(Instance(two_path_doc()))
     sol = draw_from(model, {("s0", "r0", "d0"): 0.6, ("s0", "r1", "d0"): 0.4})
     solve = simplex.solve
 

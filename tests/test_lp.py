@@ -9,7 +9,7 @@ from scipy import optimize as sciopt
 
 from overcast import lp, simplex
 from overcast.gen import gen_random
-from overcast.model import instance_from_doc, normalize
+from overcast.model import Instance, instance_from_doc
 
 
 def two_path_doc(mode="full"):
@@ -137,7 +137,7 @@ def scipy_opt(model, integral):
 
 
 def test_build_shape_and_order():
-    model = lp.build_model(normalize(two_path_doc()))
+    model = lp.build_model(Instance(two_path_doc()))
     # Variables run z, then y, then x, each in instance order.
     assert model.z_index == {"r0": 0, "r1": 1}
     assert model.y_index == {("s0", "r0"): 2, ("s0", "r1"): 3}
@@ -170,12 +170,12 @@ def test_build_shape_and_order():
 
 
 def test_transmission_objective_folds_edge_costs():
-    model = lp.build_model(normalize(two_path_doc(mode="transmission")))
+    model = lp.build_model(Instance(two_path_doc(mode="transmission")))
     assert model.obj.tolist() == [0.0, 0.0, 0.0, 0.0, 2.0, 3.5]
 
 
 def test_two_path_optima_by_hand():
-    model = lp.build_model(normalize(two_path_doc()))
+    model = lp.build_model(Instance(two_path_doc()))
     frac = lp.solve_lp(model)
     # Cheapest full path: r1 at 3 + 2 + 1.5.
     assert frac.objective == pytest.approx(6.5, abs=1e-9)
@@ -183,7 +183,7 @@ def test_two_path_optima_by_hand():
     assert res.objective == pytest.approx(6.5, abs=1e-9)
     assert res.status == "optimal"
 
-    tmodel = lp.build_model(normalize(two_path_doc(mode="transmission")))
+    tmodel = lp.build_model(Instance(two_path_doc(mode="transmission")))
     assert lp.solve_lp(tmodel).objective == pytest.approx(2.0, abs=1e-9)
 
 
@@ -198,7 +198,7 @@ def test_lp_matches_highs_on_random_instances():
             n_streams=int(rng.integers(1, 3)),
             tight=trial % 3 == 0,
         )
-        model = lp.build_model(normalize(doc))
+        model = lp.build_model(Instance(doc))
         ref = scipy_opt(model, integral=False)
         try:
             frac = lp.solve_lp(model)
@@ -260,7 +260,7 @@ def test_ip_matches_milp_on_random_instances():
             n_sinks=3,
             tight=trial % 2 == 0,
         )
-        model = lp.build_model(normalize(doc))
+        model = lp.build_model(Instance(doc))
         ref = scipy_opt(model, integral=True)
         try:
             res = lp.solve_ip(model)
@@ -285,7 +285,7 @@ def test_search_rows_keep_the_milp_optimum():
         for seed in range(15)
     ]
     covers = [[{0, 1}, {1, 2}, {2}], [{0, 1}, {1, 2}, {0, 2}]]
-    models += [lp.build_model(normalize(setcover_doc(sets, 3))) for sets in covers]
+    models += [lp.build_model(Instance(setcover_doc(sets, 3))) for sets in covers]
     strengthened = 0
     for model in models:
         ref = scipy_opt(model, integral=True)
@@ -301,7 +301,7 @@ def test_ip_matches_bruteforce_tiny():
     rng = np.random.default_rng(99)
     for trial in range(6):
         doc = random_doc(rng, n_refl=2, n_sinks=2, tight=trial % 2 == 0)
-        model = lp.build_model(normalize(doc))
+        model = lp.build_model(Instance(doc))
         best = math.inf
         for bits in itertools.product((0.0, 1.0), repeat=model.nvars):
             v = np.array(bits)
@@ -318,7 +318,7 @@ def test_ip_matches_bruteforce_tiny():
 
 def test_setcover_reduction_reaches_cover_optimum():
     doc = setcover_doc([{0, 1}, {1, 2}, {2}], 3)
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     res = lp.solve_ip(model)
     assert res.objective == pytest.approx(2.0, abs=1e-9)
     chosen = [i for i, idx in model.z_index.items() if res.values[idx] > 0.5]
@@ -328,7 +328,7 @@ def test_setcover_reduction_reaches_cover_optimum():
 def test_weight_deficit_certificate():
     doc = two_path_doc()
     doc["sinks"][0]["loss_threshold"] = 1e-6  # demands ~19.9 bits, only 4 attainable
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     with pytest.raises(lp.InfeasibleError) as err:
         lp.solve_lp(model)
     cert = err.value.certificate
@@ -340,7 +340,7 @@ def test_weight_deficit_certificate():
 def test_unreachable_sink_certificate_is_a_weight_row():
     doc = two_path_doc()
     doc["sinks"].append({"id": "d1", "stream": "s0", "loss_threshold": 0.25})  # no edge
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     for solve in (lp.solve_lp, lp.solve_ip):
         with pytest.raises(lp.InfeasibleError) as err:
             solve(model)
@@ -364,7 +364,7 @@ def test_capacity_infeasibility_detected_in_phase1():
             {"from": "r0", "to": "d1", "loss": 0.1, "cost": 1.0},
         ],
     }
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     assert model.weight_feasibility_certificate() is None
     with pytest.raises(lp.InfeasibleError) as err:
         lp.solve_lp(model)
@@ -376,7 +376,7 @@ def test_capacity_infeasibility_detected_in_phase1():
 def test_bandwidth_rows_and_capacities():
     rng = np.random.default_rng(3)
     doc = random_doc(rng, n_refl=3, n_sinks=3, bandwidth=True)
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     assert all(model.rows[r].startswith("bandwidth[") for r in model.families["fanout"])
     assert all(model.rows[r].startswith("bandwidth_feed[") for r in model.families["feed-fanout"])
     # Uniform bitrate 2.0 and caps 2*fanout give back the original fan-outs.
@@ -395,7 +395,7 @@ def test_heterogeneous_bitrates_disable_pipeline_capacities():
     doc["sinks"][1]["stream"] = "s1"
     doc["sources"][0]["bitrate"] = 1.0
     doc["sources"][1]["bitrate"] = 3.0
-    inst = normalize(doc)
+    inst = Instance(doc)
     model = lp.build_model(inst)
     assert model.capacities is None
     ref = scipy_opt(model, integral=True)
@@ -414,11 +414,11 @@ def test_bandwidth_mode_needs_every_reflector_cap(rates):
         rec["bitrate"] = rate
     del doc["reflectors"][1]["bandwidth"]
     with pytest.raises(lp.UnsupportedInstanceError, match="bandwidth cap on reflector r1"):
-        lp.build_model(normalize(doc))
+        lp.build_model(Instance(doc))
 
 
 def test_approx_hack_keeps_integral_lp_fixings():
-    model = lp.build_model(normalize(two_path_doc()))
+    model = lp.build_model(Instance(two_path_doc()))
     frac = lp.solve_lp(model)
     res = lp.approx_hack(frac)
     assert res.status == "optimal"
@@ -426,7 +426,7 @@ def test_approx_hack_keeps_integral_lp_fixings():
 
 
 def test_approx_hack_falls_back_on_infeasible_fixing():
-    model = lp.build_model(normalize(two_path_doc()))
+    model = lp.build_model(Instance(two_path_doc()))
     # Fabricated relaxation point that zeroes every variable: fixing all
     # upper bounds to zero cannot satisfy the weight row, so the whole
     # model is searched instead.
@@ -461,7 +461,7 @@ def test_exact_solver_closes_the_gap(one_blas_thread):
 
 def test_node_limit_reports_timeout():
     doc = setcover_doc([{0, 1}, {1, 2}, {0, 2}], 3)
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     with pytest.raises(lp.NoIncumbentError, match="without incumbent") as err:
         lp.solve_ip(model, budget=lp.TimeBudget(node_limit=0))
     assert err.value.nodes == 0
@@ -471,12 +471,12 @@ def test_node_limit_reports_timeout():
 def test_ip_deterministic():
     rng = np.random.default_rng(11)
     doc = random_doc(rng, n_refl=4, n_sinks=4, tight=True)
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     try:
         first = lp.solve_ip(model)
     except lp.InfeasibleError:
         return
-    second = lp.solve_ip(lp.build_model(normalize(doc)))
+    second = lp.solve_ip(lp.build_model(Instance(doc)))
     assert first.values.tolist() == second.values.tolist()
     assert first.nodes == second.nodes
 

@@ -123,7 +123,7 @@ def raw_doc():
 
 
 def test_normalize_replicates_sources_and_sinks():
-    inst = model.normalize(raw_doc())
+    inst = model.Instance(raw_doc())
     assert sorted(s.id for s in inst.sources) == ["E#a", "E#b"]
     assert sorted(d.id for d in inst.sinks) == ["D#a", "D#b", "G#a"]
     assert inst.sink_by_id["D#a"].stream == "E#a"
@@ -137,14 +137,14 @@ def test_normalize_replicates_sources_and_sinks():
 
 
 def test_normalize_idempotent():
-    once = model.normalize(raw_doc()).to_doc()
-    assert model.normalize(once).to_doc() == once
+    once = model.Instance(raw_doc()).to_doc()
+    assert model.Instance(once).to_doc() == once
 
 
 def test_normalize_drops_undemanded_streams():
     doc = raw_doc()
     doc["sources"][0]["streams"].append("c")  # nobody demands c
-    inst = model.normalize(doc)
+    inst = model.Instance(doc)
     assert sorted(s.id for s in inst.sources) == ["E#a", "E#b"]
     assert all(len(inst.sinks) >= len(inst.sources) for _ in [0])
 
@@ -153,15 +153,15 @@ def test_unknown_keys_rejected():
     doc = raw_doc()
     doc["extra"] = 1
     with pytest.raises(ValidationError, match="extra"):
-        model.normalize(doc)
+        model.Instance(doc)
     doc = raw_doc()
     doc["reflectors"][0]["capacity"] = 9
     with pytest.raises(ValidationError, match="capacity"):
-        model.normalize(doc)
+        model.Instance(doc)
     doc = raw_doc()
     doc["src_edges"][0]["weight"] = 1.0
     with pytest.raises(ValidationError, match="weight"):
-        model.normalize(doc)
+        model.Instance(doc)
 
 
 def test_schema_violations_rejected():
@@ -172,11 +172,11 @@ def test_schema_violations_rejected():
     doc = raw_doc()
     doc["sinks"][0]["demands"][0]["stream"] = "zzz"
     with pytest.raises(ValidationError, match="zzz"):
-        model.normalize(doc)
+        model.Instance(doc)
     doc = raw_doc()
     doc["sources"].append({"id": "F", "streams": ["a"]})
     with pytest.raises(ValidationError, match="duplicate stream"):
-        model.normalize(doc)
+        model.Instance(doc)
 
 
 @pytest.mark.parametrize(
@@ -234,7 +234,7 @@ def test_errors_in_replicated_fields_name_the_raw_location(where, edit):
     doc = raw_doc()
     edit(doc)
     with pytest.raises(ValidationError, match=re.escape(where + ": ")):
-        model.normalize(doc)
+        model.Instance(doc)
 
 
 def bandwidth_doc():
@@ -255,7 +255,7 @@ def test_instance_bytes_and_errors_pinned():
         "transmission": {**gen_random((3, 4, 8), "avg", seed=1).to_doc(), "mode": "transmission"},
     }
     digests = {
-        name: hashlib.sha256(model.normalize(doc).to_json().encode()).hexdigest()
+        name: hashlib.sha256(model.Instance(doc).to_json().encode()).hexdigest()
         for name, doc in docs.items()
     }
     assert digests == {
@@ -265,7 +265,7 @@ def test_instance_bytes_and_errors_pinned():
         "transmission": "ad94bef106aeba89d5147aff1af89b5187d51c031508d0543153387005077b39",
     }
     for name in ("colored", "transmission"):
-        assert model.instance_from_doc(docs[name]).to_json() == model.normalize(docs[name]).to_json()
+        assert model.instance_from_doc(docs[name]).to_json() == model.Instance(docs[name]).to_json()
 
     edits = [
         lambda doc: doc["sinks"][0]["demands"][1].update(loss_threshold="0.02"),
@@ -278,7 +278,7 @@ def test_instance_bytes_and_errors_pinned():
         doc = raw_doc()
         edit(doc)
         with pytest.raises(ValidationError) as err:
-            model.normalize(doc)
+            model.Instance(doc)
         errors.append(str(err.value))
     assert errors == [
         "sinks[0].demands[1]: loss_threshold must be a number, got '0.02'",
@@ -352,13 +352,30 @@ def test_an_edge_to_an_unknown_node_names_its_record(key, end, message):
          "sinks[2]: duplicate sink id 'D'"),
         (lambda doc: doc["sinks"].append({"id": "G", "stream": "b", "loss_threshold": 0.05}),
          "sinks[2]: duplicate sink id 'G'"),
+        # A unit-form record named like another record's replica.
+        (lambda doc: doc["sources"].append({"id": "E#a"}),
+         "sources[1]: duplicate source id 'E#a'"),
+        (lambda doc: doc["sinks"].append({"id": "D#a", "stream": "a", "loss_threshold": 0.05}),
+         "sinks[2]: duplicate sink id 'D#a'"),
     ],
-    ids=["sources", "multi-demand-sinks", "unit-and-multi-demand-sink"],
+    ids=["sources", "multi-demand-sinks", "unit-and-multi-demand-sink", "unit-source-replica",
+         "unit-sink-replica"],
 )
 def test_a_repeated_raw_id_names_its_record(edit, message):
     doc = raw_doc()
     edit(doc)
     with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        Instance(doc)
+
+
+def test_an_undemanded_source_is_dropped_before_its_id_is_checked():
+    doc = raw_doc()
+    # F#c clashes with F's replica, and r0 with a reflector, but no sink
+    # demands stream c or r0, so both sources are dropped unread.
+    doc["sources"] += [{"id": "F", "streams": ["c"]}, {"id": "F#c"}, {"id": "r0"}]
+    assert [s.id for s in Instance(doc).sources] == ["E#a", "E#b"]
+    doc["sinks"][1]["demands"].append({"stream": "c", "loss_threshold": 0.05})
+    with pytest.raises(ValidationError, match=re.escape("sources[2]: duplicate source id 'F#c'")):
         Instance(doc)
 
 
@@ -382,7 +399,7 @@ def test_instance_from_doc_checks_each_record_once(monkeypatch, tmp_path):
     args = cli.build_parser().parse_args(["solve", str(path), "--mode", "transmission"])
     for read, source in [
         (model.instance_from_doc, doc),
-        (model.normalize, raw_doc()),
+        (model.Instance, raw_doc()),
         (lambda _: cli._load_instance(args), doc),
     ]:
         kinds.clear()
@@ -395,7 +412,7 @@ def test_a_sink_demanding_a_stream_twice_is_rejected():
     doc = raw_doc()
     doc["sinks"][1]["demands"].append({"stream": "a", "loss_threshold": 0.1})
     with pytest.raises(ValidationError, match=re.escape("sinks[1]: stream 'a' demanded twice")):
-        model.normalize(doc)
+        model.Instance(doc)
 
 
 def test_loss_one_edge_is_a_dead_link():
@@ -406,13 +423,13 @@ def test_loss_one_edge_is_a_dead_link():
     assert build_model(inst).sink_routes["d0"] == [("r0", 2, 0.0)]
     doc = raw_doc()
     doc["refl_edges"][0]["loss"] = 1.0
-    assert model.normalize(doc).refl_edges[("r0", "D#a")].loss == 1.0
+    assert model.Instance(doc).refl_edges[("r0", "D#a")].loss == 1.0
     with pytest.raises(ValidationError, match="outside"):
         tiny_instance(p_refl=1.0 + 1e-9)
 
 
 def test_json_round_trip(tmp_path):
-    inst = model.normalize(raw_doc())
+    inst = model.Instance(raw_doc())
     path = tmp_path / "inst.json"
     model.save_instance(inst, path)
     again = model.load_instance(path)
@@ -426,7 +443,7 @@ def test_json_round_trip(tmp_path):
 
 
 def test_route_table_covers_admissible_triples_only():
-    inst = model.normalize(raw_doc())
+    inst = model.Instance(raw_doc())
     built = build_model(inst)
     # G#a reaches only r0 (no r1 -> G edge).
     assert [i for i, _xi, _w in built.sink_routes["G#a"]] == ["r0"]

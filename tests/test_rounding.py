@@ -7,7 +7,7 @@ import pytest
 
 from overcast import lp, rounding
 from overcast.gen import gen_random
-from overcast.model import instance_from_doc, normalize
+from overcast.model import Instance, instance_from_doc
 
 
 def triangle_doc():
@@ -30,7 +30,7 @@ def triangle_doc():
 
 
 def triangle_frac():
-    model = lp.build_model(normalize(triangle_doc()))
+    model = lp.build_model(Instance(triangle_doc()))
     frac = lp.solve_lp(model)
     assert frac.objective == pytest.approx(1.5, abs=1e-9)
     assert frac.values == pytest.approx(np.full(model.nvars, 0.5), abs=1e-9)
@@ -128,7 +128,7 @@ def test_exhaustion_raises_after_max_retries():
             {"from": "r1", "to": "d0", "loss": 0.1, "cost": 1.5},
         ],
     }
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     frac = lp.FractionalSolution(model, np.full(model.nvars, 0.05), 0.0)
     cfg = rounding.RoundingConfig(multiplier=4.0, seed=0)
     with pytest.raises(rounding.RoundingRetriesExhausted, match="in 20 attempts"):
@@ -136,7 +136,7 @@ def test_exhaustion_raises_after_max_retries():
 
 
 def test_overload_predicate_flags_reflector():
-    model = lp.build_model(normalize(fan_doc(n_sinks=4, fanout=1)))
+    model = lp.build_model(Instance(fan_doc(n_sinks=4, fanout=1)))
     values = np.ones(model.nvars)
     for idx in model.x_index.values():
         values[idx] = 0.9
@@ -148,7 +148,7 @@ def test_overload_predicate_flags_reflector():
 
 
 def test_zero_demand_sink_never_blocks():
-    model = lp.build_model(normalize(fan_doc(n_sinks=1, fanout=2, threshold=1.0)))
+    model = lp.build_model(Instance(fan_doc(n_sinks=1, fanout=2, threshold=1.0)))
     frac = lp.FractionalSolution(model, np.zeros(model.nvars), 0.0)
     sol = rounding.randomized_round(frac, rounding.RoundingConfig(multiplier=2.0), 0)
     assert sol.violations() == []
@@ -172,7 +172,7 @@ def test_color_groups_checked_when_enabled():
             {"from": "r1", "to": "d0", "loss": 0.1, "cost": 1.0},
         ],
     }
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     frac = lp.FractionalSolution(model, np.ones(model.nvars), 0.0)
     sol = rounding.randomized_round(frac, rounding.RoundingConfig(multiplier=1.0), 0)
     assert "color[d0,0]" in sol.violations()
@@ -197,6 +197,10 @@ def test_retry_loop_returns_replayable_attempt():
 def test_config_validation():
     with pytest.raises(ValueError):
         rounding.RoundingConfig(multiplier=0.5)
+    # nan < 1 is False, and an infinite multiplier draws 0 * inf masses.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            rounding.RoundingConfig(multiplier=bad)
     with pytest.raises(ValueError):
         rounding.RoundingConfig(multiplier=2.0, max_retries=0)
 
@@ -219,7 +223,7 @@ def test_mixed_bitrates_rejected():
             {"from": "r0", "to": "d1", "loss": 0.1, "cost": 1.0},
         ],
     }
-    model = lp.build_model(normalize(doc))
+    model = lp.build_model(Instance(doc))
     assert model.capacities is None
     frac = lp.FractionalSolution(model, np.zeros(model.nvars), 0.0)
     with pytest.raises(lp.UnsupportedInstanceError):

@@ -9,7 +9,7 @@ import pytest
 
 from overcast import color, gapflow, lp, rounding, verify
 from overcast.gen import gen_random
-from overcast.model import ValidationError, normalize
+from overcast.model import Instance, ValidationError
 from overcast.pipeline import run_approx
 from overcast.solution import PathSet, from_integral
 
@@ -44,7 +44,7 @@ def both_routes(inst, mode="full"):
 
 
 def test_cost_breakdown_full_and_transmission():
-    inst = normalize(two_path_doc())
+    inst = Instance(two_path_doc())
     ps = both_routes(inst)
     parts = ps.cost_breakdown()
     assert parts == {
@@ -53,13 +53,13 @@ def test_cost_breakdown_full_and_transmission():
         "relays": 2.5,
         "total": 13.5,
     }
-    tinst = normalize(two_path_doc(mode="transmission"))
+    tinst = Instance(two_path_doc(mode="transmission"))
     tps = both_routes(tinst, mode="transmission")
     assert tps.cost == pytest.approx((1.0 + 1.0) + (2.0 + 1.5))
 
 
 def test_json_round_trip(tmp_path):
-    inst = normalize(two_path_doc())
+    inst = Instance(two_path_doc())
     ps = both_routes(inst)
     ps.meta["status"] = "optimal"
     path = tmp_path / "routes.json"
@@ -94,7 +94,7 @@ def _without(doc, key):
          "mass-not-number", "duplicate", "cost", "sink-list"],
 )
 def test_from_doc_rejects_malformed_documents(edit):
-    inst = normalize(two_path_doc())
+    inst = Instance(two_path_doc())
     doc = json.loads(both_routes(inst).to_json())
     PathSet.from_doc(inst, doc)
     with pytest.raises(ValidationError):
@@ -102,7 +102,7 @@ def test_from_doc_rejects_malformed_documents(edit):
 
 
 def test_exact_audit_accepts_ip_solution():
-    inst = normalize(two_path_doc())
+    inst = Instance(two_path_doc())
     model = lp.build_model(inst)
     res = lp.solve_ip(model)
     ps = from_integral(res, "exact-ip")
@@ -114,7 +114,7 @@ def test_exact_audit_accepts_ip_solution():
 
 
 def test_exact_audit_flags_violations():
-    inst = normalize(two_path_doc())
+    inst = Instance(two_path_doc())
     # No route at all: demanded weight unmet.
     empty = PathSet(instance=inst, x_tilde={}, provenance="exact-ip")
     report = verify.audit(empty, "exact")
@@ -139,7 +139,7 @@ def test_fanout_audit_factors():
     doc["reflectors"][0]["fanout"] = 1
     doc["sinks"].append({"id": "d1", "stream": "s0", "loss_threshold": 0.25})
     doc["refl_edges"].append({"from": "r0", "to": "d1", "loss": 0.1, "cost": 1.0})
-    inst = normalize(doc)
+    inst = Instance(doc)
     ps = PathSet(
         instance=inst,
         x_tilde={("s0", "r0", "d0"): 1.0, ("s0", "r0", "d1"): 1.0},
@@ -180,7 +180,7 @@ def unmeasured_bandwidth_doc(missing):
 def test_fanout_audit_names_a_missing_bitrate_or_bandwidth(missing, named):
     # Three unit-rate copies over a bandwidth of 1 once passed as load 0
     # when the bitrate was missing: a missing value is not a zero.
-    inst = normalize(unmeasured_bandwidth_doc(missing))
+    inst = Instance(unmeasured_bandwidth_doc(missing))
     routes = {("s0", "r0", f"d{j}"): 1.0 for j in range(3)}
     report = verify.audit(PathSet(instance=inst, x_tilde=routes, provenance="exact-ip"), "exact")
     assert not report.ok
@@ -189,7 +189,7 @@ def test_fanout_audit_names_a_missing_bitrate_or_bandwidth(missing, named):
 
 
 def test_approx_audit_accepts_gap_output():
-    inst = normalize(two_path_doc())
+    inst = Instance(two_path_doc())
     model = lp.build_model(inst)
     values = np.ones(model.nvars)
     values[model.x_index[("s0", "r0", "d0")]] = 0.5
@@ -203,7 +203,7 @@ def test_approx_audit_accepts_gap_output():
 
 
 def test_simulation_matches_analytic_losses():
-    inst = normalize(two_path_doc())
+    inst = Instance(two_path_doc())
     ps = both_routes(inst)
     analytic = ps.analytic_loss("d0")
     assert analytic == pytest.approx(0.19 * 0.235)
@@ -227,7 +227,7 @@ def test_simulation_shares_first_hop_draws():
             {"from": "r0", "to": "d1", "loss": 0.0, "cost": 1.0},
         ],
     }
-    inst = normalize(doc)
+    inst = Instance(doc)
     ps = PathSet(
         instance=inst,
         x_tilde={("s0", "r0", "d0"): 1.0, ("s0", "r0", "d1"): 1.0},
@@ -240,7 +240,7 @@ def test_simulation_shares_first_hop_draws():
 
 
 def test_simulation_deterministic_and_validates():
-    inst = normalize(two_path_doc())
+    inst = Instance(two_path_doc())
     ps = both_routes(inst)
     a = verify.simulate_losses(ps, 10_000, seed=9)
     b = verify.simulate_losses(ps, 10_000, seed=9)
@@ -262,7 +262,7 @@ def test_sink_without_routes_loses_everything():
     doc = two_path_doc()
     doc["sinks"].append({"id": "d1", "stream": "s0", "loss_threshold": 1.0})
     doc["refl_edges"].append({"from": "r0", "to": "d1", "loss": 0.1, "cost": 1.0})
-    inst = normalize(doc)
+    inst = Instance(doc)
     ps = both_routes(inst)
     losses = verify.simulate_losses(ps, 1000, seed=0)
     assert losses["d1"] == 1.0
@@ -276,7 +276,7 @@ def test_simulation_edge_loss_rates():
     doc["src_edges"][1]["loss"] = 0.0
     doc["refl_edges"][1]["loss"] = 0.0
     doc["refl_edges"].append({"from": "r1", "to": "d1", "loss": 1.0, "cost": 1.0})
-    inst = normalize(doc)
+    inst = Instance(doc)
     ps = PathSet(
         instance=inst,
         x_tilde={("s0", "r0", "d0"): 1.0, ("s0", "r1", "d1"): 1.0},
@@ -329,7 +329,7 @@ def test_simulation_matches_a_set_oracle(packets):
             ]
         ],
     }
-    inst = normalize(doc)
+    inst = Instance(doc)
     routes = [("r0", "d0"), ("r1", "d0"), ("r2", "d0"), ("r0", "d1"), ("r2", "d1"), ("r1", "d3")]
     ps = PathSet(
         instance=inst, x_tilde={("s0", i, j): 1.0 for i, j in routes}, provenance="exact-ip"
@@ -396,7 +396,7 @@ def many_routes_plan(reflectors, sinks, feed_loss, leg_loss):
         ],
     }
     return PathSet(
-        instance=normalize(doc),
+        instance=Instance(doc),
         x_tilde={("s0", r, d): 1.0 for d in sinks for r in reflectors},
         provenance="exact-ip",
     )
@@ -472,7 +472,7 @@ def test_simulation_ignores_route_order_and_round_trip():
     doc = two_path_doc()
     doc["sinks"].append({"id": "d1", "stream": "s0", "loss_threshold": 1.0})
     doc["refl_edges"].append({"from": "r0", "to": "d1", "loss": 0.2, "cost": 1.0})
-    inst = normalize(doc)
+    inst = Instance(doc)
     ps = both_routes(inst)
     ps.x_tilde[("s0", "r0", "d1")] = 1.0
     reverse = PathSet(
