@@ -25,7 +25,7 @@ from .gen import GenerationError, gen_random
 from .lp import InfeasibleError, NoIncumbentError, TimeBudget, build_model, solve_lp
 from .model import Instance
 from .pipeline import ApproxPipelineError, hack_relaxation, round_relaxation, run_exact
-from .rounding import RoundingRetriesExhausted
+from .rounding import RoundingRetriesExhausted, check_multiplier
 from .solution import PathSet, save_pathset
 from .verify import audit
 
@@ -47,6 +47,18 @@ def _positive_seconds(text: str) -> float:
     if not float(text) > 0:
         raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
     return float(text)
+
+
+def _multiplier(text: str) -> float:
+    """A multiplier as the rounding stage takes it, checked before any solve."""
+    try:
+        return check_multiplier(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _multipliers(text: str) -> list[float]:
+    return [_multiplier(v) for v in text.split(",") if v]
 
 
 def _out_dir(args) -> Path:
@@ -199,12 +211,11 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     inst = _load_instance(args)
     out = _out_dir(args)
-    multipliers = [float(v) for v in args.multipliers.split(",") if v]
     seeds = [int(v) for v in args.seeds.split(",") if v]
     frac = solve_lp(build_model(inst))  # every cell rounds this one relaxation
 
     rows = []
-    for m in multipliers:
+    for m in args.multipliers:
         cell_rows = []
         shapes = set()
         for seed in seeds:
@@ -276,14 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(c)
     c.set_defaults(func=cmd_compare)
     for sp in (s, c):  # one draw each; sweep takes lists of both
-        sp.add_argument("--multiplier", type=float, default=None,
+        sp.add_argument("--multiplier", type=_multiplier, default=None,
                         help="rounding multiplier M (default 64*log2(sinks))")
         sp.add_argument("--seed", type=int, default=0)
 
     # No abbreviations: --multiplier and --seed would pass for the lists.
     w = sub.add_parser("sweep", help="grid of multipliers and seeds", allow_abbrev=False)
     w.add_argument("instance")
-    w.add_argument("--multipliers", required=True, help="comma separated, e.g. 1,2,4,8")
+    w.add_argument("--multipliers", type=_multipliers, required=True,
+                   help="comma separated, e.g. 1,2,4,8")
     w.add_argument("--seeds", default="0", help="comma separated seed list")
     _add_run_flags(w)
     w.set_defaults(func=cmd_sweep)

@@ -97,7 +97,7 @@ def build_rounding_system(
     """
     model = sol.model  # a draw exists only for models with stream budgets
     inst, draw_cost, n = model.inst, sol.realized_cost, kept.size
-    x = plan.col[kept] - len(model.z_index) - len(model.y_index)
+    x = plan.col[kept] - model.x_offset
     used, feed = np.unique(model.x_refl[x], return_inverse=True)
     sink_ids = np.array([d.id for d in inst.sinks])
     sink_rank = np.argsort(np.argsort(sink_ids))  # each sink's place in id order
@@ -291,7 +291,7 @@ def run_color_stage(sol: SemiIntegralSolution) -> ColorResult:
     The copy and cost bounds are the color audit's to check.
     """
     model, plan = sol.model, build_boxes(sol)
-    x = plan.col - len(model.z_index) - len(model.y_index)
+    x = plan.col - model.x_offset
     paths = np.argsort(model.x_refl[x], kind="stable")  # the walk's column order
     kept, scaled = filter_and_scale(plan, paths, model.obj[plan.col], sol.realized_cost)
     a, v0 = build_rounding_system(sol, plan, kept, scaled)

@@ -76,7 +76,7 @@ class GapResult:
 
 def route_keys(model, cols: np.ndarray) -> list[tuple[str, str, str]]:
     """The (stream, reflector, sink) ids of each of the x columns `cols`."""
-    x = cols - len(model.z_index) - len(model.y_index)
+    x = cols - model.x_offset
     refls, sinks = model.inst.reflectors, model.inst.sinks
     return [
         (sinks[j].stream, refls[i].id, sinks[j].id)
@@ -139,8 +139,8 @@ def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
     # Pairs are numbered in order of first use, reflectors in instance order.
     _cols, first, pair = np.unique(plan.col, return_index=True, return_inverse=True)
     col_pair, pair_col = np.argsort(np.argsort(first))[pair], plan.col[np.sort(first)]
-    nz, ny = len(model.z_index), len(model.y_index)
-    used, col_refl = np.unique(model.x_refl[plan.col - nz - ny], return_inverse=True)
+    x0 = model.x_offset
+    used, col_refl = np.unique(model.x_refl[plan.col - x0], return_inverse=True)
 
     # Rows: reflectors, then pairs, then boxes; each column meets one of each.
     n, boxes = plan.col.size, plan.total_boxes
@@ -169,7 +169,7 @@ def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
     mass_cost = sum(model.obj[pair_col[served]] * mass)  # added in x_tilde order
     # The weight and fan-out bounds are the approx audit's to check; only the
     # cost bound compares against the draw, which no audit sees.
-    drawn_relay_cost = sum((model.obj[nz + ny:] * sol.values[nz + ny:]).tolist())
+    drawn_relay_cost = sum((model.obj[x0:] * sol.values[x0:]).tolist())
     if mass_cost > drawn_relay_cost + 1e-6:
         raise GapStageError(
             f"assignment cost {mass_cost:.6f} exceeds drawn relay cost {drawn_relay_cost:.6f}"

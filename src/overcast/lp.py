@@ -6,12 +6,13 @@ Decision variables, all in [0,1] (binary for the exact solver):
     y[k,i]    reflector i subscribes to stream k
     x[k,i,j]  sink j receives stream k via reflector i
 
-The columns run z, then y, then x, in three contiguous blocks. The x loop
-alone decides which triples are routes (both links present) and builds the
-route table `sink_routes[j]`: sink j's (reflector, x column, clamped weight)
-in reflector order. `y_parent` and `x_parent` hold each y's z column and
-each x's y column, and `x_refl` and `x_sink` each x's reflector and sink
-position, indexed by position in the x block.
+The columns run z, then y, then x, in three contiguous blocks; the x block
+starts at column `x_offset`. The x loop alone decides which triples are
+routes (both links present) and builds the route table `sink_routes[j]`:
+sink j's (reflector, x column, clamped weight) in reflector order.
+`y_parent` and `x_parent` hold each y's z column and each x's y column, and
+`x_refl` and `x_sink` each x's reflector and sink position, indexed by
+position in the x block.
 
 The rows are one table: the sparse `layout` holds every entry, `rows`,
 `senses` and `rhs` each row's label, sense and right-hand side, `families`
@@ -27,7 +28,15 @@ Row families, in order:
 
 Here l_k is the load of one copy of stream k and C_i reflector i's cap in
 that unit (`Instance.copy_load`, `Instance.copy_cap`): 1 and the fan-out,
-or with bandwidth caps the bitrate and the bandwidth.
+or with bandwidth caps the bitrate and the bandwidth. A fanout or
+feed-fanout row is built only where it can bind, that is where its x
+coefficients sum to more than C_i. Any other follows from relay-use and
+feed-use (x <= y <= z), so leaving it out changes neither the polytope nor
+its optimum.
+
+`solve_lp` and the root of `solve_ip` start the dual simplex from
+`start_basis`: each sink's weight row is tight on its route of lowest cost
+per unit of clamped weight, and every other row keeps its slack basic.
 
 In full mode the objective charges reflector fixed costs on z, first-hop
 costs on y and second-hop costs on x. In transmission mode z and y are
@@ -125,6 +134,7 @@ class LpModel:
                 self.y_index[(s.id, r.id)] = len(obj)
                 y_parent.append(self.z_index[r.id])
                 obj.append(0.0 if transmission else edge.cost)
+        self.x_offset = len(obj)  # the x block's first column
         for d in inst.sinks:
             k = d.stream
             routes = self.sink_routes[d.id] = []
@@ -175,9 +185,10 @@ class LpModel:
         straight into the solver's `layout`, next to each row's label in
         `rows`, its sense and rhs, and each family's rows in `families`."""
         inst, sinks = self.inst, self.inst.sinks
-        nz, ny = len(self.z_index), len(self.y_index)
+        nz, x0 = len(self.z_index), self.x_offset
         cols = np.arange(self.nvars)
-        z_cols, y_cols, x_cols = cols[:nz], cols[nz:nz + ny], cols[nz + ny:]
+        z_cols, y_cols, x_cols = cols[:nz], cols[nz:x0], cols[x0:]
+        ny = y_cols.size
         x_feed = self.x_parent - nz  # each x's position in the y block
         # Each x's reflector and sink positions, by position in the x block;
         # a reflector's position is its z column. Stage two reads both.
@@ -211,20 +222,30 @@ class LpModel:
         family("relay-use", [f"relay_use[{k},{i},{j}]" for k, i, j in self.x_index], "<=", 0.0,
                (x_rows, x_cols, 1.0), (x_rows, self.x_parent, -1.0))
 
+        def capacity(kind, labels, group, cap, cap_col):
+            """Rows sum l_k x <= cap * cap_col, one per group of x (`group`
+            numbers each x's) whose loads total more than its cap. Any other
+            such row follows from relay-use and feed-use (x <= y <= z), so
+            it is left out."""
+            binds = np.bincount(group, weights=x_load, minlength=len(labels)) > cap
+            row = np.cumsum(binds) - 1  # each binding group's row in the family
+            on = binds[group]
+            family(kind, [label for label, b in zip(labels, binds) if b], "<=", 0.0,
+                   (row[group[on]], x_cols[on], x_load[on]),
+                   (row[binds], cap_col[binds], -cap[binds]))
+
         fan, feed = (
             ("bandwidth", "bandwidth_feed") if inst.bandwidth_enabled else ("fanout", "feed_fanout")
         )
-        family("fanout", [f"{fan}[{r.id}]" for r in inst.reflectors], "<=", 0.0,
-               (x_refl, x_cols, x_load), (z_cols, z_cols, -caps))
-        # One row per feed that relays, in sorted (stream, reflector) order,
-        # which is not y column order once ids reach r10 or s10.
+        capacity("fanout", [f"{fan}[{r.id}]" for r in inst.reflectors], x_refl, caps, z_cols)
+        # Feeds that relay, in sorted (stream, reflector) order, which is
+        # not y column order once ids reach r10 or s10.
         feeds = sorted({(k, i) for k, i, _j in self.x_index})
         fed = np.array([self.y_index[f] for f in feeds], dtype=np.intp) - nz
         feed_row = np.zeros(ny, dtype=np.intp)
         feed_row[fed] = np.arange(fed.size)
-        family("feed-fanout", [f"{feed}[{k},{i}]" for k, i in feeds], "<=", 0.0,
-               (feed_row[x_feed], x_cols, x_load),
-               (feed_row[fed], nz + fed, -caps[self.y_parent[fed]]))
+        capacity("feed-fanout", [f"{feed}[{k},{i}]" for k, i in feeds], feed_row[x_feed],
+                 caps[self.y_parent[fed]], nz + fed)
 
         weights = [w for d in sinks for _i, _xi, w in self.sink_routes[d.id]]
         family("weight", [f"weight[{d.id}]" for d in sinks], ">=",
@@ -304,12 +325,33 @@ class IntegralSolution:
         return [key for key, xi in self.model.x_index.items() if self.values[xi] > 0.5]
 
 
+def start_basis(model: LpModel, m: int) -> simplex.Basis:
+    """A dual-feasible start for the model's first m rows and any rows
+    after them: each sink's weight row is tight on its route of lowest cost
+    per unit of clamped weight (ties to the lowest column), and every other
+    row keeps its slack basic.
+
+    The block K of this basis is diagonal with the routes' positive
+    weights, so it is nonsingular. The weight row's dual c/w >= 0 prices
+    each other route of its sink at c' - w' c/w >= 0, so those rest at 0,
+    and it leaves the row's slack dual feasible at its bound. A sink with
+    no route of positive weight keeps its slack.
+    """
+    columns = model.nvars + np.arange(m)  # the slack of each row
+    for row, d in zip(model.families["weight"], model.inst.sinks):
+        routes = [(model.obj[xi] / w, xi) for _i, xi, w in model.sink_routes[d.id] if w > 0]
+        if routes:
+            columns[row] = min(routes)[1]
+    return simplex.Basis(columns, np.zeros(model.nvars + m, dtype=np.int8))
+
+
 def solve_lp(model: LpModel) -> FractionalSolution:
     """Exact LP relaxation optimum; raises InfeasibleError with a certificate."""
     cert = model.weight_feasibility_certificate()
     if cert is not None:
         raise InfeasibleError("weight thresholds unattainable", certificate=cert)
-    res = simplex.solve(model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
+    res = simplex.solve(model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub,
+                        warm=start_basis(model, model.layout.m))
     if res.status == simplex.INFEASIBLE:
         raise InfeasibleError(
             "linear relaxation infeasible",
@@ -367,9 +409,9 @@ def solve_ip(
     Best-bound node order. A node branches on its most fractional z; only
     when every z is integral on the most fractional y, then on the most
     fractional x (largest distance from integrality, ties to the lowest
-    index), so the reflector and feed decisions settle first. Both
-    children are solved when their parent branches, one-up first, each
-    from the parent's optimal basis (a dual-simplex warm start); the heap
+    index), so the reflector and feed decisions settle first. The root LP
+    starts from `start_basis`. Both children are solved when their parent
+    branches, one-up first, each from the parent's optimal basis; the heap
     holds only solved nodes, keyed by their own LP bounds, and the
     incumbent is taken at pop. Raises NoIncumbentError when the budget runs
     out before an incumbent is found, and InfeasibleError when there is
@@ -386,8 +428,8 @@ def solve_ip(
     incumbent = None
     inc_obj = math.inf
     layout, senses, rhs = search_rows(model)
-    nz, ny = len(model.z_index), len(model.y_index)
-    classes = ((0, nz), (nz, nz + ny), (nz + ny, model.nvars))  # z, then y, then x
+    nz, x0 = len(model.z_index), model.x_offset
+    classes = ((0, nz), (nz, x0), (x0, model.nvars))  # z, then y, then x
 
     tie = itertools.count()
     heap: list = []  # (bound, tie-break, lb, ub, solved LP), feasible nodes only
@@ -399,7 +441,7 @@ def solve_ip(
             heapq.heappush(heap, (res.objective, next(tie), lb, ub, res))
         return res
 
-    root = solve_node(lb.copy(), ub.copy())
+    root = solve_node(lb.copy(), ub.copy(), start_basis(model, layout.m))
     if root.status == simplex.INFEASIBLE:
         raise InfeasibleError(
             "integer program infeasible",

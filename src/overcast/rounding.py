@@ -31,6 +31,13 @@ PRED_TOL = 1e-9
 _NONZERO_TOL = 1e-12
 
 
+def check_multiplier(m: float) -> float:
+    """m itself when it is a usable multiplier; else ValueError."""
+    if not (math.isfinite(m) and m >= 1.0):
+        raise ValueError(f"multiplier must be finite and at least 1, got {m!r}")
+    return m
+
+
 @dataclass(frozen=True)
 class RoundingConfig:
     multiplier: float
@@ -38,8 +45,7 @@ class RoundingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.multiplier) and self.multiplier >= 1.0):
-            raise ValueError(f"multiplier must be finite and at least 1, got {self.multiplier!r}")
+        check_multiplier(self.multiplier)
         if self.max_retries < 1:
             raise ValueError("max_retries must be positive")
 
@@ -69,8 +75,8 @@ class SemiIntegralSolution:
         w = slice(weight.start, weight.stop)
         short = act[w] < (1.0 - DELTA) * model.rhs[w] - PRED_TOL
         bad = [model.rows[r] for r in weight.start + np.flatnonzero(short)]
-        nz, ny = len(model.z_index), len(model.y_index)
-        loads = np.bincount(model.x_refl, weights=v[nz + ny:], minlength=nz)
+        nz = len(model.z_index)
+        loads = np.bincount(model.x_refl, weights=v[model.x_offset:], minlength=nz)
         refls = model.inst.reflectors
         caps = np.array(list(model.capacities.values()), dtype=float)  # in reflector order
         bad += [f"load[{refls[i].id}]" for i in np.flatnonzero(loads > 2.0 * caps + PRED_TOL)]
@@ -93,11 +99,12 @@ def randomized_round(
     m = config.multiplier
     # The z, y and x columns are three contiguous blocks, z from column 0,
     # so a y's parent z column is its z position; xp is its y position.
-    nz, ny = len(model.z_index), len(model.y_index)
+    nz, x0 = len(model.z_index), model.x_offset
     yp, xp = model.y_parent, model.x_parent - nz
     z_hat = frac.values[:nz]
-    y_hat = frac.values[nz:nz + ny]
-    x_hat = frac.values[nz + ny:]
+    y_hat = frac.values[nz:x0]
+    x_hat = frac.values[x0:]
+    ny = y_hat.size
 
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=config.seed, spawn_key=(attempt,)))
@@ -161,7 +168,7 @@ def saturation_multiplier(frac: FractionalSolution) -> float:
     headroom is added so float division cannot land just under one.
     """
     model = frac.model
-    zy = frac.values[:len(model.z_index) + len(model.y_index)]  # the z and y blocks
+    zy = frac.values[:model.x_offset]  # the z and y blocks
     support = zy[zy > _NONZERO_TOL]
     if not support.size:
         return 1.0

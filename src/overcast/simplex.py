@@ -8,11 +8,12 @@ only in its slack's bounds: s_i in [0, inf) for '<=', (-inf, 0] for '>=' and
 [0, 0] for '=='. The slacks of inequality rows are the only columns with an
 infinite bound; a nonbasic one rests at its finite bound.
 
-A solve starts from a dual-feasible basis: the `basis` of an earlier solve
-of the same rows (`warm=`, such as a branch-and-bound parent; the bounds and
-costs may differ), or else the all-slack basis. Both take one start path:
-the basis is factorized, its reduced costs are computed once, and the dual
-simplex begins from them. Each boxed nonbasic variable rests at the bound
+A solve starts from a dual-feasible basis: any basis over the same rows
+that the caller passes (`warm=`, such as a branch-and-bound parent's
+optimum, whose bounds and costs may differ, or a model's crash basis), or
+else the all-slack basis. Both take one start path: the basis is
+factorized, its reduced costs are computed once, and the dual simplex
+begins from them. Each boxed nonbasic variable rests at the bound
 its reduced cost prefers, so only the nonbasic slack of an inequality row
 can be dual infeasible. A warm basis that is singular, or that leaves such a
 slack with a reduced cost pointing toward its infinite bound, is dropped
@@ -167,10 +168,10 @@ def solve(c, a: Layout, senses, b, lb, ub, warm: Basis | None = None) -> LpResul
 
     `senses` is a sequence of '<=', '>=', '=='; every lb and ub must be
     finite. Returns structural values only, a value within 1e-9 of a bound
-    as that bound; slacks are internal. `warm` is
-    the `basis` of an earlier optimal solve with the same `a` and `senses`;
-    the solve starts from the slack basis when that basis is singular or
-    dual infeasible.
+    as that bound; slacks are internal. `warm` may be any basis over the
+    same `a` and `senses`, such as the `basis` of an earlier optimal solve
+    or a start a caller builds; the solve starts from the slack basis when
+    that basis is singular or dual infeasible.
     """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)

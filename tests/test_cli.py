@@ -96,15 +96,24 @@ def test_missing_file_exits_2(instance_file, tmp_path, capsys, missing):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0.5"])
 @pytest.mark.parametrize("command", ["solve", "compare", "sweep"])
-def test_a_non_finite_multiplier_exits_2(instance_file, tmp_path, capsys, command, value):
+def test_a_non_finite_multiplier_exits_2(instance_file, tmp_path, capsys, monkeypatch, command,
+                                         value):
+    # The rounding stage's own rule refuses the value while the arguments
+    # are parsed, before the LP relaxation is solved.
+    def no_lp(model):
+        raise AssertionError("the LP was solved before the multiplier was checked")
+
+    monkeypatch.setattr(cli, "solve_lp", no_lp)
     out = tmp_path / "x"
-    flag = ["--multipliers", value] if command == "sweep" else ["--multiplier", value]
+    flag = ["--multipliers", f"2,{value}"] if command == "sweep" else ["--multiplier", value]
     extra = ["--algs", "approx"] if command == "compare" else []
-    assert main([command, str(instance_file), *flag, *extra, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: multiplier must be finite")
-    assert not out.exists() or not any(out.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(instance_file), *flag, *extra, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "multiplier must be finite and at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_infeasible_exits_3(instance_file, tmp_path, capsys):

@@ -148,16 +148,16 @@ def test_build_shape_and_order():
     assert model.x_parent.tolist() == [2, 3]
     # Both raw path weights exceed the demand of 2 bits, so both clamp to it.
     assert model.sink_routes == {"d0": [("r0", 4, 2.0), ("r1", 5, 2.0)]}
+    # One sink cannot fill a fan-out of 4, so no capacity row can bind:
+    # each follows from relay-use and feed-use and is left out.
     assert model.rows == [
         "feed_use[s0,r0]", "feed_use[s0,r1]",
         "relay_use[s0,r0,d0]", "relay_use[s0,r1,d0]",
-        "fanout[r0]", "fanout[r1]",
-        "feed_fanout[s0,r0]", "feed_fanout[s0,r1]",
         "weight[d0]",
     ]
     assert {kind: list(rows) for kind, rows in model.families.items()} == {
-        "feed-use": [0, 1], "relay-use": [2, 3], "fanout": [4, 5], "feed-fanout": [6, 7],
-        "weight": [8],
+        "feed-use": [0, 1], "relay-use": [2, 3], "fanout": [], "feed-fanout": [],
+        "weight": [4],
     }
     # Full-mode objective: fixed costs on z, first hop on y, second hop on x.
     assert model.obj.tolist() == [5.0, 3.0, 1.0, 2.0, 1.0, 1.5]
@@ -167,6 +167,40 @@ def test_build_shape_and_order():
     # A column's activity is its column of A: the weight row reads both x.
     unit = np.eye(model.nvars)
     assert [model.activity(unit[xi])[w] for xi in (4, 5)] == pytest.approx([2.0, 2.0])
+
+
+def test_build_keeps_the_capacity_rows_that_can_bind():
+    # Two sinks on r0's fan-out of 1 can bind its fan-out and feed-fan-out
+    # rows, which are built; r1's fan-out of 4 covers both sinks, so its
+    # rows are left out.
+    doc = two_path_doc()
+    doc["reflectors"][0]["fanout"] = 1
+    doc["sinks"].append({"id": "d1", "stream": "s0", "loss_threshold": 0.25})
+    doc["refl_edges"] += [
+        {"from": "r0", "to": "d1", "loss": 0.1, "cost": 1.0},
+        {"from": "r1", "to": "d1", "loss": 0.1, "cost": 1.5},
+    ]
+    model = lp.build_model(Instance(doc))
+    assert model.x_index == {
+        ("s0", "r0", "d0"): 4, ("s0", "r1", "d0"): 5, ("s0", "r0", "d1"): 6, ("s0", "r1", "d1"): 7,
+    }
+    assert model.x_offset == 4
+    assert model.rows == [
+        "feed_use[s0,r0]", "feed_use[s0,r1]",
+        "relay_use[s0,r0,d0]", "relay_use[s0,r1,d0]",
+        "relay_use[s0,r0,d1]", "relay_use[s0,r1,d1]",
+        "fanout[r0]", "feed_fanout[s0,r0]",
+        "weight[d0]", "weight[d1]",
+    ]
+    assert {kind: list(rows) for kind, rows in model.families.items()} == {
+        "feed-use": [0, 1], "relay-use": [2, 3, 4, 5], "fanout": [6], "feed-fanout": [7],
+        "weight": [8, 9],
+    }
+    # Each row reads r0's two x against its cap of 1 on z[r0], or on y[s0,r0].
+    _c, a, senses, b = model.arrays()
+    assert a[6].tolist() == [-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+    assert a[7].tolist() == [0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+    assert senses[6:8] == ["<=", "<="] and b[6:8].tolist() == [0.0, 0.0]
 
 
 def test_transmission_objective_folds_edge_costs():
@@ -231,13 +265,23 @@ LADDER_LPS = [
     ids=["x".join(map(str, sizes)) + f"-{regime}-{mode}" for sizes, regime, _, mode in LADDER_LPS],
 )
 def test_lp_matches_highs_on_ladder_instances(sizes, regime, colors, mode):
-    inst = gen_random(sizes, regime, seed=0, colors=colors)
-    model = lp.build_model(instance_from_doc({**inst.to_doc(), "mode": mode}))
-    c, a, senses, b = model.arrays()
+    model = ladder_model(sizes, regime, colors, mode)
+    ref = highs_lp(model, *model.arrays())
+    assert ref.status == 0
+    assert lp.solve_lp(model).objective == pytest.approx(ref.fun, rel=1e-7)
+
+
+def ladder_model(sizes, regime, colors, mode, seed=0):
+    inst = gen_random(sizes, regime, seed=seed, colors=colors)
+    return lp.build_model(instance_from_doc({**inst.to_doc(), "mode": mode}))
+
+
+def highs_lp(model, c, a, senses, b):
+    """HiGHS on the LP relaxation with the rows (a, senses, b)."""
     senses = np.asarray(senses)
     sign = np.where(senses == ">=", -1.0, 1.0)[:, None]
     ineq, eq = senses != "==", senses == "=="
-    ref = sciopt.linprog(
+    return sciopt.linprog(
         c,
         A_ub=(a * sign)[ineq] if ineq.any() else None,
         b_ub=(b * sign[:, 0])[ineq] if ineq.any() else None,
@@ -246,8 +290,129 @@ def test_lp_matches_highs_on_ladder_instances(sizes, regime, colors, mode):
         bounds=np.column_stack([model.lb, model.ub]),
         method="highs",
     )
-    assert ref.status == 0
-    assert lp.solve_lp(model).objective == pytest.approx(ref.fun, rel=1e-7)
+
+
+def bandwidth_model():
+    """Three bitrates on reflectors whose bandwidth fits 1.5 to 4 copies, so
+    some capacity rows bind and some cannot."""
+    doc = gen_random((3, 4, 8), "avg", seed=1).to_doc()
+    doc["bandwidth_enabled"] = True
+    for rec, rate in zip(doc["sources"], (1.0, 2.5, 0.5)):
+        rec["bitrate"] = rate
+    for rec, cap in zip(doc["reflectors"], (1.5, 4.0, 2.5, 6.0)):
+        rec["bandwidth"] = cap
+    return lp.build_model(instance_from_doc(doc))
+
+
+def full_capacity_rows(model):
+    """Every fan-out and feed-fan-out row, dense and labelled as the model
+    labels them: one per reflector, and one per feed that relays."""
+    inst = model.inst
+    fan, feed = (
+        ("bandwidth", "bandwidth_feed") if inst.bandwidth_enabled else ("fanout", "feed_fanout")
+    )
+    rows = {}
+    for (k, i, _j), xi in model.x_index.items():
+        load = inst.copy_load(k)
+        for label, cap_col in ((f"{fan}[{i}]", model.z_index[i]),
+                               (f"{feed}[{k},{i}]", model.y_index[(k, i)])):
+            if label not in rows:
+                rows[label] = np.zeros(model.nvars)
+                rows[label][cap_col] = -inst.copy_cap(i)
+            rows[label][xi] += load
+    return rows
+
+
+CAPACITY_CASES = [
+    ((8, 6, 16), "avg", None, "full"),
+    ((8, 6, 16), "avg", None, "transmission"),
+    ((12, 12, 40), "avg", None, "full"),
+    ((2, 10, 20), "low", 5, "full"),
+    ((20, 15, 60), "avg", None, "full"),
+]
+
+
+def test_dropped_capacity_rows_are_implied():
+    # The model builds a capacity row only where its x coefficients total
+    # more than its cap. Each row it leaves out is implied by x <= y <= z,
+    # and HiGHS on every capacity row finds the model's own optimum.
+    models = [ladder_model(*case) for case in CAPACITY_CASES] + [bandwidth_model()]
+    dropped = kept = 0
+    for model in models:
+        c, a, senses, b = model.arrays()
+        capacity = [r for kind in ("fanout", "feed-fanout") for r in model.families[kind]]
+        full = full_capacity_rows(model)
+        built = {model.rows[r]: a[r] for r in capacity}
+        assert set(built) <= set(full)
+        for label, row in full.items():
+            x_sum, cap = row[model.x_offset:].sum(), -row[:model.x_offset].sum()
+            if label in built:
+                assert np.array_equal(built[label], row) and x_sum > cap, label
+                kept += 1
+            else:
+                assert x_sum <= cap, label
+                dropped += 1
+        other = np.setdiff1d(np.arange(len(model.rows)), capacity)
+        rows = np.vstack([a[other], *full.values()])
+        ref = highs_lp(model, c, rows, [senses[r] for r in other] + ["<="] * len(full),
+                       np.concatenate([b[other], np.zeros(len(full))]))
+        assert ref.status == 0
+        assert lp.solve_lp(model).objective == pytest.approx(ref.fun, rel=1e-9, abs=0)
+    assert dropped > 0 and kept > 0
+    # 20x15x60 keeps its 15 fan-out rows and none of its 300 feed-fan-out rows.
+    assert len(models[-2].rows) == 1275
+
+
+def test_start_basis_is_taken(monkeypatch):
+    # The start basis (each weight row tight on its sink's cheapest route
+    # per unit of weight, every other slack basic) is nonsingular and dual
+    # feasible, so the solve runs from it, and it reaches the slack
+    # basis's verdict and optimum: on the ladder, a colored, a transmission
+    # and a bandwidth-capped model, and under approx_hack's fixings on the
+    # model's rows and on the search rows, whose cardinality rows keep
+    # their slacks basic. The colored model's fixing leaves its search rows
+    # infeasible, which both starts find.
+    models = [ladder_model(*case) for case in CAPACITY_CASES[:4]] + [bandwidth_model()]
+    cases = [(model, model.layout, model.senses, model.rhs, model.lb, model.ub) for model in models]
+    hack = [ladder_model((4, 6, 12), "avg", None, "full", seed) for seed in (0, 1)] + [models[3]]
+    for model in hack:
+        frac = lp.solve_lp(model)
+        lb, ub = model.lb.copy(), model.ub.copy()
+        lb[frac.values >= 1.0 - lp.FIX_TOL] = 1.0
+        ub[frac.values <= lp.FIX_TOL] = 0.0
+        cases.append((model, model.layout, model.senses, model.rhs, lb, ub))
+        cases.append((model, *lp.search_rows(model), lb, ub))
+    verdicts = []
+    for model, layout, senses, rhs, lb, ub in cases:
+        basis = lp.start_basis(model, layout.m)
+        weight = model.families["weight"]
+        tight = basis.columns[weight.start:weight.stop]
+        assert np.all(tight < model.nvars)
+        assert np.array_equal(np.delete(basis.columns, weight), model.nvars + np.delete(
+            np.arange(layout.m), weight))
+        for col, d in zip(tight, model.inst.sinks):  # the lowest cost per unit weight
+            ratios = {xi: model.obj[xi] / w for _i, xi, w in model.sink_routes[d.id]}
+            assert ratios[col] == min(ratios.values())
+            assert col == min(xi for xi, r in ratios.items() if r == ratios[col])
+        warm = simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=basis)
+        cold = simplex.solve(model.obj, layout, senses, rhs, lb, ub)
+        assert warm.warm_started and warm.status == cold.status
+        if cold.status == simplex.OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0)
+        verdicts.append(cold.status)
+    assert verdicts.count(simplex.INFEASIBLE) == 1
+
+    # solve_lp hands the start basis to the simplex.
+    starts = []
+    solve = simplex.solve
+
+    def recording(*args, warm=None, **kwargs):
+        starts.append(warm)
+        return solve(*args, warm=warm, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", recording)
+    lp.solve_lp(models[0])
+    assert np.array_equal(starts[0].columns, lp.start_basis(models[0], models[0].layout.m).columns)
 
 
 def test_ip_matches_milp_on_random_instances():
@@ -451,9 +616,9 @@ print(json.dumps(out))
 
 
 def test_exact_solver_closes_the_gap(one_blas_thread):
-    # 4x6x12 seeds 0 and 1 prove optimality in 157 and 45 nodes at one BLAS
-    # thread; the limits leave 2.5x that. Seed 2 takes about 1900 nodes and
-    # is left out for time.
+    # 4x6x12 seeds 0 and 1 prove optimality in 163 and 39 nodes at one BLAS
+    # thread; the limits leave 2.4x and 3x that. Seed 2 takes about 1900
+    # nodes and is left out for time.
     limits = [[0, 400], [1, 120]]
     for (seed, limit), (status, nodes) in zip(limits, one_blas_thread(_GAP_SCRIPT, limits)):
         assert status == "optimal" and nodes <= limit, (seed, status, nodes)

@@ -246,7 +246,7 @@ def bandwidth_doc():
     return doc
 
 
-def test_instance_bytes_and_errors_pinned():
+def test_instance_bytes_and_errors_pinned(tmp_path):
     # Frozen outputs: a change to how documents are read must leave these alone.
     docs = {
         "raw": raw_doc(),
@@ -264,8 +264,11 @@ def test_instance_bytes_and_errors_pinned():
         "bandwidth": "05f74e63035dba04e867dc26d686f861bf4bb445d04841f58f00b8deaaaa9309",
         "transmission": "ad94bef106aeba89d5147aff1af89b5187d51c031508d0543153387005077b39",
     }
-    for name in ("colored", "transmission"):
-        assert model.instance_from_doc(docs[name]).to_json() == model.Instance(docs[name]).to_json()
+    # Each written document reads back to the same bytes.
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        model.save_instance(model.Instance(doc), path)
+        assert model.load_instance(path).to_json() + "\n" == path.read_text(encoding="utf-8")
 
     edits = [
         lambda doc: doc["sinks"][0]["demands"][1].update(loss_threshold="0.02"),

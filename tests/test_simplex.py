@@ -270,7 +270,7 @@ def test_updated_inverse_matches_a_fresh_factorization(monkeypatch):
     # weights read from it stay B^-1's row norms: ones at the slack basis,
     # and again after a refresh and from a warm start.
     monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 300)
-    model = lp.build_model(gen.gen_random((10, 10, 30), "avg", seed=0))
+    model = lp.build_model(gen.gen_random((12, 12, 40), "avg", seed=0))
     args = (model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
     state = simplex._Revised(*args)
     assert np.array_equal(state._weights(state.basis, state._inverse_rows(state.basis)),
@@ -336,7 +336,7 @@ def test_values_at_a_bound_come_out_exact():
 
 
 def test_a_large_solve_holds_no_m_by_m_array():
-    # The 20x15x60 relaxation has m = 1575 rows; one dense B^-1 alone would
+    # The 20x15x60 relaxation has m = 1275 rows; one dense B^-1 alone would
     # take m^2 doubles, more than the whole solve peaks at.
     model = lp.build_model(gen.gen_random((20, 15, 60), "avg", seed=0))
     args = (model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
@@ -346,7 +346,7 @@ def test_a_large_solve_holds_no_m_by_m_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.status == simplex.OPTIMAL and model.layout.m == 1575
+    assert res.status == simplex.OPTIMAL and model.layout.m == 1275
     assert peak < model.layout.m ** 2 * 8
 
 
@@ -399,15 +399,16 @@ def test_duplicate_equality_rows_return_a_basis():
 
 
 # Pivot counts and optimal vertices of the revised simplex at one BLAS
-# thread; any change to the pivot path or the rounding of K^-1 moves them.
+# thread, from the model's start basis as `solve_lp` solves them; any change
+# to the pivot path or the rounding of K^-1 moves them.
 # (sizes, regime, colors, mode) -> (iterations, sha256 of x bytes).
 PINNED = [
     (((8, 6, 16), "avg", None, "full"),
-     (153, "038f968e2b2eddac6637c5564b7f50eabc630700af729f2557b49ef5f4a13883")),
+     (122, "fc463b6df977fbc636f185f02a907cc13264bb6b6d2e646625e36d8e7183bcfb")),
     (((8, 6, 16), "avg", None, "transmission"),
-     (68, "43fe7016f9cd3545dabd07dceb525c1f1abb6b548549784f54db0d193563dac3")),
+     (47, "43fe7016f9cd3545dabd07dceb525c1f1abb6b548549784f54db0d193563dac3")),
     (((2, 10, 20), "low", 5, "full"),
-     (146, "f41d594cf6bb6c4641b06a260d2aeee991061a1a80bb04e69e75fc20e617fa02")),
+     (126, "f41d594cf6bb6c4641b06a260d2aeee991061a1a80bb04e69e75fc20e617fa02")),
 ]
 
 _PIN_SCRIPT = """
@@ -418,7 +419,8 @@ out = []
 for (sizes, regime, colors, mode), _ in json.loads(sys.argv[1]):
     inst = gen.gen_random(tuple(sizes), regime, seed=0, colors=colors)
     model = lp.build_model(instance_from_doc({**inst.to_doc(), "mode": mode}))
-    res = simplex.solve(model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
+    res = simplex.solve(model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub,
+                        warm=lp.start_basis(model, model.layout.m))
     out.append([res.iterations, hashlib.sha256(res.x.tobytes()).hexdigest()])
 print(json.dumps(out))
 """
@@ -490,7 +492,9 @@ def test_branch_and_bound_warm_starts_every_child(monkeypatch):
     model = lp.build_model(gen.gen_random((2, 2, 4), "avg", seed=7))
     sol = lp.solve_ip(model)
     assert sol.status == "optimal" and sol.nodes > 1
-    assert calls[0][0] is None
+    # The root starts from the model's start basis, each child from its parent's.
+    root = calls[0][0]
+    assert np.array_equal(root.columns, lp.start_basis(model, root.columns.size).columns)
     assert len(calls) > 2
-    assert all(warm is not None for warm, _ in calls[1:])
-    assert all(res.warm_started for _, res in calls[1:])
+    assert all(warm is not None for warm, _ in calls)
+    assert all(res.warm_started for _, res in calls)
