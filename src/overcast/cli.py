@@ -6,9 +6,10 @@ instance), `sweep` (multiplier-by-seed grid), and `verify` (re-audit a
 solution file). `sweep` and `compare` solve the LP relaxation once and
 share it across their rows, so a row's `wall_ms` leaves that solve out; the
 pipeline audits its approx results once, and only `hack` and `ip` rows are
-audited here. Exit codes: 0 success, 2 audit, quality or input failure,
-3 infeasible instance. All output files are deterministic for fixed flags;
-wall-clock milliseconds appear only on stdout and in CSV `wall_ms` columns.
+audited here. Exit codes: 0 success, 2 audit, quality, solver or input
+failure, 3 infeasible instance. All output files are deterministic for fixed
+flags; wall-clock milliseconds appear only on stdout and in CSV `wall_ms`
+columns.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .lp import InfeasibleError, NoIncumbentError, TimeBudget, build_model, solv
 from .model import Instance
 from .pipeline import ApproxPipelineError, hack_relaxation, round_relaxation, run_exact
 from .rounding import RoundingRetriesExhausted, check_multiplier
+from .simplex import SimplexError
 from .solution import PathSet, save_pathset
 from .verify import audit
 
@@ -321,7 +323,7 @@ def main(argv=None) -> int:
         if exc.certificate is not None:
             print(json.dumps(exc.certificate, sort_keys=True), file=sys.stderr)
         return 3
-    except (RoundingRetriesExhausted, ApproxPipelineError, GenerationError) as exc:
+    except (RoundingRetriesExhausted, ApproxPipelineError, GenerationError, SimplexError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -36,7 +36,8 @@ its optimum.
 
 `solve_lp` and the root of `solve_ip` start the dual simplex from
 `start_basis`: each sink's weight row is tight on its route of lowest cost
-per unit of clamped weight, and every other row keeps its slack basic.
+per unit of clamped weight among the routes the bounds leave open, and
+every other row keeps its slack basic.
 
 In full mode the objective charges reflector fixed costs on z, first-hop
 costs on y and second-hop costs on x. In transmission mode z and y are
@@ -325,24 +326,28 @@ class IntegralSolution:
         return [key for key, xi in self.model.x_index.items() if self.values[xi] > 0.5]
 
 
-def start_basis(model: LpModel, m: int) -> simplex.Basis:
+def start_basis(model: LpModel, m: int, ub: np.ndarray | None = None) -> np.ndarray:
     """A dual-feasible start for the model's first m rows and any rows
-    after them: each sink's weight row is tight on its route of lowest cost
-    per unit of clamped weight (ties to the lowest column), and every other
-    row keeps its slack basic.
+    after them, as the basic column of each row: each sink's weight row is
+    tight on its route of lowest cost per unit of clamped weight among the
+    routes whose upper bound in `ub` (default: the model's) is positive
+    (ties to the lowest column), and every other row keeps its slack basic.
 
     The block K of this basis is diagonal with the routes' positive
     weights, so it is nonsingular. The weight row's dual c/w >= 0 prices
-    each other route of its sink at c' - w' c/w >= 0, so those rest at 0,
-    and it leaves the row's slack dual feasible at its bound. A sink with
-    no route of positive weight keeps its slack.
+    each other open route of its sink at c' - w' c/w >= 0, so those rest
+    at 0, as does every route fixed to 0, and it leaves the row's slack
+    dual feasible at its bound. A sink with no open route of positive
+    weight keeps its slack.
     """
+    ub = model.ub if ub is None else ub
     columns = model.nvars + np.arange(m)  # the slack of each row
     for row, d in zip(model.families["weight"], model.inst.sinks):
-        routes = [(model.obj[xi] / w, xi) for _i, xi, w in model.sink_routes[d.id] if w > 0]
+        routes = [(model.obj[xi] / w, xi) for _i, xi, w in model.sink_routes[d.id]
+                  if w > 0 and ub[xi] > 0]
         if routes:
             columns[row] = min(routes)[1]
-    return simplex.Basis(columns, np.zeros(model.nvars + m, dtype=np.int8))
+    return columns
 
 
 def solve_lp(model: LpModel) -> FractionalSolution:
@@ -441,7 +446,7 @@ def solve_ip(
             heapq.heappush(heap, (res.objective, next(tie), lb, ub, res))
         return res
 
-    root = solve_node(lb.copy(), ub.copy(), start_basis(model, layout.m))
+    root = solve_node(lb.copy(), ub.copy(), start_basis(model, layout.m, ub))
     if root.status == simplex.INFEASIBLE:
         raise InfeasibleError(
             "integer program infeasible",

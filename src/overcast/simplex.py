@@ -8,23 +8,27 @@ only in its slack's bounds: s_i in [0, inf) for '<=', (-inf, 0] for '>=' and
 [0, 0] for '=='. The slacks of inequality rows are the only columns with an
 infinite bound; a nonbasic one rests at its finite bound.
 
-A solve starts from a dual-feasible basis: any basis over the same rows
-that the caller passes (`warm=`, such as a branch-and-bound parent's
-optimum, whose bounds and costs may differ, or a model's crash basis), or
-else the all-slack basis. Both take one start path: the basis is
-factorized, its reduced costs are computed once, and the dual simplex
-begins from them. Each boxed nonbasic variable rests at the bound
-its reduced cost prefers, so only the nonbasic slack of an inequality row
-can be dual infeasible. A warm basis that is singular, or that leaves such a
-slack with a reduced cost pointing toward its infinite bound, is dropped
-for the slack basis, which is neither: it inverts nothing, and no slack is
-nonbasic. An LP with no rows has an empty basis and takes the same path.
-The bounded dual simplex then restores primal feasibility: a violated
-basic variable leaves, and the dual ratio test picks the entering column
-so that every reduced cost stays dual feasible. It ends at the optimum, or
-at a row that no column can repair, which makes the LP infeasible. There
-is no cost shift and no primal phase; an end that is not dual feasible is
-a SimplexError.
+A solve starts from a dual-feasible basis, given as the basic column of
+each row: any basis over the same rows that the caller passes (`warm=`,
+such as a branch-and-bound parent's optimum, whose bounds and costs may
+differ, or a model's crash basis), or else the all-slack basis. One start
+path, `_Revised._start`, gives the solver every factorized basis: the first
+one, the refactorization every `_REFRESH_EVERY` pivots and the fresh one
+each verdict needs. It factorizes the basis, computes its reduced costs
+and rests each nonbasic column at the bound its reduced cost prefers (the
+lower one on a tie, the finite one when the other is infinite), so only
+the nonbasic slack of an inequality row can be dual infeasible. A basis
+that is singular, or that leaves such a slack with a reduced cost pointing
+toward its infinite bound, is dropped for the slack basis, which is
+neither: it inverts nothing, and no slack is nonbasic. So a warm start
+that does not fit and a basis that turns singular mid-solve both restart
+from the slack basis, and an LP with no rows takes the same path with an
+empty basis. The bounded dual simplex then restores primal feasibility: a
+violated basic variable leaves, and the dual ratio test picks the entering
+column so that every reduced cost stays dual feasible. It ends at the
+optimum, or at a row that no column can repair, which makes the LP
+infeasible. There is no cost shift and no primal phase; an end that is not
+dual feasible is a SimplexError.
 
 The constraint matrix is held as sparse columns (a `Layout`, which a model
 builds once and every solve of its rows shares); slack columns stay
@@ -73,8 +77,6 @@ import numpy as np
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
-_AT_LB, _AT_UB, _BASIC = 0, 1, 2
-
 _PIVOT_TOL = 1e-9
 _DUAL_TOL = 1e-9
 _FEAS_TOL = 1e-9
@@ -92,16 +94,7 @@ _SLACK_BOUNDS = np.array([[0.0, np.inf], [-np.inf, 0.0], [0.0, 0.0]])
 
 
 class SimplexError(RuntimeError):
-    """Internal solver failure (iteration cap, numerical breakdown, or a
-    dual infeasible end)."""
-
-
-@dataclass(frozen=True)
-class Basis:
-    """A basis over the structural and slack columns, for warm starts."""
-
-    columns: np.ndarray  # the basic column of each basis position
-    status: np.ndarray  # _AT_LB / _AT_UB / _BASIC per structural and slack column
+    """Internal solver failure (the iteration cap, or a dual infeasible end)."""
 
 
 class Layout:
@@ -158,20 +151,22 @@ class LpResult:
     infeasibility: float = 0.0  # the bound violation the dual simplex cannot repair
     iterations: int = 0
     refreshes: int = 0  # basis refactorizations
-    basis: Basis | None = None  # the optimal basis
+    basis: np.ndarray | None = None  # the optimal basis: the basic column of each row
     # ran from the caller's basis (False when it was singular or dual infeasible)
     warm_started: bool = False
 
 
-def solve(c, a: Layout, senses, b, lb, ub, warm: Basis | None = None) -> LpResult:
+def solve(c, a: Layout, senses, b, lb, ub, warm: np.ndarray | None = None) -> LpResult:
     """Minimize c.x subject to a x (senses) b and lb <= x <= ub.
 
     `senses` is a sequence of '<=', '>=', '=='; every lb and ub must be
     finite. Returns structural values only, a value within 1e-9 of a bound
-    as that bound; slacks are internal. `warm` may be any basis over the
-    same `a` and `senses`, such as the `basis` of an earlier optimal solve
-    or a start a caller builds; the solve starts from the slack basis when
-    that basis is singular or dual infeasible.
+    as that bound; slacks are internal (the slack of row i is column n + i).
+    `warm` is a start basis over the same `a` and `senses`, given as the
+    basic column of each row, such as the `basis` of an earlier optimal
+    solve or a start a caller builds; only its columns matter, as each
+    nonbasic column rests at the bound its reduced cost prefers. The solve
+    starts from the slack basis when `warm` is singular or dual infeasible.
     """
     c = np.asarray(c, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -185,7 +180,7 @@ def solve(c, a: Layout, senses, b, lb, ub, warm: Basis | None = None) -> LpResul
 
 
 class _Revised:
-    def __init__(self, c, a: Layout, senses, b, lb, ub, warm: Basis | None = None):
+    def __init__(self, c, a: Layout, senses, b, lb, ub, warm: np.ndarray | None = None):
         self.layout = a
         m, n = a.m, a.n
         self.m, self.n_struct = m, n
@@ -202,63 +197,58 @@ class _Revised:
         self.cost = np.concatenate([c, np.zeros(m)])
         self.iterations = 0
         self.refreshes = 0
-        self.since_refresh = 0  # pivots since the last factorization
         self.at = np.full(cols, -1)  # scratch for _inverse_rows
         self.ranks = np.arange(m)
         # [I; A] and A dense, on a small layout only.
         self.dense = a.stacked_dense if cols * n <= _DENSE_ENTRIES else None
         self.dense_a = None if self.dense is None else self.dense[n:]
+        self.movable = self.ub - self.lb > _PIVOT_TOL
+        self.warm_started = warm is not None and self._start(warm)
+        if not self.warm_started:
+            self._start(np.arange(n, cols))
 
-        d = None if warm is None else self._start(warm)
-        self.warm_started = d is not None
-        if d is None:
-            d = self._start(Basis(np.arange(n, cols), np.zeros(cols, dtype=np.int8)))
-        self.d = d  # the start basis's reduced costs, where _dual begins
-
-        nonbasic = self.status != _BASIC
-        # Boxed nonbasics rest where their reduced cost is dual feasible;
-        # on a (near) zero reduced cost they keep their bound. A column with
-        # one infinite bound rests at the other.
-        at_ub = nonbasic & np.isfinite(self.ub) & (
-            (d < -_DUAL_TOL) | ((self.status == _AT_UB) & (d <= _DUAL_TOL)) | np.isinf(self.lb))
-        self.status[nonbasic] = np.where(at_ub[nonbasic], _AT_UB, _AT_LB)
+    def _start(self, columns) -> bool:
+        """Factorize the basis `columns` (the basic column of each row),
+        compute its reduced costs `d`, rest each nonbasic column at the
+        bound its reduced cost prefers (the lower one on a tie, the finite
+        one when the other is infinite), and set the values and pricing
+        signs. False when the basis is singular, or leaves an inequality
+        row's slack nonbasic with a reduced cost pointing toward its
+        infinite bound, where it has no bound to rest at; the caller then
+        starts from the slack basis, which is never either."""
+        basis = np.array(columns, dtype=np.intp)
+        if basis.shape != (self.m,):
+            raise ValueError("warm basis does not match the rows")
+        self.basis = basis
+        self.lbb, self.ubb = self.lb[basis], self.ub[basis]  # bounds by position
+        factors = self._factorize()
+        if factors is None:
+            return False
+        self._install(*factors)
+        self.refreshes += 1
+        self.since_refresh = 0  # pivots since the last factorization
+        d = self.d = self._reduced_costs()
+        nonbasic = np.ones(self.ncols, dtype=bool)
+        nonbasic[basis] = False
+        no_lb, no_ub = np.isinf(self.lb), np.isinf(self.ub)
+        if (nonbasic & ((no_ub & (d < -_DUAL_TOL)) | (no_lb & (d > _DUAL_TOL)))).any():
+            return False
+        at_ub = nonbasic & ~no_ub & ((d < -_DUAL_TOL) | no_lb)
         self.values = np.where(at_ub, self.ub, self.lb)
         self._basic_values()
         # Pricing signs: +1 at lb, -1 at ub, 0 basic or fixed. A nonbasic
         # variable is dual feasible when price * d >= 0; pivots keep the
         # signs current.
-        self.movable = self.ub - self.lb > _PIVOT_TOL
         self.price = np.where(nonbasic & self.movable, np.where(at_ub, -1.0, 1.0), 0.0)
-
-    def _start(self, basis: Basis):
-        """Factorize `basis` and return its reduced costs; None when it is
-        singular or leaves an inequality row's slack nonbasic with a reduced
-        cost pointing toward its infinite bound (it has no bound to rest at
-        there). The slack basis is never either."""
-        if basis.columns.shape != (self.m,) or basis.status.shape != (self.ncols,):
-            raise ValueError("warm basis does not match the rows and columns")
-        self.basis = np.asarray(basis.columns, dtype=np.intp).copy()
-        self.lbb, self.ubb = self.lb[self.basis], self.ub[self.basis]  # bounds by position
-        self.status = (basis.status == _AT_UB).astype(np.int8)  # _AT_UB or _AT_LB
-        self.status[self.basis] = _BASIC
-        try:
-            self._install(*self._factorize())
-        except SimplexError:
-            return None
-        self.refreshes += 1
-        d = self._reduced_costs()
-        nonbasic = self.status != _BASIC
-        if (nonbasic & ((np.isinf(self.ub) & (d < -_DUAL_TOL))
-                        | (np.isinf(self.lb) & (d > _DUAL_TOL)))).any():
-            return None
-        return d
+        return True
 
     # -- basic machinery ---------------------------------------------------
 
     def _factorize(self):
-        """(K^-1, scol, rrow) for the basis: the basic slacks cover their
-        rows, the basic structural columns scol meet the other rows rrow in
-        the k x k block K, and only K is inverted."""
+        """(K^-1, scol, rrow) for the basis, None when it is singular: the
+        basic slacks cover their rows, the basic structural columns scol
+        meet the other rows rrow in the k x k block K, and only K is
+        inverted."""
         m, n, lay = self.m, self.n_struct, self.layout
         unit = self.basis >= n
         scol = self.basis[~unit]
@@ -267,9 +257,7 @@ class _Revised:
         rrow = (~covered).nonzero()[0]
         k = scol.size
         if rrow.size != k:
-            raise SimplexError("singular basis")  # a slack basic twice
-        if k == 0:
-            return np.zeros((0, 0)), scol, rrow
+            return None  # a slack basic twice
         if self.dense is not None:
             block = self.dense_a[rrow[:, None], scol]
         else:
@@ -283,11 +271,9 @@ class _Revised:
             block[i[mine], j[mine]] = v[n:][mine]
         try:
             kinv = np.linalg.inv(block)
-        except np.linalg.LinAlgError as exc:
-            raise SimplexError("singular basis") from exc
-        if not np.isfinite(kinv).all():
-            raise SimplexError("singular basis")
-        return kinv, scol, rrow
+        except np.linalg.LinAlgError:
+            return None
+        return (kinv, scol, rrow) if np.isfinite(kinv).all() else None
 
     def _install(self, kinv, scol, rrow):
         """Take K^-1 and index its rows and columns."""
@@ -308,25 +294,17 @@ class _Revised:
         """Basic structurals from K^-1 on the uncovered rows, whose nonbasic
         slacks rest at 0; then the slacks as b - A x."""
         k = self.k
-        if k:
-            scol = self.scol[:k]
-            nonbasic = self.values[:self.n_struct].copy()
-            nonbasic[scol] = 0.0
-            rest = self.b - self.layout.dot(nonbasic)
-            self.values[scol] = np.einsum("ij,j->i", self.kinv, rest[self.rrow[:k]])
+        scol = self.scol[:k]
+        nonbasic = self.values[:self.n_struct].copy()
+        nonbasic[scol] = 0.0
+        rest = self.b - self.layout.dot(nonbasic)
+        self.values[scol] = np.einsum("ij,j->i", self.kinv, rest[self.rrow[:k]])
         self._slack_values()
 
     def _slack_values(self):
         """Every slack as b - A x on its row: a basic slack's value, and 0
         up to rounding for a nonbasic one, which rests at its bound 0."""
         self.values[self.n_struct:] = self.b - self.layout.dot(self.values)
-
-    def _refresh(self):
-        """Refactorize the basis: recompute K^-1 and the basic values."""
-        self._install(*self._factorize())
-        self._basic_values()
-        self.refreshes += 1
-        self.since_refresh = 0
 
     def _row(self, v):
         """v @ [A | slacks] over the sparse entries: one tableau row when v is a row of B^-1."""
@@ -371,15 +349,12 @@ class _Revised:
     def _reduced_costs(self):
         """c - y [A | I] with the duals y = c_S K^-1 on R and zero on the covered rows."""
         k = self.k
-        if k == 0:
-            return self.cost.copy()  # all duals are zero
         y = np.zeros(self.m)
         y[self.rrow[:k]] = np.einsum("i,ij->j", self.cost[self.scol[:k]], self.kinv)
         return self.cost - self._row(y)
 
     def _rest(self, j, at_ub):
         """Make j nonbasic at its upper (at_ub) or lower bound."""
-        self.status[j] = _AT_UB if at_ub else _AT_LB
         self.values[j] = self.ub[j] if at_ub else self.lb[j]
         self.price[j] = (-1.0 if at_ub else 1.0) if self.movable[j] else 0.0
 
@@ -391,9 +366,9 @@ class _Revised:
         if step > 0:
             self.values[scol[:k]] -= direction * step * w
         leaving = int(self.basis[row])
-        self.values[q] = (self.lb[q] if self.status[q] == _AT_LB else self.ub[q]) + direction * step
+        # q moves off its bound, up from lb (direction +1) or down from ub.
+        self.values[q] = (self.lb[q] if direction > 0 else self.ub[q]) + direction * step
         self._rest(leaving, leaves_to_ub)
-        self.status[q] = _BASIC
         self.price[q] = 0.0
         self.basis[row] = q
         self.lbb[row], self.ubb[row] = self.lb[q], self.ub[q]
@@ -527,31 +502,32 @@ class _Revised:
             if row >= 0:
                 alpha = self._row(rho)
                 q = self._dual_entering(alpha, d, below, bland)
-            if q < 0:
+            if q >= 0:
+                # The leaving variable moves to the bound it violates.
+                pivot = float(alpha[q])
+                step = violation / abs(pivot)
+                theta = float(d[q]) / pivot
+                d -= theta * alpha
+                self._pivot(q, float(self.price[q]), step, row, not below, self._column(q), part / pivot, pivot)
+                self.iterations += 1
+                if abs(theta) <= _STEP_TOL:
+                    stall += 1
+                    if stall >= _STALL_LIMIT:
+                        bland = True
+                else:
+                    stall = 0
+                    bland = False
+            elif self.since_refresh == 0:
                 # Feasible, or a row no column can repair: either verdict
                 # stands only on a fresh factorization.
-                if self.since_refresh == 0:
-                    return violation, d
-                self._refresh()
-                d = self._reduced_costs()
-                continue
-            # The leaving variable moves to the bound it violates.
-            pivot = float(alpha[q])
-            step = violation / abs(pivot)
-            theta = float(d[q]) / pivot
-            d -= theta * alpha
-            self._pivot(q, float(self.price[q]), step, row, not below, self._column(q), part / pivot, pivot)
-            self.iterations += 1
-            if abs(theta) <= _STEP_TOL:
-                stall += 1
-                if stall >= _STALL_LIMIT:
-                    bland = True
-            else:
-                stall = 0
-                bland = False
-            if self.since_refresh >= _REFRESH_EVERY:
-                self._refresh()
-                d = self._reduced_costs()
+                return violation, d
+            if q < 0 or self.since_refresh >= _REFRESH_EVERY:
+                # Refactorize through the start path; a basis that has
+                # turned singular or dual infeasible restarts from the
+                # slack basis.
+                if not self._start(self.basis):
+                    self._start(np.arange(self.n_struct, self.ncols))
+                d = self.d
 
     # -- driver --------------------------------------------------------------
 
@@ -569,7 +545,7 @@ class _Revised:
         # the LP's zeros and ones come out exact.
         x = np.where(x - lb <= _FEAS_TOL, lb, np.where(ub - x <= _FEAS_TOL, ub, x))
         return self._result(OPTIMAL, x=x, objective=float(np.einsum("i,i->", self.cost[:n], x)),
-                            basis=Basis(self.basis.copy(), self.status.copy()))
+                            basis=self.basis.copy())
 
     def _result(self, status, x=None, objective=None, infeasibility=0.0, basis=None) -> LpResult:
         return LpResult(status, x, objective, infeasibility=infeasibility,

@@ -6,6 +6,7 @@ import pytest
 
 import overcast.cli as cli
 import overcast.pipeline as pipeline
+from overcast import simplex
 from overcast.cli import CSV_COLUMNS, SWEEP_COLUMNS, build_parser, main
 from overcast.lp import NoIncumbentError, TimeBudget, build_model, solve_lp
 from overcast.model import Instance, load_instance
@@ -114,6 +115,19 @@ def test_a_non_finite_multiplier_exits_2(instance_file, tmp_path, capsys, monkey
     assert exc.value.code == 2
     assert "multiplier must be finite and at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve"], ["compare", "--algs", "ip"]], ids=["solve", "compare"])
+def test_a_simplex_breakdown_exits_2(instance_file, tmp_path, capsys, monkeypatch, command):
+    # A solver failure (the iteration cap, a dual infeasible end) is a
+    # `failed:` line and exit 2, not a traceback.
+    def breakdown(*args, **kwargs):
+        raise simplex.SimplexError("iteration limit exceeded")
+
+    monkeypatch.setattr(simplex, "solve", breakdown)
+    rc = main([command[0], str(instance_file), *command[1:], "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == "failed: iteration limit exceeded\n"
 
 
 def test_solve_infeasible_exits_3(instance_file, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no module
 defines a private name it never reads, no public function, class or class
-member is left that nothing reads, and no package module is left that no
-other one imports."""
+member and no private method is left that nothing reads, and no package
+module is left that no other one imports."""
 
 import ast
 from pathlib import Path
@@ -51,6 +51,16 @@ def unread_privates(tree: ast.Module) -> set[str]:
     return private - read
 
 
+def attributes_read(reading: list[ast.Module]) -> set[str]:
+    """Every name that a module in `reading` loads as an attribute."""
+    return {
+        n.attr
+        for tree in reading
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+
+
 def unread_members(defining: list[ast.Module], reading: list[ast.Module]) -> set[str]:
     """`Class.member` for each public method, property or dataclass field of
     a class in `defining` whose name no module in `reading` loads as an
@@ -66,13 +76,27 @@ def unread_members(defining: list[ast.Module], reading: list[ast.Module]) -> set
                     members.add((cls.name, node.name))
                 elif isinstance(node, ast.AnnAssign) and dataclass:
                     members.add((cls.name, node.target.id))
-    read = {
-        n.attr
-        for tree in reading
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-    }
+    read = attributes_read(reading)
     return {f"{c}.{m}" for c, m in members if not m.startswith("_") and m not in read}
+
+
+def unread_private_methods(defining: list[ast.Module], reading: list[ast.Module]) -> set[str]:
+    """`Class._method` for each underscore-prefixed (not dunder) method of a
+    class in `defining` whose name no module in `reading` loads as an
+    attribute."""
+    methods = {
+        (cls.name, node.name)
+        for tree in defining
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    read = attributes_read(reading)
+    return {
+        f"{c}.{m}" for c, m in methods
+        if m.startswith("_") and not m.startswith("__") and m not in read
+    }
 
 
 def unread_publics(defining: list[ast.Module], reading: list[ast.Module]) -> set[str]:
@@ -185,6 +209,34 @@ def test_unread_members_flags_leftovers():
     )
     reading = ast.parse("def use(cert, plain):\n    return cert.ok, plain.run()\n")
     assert unread_members([defining], [defining, reading]) == {"Cert.rows", "Cert.z_hat"}
+
+
+def test_no_unread_private_methods():
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    unread = unread_private_methods([parse(p) for p in SOURCES], [parse(p) for p in SOURCES])
+    assert not unread, f"private methods nothing in the package reads: {sorted(unread)}"
+
+
+def test_unread_private_methods_flags_leftovers():
+    defining = ast.parse(
+        "class _Revised:\n"
+        "    def __init__(self):\n"
+        "        self._start(0)\n"
+        "    def _start(self, columns):\n"
+        "        return self._factorize\n"
+        "    def _factorize(self):\n"
+        "        pass\n"
+        "    def _refresh(self):\n"
+        "        self._start(1)\n"
+        "    def run(self):\n"
+        "        pass\n"
+        "class Layout:\n"
+        "    def _dense(self):\n"
+        "        pass\n"
+    )
+    assert unread_private_methods([defining], [defining]) == {"_Revised._refresh", "Layout._dense"}
 
 
 def test_no_unread_publics():

@@ -365,13 +365,15 @@ def test_dropped_capacity_rows_are_implied():
 
 def test_start_basis_is_taken(monkeypatch):
     # The start basis (each weight row tight on its sink's cheapest route
-    # per unit of weight, every other slack basic) is nonsingular and dual
-    # feasible, so the solve runs from it, and it reaches the slack
-    # basis's verdict and optimum: on the ladder, a colored, a transmission
-    # and a bandwidth-capped model, and under approx_hack's fixings on the
-    # model's rows and on the search rows, whose cardinality rows keep
-    # their slacks basic. The colored model's fixing leaves its search rows
-    # infeasible, which both starts find.
+    # per unit of weight among the routes not fixed to 0, every other slack
+    # basic) is nonsingular and dual feasible, so the solve runs from it,
+    # and it reaches the slack basis's verdict and optimum: on the ladder, a
+    # colored, a transmission and a bandwidth-capped model, and under
+    # approx_hack's fixings on the model's rows and on the search rows,
+    # whose cardinality rows keep their slacks basic. Under the fixings,
+    # some weight rows are tight on other routes than with the model's
+    # bounds. The colored model's fixing leaves its search rows infeasible,
+    # which both starts find.
     models = [ladder_model(*case) for case in CAPACITY_CASES[:4]] + [bandwidth_model()]
     cases = [(model, model.layout, model.senses, model.rhs, model.lb, model.ub) for model in models]
     hack = [ladder_model((4, 6, 12), "avg", None, "full", seed) for seed in (0, 1)] + [models[3]]
@@ -383,15 +385,17 @@ def test_start_basis_is_taken(monkeypatch):
         cases.append((model, model.layout, model.senses, model.rhs, lb, ub))
         cases.append((model, *lp.search_rows(model), lb, ub))
     verdicts = []
+    moved = 0
     for model, layout, senses, rhs, lb, ub in cases:
-        basis = lp.start_basis(model, layout.m)
+        basis = lp.start_basis(model, layout.m, ub)
+        moved += not np.array_equal(basis, lp.start_basis(model, layout.m))
         weight = model.families["weight"]
-        tight = basis.columns[weight.start:weight.stop]
+        tight = basis[weight.start:weight.stop]
         assert np.all(tight < model.nvars)
-        assert np.array_equal(np.delete(basis.columns, weight), model.nvars + np.delete(
+        assert np.array_equal(np.delete(basis, weight), model.nvars + np.delete(
             np.arange(layout.m), weight))
         for col, d in zip(tight, model.inst.sinks):  # the lowest cost per unit weight
-            ratios = {xi: model.obj[xi] / w for _i, xi, w in model.sink_routes[d.id]}
+            ratios = {xi: model.obj[xi] / w for _i, xi, w in model.sink_routes[d.id] if ub[xi] > 0}
             assert ratios[col] == min(ratios.values())
             assert col == min(xi for xi, r in ratios.items() if r == ratios[col])
         warm = simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=basis)
@@ -401,6 +405,7 @@ def test_start_basis_is_taken(monkeypatch):
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0)
         verdicts.append(cold.status)
     assert verdicts.count(simplex.INFEASIBLE) == 1
+    assert moved > 0
 
     # solve_lp hands the start basis to the simplex.
     starts = []
@@ -412,7 +417,7 @@ def test_start_basis_is_taken(monkeypatch):
 
     monkeypatch.setattr(simplex, "solve", recording)
     lp.solve_lp(models[0])
-    assert np.array_equal(starts[0].columns, lp.start_basis(models[0], models[0].layout.m).columns)
+    assert np.array_equal(starts[0], lp.start_basis(models[0], models[0].layout.m))
 
 
 def test_ip_matches_milp_on_random_instances():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from overcast import gen, lp, simplex
+from overcast import gen, lp, pipeline, simplex
 
 
 def random_lp(rng, n_max=12, m_max=10):
@@ -144,13 +144,21 @@ def test_a_bad_sense_is_rejected():
         solve_dense([1.0], np.array([[1.0]]), ["<"], [1.0], lb=[0.0], ub=[1.0])
 
 
+def test_a_warm_start_needs_one_column_per_row():
+    with pytest.raises(ValueError, match="warm basis does not match the rows"):
+        solve_dense([1.0], np.array([[1.0]]), ["<="], [1.0], lb=[0.0], ub=[1.0], warm=np.array([0, 1]))
+
+
 def test_a_ge_slack_rests_at_its_finite_bound():
     # x >= 0.5 with x at its lower bound: the '>=' slack s = 0.5 - x lies in
-    # (-inf, 0], so it starts basic at +0.5 and leaves to its bound 0.
-    res = solve_dense([1.0], np.array([[1.0]]), [">="], [0.5], lb=[0.0], ub=[1.0])
+    # (-inf, 0], so it starts basic at +0.5 and leaves to its bound 0, its
+    # upper one, where its pricing sign is -1.
+    state = simplex._Revised(np.array([1.0]), simplex.Layout.from_dense(np.array([[1.0]])),
+                             [">="], np.array([0.5]), np.zeros(1), np.ones(1))
+    res = state.run()
     assert res.status == simplex.OPTIMAL and res.x.tolist() == [0.5]
-    assert res.basis.columns.tolist() == [0]
-    assert res.basis.status.tolist() == [simplex._BASIC, simplex._AT_UB]
+    assert res.basis.tolist() == [0]
+    assert state.values[1] == 0.0 and state.price[1] == -1.0
 
 
 def test_a_dual_infeasible_end_raises():
@@ -208,7 +216,7 @@ def test_a_zero_row_lp_takes_the_start_path():
     lb, ub = np.array([0.0, -1.0, 0.5]), np.array([1.0, 2.0, 3.0])
     res = simplex.solve([1.0, -2.0, 0.0], lay, [], [], lb, ub)
     assert res.status == simplex.OPTIMAL
-    assert isinstance(res.basis, simplex.Basis) and res.basis.columns.size == 0
+    assert isinstance(res.basis, np.ndarray) and res.basis.size == 0
     assert np.array_equal(res.x, [0.0, 2.0, 0.5])
     assert res.objective == -4.0 and res.iterations == 0
 
@@ -220,14 +228,13 @@ def test_the_slack_basis_as_warm_start_is_the_cold_start():
     for args in (_boxed_lp(), (model.obj, model.layout, model.senses, model.rhs,
                                model.lb, model.ub)):
         n, m = args[1].n, args[1].m
-        slack = simplex.Basis(np.arange(n, n + m), np.zeros(n + m, dtype=np.int8))
+        slack = np.arange(n, n + m)
         cold = simplex.solve(*args)
         warm = simplex.solve(*args, warm=slack)
         assert warm.warm_started and not cold.warm_started
         assert warm.iterations == cold.iterations > 0
         assert warm.x.tobytes() == cold.x.tobytes()
-        assert np.array_equal(warm.basis.columns, cold.basis.columns)
-        assert np.array_equal(warm.basis.status, cold.basis.status)
+        assert np.array_equal(warm.basis, cold.basis)
 
 
 def _dense_inverse(state):
@@ -268,7 +275,7 @@ def test_updated_inverse_matches_a_fresh_factorization(monkeypatch):
     # A few hundred rank-1 updates of K^-1, with no refactorization in
     # between, agree with factorizing the same basis, and the steepest-edge
     # weights read from it stay B^-1's row norms: ones at the slack basis,
-    # and again after a refresh and from a warm start.
+    # and again after a refactorization and from a warm start.
     monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 300)
     model = lp.build_model(gen.gen_random((12, 12, 40), "avg", seed=0))
     args = (model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
@@ -281,7 +288,7 @@ def test_updated_inverse_matches_a_fresh_factorization(monkeypatch):
     assert state.kinv.flags.c_contiguous and state.kinv.shape == (state.k, state.k)
     assert _inverse_error(state) <= 1e-9
     assert _weight_error(state) <= 1e-9
-    state._refresh()
+    assert state._start(state.basis)
     assert _inverse_error(state) == 0.0
     assert _weight_error(state) <= 1e-9
     monkeypatch.undo()
@@ -356,10 +363,8 @@ def test_steepest_edge_picks_the_leaving_row(monkeypatch):
     # weight 10). The largest violation is row 1, but 1^2 / 1 > 1.5^2 / 10,
     # so steepest edge takes row 0; Bland's rule takes x0, the lowest index.
     a = simplex.Layout.from_dense(np.array([[0.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]]))
-    status = np.array([2, 2, 0, 0, 0, 0], dtype=np.int8)
-    warm = simplex.Basis(np.array([1, 0]), status)
     state = simplex._Revised(np.array([0.0, 0.0, 1.0, 1.0]), a, ["<=", "<="],
-                             np.array([2.0, 8.5]), np.zeros(4), np.ones(4), warm=warm)
+                             np.array([2.0, 8.5]), np.zeros(4), np.ones(4), warm=np.array([1, 0]))
     assert state.warm_started
     assert np.allclose(state.values[state.basis], [2.0, 2.5])
     assert state.k == 2  # no slack is basic: K is all of B
@@ -372,9 +377,10 @@ def test_steepest_edge_picks_the_leaving_row(monkeypatch):
     monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 1)
     with pytest.raises(simplex.SimplexError, match="iteration limit"):
         state.run()
-    # The first dual pivot moved x1 out of row 0; x0 is still basic in row 1.
+    # The first dual pivot moved x1 out of row 0 to its upper bound, where
+    # its pricing sign is -1; x0 is still basic in row 1.
     assert state.basis[0] != 1 and state.basis[1] == 0
-    assert state.status[1] == simplex._AT_UB
+    assert state.values[1] == 1.0 and state.price[1] == -1.0
 
 
 def test_duplicate_equality_rows_return_a_basis():
@@ -494,7 +500,191 @@ def test_branch_and_bound_warm_starts_every_child(monkeypatch):
     assert sol.status == "optimal" and sol.nodes > 1
     # The root starts from the model's start basis, each child from its parent's.
     root = calls[0][0]
-    assert np.array_equal(root.columns, lp.start_basis(model, root.columns.size).columns)
+    assert np.array_equal(root, lp.start_basis(model, root.size))
     assert len(calls) > 2
     assert all(warm is not None for warm, _ in calls)
     assert all(res.warm_started for _, res in calls)
+
+
+def test_a_singular_refactorization_restarts_from_the_slack_basis(monkeypatch):
+    # When a refactorization finds the basis singular, the solve restarts
+    # from the slack basis through the one start path and reaches the
+    # optimum it reaches without the failure. The failure is forced at the
+    # first scheduled refactorization.
+    model = lp.build_model(gen.gen_random((12, 12, 40), "avg", seed=0))
+    args = (model.obj, model.layout, model.senses, model.rhs, model.lb, model.ub)
+    plain = simplex.solve(*args)
+    monkeypatch.setattr(simplex, "_REFRESH_EVERY", 50)
+    factorize, start = simplex._Revised._factorize, simplex._Revised._start
+    starts = []
+
+    def failing(state):
+        return None if state.iterations == 50 and len(starts) == 2 else factorize(state)
+
+    def recording(state, columns):
+        starts.append(np.array(columns))
+        return start(state, columns)
+
+    monkeypatch.setattr(simplex._Revised, "_factorize", failing)
+    monkeypatch.setattr(simplex._Revised, "_start", recording)
+    res = simplex.solve(*args)
+    assert res.status == simplex.OPTIMAL
+    assert res.objective == pytest.approx(plain.objective, rel=1e-9, abs=0)
+    slack = np.arange(model.nvars, model.nvars + model.layout.m)
+    assert np.array_equal(starts[0], slack) and not np.array_equal(starts[1], slack)
+    assert np.array_equal(starts[2], slack)  # the restart
+
+
+def _highs_verdicts(layout, senses, rhs, obj, bounds):
+    """HiGHS's (status, objective) on the rows of `layout` under each (lb, ub)."""
+    a = np.zeros((layout.m, layout.n))
+    a[layout.rows, layout.cols] = layout.vals
+    out = []
+    for lb, ub in bounds:
+        ref = scipy_solve(obj, a, senses, rhs, lb, ub)
+        assert ref.status in (0, 2)
+        out.append((simplex.OPTIMAL, ref.fun) if ref.status == 0 else (simplex.INFEASIBLE, None))
+    return out
+
+
+# ROADMAP direction 1's dive: on 6x10x20 avg seed 0's search rows, each LP
+# warm from its parent's optimum, the last LP met a refactorization that
+# found K singular, at one BLAS thread.
+DIVE_FIXINGS = [
+    ("x", "s4,r3,d16", 0), ("x", "s2,r2,d8", 0), ("x", "s4,r3,d4", 0), ("x", "s0,r4,d18", 0),
+    ("x", "s3,r9,d9", 0), ("x", "s3,r5,d9", 0), ("z", "r6", 0), ("x", "s1,r5,d7", 0),
+    ("y", "s3,r0", 1), ("x", "s1,r3,d19", 0), ("y", "s1,r3", 0), ("x", "s3,r0,d9", 1),
+    ("x", "s5,r4,d11", 1), ("x", "s1,r4,d1", 1), ("z", "r2", 1), ("z", "r7", 1), ("z", "r3", 1),
+    ("z", "r5", 0),
+]
+
+_DIVE_SCRIPT = """
+import json, sys
+from overcast import gen, lp, simplex
+fixings = json.loads(sys.argv[1])
+model = lp.build_model(gen.gen_random((6, 10, 20), "avg", seed=0))
+layout, senses, rhs = lp.search_rows(model)
+lb, ub = model.lb.copy(), model.ub.copy()
+res = simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=lp.start_basis(model, layout.m, ub))
+out = []
+for col, val in fixings:
+    lb[col] = ub[col] = val
+    res = simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=res.basis)
+    out.append([res.status, res.objective, res.warm_started])
+print(json.dumps(out))
+"""
+
+
+def _dive_model():
+    model = lp.build_model(gen.gen_random((6, 10, 20), "avg", seed=0))
+    index = {"x": model.x_index, "y": model.y_index, "z": model.z_index}
+    fixings = []
+    for kind, key, val in DIVE_FIXINGS:
+        key = tuple(key.split(",")) if kind != "z" else key
+        fixings.append((index[kind][key], float(val)))
+    return model, fixings
+
+
+def test_the_singular_dive_ends_infeasible(one_blas_thread):
+    # The last LP's scheduled refactorization finds K singular; the solve
+    # restarts from the slack basis and ends infeasible, as HiGHS says,
+    # and every LP of the dive ran from its parent's basis.
+    model, fixings = _dive_model()
+    got = one_blas_thread(_DIVE_SCRIPT, fixings)
+    bounds = []
+    lb, ub = model.lb.copy(), model.ub.copy()
+    for col, val in fixings:
+        lb[col] = ub[col] = val
+        bounds.append((lb.copy(), ub.copy()))
+    ref = _highs_verdicts(*lp.search_rows(model)[:3], model.obj, bounds)
+    assert [status for status, _obj, _warm in got] == [status for status, _ in ref]
+    assert got[-1][0] == simplex.INFEASIBLE
+    assert all(warm for _status, _obj, warm in got)
+    for (status, obj, _warm), (_, fun) in zip(got, ref):
+        if status == simplex.OPTIMAL:
+            assert obj == pytest.approx(fun, rel=1e-7, abs=1e-7)
+
+
+_RANDOM_DIVES_SCRIPT = """
+import json, sys
+import numpy as np
+from overcast import gen, lp, simplex
+out = []
+for size, seed, steps in json.loads(sys.argv[1]):
+    model = lp.build_model(gen.gen_random(tuple(size), "avg", seed=seed))
+    layout, senses, rhs = lp.search_rows(model)
+    rng = np.random.default_rng(seed)
+    lb, ub = model.lb.copy(), model.ub.copy()
+    res = simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=lp.start_basis(model, layout.m, ub))
+    trail = []
+    for col in rng.permutation(model.nvars)[:steps]:
+        val = float(rng.integers(2))
+        clb, cub = lb.copy(), ub.copy()
+        clb[col] = cub[col] = val
+        child = simplex.solve(model.obj, layout, senses, rhs, clb, cub, warm=res.basis)
+        trail.append([int(col), val, child.status, child.objective])
+        if child.status == simplex.OPTIMAL:
+            lb, ub, res = clb, cub, child
+    out.append(trail)
+print(json.dumps(out))
+"""
+
+RANDOM_DIVES = [((4, 6, 12), 0, 60), ((4, 6, 12), 1, 60), ((6, 10, 20), 0, 60), ((6, 10, 20), 2, 60)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_warm_started_dives_match_highs(blas_threads, threads):
+    # Random fixings in random order on the model's own search rows, each
+    # LP warm from the last feasible one; an infeasible fixing is undone.
+    # Every verdict matches HiGHS, and nothing raises, at either thread
+    # count (OpenBLAS rounds K^-1 differently at two threads).
+    got = blas_threads(_RANDOM_DIVES_SCRIPT, RANDOM_DIVES, threads)
+    verdicts = Counter()
+    for (size, seed, _steps), trail in zip(RANDOM_DIVES, got):
+        model = lp.build_model(gen.gen_random(size, "avg", seed=seed))
+        rows = lp.search_rows(model)
+        lb, ub = model.lb.copy(), model.ub.copy()
+        bounds = []
+        for col, val, status, _obj in trail:
+            clb, cub = lb.copy(), ub.copy()
+            clb[col] = cub[col] = val
+            bounds.append((clb, cub))
+            if status == simplex.OPTIMAL:
+                lb, ub = clb, cub
+        for (status, obj), (col, val, ours, our_obj) in zip(_highs_verdicts(*rows, model.obj, bounds), trail):
+            assert ours == status, (size, seed, col, val)
+            if status == simplex.OPTIMAL:
+                assert our_obj == pytest.approx(obj, rel=1e-7, abs=1e-7)
+            verdicts[status] += 1
+    assert verdicts[simplex.OPTIMAL] > 150 and verdicts[simplex.INFEASIBLE] > 30
+
+
+def test_dense_and_sparse_paths_solve_alike(monkeypatch):
+    # `_DENSE_ENTRIES` forks K, B^-1 a_q and the rows of B^-1 between the
+    # dense copy of [I; A] and the sparse entries. Every LP of a set of
+    # branch-and-bound searches and pipeline runs ends with the same
+    # status, pivots and bytes whether every layout takes the sparse side,
+    # the shipped threshold picks, or every layout takes the dense side.
+    solve, shipped = simplex.solve, simplex._DENSE_ENTRIES
+
+    def run(entries):
+        monkeypatch.setattr(simplex, "_DENSE_ENTRIES", entries)
+        seen = []
+
+        def recording(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            seen.append((res.status, res.iterations, None if res.x is None else res.x.tobytes()))
+            return res
+
+        monkeypatch.setattr(simplex, "solve", recording)
+        for seed in range(30):
+            lp.solve_ip(lp.build_model(gen.gen_random((2, 2, 4), "avg", seed=seed)))
+        for size, regime in (((4, 6, 12), "avg"), ((3, 4, 8), "high")):
+            for seed in range(3):
+                pipeline.run_approx(gen.gen_random(size, regime, seed=seed))
+        lp.solve_ip(lp.build_model(gen.gen_random((4, 6, 12), "avg", seed=1)))
+        return seen
+
+    sparse, default, dense = run(0), run(shipped), run(10**9)
+    assert len(sparse) > 100
+    assert sparse == default == dense
