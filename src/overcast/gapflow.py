@@ -30,6 +30,13 @@ its own fragments' pairs keeps at least (1/2 - DELTA) of each sink's
 demanded weight, the pair cap keeps every reflector under four times its
 stream budget, and the LP optimum keeps the relay-mass cost under the drawn
 relay cost.
+
+The simplex starts at the greedy assignment: each box row is basic on its
+cheapest fragment (the lowest fragment on ties) and every reflector and
+pair row on its slack. Those fragments meet the box rows in an identity
+block and no inequality slack is nonbasic, so the start is always taken,
+and the dual simplex pivots only where the greedy assignment breaks a pair
+or reflector cap.
 """
 
 from __future__ import annotations
@@ -154,7 +161,12 @@ def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
     rhs = np.concatenate(
         [FANOUT_FACTOR * caps[used], np.full(pair_col.size, 2.0), np.ones(boxes)]
     )
-    res = simplex.solve(model.obj[plan.col], layout, senses, rhs, np.zeros(n), np.ones(n))
+    # The greedy start: each box row on its cheapest fragment, the lowest on ties.
+    cost = model.obj[plan.col]
+    order = np.lexsort((cost, plan.box))
+    cheapest = order[np.unique(plan.box[order], return_index=True)[1]]
+    warm = np.concatenate([n + np.arange(first_box), cheapest])
+    res = simplex.solve(cost, layout, senses, rhs, np.zeros(n), np.ones(n), warm=warm)
     if res.status != simplex.OPTIMAL:
         raise GapStageError(f"assignment LP is {res.status}")
     picked = np.rint(res.x)

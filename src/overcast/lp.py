@@ -11,8 +11,8 @@ starts at column `x_offset`. The x loop alone decides which triples are
 routes (both links present) and builds the route table `sink_routes[j]`:
 sink j's (reflector, x column, clamped weight) in reflector order.
 `y_parent` and `x_parent` hold each y's z column and each x's y column, and
-`x_refl` and `x_sink` each x's reflector and sink position, indexed by
-position in the x block.
+`x_refl`, `x_sink` and `x_weight` each x's reflector, sink position and
+clamped weight, indexed by position in the x block.
 
 The rows are one table: the sparse `layout` holds every entry, `rows`,
 `senses` and `rhs` each row's label, sense and right-hand side, `families`
@@ -49,8 +49,14 @@ row per sink that needs two or more routes,
     cardinality     sum_i x[k,i,j] >= L_j                 (search only, `search_rows`)
 
 where L_j is the fewest of sink j's largest clamped weights that reach
-W_j. It branches on the most fractional z, then y, then x. The model's
-rows, `solve_lp` and every bound derived from it never see these rows.
+W_j. Before each node LP, the root's included, `propagate` tightens the
+node's bounds over the route table (`x_weight` holds each x's clamped
+weight): a closed z closes its y and a closed y its x, a route that its
+sink's other open routes cannot do without is fixed to 1 with its y and z,
+and a node whose open routes cannot reach some W_j is dropped without an
+LP. It branches on the most fractional z, then y, then x. The model's
+rows, `solve_lp` and every bound derived from it never see these rows or
+these fixings.
 """
 
 from __future__ import annotations
@@ -80,7 +86,8 @@ class InfeasibleError(Exception):
     meet), "phase1" (the LP relaxation is infeasible: "residual" is the bound
     violation of the row that the dual simplex cannot repair; the kind keeps
     its old name because it is a machine-readable code) and
-    "search-exhausted" (branch and bound found no integral point).
+    "search-exhausted" (branch and bound found no integral point, or
+    propagation found none within the root's bounds).
     """
 
     def __init__(self, message: str, certificate: dict | None = None):
@@ -248,9 +255,10 @@ class LpModel:
         capacity("feed-fanout", [f"{feed}[{k},{i}]" for k, i in feeds], feed_row[x_feed],
                  caps[self.y_parent[fed]], nz + fed)
 
-        weights = [w for d in sinks for _i, _xi, w in self.sink_routes[d.id]]
+        # Each x's clamped weight, by position in the x block.
+        self.x_weight = np.array([w for d in sinks for _i, _xi, w in self.sink_routes[d.id]])
         family("weight", [f"weight[{d.id}]" for d in sinks], ">=",
-               [d.weight_threshold for d in sinks], (x_sink, x_cols, weights))
+               [d.weight_threshold for d in sinks], (x_sink, x_cols, self.x_weight))
 
         if inst.colors_enabled:  # one row per (sink, color) its routes reach, colors ascending
             colors = [r.color for r in inst.reflectors]
@@ -365,6 +373,41 @@ def solve_lp(model: LpModel) -> FractionalSolution:
     return FractionalSolution(model=model, values=res.x, objective=res.objective)
 
 
+def reach_floor(model: LpModel) -> np.ndarray:
+    """Per sink, the weight sum that counts as reaching W_j in the search:
+    W_j - CARD_TOL * max(1, W_j)."""
+    demand = np.array([d.weight_threshold for d in model.inst.sinks], dtype=float)
+    return demand - CARD_TOL * np.maximum(1.0, demand)
+
+
+def propagate(model: LpModel, floor: np.ndarray, lb: np.ndarray, ub: np.ndarray):
+    """A node's bounds tightened over the route table, as new arrays
+    (lb, ub), or None when no 0/1 point lies within them.
+
+    Each y's upper bound is capped by its z's and each x's by its y's. Per
+    sink, the clamped weights of the open routes (ub > 0) must reach
+    `floor` (`reach_floor`), and an open route gets lb = 1 when the sink's
+    other open routes fall short of it; an x with lb = 1 raises its y's lb,
+    and a y with lb = 1 its z's. The first step lowers only upper bounds and
+    the last raises only lower ones, so one pass reaches the fixpoint. The
+    floor sits CARD_TOL below W_j, far below the solver's row tolerance, so
+    every fixing holds for each 0/1 point the weight row accepts.
+    """
+    nz, x0 = len(model.z_index), model.x_offset
+    ub = ub.copy()
+    ub[nz:x0] = np.minimum(ub[nz:x0], ub[model.y_parent])
+    ub[x0:] = np.minimum(ub[x0:], ub[model.x_parent])
+    weight = np.where(ub[x0:] > 0, model.x_weight, 0.0)
+    reach = np.bincount(model.x_sink, weights=weight, minlength=floor.size)
+    if (reach < floor).any():
+        return None
+    lb = lb.copy()
+    lb[x0:][reach[model.x_sink] - weight < floor[model.x_sink]] = 1.0
+    lb[model.x_parent[lb[x0:] > 0]] = 1.0
+    lb[model.y_parent[lb[nz:x0] > 0]] = 1.0
+    return None if (lb > ub).any() else (lb, ub)
+
+
 def search_rows(model: LpModel) -> tuple[simplex.Layout, list[str], np.ndarray]:
     """The rows branch and bound searches: the model's rows plus one
     cardinality row per sink that needs two or more routes.
@@ -382,10 +425,10 @@ def search_rows(model: LpModel) -> tuple[simplex.Layout, list[str], np.ndarray]:
     lay = model.layout
     rows, cols, vals = [lay.rows], [lay.cols], [lay.vals]
     rhs = list(model.rhs)
-    for d in model.inst.sinks:
-        routes, demand = model.sink_routes[d.id], d.weight_threshold
+    for d, floor in zip(model.inst.sinks, reach_floor(model).tolist()):
+        routes = model.sink_routes[d.id]
         largest = sorted((w for _i, _xi, w in routes), reverse=True)
-        reach = np.cumsum(largest) >= demand - CARD_TOL * max(1.0, demand)
+        reach = np.cumsum(largest) >= floor
         need = 1 + int(np.count_nonzero(~reach))  # prefix sums only grow
         if need < 2:
             continue
@@ -411,16 +454,19 @@ def solve_ip(
 
     Every node LP solves the `search_rows`: the model's rows plus the
     cardinality rows on the weight rows, built once per call and shared.
+    Before its LP, each node, the root included, has its bounds tightened
+    by `propagate`; a node it finds infeasible is dropped without an LP,
+    and at the root the search ends with InfeasibleError "search-exhausted".
     Best-bound node order. A node branches on its most fractional z; only
     when every z is integral on the most fractional y, then on the most
     fractional x (largest distance from integrality, ties to the lowest
     index), so the reflector and feed decisions settle first. The root LP
-    starts from `start_basis`. Both children are solved when their parent
-    branches, one-up first, each from the parent's optimal basis; the heap
-    holds only solved nodes, keyed by their own LP bounds, and the
-    incumbent is taken at pop. Raises NoIncumbentError when the budget runs
-    out before an incumbent is found, and InfeasibleError when there is
-    none.
+    starts from `start_basis` over its propagated bounds. Both children
+    are solved when their parent branches, one-up first, each from the
+    parent's optimal basis; the heap holds only solved nodes, keyed by
+    their own LP bounds, and the incumbent is taken at pop. Raises
+    NoIncumbentError when the budget runs out before an incumbent is
+    found, and InfeasibleError when there is none.
     """
     budget = budget or TimeBudget()
     cert = model.weight_feasibility_certificate()
@@ -439,14 +485,29 @@ def solve_ip(
     tie = itertools.count()
     heap: list = []  # (bound, tie-break, lb, ub, solved LP), feasible nodes only
 
+    floor = reach_floor(model)
+
     def solve_node(lb, ub, warm=None):
-        """Solve a node's LP; queue it unless it is infeasible or pruned."""
+        """Propagate a node's bounds and solve its LP, from `warm` or, at
+        the root, from `start_basis`; queue the node unless it is
+        infeasible or pruned. None when propagation drops it."""
+        bounds = propagate(model, floor, lb, ub)
+        if bounds is None:
+            return None
+        lb, ub = bounds
+        if warm is None:
+            warm = start_basis(model, layout.m, ub)
         res = simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=warm)
         if res.status == simplex.OPTIMAL and res.objective < inc_obj - 1e-9:
             heapq.heappush(heap, (res.objective, next(tie), lb, ub, res))
         return res
 
-    root = solve_node(lb.copy(), ub.copy(), start_basis(model, layout.m, ub))
+    root = solve_node(lb, ub)
+    if root is None:
+        raise InfeasibleError(
+            "integer program infeasible",
+            certificate={"kind": "search-exhausted"},
+        )
     if root.status == simplex.INFEASIBLE:
         raise InfeasibleError(
             "integer program infeasible",

@@ -269,6 +269,37 @@ def test_ladder_assignment_matches_the_milp_optimum(size):
     assert res.mass_cost == pytest.approx(milp_best_assignment(sol.model, res.plan), abs=1e-9)
 
 
+def test_the_assignment_lp_starts_at_the_greedy_assignment(monkeypatch):
+    # The start puts each box row on its cheapest fragment (the lowest on
+    # ties) and every reflector and pair row on its slack; the solve always
+    # takes it, and it reaches the slack basis's assignment on the ladder draws.
+    draws = [ladder_draw(size) for size in ((8, 6, 16), (10, 10, 30), (12, 12, 40))]
+    solve = simplex.solve
+    runs = []
+
+    def recording(c, a, senses, *args, warm=None):
+        res = solve(c, a, senses, *args, warm=warm)
+        runs.append((c, senses, warm, res))
+        return res
+
+    monkeypatch.setattr(gapflow.simplex, "solve", recording)
+    warm = [gapflow.run_gap_stage(sol) for sol in draws]
+    for (c, senses, start, res), sol in zip(runs, draws):
+        assert res.warm_started
+        plan = gapflow.build_boxes(sol)
+        boxes = senses.count("==")
+        n, first_box = c.size, len(senses) - boxes
+        assert np.array_equal(start[:first_box], n + np.arange(first_box))
+        for b, f in enumerate(start[first_box:]):
+            mine = np.flatnonzero(plan.box == b)
+            assert f == mine[np.argmin(c[mine])]
+    monkeypatch.setattr(gapflow.simplex, "solve", lambda *args, warm=None: solve(*args))
+    cold = [gapflow.run_gap_stage(sol) for sol in draws]
+    for a, b in zip(warm, cold):
+        assert list(a.x_tilde.items()) == list(b.x_tilde.items())
+        assert a.mass_cost == b.mass_cost
+
+
 GAP_STAGE_SCRIPT = """
 import json, sys
 import numpy as np

@@ -123,7 +123,8 @@ def setcover_doc(sets, n_elems):
     }
 
 
-def scipy_opt(model, integral):
+def scipy_opt(model, integral, lb=None, ub=None):
+    """HiGHS's optimum of the model, within bounds lb and ub (default: the model's)."""
     c, a, senses, b = model.arrays()
     lo = np.array([b[r] if senses[r] in (">=", "=") else -np.inf for r in range(len(b))])
     hi = np.array([b[r] if senses[r] in ("<=", "=") else np.inf for r in range(len(b))])
@@ -131,7 +132,7 @@ def scipy_opt(model, integral):
         c,
         constraints=[sciopt.LinearConstraint(a, lo, hi)],
         integrality=np.full(model.nvars, 1 if integral else 0),
-        bounds=sciopt.Bounds(model.lb, model.ub),
+        bounds=sciopt.Bounds(model.lb if lb is None else lb, model.ub if ub is None else ub),
         options={"mip_rel_gap": 0.0},
     )
 
@@ -607,6 +608,110 @@ def test_approx_hack_falls_back_on_infeasible_fixing():
     assert not model.check_rows(res.values)
 
 
+def needs_both_doc():
+    # two_path_doc with a demand of about 3.32 bits: the routes weigh about
+    # 2.40 and 2.09, so d0 needs both.
+    doc = two_path_doc()
+    doc["sinks"][0]["loss_threshold"] = 0.1
+    return doc
+
+
+def test_propagation_closes_the_routes_of_a_closed_reflector():
+    # Closing r0 closes its feed and route; r1's route is then d0's only
+    # open one, so it is fixed to 1 with its feed and reflector.
+    model = lp.build_model(Instance(two_path_doc()))
+    ub = model.ub.copy()
+    ub[model.z_index["r0"]] = 0.0
+    lb, ub = lp.propagate(model, lp.reach_floor(model), model.lb, ub)
+    closed = [model.z_index["r0"], model.y_index[("s0", "r0")], model.x_index[("s0", "r0", "d0")]]
+    fixed = [model.z_index["r1"], model.y_index[("s0", "r1")], model.x_index[("s0", "r1", "d0")]]
+    assert np.flatnonzero(ub == 0.0).tolist() == sorted(closed)
+    assert np.flatnonzero(lb == 1.0).tolist() == sorted(fixed)
+    assert not model.lb.any() and model.ub.all()  # the model's bounds are left alone
+
+
+def test_propagation_fixes_a_needed_route_with_its_feed_and_reflector():
+    model = lp.build_model(Instance(needs_both_doc()))
+    lb, ub = lp.propagate(model, lp.reach_floor(model), model.lb, model.ub)
+    assert lb.all() and ub.all()
+    res = lp.solve_ip(model)
+    assert res.status == "optimal" and res.nodes == 1
+    assert res.values.tolist() == [1.0] * model.nvars
+    # A route the sink can do without stays free.
+    model = lp.build_model(Instance(two_path_doc()))
+    lb, _ub = lp.propagate(model, lp.reach_floor(model), model.lb, model.ub)
+    assert not lb.any()
+
+
+def test_a_propagated_infeasible_root_needs_no_lp(monkeypatch):
+    # Closing the feed of a route d0 needs drops the root before any LP,
+    # and approx_hack then searches the whole model.
+    model = lp.build_model(Instance(needs_both_doc()))
+    solves = []
+    solve = simplex.solve
+
+    def recording(c, a, senses, b, lb, ub, **kwargs):
+        solves.append(ub)
+        return solve(c, a, senses, b, lb, ub, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve", recording)
+    ub = model.ub.copy()
+    ub[model.y_index[("s0", "r0")]] = 0.0
+    with pytest.raises(lp.InfeasibleError) as err:
+        lp.solve_ip(model, ub=ub)
+    assert err.value.certificate == {"kind": "search-exhausted"}
+    assert solves == []
+    values = np.full(model.nvars, 0.5)
+    values[model.y_index[("s0", "r0")]] = 0.0
+    res = lp.approx_hack(lp.FractionalSolution(model, values, 0.0))
+    assert res.status == "optimal" and res.objective == pytest.approx(model.obj.sum(), abs=1e-9)
+    assert solves and np.array_equal(solves[0], model.ub)
+
+
+def test_propagated_searches_match_milp_under_fixings():
+    # approx_hack-style fixings (each LP-integral variable fixed at its value
+    # with probability 1/2) plus random fixings of the fractional ones, so
+    # some fixings leave no integral point: the search reaches HiGHS's
+    # verdict and optimum within the fixed bounds.
+    rng = np.random.default_rng(34)
+    cases = tightened = dropped = infeasible = 0
+    for sizes in ((2, 2, 4), (2, 3, 6), (3, 4, 8)):
+        for density in (1.0, 0.6):
+            for seed in range(4):
+                model = lp.build_model(gen_random(sizes, "avg", seed=seed, density=density))
+                frac = lp.solve_lp(model)
+                one = frac.values >= 1.0 - lp.FIX_TOL
+                zero = frac.values <= lp.FIX_TOL
+                for _ in range(3):
+                    pick, side = rng.random(model.nvars), rng.random(model.nvars) < 0.5
+                    lb, ub = model.lb.copy(), model.ub.copy()
+                    lb[one & (pick < 0.5)] = 1.0
+                    ub[zero & (pick < 0.5)] = 0.0
+                    loose = ~(one | zero) & (pick < 0.2)
+                    lb[loose & side] = 1.0
+                    ub[loose & ~side] = 0.0
+                    bounds = lp.propagate(model, lp.reach_floor(model), lb, ub)
+                    dropped += bounds is None
+                    tightened += bounds is not None and not (
+                        np.array_equal(bounds[0], lb) and np.array_equal(bounds[1], ub))
+                    ref = scipy_opt(model, True, lb, ub)
+                    cases += 1
+                    try:
+                        res = lp.solve_ip(model, lb=lb, ub=ub)
+                    except lp.InfeasibleError:
+                        assert ref.status == 2
+                        infeasible += 1
+                        continue
+                    assert ref.status == 0 and res.status == "optimal"
+                    assert res.objective == pytest.approx(ref.fun, rel=1e-7)
+                    assert not model.check_rows(res.values)
+                    assert np.all((lb <= res.values) & (res.values <= ub))
+    # Of the 72 fixings, propagation tightens 55 and drops 17 before any LP,
+    # and the search finds 8 more infeasible (one BLAS thread); the floors
+    # keep each path exercised.
+    assert cases == 72 and tightened >= 45 and dropped >= 12 and infeasible - dropped >= 4
+
+
 _GAP_SCRIPT = """
 import json, sys
 from overcast import lp
@@ -621,8 +726,8 @@ print(json.dumps(out))
 
 
 def test_exact_solver_closes_the_gap(one_blas_thread):
-    # 4x6x12 seeds 0 and 1 prove optimality in 163 and 39 nodes at one BLAS
-    # thread; the limits leave 2.4x and 3x that. Seed 2 takes about 1900
+    # 4x6x12 seeds 0 and 1 prove optimality in 151 and 38 nodes at one BLAS
+    # thread; the limits leave 2.6x and 3x that. Seed 2 takes about 1800
     # nodes and is left out for time.
     limits = [[0, 400], [1, 120]]
     for (seed, limit), (status, nodes) in zip(limits, one_blas_thread(_GAP_SCRIPT, limits)):
@@ -655,7 +760,8 @@ def test_solves_share_the_model_layout(monkeypatch):
     # One sparse layout per model for the relaxation, and one search layout
     # (the model's rows plus its cardinality rows) per branch and bound,
     # shared by every node LP; no solve builds the dense A.
-    model = lp.build_model(gen_random((2, 2, 4), "avg", seed=7))
+    # 21 nodes over two cardinality rows; most 2x2x4 draws close at the root.
+    model = lp.build_model(gen_random((3, 4, 8), "avg", seed=8))
     dense = model.arrays()[1]
     same = simplex.Layout.from_dense(dense)
     for name in ("rows", "cols", "vals", "colptr"):

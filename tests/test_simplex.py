@@ -494,8 +494,8 @@ def test_branch_and_bound_warm_starts_every_child(monkeypatch):
         return res
 
     monkeypatch.setattr(simplex, "solve", recording)
-    # Seed 7 still branches; most 2x2x4 draws close at the root.
-    model = lp.build_model(gen.gen_random((2, 2, 4), "avg", seed=7))
+    # Most 2x2x4 draws close at the root; this one branches, in 29 nodes.
+    model = lp.build_model(gen.gen_random((3, 4, 8), "avg", seed=3))
     sol = lp.solve_ip(model)
     assert sol.status == "optimal" and sol.nodes > 1
     # The root starts from the model's start basis, each child from its parent's.
