@@ -69,8 +69,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _json(doc: dict) -> str:
+    """`doc` as strict JSON (RFC 8259) and a newline, a NaN or infinity
+    written as null."""
+    plain = json.loads(json.dumps(doc), parse_constant=lambda _name: None)
+    return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _ratio(cost: float, bound: float) -> float:
@@ -113,7 +116,7 @@ def cmd_gen(args) -> int:
         colors=args.colors_count,
     )
     out = Path(args.out) if args.out else Path(f"instance-{args.size}-{args.regime}-{args.seed}.json")
-    _write_json(out, inst.to_doc())
+    out.write_text(_json(inst.to_doc()), encoding="utf-8")
     print(f"wrote {out} ({len(inst.sources)}x{len(inst.reflectors)}x{len(inst.sinks)})")
     return 0
 
@@ -130,7 +133,7 @@ def cmd_solve(args) -> int:
     )
     wall_ms = int((time.perf_counter() - started) * 1000)
     save_pathset(ps, out / "solution.json")
-    _write_json(out / "audit.json", asdict(report))
+    (out / "audit.json").write_text(_json(asdict(report)), encoding="utf-8")
     print(
         f"cost={report.cost:.6f} lp_bound={ps.meta['lp_bound']:.6f}"
         f" weight_ratio={report.weight_ratio:.3f} fanout_ratio={report.fanout_ratio:.3f}"
@@ -144,7 +147,7 @@ def cmd_verify(args) -> int:
     with open(args.solution, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     report = audit(PathSet.from_doc(inst, doc), args.profile, claimed_cost=doc.get("cost"))
-    print(json.dumps(asdict(report), sort_keys=True, indent=2))
+    sys.stdout.write(_json(asdict(report)))
     return 0 if report.ok else 2
 
 

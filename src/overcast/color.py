@@ -122,9 +122,8 @@ def build_rounding_system(
         np.concatenate([path, path, colored, path, n + np.arange(m)]),  # the slacks last
         np.concatenate([np.ones(n), np.full(n, -9.0), np.ones(colored.size), cost, np.ones(m)]),
     )
-    caps = np.array(list(model.capacities.values()), dtype=float)  # in reflector order
     rhs = np.concatenate([
-        MASS_SCALE * (2.0 * caps[used]), np.full(plan.total_boxes, -9.0),
+        MASS_SCALE * (2.0 * model.capacities[used]), np.full(plan.total_boxes, -9.0),
         np.full(len(groups), MASS_SCALE), [MASS_SCALE],
     ])
     v0 = np.concatenate([scaled, np.zeros(m)])

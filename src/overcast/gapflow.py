@@ -93,21 +93,22 @@ def route_keys(model, cols: np.ndarray) -> list[tuple[str, str, str]]:
 
 def build_boxes(sol: SemiIntegralSolution) -> BoxPlan:
     """Cut each demanding sink's drawn mass into half-unit boxes of fragments."""
-    model = sol.model
+    model, x0, sinks = sol.model, sol.model.x_offset, sol.model.inst.sinks
+    refls = [r.id for r in model.inst.reflectors]  # the ids break weight ties
+    refl, weight, values = model.x_refl.tolist(), model.x_weight.tolist(), sol.values[x0:].tolist()
+    ends = np.searchsorted(model.x_sink, np.arange(len(sinks) + 1))  # each sink's x slice
     col: list[int] = []
     box: list[int] = []
     mass: list[float] = []
     sink: list[int] = []
-    for j, (d, routes) in enumerate(zip(model.inst.sinks, model.sink_routes.values())):
-        if d.weight_threshold <= 0.0:
-            continue
-        entries = [(i, w, float(sol.values[xi]), xi) for i, xi, w in routes]
-        entries = [e for e in entries if e[2] > _ZERO_TOL]
+    for j in np.flatnonzero(model.rhs[model.families["weight"]] > 0.0).tolist():
+        entries = [(refls[refl[x]], weight[x], values[x], x0 + x)
+                   for x in range(ends[j], ends[j + 1]) if values[x] > _ZERO_TOL]
         total = sum(m for _i, _w, m, _xi in entries)
         needed = 1.0 - DELTA
         if total < needed - _MASS_TOL:
             raise GapStageError(
-                f"sink {d.id}: drawn mass {total:.6f} below the accepted floor {needed:.6f}"
+                f"sink {sinks[j].id}: drawn mass {total:.6f} below the accepted floor {needed:.6f}"
             )
         entries.sort(key=lambda e: (-e[1], e[0]))
 
@@ -129,7 +130,7 @@ def build_boxes(sol: SemiIntegralSolution) -> BoxPlan:
         else:  # strictly partial: its fragments go
             del col[start:], box[start:], mass[start:]
         if len(sink) == first_box:
-            raise GapStageError(f"sink {d.id}: no full box survived the cut")
+            raise GapStageError(f"sink {sinks[j].id}: no full box survived the cut")
     return BoxPlan(
         np.array(col, dtype=np.intp), np.array(box, dtype=np.intp),
         np.array(mass, dtype=float), np.array(sink, dtype=np.intp),
@@ -157,9 +158,8 @@ def run_gap_stage(sol: SemiIntegralSolution) -> GapResult:
         (first_box + boxes, n), rows, np.repeat(np.arange(n), 3), np.ones(rows.size)
     )
     senses = ["<="] * first_box + ["=="] * boxes
-    caps = np.array(list(model.capacities.values()), dtype=float)  # in reflector order
     rhs = np.concatenate(
-        [FANOUT_FACTOR * caps[used], np.full(pair_col.size, 2.0), np.ones(boxes)]
+        [FANOUT_FACTOR * model.capacities[used], np.full(pair_col.size, 2.0), np.ones(boxes)]
     )
     # The greedy start: each box row on its cheapest fragment, the lowest on ties.
     cost = model.obj[plan.col]

@@ -8,11 +8,13 @@ Decision variables, all in [0,1] (binary for the exact solver):
 
 The columns run z, then y, then x, in three contiguous blocks; the x block
 starts at column `x_offset`. The x loop alone decides which triples are
-routes (both links present) and builds the route table `sink_routes[j]`:
-sink j's (reflector, x column, clamped weight) in reflector order.
-`y_parent` and `x_parent` hold each y's z column and each x's y column, and
-`x_refl`, `x_sink` and `x_weight` each x's reflector, sink position and
-clamped weight, indexed by position in the x block.
+routes (both links present), and the x block is the route table: `x_refl`,
+`x_sink` and `x_weight` hold each x's reflector, sink position and clamped
+weight, indexed by position in the x block. The x columns run in sink
+order, each sink's in reflector order, so each sink's routes are one
+contiguous slice. `y_parent` and `x_parent` hold each y's z column and each
+x's y column. Sink j's demand W_j is its weight row's `rhs`, and
+`capacities` holds each reflector's stream budget in reflector order.
 
 The rows are one table: the sparse `layout` holds every entry, `rows`,
 `senses` and `rhs` each row's label, sense and right-hand side, `families`
@@ -124,10 +126,10 @@ class LpModel:
         self.z_index: dict[str, int] = {}
         self.y_index: dict[tuple[str, str], int] = {}
         self.x_index: dict[tuple[str, str, str], int] = {}
-        # sink -> [(reflector, x column, clamped weight)], the route table
-        self.sink_routes: dict[str, list[tuple[str, int, float]]] = {}
         y_parent: list[int] = []  # the z column of each y
         x_parent: list[int] = []  # the y column of each x
+        x_sink: list[int] = []  # the sink position of each x
+        x_weight: list[float] = []  # the clamped weight of each x
         obj: list[float] = []
 
         transmission = inst.mode == "transmission"
@@ -143,21 +145,23 @@ class LpModel:
                 y_parent.append(self.z_index[r.id])
                 obj.append(0.0 if transmission else edge.cost)
         self.x_offset = len(obj)  # the x block's first column
-        for d in inst.sinks:
+        for j, d in enumerate(inst.sinks):
             k = d.stream
-            routes = self.sink_routes[d.id] = []
             for r in inst.reflectors:
                 first = inst.src_edges.get((k, r.id))
                 edge = inst.refl_edges.get((r.id, d.id))
                 if first is None or edge is None:
                     continue
-                xi = self.x_index[(k, r.id, d.id)] = len(obj)
-                routes.append((r.id, xi, inst.path_weight(k, r.id, d.id)))
+                self.x_index[(k, r.id, d.id)] = len(obj)
+                x_sink.append(j)
+                x_weight.append(inst.path_weight(k, r.id, d.id))
                 x_parent.append(self.y_index[(k, r.id)])
                 obj.append(first.cost + edge.cost if transmission else edge.cost)
 
         self.y_parent = np.array(y_parent, dtype=np.intp)
         self.x_parent = np.array(x_parent, dtype=np.intp)
+        self.x_sink = np.array(x_sink, dtype=np.intp)
+        self.x_weight = np.array(x_weight, dtype=float)
         self.obj = np.array(obj)
         self.nvars = len(obj)
         self.lb = np.zeros(self.nvars)
@@ -167,9 +171,10 @@ class LpModel:
 
     # -- construction -------------------------------------------------------
 
-    def _effective_capacities(self) -> dict[str, int] | None:
-        """Per-reflector stream budget used by the rounding pipeline:
-        whole copies of the one stream load every source shares."""
+    def _effective_capacities(self) -> np.ndarray | None:
+        """Per-reflector stream budget used by the rounding pipeline, in
+        reflector order: whole copies of the one stream load every source
+        shares."""
         inst = self.inst
         for r in inst.reflectors:  # the capacity rows need every cap too
             if inst.copy_cap(r.id) is None:
@@ -180,7 +185,7 @@ class LpModel:
         if len(loads) != 1 or None in loads:
             return None  # heterogeneous bitrates: exact solver only
         (load,) = loads
-        return {r.id: int(math.floor(inst.copy_cap(r.id) / load)) for r in inst.reflectors}
+        return np.array([math.floor(inst.copy_cap(r.id) / load) for r in inst.reflectors], float)
 
     def _copy_load(self, k: str) -> float:
         load = self.inst.copy_load(k)
@@ -198,13 +203,11 @@ class LpModel:
         z_cols, y_cols, x_cols = cols[:nz], cols[nz:x0], cols[x0:]
         ny = y_cols.size
         x_feed = self.x_parent - nz  # each x's position in the y block
-        # Each x's reflector and sink positions, by position in the x block;
-        # a reflector's position is its z column. Stage two reads both.
+        # Each x's reflector position, by position in the x block; a
+        # reflector's position is its z column.
         self.x_refl = x_refl = self.y_parent[x_feed]
-        counts = [len(self.sink_routes[d.id]) for d in sinks]
-        self.x_sink = x_sink = np.repeat(np.arange(len(sinks)), counts)  # x runs in sink order
-        x_load = np.repeat([self._copy_load(d.stream) if n else 0.0 for d, n in zip(sinks, counts)],
-                           counts)
+        x_sink = self.x_sink
+        x_load = np.array([self._copy_load(sinks[j].stream) for j in x_sink.tolist()], dtype=float)
         caps = np.array([float(inst.copy_cap(r.id)) for r in inst.reflectors])
 
         self.rows: list[str] = []
@@ -255,8 +258,6 @@ class LpModel:
         capacity("feed-fanout", [f"{feed}[{k},{i}]" for k, i in feeds], feed_row[x_feed],
                  caps[self.y_parent[fed]], nz + fed)
 
-        # Each x's clamped weight, by position in the x block.
-        self.x_weight = np.array([w for d in sinks for _i, _xi, w in self.sink_routes[d.id]])
         family("weight", [f"weight[{d.id}]" for d in sinks], ">=",
                [d.weight_threshold for d in sinks], (x_sink, x_cols, self.x_weight))
 
@@ -296,16 +297,13 @@ class LpModel:
 
     def weight_feasibility_certificate(self) -> dict | None:
         """Per-sink necessary condition: even all-ones must reach the threshold."""
-        violated = []
-        for d in self.inst.sinks:
-            attainable = sum(w for _i, _xi, w in self.sink_routes[d.id])
-            if attainable < d.weight_threshold - 1e-9:
-                violated.append(
-                    {"sink": d.id, "demanded": d.weight_threshold, "attainable": attainable}
-                )
-        if violated:
-            return {"kind": "weight-rows", "rows": violated}
-        return None
+        demand = self.rhs[self.families["weight"]].tolist()
+        attainable = np.bincount(self.x_sink, weights=self.x_weight, minlength=len(demand))
+        violated = [
+            {"sink": d.id, "demanded": w, "attainable": a}
+            for d, w, a in zip(self.inst.sinks, demand, attainable.tolist()) if a < w - 1e-9
+        ]
+        return {"kind": "weight-rows", "rows": violated} if violated else None
 
 
 def build_model(inst: Instance) -> LpModel:
@@ -349,12 +347,12 @@ def start_basis(model: LpModel, m: int, ub: np.ndarray | None = None) -> np.ndar
     weight keeps its slack.
     """
     ub = model.ub if ub is None else ub
+    x0 = model.x_offset
     columns = model.nvars + np.arange(m)  # the slack of each row
-    for row, d in zip(model.families["weight"], model.inst.sinks):
-        routes = [(model.obj[xi] / w, xi) for _i, xi, w in model.sink_routes[d.id]
-                  if w > 0 and ub[xi] > 0]
-        if routes:
-            columns[row] = min(routes)[1]
+    x = np.flatnonzero((model.x_weight > 0) & (ub[x0:] > 0))  # the open routes
+    x = x[np.lexsort((x, model.obj[x0 + x] / model.x_weight[x], model.x_sink[x]))]
+    sinks, cheapest = np.unique(model.x_sink[x], return_index=True)
+    columns[model.families["weight"].start + sinks] = x0 + x[cheapest]
     return columns
 
 
@@ -376,7 +374,7 @@ def solve_lp(model: LpModel) -> FractionalSolution:
 def reach_floor(model: LpModel) -> np.ndarray:
     """Per sink, the weight sum that counts as reaching W_j in the search:
     W_j - CARD_TOL * max(1, W_j)."""
-    demand = np.array([d.weight_threshold for d in model.inst.sinks], dtype=float)
+    demand = model.rhs[model.families["weight"]]
     return demand - CARD_TOL * np.maximum(1.0, demand)
 
 
@@ -422,19 +420,18 @@ def search_rows(model: LpModel) -> tuple[simplex.Layout, list[str], np.ndarray]:
     accepts. Rows with L_j = 1 are implied and left out. The model's own
     `layout`, and with it `solve_lp`, never sees these rows.
     """
-    lay = model.layout
+    lay, floors = model.layout, reach_floor(model)
     rows, cols, vals = [lay.rows], [lay.cols], [lay.vals]
     rhs = list(model.rhs)
-    for d, floor in zip(model.inst.sinks, reach_floor(model).tolist()):
-        routes = model.sink_routes[d.id]
-        largest = sorted((w for _i, _xi, w in routes), reverse=True)
-        reach = np.cumsum(largest) >= floor
+    ends = np.searchsorted(model.x_sink, np.arange(floors.size + 1))  # each sink's x slice
+    for lo, hi, floor in zip(ends[:-1].tolist(), ends[1:].tolist(), floors.tolist()):
+        reach = np.cumsum(np.sort(model.x_weight[lo:hi])[::-1]) >= floor
         need = 1 + int(np.count_nonzero(~reach))  # prefix sums only grow
         if need < 2:
             continue
-        rows.append(np.full(len(routes), len(rhs)))
-        cols.append(np.array([xi for _i, xi, _w in routes], dtype=np.intp))
-        vals.append(np.ones(len(routes)))
+        rows.append(np.full(hi - lo, len(rhs)))
+        cols.append(model.x_offset + np.arange(lo, hi))
+        vals.append(np.ones(hi - lo))
         rhs.append(float(need))
     layout = simplex.Layout(
         (len(rhs), model.nvars), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
@@ -464,7 +461,10 @@ def solve_ip(
     starts from `start_basis` over its propagated bounds. Both children
     are solved when their parent branches, one-up first, each from the
     parent's optimal basis; the heap holds only solved nodes, keyed by
-    their own LP bounds, and the incumbent is taken at pop. Raises
+    their own LP bounds. An incumbent is taken when its LP is solved: a
+    node whose LP optimum is integral and below the incumbent replaces it.
+    `nodes` counts the popped nodes plus the incumbent's, so the first
+    incumbent is taken only while the node budget lasts. Raises
     NoIncumbentError when the budget runs out before an incumbent is
     found, and InfeasibleError when there is none.
     """
@@ -478,6 +478,7 @@ def solve_ip(
     t0 = time.perf_counter()
     incumbent = None
     inc_obj = math.inf
+    nodes = 0
     layout, senses, rhs = search_rows(model)
     nz, x0 = len(model.z_index), model.x_offset
     classes = ((0, nz), (nz, x0), (x0, model.nvars))  # z, then y, then x
@@ -489,8 +490,11 @@ def solve_ip(
 
     def solve_node(lb, ub, warm=None):
         """Propagate a node's bounds and solve its LP, from `warm` or, at
-        the root, from `start_basis`; queue the node unless it is
-        infeasible or pruned. None when propagation drops it."""
+        the root, from `start_basis`. An integral LP point below the
+        incumbent replaces it at once (the first one only while the node
+        budget lasts); any other node is queued unless it is infeasible or
+        pruned. None when propagation drops the node."""
+        nonlocal incumbent, inc_obj, nodes
         bounds = propagate(model, floor, lb, ub)
         if bounds is None:
             return None
@@ -498,7 +502,15 @@ def solve_ip(
         if warm is None:
             warm = start_basis(model, layout.m, ub)
         res = simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=warm)
-        if res.status == simplex.OPTIMAL and res.objective < inc_obj - 1e-9:
+        if res.status != simplex.OPTIMAL or res.objective >= inc_obj - 1e-9:
+            return res
+        integral = np.all(np.abs(res.x - np.round(res.x)) <= INTEGRALITY_TOL)
+        first = incumbent is None
+        if integral and (not first or budget.node_limit is None or nodes < budget.node_limit):
+            nodes += first  # the incumbent's node counts once, as a popped node would
+            incumbent = np.round(res.x)
+            inc_obj = float(model.obj @ incumbent)
+        else:
             heapq.heappush(heap, (res.objective, next(tie), lb, ub, res))
         return res
 
@@ -513,7 +525,6 @@ def solve_ip(
             "integer program infeasible",
             certificate={"kind": "phase1", "residual": root.infeasibility},
         )
-    nodes = 0
     timed_out = False
 
     # Bounds pop in increasing order, so once the best is pruned all are.
@@ -523,14 +534,9 @@ def solve_ip(
         ) or (budget.node_limit is not None and nodes >= budget.node_limit)
         if timed_out:
             break
-        _bound, _cnt, lb, ub, res = heapq.heappop(heap)
+        _bound, _cnt, lb, ub, res = heapq.heappop(heap)  # fractional while the budget lasts
         nodes += 1
-        values = res.x
-        frac = np.abs(values - np.round(values))
-        if np.all(frac <= INTEGRALITY_TOL):
-            incumbent = np.round(values)
-            inc_obj = float(model.obj @ incumbent)
-            continue
+        frac = np.abs(res.x - np.round(res.x))
         for start, end in classes:
             if frac[start:end].max(initial=0.0) > INTEGRALITY_TOL:
                 branch_var = start + int(np.argmax(frac[start:end]))

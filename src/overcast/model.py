@@ -21,7 +21,7 @@ sources that no sink demands are dropped. A unit-form document, such as
 One table, `_SCHEMA`, states every field of instance and solution documents,
 and `_check_record` is the one function that checks them; the reader calls
 it once per record. Which triples are routes, and their clamped weights, is
-decided once, by the LP model's route table (`lp.LpModel.sink_routes`).
+decided once, by the LP model's route table (the x block of `lp.LpModel`).
 """
 
 from __future__ import annotations

@@ -78,8 +78,8 @@ class SemiIntegralSolution:
         nz = len(model.z_index)
         loads = np.bincount(model.x_refl, weights=v[model.x_offset:], minlength=nz)
         refls = model.inst.reflectors
-        caps = np.array(list(model.capacities.values()), dtype=float)  # in reflector order
-        bad += [f"load[{refls[i].id}]" for i in np.flatnonzero(loads > 2.0 * caps + PRED_TOL)]
+        heavy = loads > 2.0 * model.capacities + PRED_TOL  # budgets in reflector order
+        bad += [f"load[{refls[i].id}]" for i in np.flatnonzero(heavy)]
         color = model.families.get("color", range(0))
         c = slice(color.start, color.stop)
         over = act[c] > model.rhs[c] + PRED_TOL

@@ -154,14 +154,14 @@ def audit(ps: PathSet, profile: str = "exact", claimed_cost: float | None = None
         return AuditReport(profile, False, failures, math.nan, {}, {}, math.nan, math.nan)
 
     # Each sink's routes, gathered in one pass; x_tilde order fixes the sums' bits.
-    sink_routes: dict[str, list[tuple[str, str, float]]] = {d.id: [] for d in inst.sinks}
+    routes_of: dict[str, list[tuple[str, str, float]]] = {d.id: [] for d in inst.sinks}
     for (k, i, j), mass in ps.x_tilde.items():
-        sink_routes[j].append((k, i, mass))
+        routes_of[j].append((k, i, mass))
     sink_weights = {}
     sink_losses = {}
     weight_ratio = math.inf
     for d in inst.sinks:
-        routes = sink_routes[d.id]
+        routes = routes_of[d.id]
         sink_weights[d.id] = sum(inst.path_weight(k, i, d.id) * mass for k, i, mass in routes)
         if d.weight_threshold > 0:
             weight_ratio = min(weight_ratio, sink_weights[d.id] / d.weight_threshold)

@@ -271,10 +271,34 @@ def test_verify_reports_a_route_that_is_no_path(instance_file, tmp_path, capsys,
     capsys.readouterr()
 
     assert main(["verify", str(inst_path), str(sol_path), "--profile", "approx"]) == 2
-    report = json.loads(capsys.readouterr().out)
+    report = json.loads(capsys.readouterr().out, parse_constant=strict)
     assert report["ok"] is False
     key = f"({route['stream']},{route['reflector']},{route['sink']})"
     assert report["failures"] and all(key in f for f in report["failures"])
+    # The measurements are undefined, and strict JSON writes them as null.
+    assert [report[k] for k in ("cost", "weight_ratio", "fanout_ratio")] == [None] * 3
+
+
+def strict(name):
+    """A `parse_constant` that refuses NaN and Infinity, which JSON has not."""
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_solve_writes_an_undefined_weight_ratio_as_null(tmp_path):
+    # A sink with loss ceiling 1 demands no weight, so no sink bounds the
+    # worst weight ratio: audit.json says null, not Infinity.
+    doc = {
+        "sources": [{"id": "s0"}],
+        "reflectors": [{"id": "r0", "cost": 1.0, "fanout": 2}],
+        "sinks": [{"id": "d0", "stream": "s0", "loss_threshold": 1.0}],
+        "src_edges": [{"from": "s0", "to": "r0", "loss": 0.01, "cost": 1.0}],
+        "refl_edges": [{"from": "r0", "to": "d0", "loss": 0.01, "cost": 1.0}],
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--out-dir", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "audit.json").read_text(), parse_constant=strict)
+    assert report["ok"] is True and report["weight_ratio"] is None
 
 
 @pytest.mark.parametrize("units", ["count", "bandwidth"])

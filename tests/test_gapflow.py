@@ -157,7 +157,7 @@ def brute_force_best_assignment(model, plan):
     """Cheapest feasible box->pair assignment, by enumeration; a pair is an
     x column."""
     x0 = model.x_offset
-    caps = list(model.capacities.values())
+    caps = model.capacities.tolist()
     choices = [plan.col[plan.box == b].tolist() for b in range(plan.total_boxes)]
     best = math.inf
     for pick in itertools.product(*choices):
@@ -242,7 +242,7 @@ def milp_best_assignment(model, plan):
     per_box = (plan.box == np.arange(plan.total_boxes)[:, None]).astype(float)
     per_pair = (plan.col == pairs[:, None]).astype(float)
     per_refl = (refl == refls[:, None]).astype(float)
-    caps = np.array(list(model.capacities.values()))
+    caps = model.capacities
     cost = model.obj[plan.col] / 2.0
     res = milp(
         cost,

@@ -147,8 +147,11 @@ def test_build_shape_and_order():
     # Each y's parent is its z column, each x's its y column.
     assert model.y_parent.tolist() == [0, 1]
     assert model.x_parent.tolist() == [2, 3]
-    # Both raw path weights exceed the demand of 2 bits, so both clamp to it.
-    assert model.sink_routes == {"d0": [("r0", 4, 2.0), ("r1", 5, 2.0)]}
+    # The x block is the route table: each x's reflector, sink and clamped
+    # weight. Both raw path weights exceed the demand of 2 bits, so both clamp.
+    assert model.x_refl.tolist() == [0, 1]
+    assert model.x_sink.tolist() == [0, 0]
+    assert model.x_weight.tolist() == [2.0, 2.0]
     # One sink cannot fill a fan-out of 4, so no capacity row can bind:
     # each follows from relay-use and feed-use and is left out.
     assert model.rows == [
@@ -395,8 +398,10 @@ def test_start_basis_is_taken(monkeypatch):
         assert np.all(tight < model.nvars)
         assert np.array_equal(np.delete(basis, weight), model.nvars + np.delete(
             np.arange(layout.m), weight))
-        for col, d in zip(tight, model.inst.sinks):  # the lowest cost per unit weight
-            ratios = {xi: model.obj[xi] / w for _i, xi, w in model.sink_routes[d.id] if ub[xi] > 0}
+        x0 = model.x_offset
+        for j, col in enumerate(tight):  # the lowest cost per unit weight
+            ratios = {x0 + x: model.obj[x0 + x] / model.x_weight[x]
+                      for x in np.flatnonzero(model.x_sink == j) if ub[x0 + x] > 0}
             assert ratios[col] == min(ratios.values())
             assert col == min(xi for xi, r in ratios.items() if r == ratios[col])
         warm = simplex.solve(model.obj, layout, senses, rhs, lb, ub, warm=basis)
@@ -419,6 +424,71 @@ def test_start_basis_is_taken(monkeypatch):
     monkeypatch.setattr(simplex, "solve", recording)
     lp.solve_lp(models[0])
     assert np.array_equal(starts[0], lp.start_basis(models[0], models[0].layout.m))
+
+
+def per_sink_tables(model, ub):
+    """The certificate, start basis and search rows, from per-sink lists of
+    (x column, `inst.path_weight`) built here."""
+    inst, m = model.inst, model.layout.m
+    routes = [
+        [(model.x_index[(d.stream, r.id, d.id)], inst.path_weight(d.stream, r.id, d.id))
+         for r in inst.reflectors if (d.stream, r.id, d.id) in model.x_index]
+        for d in inst.sinks
+    ]
+    violated = []
+    for d, sink in zip(inst.sinks, routes):
+        attainable = sum(w for _xi, w in sink)
+        if attainable < d.weight_threshold - 1e-9:
+            violated.append({"sink": d.id, "demanded": d.weight_threshold, "attainable": attainable})
+    cert = {"kind": "weight-rows", "rows": violated} if violated else None
+    basis = list(range(model.nvars, model.nvars + m))
+    card_rows, card_rhs = [], []
+    for row, d, sink in zip(model.families["weight"], inst.sinks, routes):
+        open_ = [(model.obj[xi] / w, xi) for xi, w in sink if w > 0 and ub[xi] > 0]
+        if open_:
+            basis[row] = min(open_)[1]
+        floor = d.weight_threshold - lp.CARD_TOL * max(1.0, d.weight_threshold)
+        prefix, need = 0.0, 1  # one more than the prefix sums short of the floor
+        for w in sorted((w for _xi, w in sink), reverse=True):
+            prefix += w
+            need += prefix < floor
+        if need >= 2:
+            card_rows.append([xi for xi, _w in sink])
+            card_rhs.append(float(need))
+    a = np.zeros((m + len(card_rows), model.nvars))
+    a[:m] = model.arrays()[1]
+    for n, cols in enumerate(card_rows):
+        a[m + n, cols] = 1.0
+    return cert, basis, a, model.senses + [">="] * len(card_rows), list(model.rhs) + card_rhs
+
+
+def test_route_table_reads_match_a_per_sink_reference():
+    # Random avg and colored models from 2x2x4 to 8x6x16, some with sinks
+    # starved past reach, and random closed routes for the start basis.
+    rng = np.random.default_rng(37)
+    starved = 0
+    for sizes in ((2, 2, 4), (3, 4, 8), (4, 6, 12), (8, 6, 16)):
+        for density in (1.0, 0.6):
+            for colors in (None, 3):
+                for seed in range(2):
+                    inst = gen_random(sizes, "avg", seed=seed, density=density, colors=colors)
+                    doc = inst.to_doc()
+                    for d in doc["sinks"]:
+                        if rng.random() < 0.2:
+                            d["loss_threshold"] = 1e-12
+                    for model in (lp.build_model(inst), lp.build_model(Instance(doc))):
+                        ub = model.ub.copy()
+                        ub[model.x_offset:][rng.random(model.x_weight.size) < 0.3] = 0.0
+                        cert, basis, a, senses, rhs = per_sink_tables(model, ub)
+                        assert model.weight_feasibility_certificate() == cert
+                        starved += cert is not None
+                        assert lp.start_basis(model, model.layout.m, ub).tolist() == basis
+                        layout, got_senses, got_rhs = lp.search_rows(model)
+                        dense = np.zeros((layout.m, layout.n))
+                        np.add.at(dense, (layout.rows, layout.cols), layout.vals)
+                        assert np.array_equal(dense, a)
+                        assert got_senses == senses and got_rhs.tolist() == rhs
+    assert starved >= 20
 
 
 def test_ip_matches_milp_on_random_instances():
@@ -551,8 +621,7 @@ def test_bandwidth_rows_and_capacities():
     assert all(model.rows[r].startswith("bandwidth[") for r in model.families["fanout"])
     assert all(model.rows[r].startswith("bandwidth_feed[") for r in model.families["feed-fanout"])
     # Uniform bitrate 2.0 and caps 2*fanout give back the original fan-outs.
-    for rec in doc["reflectors"]:
-        assert model.capacities[rec["id"]] == rec["fanout"]
+    assert model.capacities.tolist() == [rec["fanout"] for rec in doc["reflectors"]]
     ref = scipy_opt(model, integral=False)
     frac = lp.solve_lp(model)
     assert ref.status == 0
@@ -741,6 +810,29 @@ def test_node_limit_reports_timeout():
         lp.solve_ip(model, budget=lp.TimeBudget(node_limit=0))
     assert err.value.nodes == 0
     assert err.value.bound <= 2.0 + 1e-9
+
+
+_EARLY_SCRIPT = """
+import json, sys
+import numpy as np
+from overcast import lp
+from overcast.gen import gen_random
+model = lp.build_model(gen_random((3, 4, 8), "avg", seed=4))
+res = lp.solve_ip(model, budget=lp.TimeBudget(node_limit=json.loads(sys.argv[1])))
+print(json.dumps([res.status, res.objective, res.bound, res.nodes, model.check_rows(res.values),
+                  bool(np.array_equal(res.values, np.round(res.values)))]))
+"""
+
+
+def test_an_integral_node_lp_is_taken_when_solved(one_blas_thread):
+    # 3x4x8 seed 4 solves an integral node LP worth 175.27 within ten nodes;
+    # it is the incumbent at once, so a ten-node budget ends with it and the
+    # open bound (optimum 123.87) instead of NoIncumbentError.
+    status, objective, bound, nodes, violated, integral = one_blas_thread(_EARLY_SCRIPT, 10)
+    assert status == "timeout" and nodes == 10
+    assert objective == pytest.approx(175.26568, abs=1e-4)
+    assert bound <= 123.87 < objective
+    assert violated == [] and integral
 
 
 def test_ip_deterministic():

@@ -423,7 +423,9 @@ def test_loss_one_edge_is_a_dead_link():
     inst = tiny_instance(p_refl=1.0)
     assert inst.path_loss("s0", "r0", "d0") == 1.0
     assert inst.path_weight("s0", "r0", "d0") == 0.0
-    assert build_model(inst).sink_routes["d0"] == [("r0", 2, 0.0)]
+    built = build_model(inst)
+    assert built.x_index == {("s0", "r0", "d0"): 2}
+    assert built.x_weight.tolist() == [0.0]
     doc = raw_doc()
     doc["refl_edges"][0]["loss"] = 1.0
     assert model.Instance(doc).refl_edges[("r0", "D#a")].loss == 1.0
@@ -448,12 +450,16 @@ def test_json_round_trip(tmp_path):
 def test_route_table_covers_admissible_triples_only():
     inst = model.Instance(raw_doc())
     built = build_model(inst)
+    refls = [r.id for r in inst.reflectors]
+    g = inst.sinks.index(inst.sink_by_id["G#a"])
     # G#a reaches only r0 (no r1 -> G edge).
-    assert [i for i, _xi, _w in built.sink_routes["G#a"]] == ["r0"]
+    assert [refls[i] for i in built.x_refl[built.x_sink == g].tolist()] == ["r0"]
     assert ("E#a", "r1", "G#a") not in built.x_index
-    for d in inst.sinks:
-        for i, xi, w in built.sink_routes[d.id]:
-            assert built.x_index[(d.stream, i, d.id)] == xi
-            assert w == inst.path_weight(d.stream, i, d.id)
-            assert 0.0 <= w <= d.weight_threshold + 1e-12
-    assert sum(len(routes) for routes in built.sink_routes.values()) == len(built.x_index)
+    table = zip(built.x_refl.tolist(), built.x_sink.tolist(), built.x_weight.tolist())
+    for x, (i, j, w) in enumerate(table):
+        d = inst.sinks[j]
+        assert built.x_index[(d.stream, refls[i], d.id)] == built.x_offset + x
+        assert w == inst.path_weight(d.stream, refls[i], d.id)
+        assert 0.0 <= w <= d.weight_threshold + 1e-12
+    assert built.x_weight.size == len(built.x_index)
+    assert sorted(built.x_sink.tolist()) == built.x_sink.tolist()  # one slice per sink

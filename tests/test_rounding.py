@@ -279,8 +279,8 @@ def _summed_violations(model, v):
     ]
     bad += [
         f"load[{r.id}]"
-        for r in inst.reflectors
-        if load[r.id] > 2.0 * model.capacities[r.id] + rounding.PRED_TOL
+        for i, r in enumerate(inst.reflectors)
+        if load[r.id] > 2.0 * model.capacities[i] + rounding.PRED_TOL
     ]
     sink_pos = {d.id: n for n, d in enumerate(inst.sinks)}
     bad += [
